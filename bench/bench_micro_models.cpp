@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "realm/core/segment_factors.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/packed_simulator.hpp"
@@ -26,6 +28,26 @@ void BM_Multiply(benchmark::State& state, const std::string& spec) {
     a |= 1;
     b |= 1;
   }
+}
+
+// One 4096-pair multiply_batch block per iteration (items = pairs), so the
+// batch ns/pair sits beside BM_Multiply's scalar virtual-call figure.
+void BM_MultiplyBatch(benchmark::State& state, const std::string& spec) {
+  constexpr std::size_t kPairs = 4096;
+  const auto m = mult::make_multiplier(spec, 16);
+  num::Xoshiro256 rng{1};
+  std::vector<std::uint64_t> a(kPairs), b(kPairs), out(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    a[i] = rng.below(65536);
+    b[i] = rng.below(65536);
+  }
+  for (auto _ : state) {
+    m->multiply_batch(a.data(), b.data(), out.data(), kPairs);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPairs));
 }
 
 void BM_SegmentTable(benchmark::State& state) {
@@ -88,6 +110,10 @@ BENCHMARK_CAPTURE(BM_Multiply, drum_k6, std::string{"drum:k=6"});
 BENCHMARK_CAPTURE(BM_Multiply, ssm_m8, std::string{"ssm:m=8"});
 BENCHMARK_CAPTURE(BM_Multiply, am1_nb9, std::string{"am1:nb=9"});
 BENCHMARK_CAPTURE(BM_Multiply, intalp_l2, std::string{"intalp:l=2"});
+
+BENCHMARK_CAPTURE(BM_MultiplyBatch, am1_nb9, std::string{"am1:nb=9"});
+BENCHMARK_CAPTURE(BM_MultiplyBatch, realm16_t0, std::string{"realm:m=16,t=0"});
+BENCHMARK_CAPTURE(BM_MultiplyBatch, alm_soa_m11, std::string{"alm-soa:m=11"});
 
 BENCHMARK(BM_SegmentTable)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 

@@ -37,10 +37,11 @@ class Multiplier {
   /// multiply() calls — the error harness relies on that equivalence.
   ///
   /// The base implementation is a plain loop over the virtual multiply();
-  /// hot designs (REALM, Mitchell, the exact reference) override it with a
-  /// devirtualized kernel that hoists configuration-dependent constants out
-  /// of the loop, which is what makes the 2^24-sample Monte-Carlo
-  /// characterization runs cheap.  `out` may alias neither `a` nor `b`.
+  /// hot designs (REALM, cALM/Mitchell, AM1/AM2, the exact reference)
+  /// override it with a devirtualized kernel that hoists
+  /// configuration-dependent constants out of the loop, which is what makes
+  /// the 2^24-sample Monte-Carlo characterization runs cheap.  `out` may
+  /// alias neither `a` nor `b`.
   virtual void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                               std::uint64_t* out, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a[i], b[i]);

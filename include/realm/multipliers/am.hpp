@@ -13,6 +13,11 @@
 // negative with a heavy worst-case tail (the -61 % minima in Table I) and a
 // bias that improves as nb grows.  Reimplemented from the description in the
 // REALM paper and [15]'s published error profiles; see DESIGN.md §3.
+//
+// The reduction tree is defined once, as a template over a lane count
+// (src/multipliers/am.cpp): multiply() is its 1-lane instantiation and
+// multiply_batch() its 8-lane, vectorized one, so the two paths cannot
+// drift apart.
 
 #pragma once
 
@@ -29,6 +34,10 @@ class AmMultiplier final : public Multiplier {
   AmMultiplier(int n, int nb, AmVariant variant);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
+  /// Lane-blocked kernel: the same reduction tree over 8 pairs at a time,
+  /// with the variant chosen once per call.
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                      std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
@@ -36,6 +45,7 @@ class AmMultiplier final : public Multiplier {
   int n_;
   int nb_;
   AmVariant variant_;
+  std::uint64_t recov_mask_ = 0;  // the nb most-significant product columns
 };
 
 }  // namespace realm::mult

@@ -80,8 +80,11 @@ TEST(MultiplyBatch, RealmMatchesScalarAtOtherWidths) {
 }
 
 TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
-  // Covers the devirtualized overrides (accurate, cALM, REALM) and the
-  // generic virtual-loop fallback of every other design in Table I.
+  // Covers the devirtualized overrides (accurate, cALM, REALM, AM1/AM2) and
+  // the generic virtual-loop fallback of every other design in Table I.  AM's
+  // scalar and batch paths share one reduction tree, so for AM this only
+  // checks the lane blocking; test_packed_simulator checks the tree itself
+  // against the gate-level netlist.
   const auto table1 = mult::table1_specs();
   std::set<std::string> specs{table1.begin(), table1.end()};
   specs.insert("accurate");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "realm/error/monte_carlo.hpp"
 #include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/drum.hpp"
 #include "realm/multipliers/mitchell.hpp"
@@ -174,6 +175,42 @@ TEST(AmFamily, OneSidedNegative) {
       const std::uint64_t a = rng.below(65536), b = rng.below(65536);
       ASSERT_LE(m->multiply(a, b), a * b) << spec;
     }
+  }
+}
+
+TEST(AmFamily, TableOneMonteCarloMetricsArePinned) {
+  // err::monte_carlo metrics of the six Table I AM rows at a fixed seed,
+  // captured before the datapath was rewritten as the lane-blocked tree.  Any
+  // change to an AM product moves these doubles.
+  struct Pinned {
+    const char* spec;
+    double bias, mean, variance, min, max;
+  };
+  constexpr Pinned kPinned[] = {
+      {"am1:nb=13", -0x1.b650e79cbdf2cp-2, 0x1.b650e79cbdf2dp-2, 0x1.ffc696414c989p+1,
+       -0x1.09c4b7bf7938cp+6, 0x0p+0},
+      {"am1:nb=9", -0x1.73d5dce472479p+1, 0x1.73d5dce472478p+1, 0x1.358c65f8c8046p+5,
+       -0x1.0f22fa3ce10c3p+6, 0x0p+0},
+      {"am1:nb=5", -0x1.ad3dba4605486p+3, 0x1.ad3dba4605486p+3, 0x1.8b49204d82dc7p+7,
+       -0x1.111c6ee512319p+6, 0x0p+0},
+      {"am2:nb=13", -0x1.61486888c1d8dp+0, 0x1.61486888c1d8dp+0, 0x1.fe437e68a3213p+2,
+       -0x1.09c4b7bf7938cp+6, 0x0p+0},
+      {"am2:nb=9", -0x1.c5227aed9a616p+1, 0x1.c5227aed9a616p+1, 0x1.42c9e9a397975p+5,
+       -0x1.0f22fa3ce10c3p+6, 0x0p+0},
+      {"am2:nb=5", -0x1.b062609fd1dafp+3, 0x1.b062609fd1dafp+3, 0x1.8a5c1b8d8671dp+7,
+       -0x1.111c6ee512319p+6, 0x0p+0},
+  };
+  err::MonteCarloOptions opts;
+  opts.samples = std::uint64_t{1} << 16;
+  opts.seed = 0x7ab1e1;
+  for (const auto& pin : kPinned) {
+    const auto r = err::monte_carlo(*mult::make_multiplier(pin.spec, 16), opts);
+    EXPECT_EQ(r.samples, 65534u) << pin.spec;  // two pairs have a zero operand
+    EXPECT_EQ(r.bias, pin.bias) << pin.spec;
+    EXPECT_EQ(r.mean, pin.mean) << pin.spec;
+    EXPECT_EQ(r.variance, pin.variance) << pin.spec;
+    EXPECT_EQ(r.min, pin.min) << pin.spec;
+    EXPECT_EQ(r.max, pin.max) << pin.spec;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -10,7 +11,9 @@
 #include "realm/hw/faults.hpp"
 #include "realm/hw/power.hpp"
 #include "realm/hw/simulator.hpp"
+#include "realm/multipliers/am.hpp"
 #include "realm/multipliers/registry.hpp"
+#include "realm/numeric/bits.hpp"
 #include "realm/numeric/rng.hpp"
 
 using namespace realm;
@@ -29,6 +32,43 @@ const std::vector<const char*>& circuit_specs() {
       "am1:nb=9",      "intalp:l=2", "udm",    "implm"};
   return specs;
 }
+
+// Gate-level products of the pairs (a[i], b[i]), 64 pairs per packed sweep.
+std::vector<std::uint64_t> netlist_products(const Module& mod,
+                                            const std::vector<std::uint64_t>& a,
+                                            const std::vector<std::uint64_t>& b) {
+  PackedSimulator sim{mod};
+  std::vector<std::uint64_t> p(a.size());
+  for (std::size_t base = 0; base < a.size(); base += PackedSimulator::kLanes) {
+    const auto lanes = static_cast<unsigned>(
+        std::min<std::size_t>(PackedSimulator::kLanes, a.size() - base));
+    for (unsigned l = 0; l < lanes; ++l) {
+      sim.set_input_lane(0, l, a[base + l]);
+      sim.set_input_lane(1, l, b[base + l]);
+    }
+    sim.eval();
+    for (unsigned l = 0; l < lanes; ++l) p[base + l] = sim.output(0, l);
+  }
+  return p;
+}
+
+// multiply_batch over the pairs in consecutive calls of `batch` pairs (the
+// last one ragged), so every lane-tail shape of the kernel runs.  Returns the
+// number of products that differ from `expect`.
+std::uint64_t batch_mismatches(const Multiplier& model, const std::vector<std::uint64_t>& a,
+                               const std::vector<std::uint64_t>& b,
+                               const std::vector<std::uint64_t>& expect, std::size_t batch) {
+  std::vector<std::uint64_t> out(a.size(), ~std::uint64_t{0});
+  for (std::size_t i0 = 0; i0 < a.size(); i0 += batch) {
+    model.multiply_batch(a.data() + i0, b.data() + i0, out.data() + i0,
+                         std::min(batch, a.size() - i0));
+  }
+  std::uint64_t bad = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) bad += out[i] != expect[i];
+  return bad;
+}
+
+constexpr std::size_t kBatchLengths[] = {1, 7, 8, 9, 4099};
 
 }  // namespace
 
@@ -260,4 +300,59 @@ TEST(Equivalence, RejectsOversizedExhaustiveSweep) {
   const auto model = mult::make_multiplier("accurate", 16);
   EXPECT_THROW((void)check_exhaustive_vs_model(mod, *model), std::invalid_argument);
   EXPECT_THROW((void)check_random_vs_model(mod, *model, 0), std::invalid_argument);
+}
+
+// The AM model's scalar and batch paths share one reduction tree, so
+// comparing them cannot catch a bug in that tree; the gate-level netlist is
+// an independent oracle.
+TEST(AmOracle, BatchMatchesNetlistExhaustivelyAt8Bits) {
+  constexpr int n = 8;
+  std::vector<std::uint64_t> a, b;
+  for (std::uint64_t x = 0; x < (1u << n); ++x) {
+    for (std::uint64_t y = 0; y < (1u << n); ++y) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  for (const auto variant : {mult::AmVariant::kAm1, mult::AmVariant::kAm2}) {
+    for (int nb = 0; nb <= 2 * n; ++nb) {
+      const Module mod = build_am(n, nb, variant);
+      const mult::AmMultiplier model{n, nb, variant};
+      const auto eq = check_exhaustive_vs_model(mod, model);
+      EXPECT_EQ(eq.pairs_checked, a.size());
+      EXPECT_TRUE(eq.equivalent()) << model.name() << ": " << eq.mismatches << " mismatches";
+      const auto expect = netlist_products(mod, a, b);
+      for (const std::size_t batch : kBatchLengths) {
+        EXPECT_EQ(batch_mismatches(model, a, b, expect, batch), 0u)
+            << model.name() << " batch " << batch;
+      }
+    }
+  }
+}
+
+TEST(AmOracle, BatchMatchesNetlistOnExtremeOperandsAtOtherWidths) {
+  num::Xoshiro256 rng{0xA11};
+  for (const int n : {2, 5, 12, 24, 31}) {
+    // Each operand is independently all-ones, zero or random, so every lane
+    // position of a block sees every corner combination.
+    const std::uint64_t ones = num::mask(n);
+    std::vector<std::uint64_t> a, b;
+    for (std::size_t i = 0; i < 2 * 4099 + 3; ++i) {
+      for (auto* v : {&a, &b}) {
+        const std::uint64_t kind = rng.below(4);
+        v->push_back(kind == 0 ? ones : kind == 1 ? 0 : rng.below(ones + 1));
+      }
+    }
+    for (const auto variant : {mult::AmVariant::kAm1, mult::AmVariant::kAm2}) {
+      for (const int nb : {0, 1, n, 2 * n - 1, 2 * n}) {
+        const Module mod = build_am(n, nb, variant);
+        const mult::AmMultiplier model{n, nb, variant};
+        const auto expect = netlist_products(mod, a, b);
+        for (const std::size_t batch : kBatchLengths) {
+          EXPECT_EQ(batch_mismatches(model, a, b, expect, batch), 0u)
+              << model.name() << " N=" << n << " batch " << batch;
+        }
+      }
+    }
+  }
 }

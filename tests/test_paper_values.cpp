@@ -8,6 +8,7 @@
 // EXPERIMENTS.md records the absolute comparison.
 
 #include <cctype>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,11 @@ struct PaperRow {
   const char* spec;
   double bias, mean, min, max, variance;
 };
+
+// Print a row by its spec.  Without this gtest dumps the raw bytes of the
+// struct, including the address of `spec`, so the listed test names would
+// change from run to run.
+void PrintTo(const PaperRow& row, std::ostream* os) { *os << row.spec; }
 
 // Table I (error columns), transcribed from the paper.
 constexpr PaperRow kLogFamilyRows[] = {
