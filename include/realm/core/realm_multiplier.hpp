@@ -52,25 +52,16 @@ class RealmMultiplier final : public Multiplier {
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
 
-  /// Devirtualized batch kernel: one virtual dispatch per block instead of
-  /// per product, with f, t, the LUT pointer and all shift amounts hoisted
-  /// out of the loop.  Bit-identical to multiply() per element.
+  /// Batch, row and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().  The row
+  /// kernel decodes the fixed operand (leading one, truncated log fraction,
+  /// LUT segment row) once; the range kernel splits ascending columns at the
+  /// powers of two and the LUT column boundaries, so k_b and the LUT entry
+  /// are constants and the final barrel shift is two constant shift pairs.
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-
-  /// Row-hoisted kernel: the fixed operand's leading-one position, truncated
-  /// log fraction and LUT segment row are computed once and kept in
-  /// registers, so the loop body carries only the variable operand's half of
-  /// the datapath.  Bit-identical to multiply() per element.
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override;
-
-  /// Row kernel for ascending contiguous columns (the exhaustive engine's
-  /// inner loop).  Splits [b0, b0+n) at the powers of two: within a segment
-  /// the variable operand's characteristic k_b is constant, so the LOD
-  /// disappears, the normalize shift is fixed, and the final barrel shift
-  /// collapses to two constant shift pairs selected by the fraction carry.
-  /// Bit-identical to multiply() per element.
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
 
@@ -87,14 +78,15 @@ class RealmMultiplier final : public Multiplier {
   [[nodiscard]] int product_bits() const noexcept { return 2 * cfg_.n + 1; }
 
  private:
+  struct Policy;
   RealmConfig cfg_;
   std::shared_ptr<const SegmentLut> lut_;  // shared: tables are config-wide constants
 
-  // Batch-kernel view of the LUT: 64-bit entries pre-aligned to the f-bit
+  // Datapath view of the LUT: 64-bit entries pre-aligned to the f-bit
   // fraction for the c_of = 0 case (s_ij << 1, then the |f-(q+1)| alignment
   // shift).  The c_of = 1 value is exactly entry >> 1 in both the widening
-  // and narrowing case, so the kernel's LUT step collapses to one load and
-  // one variable shift — and 64-bit entries let the loop vectorize.
+  // and narrowing case, so the LUT step collapses to one load and one
+  // variable shift — and 64-bit entries let the loops vectorize.
   std::vector<std::uint64_t> batch_lut_;
 };
 

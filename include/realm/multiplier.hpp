@@ -36,12 +36,16 @@ class Multiplier {
   /// b[i]) for i in [0, n).  The result must be bit-identical to n scalar
   /// multiply() calls — the error harness relies on that equivalence.
   ///
-  /// The base implementation is a plain loop over the virtual multiply();
-  /// hot designs (REALM, cALM/Mitchell, AM1/AM2, the exact reference)
-  /// override it with a devirtualized kernel that hoists
-  /// configuration-dependent constants out of the loop, which is what makes
-  /// the 2^24-sample Monte-Carlo characterization runs cheap.  `out` may
-  /// alias neither `a` nor `b`.
+  /// The base implementation is a plain loop over the virtual multiply().
+  /// Every Table I design overrides it with a devirtualized, vectorized
+  /// kernel that hoists configuration-dependent constants out of the loop,
+  /// which is what makes the 2^24-sample Monte-Carlo characterization runs
+  /// cheap: REALM, cALM, MBM, ALM-SOA/MAA, ImpLM, IntALP, DRUM, SSM and ESSM
+  /// generate theirs from one datapath policy per family
+  /// (src/multipliers/datapath.hpp), AM1/AM2 from their lane-blocked
+  /// reduction tree, and the exact reference is a plain product loop.  Only
+  /// UDM and the truncated multiplier keep this loop.  `out` may alias
+  /// neither `a` nor `b`.
   virtual void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                               std::uint64_t* out, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a[i], b[i]);
@@ -50,16 +54,16 @@ class Multiplier {
   /// Fixed-operand row product: out[i] = multiply(a_fixed, b[i]) for i in
   /// [0, n), bit-identical to n scalar calls.  This is the exhaustive
   /// characterization engine's shape — a full-space sweep holds one operand
-  /// constant per row — and hot designs override it with kernels that compute
-  /// the fixed operand's leading-one position, truncated log fraction and
-  /// segment row once per call and keep them in registers, removing half the
-  /// datapath (including the data-dependent LOD on the fixed side) from the
-  /// inner loop.
+  /// constant per row — and every Table I design overrides it with a kernel
+  /// that decodes the fixed operand (leading-one position, truncated log
+  /// fraction, segment row) once per call and keeps it in registers, removing
+  /// half the datapath (including the data-dependent LOD on the fixed side)
+  /// from the inner loop.
   ///
-  /// The base implementation broadcasts a_fixed into a stack block and
-  /// forwards to multiply_batch, so designs with a devirtualized batch kernel
-  /// but no row kernel still vectorize; each forwarded block is counted in
-  /// obs::Counter::kRowFallbackBatches.  `out` may not alias `b`.
+  /// The base implementation, left to UDM and the truncated multiplier,
+  /// broadcasts a_fixed into a stack block and forwards to multiply_batch;
+  /// each forwarded block is counted in obs::Counter::kRowFallbackBatches.
+  /// `out` may not alias `b`.
   virtual void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                                   std::uint64_t* out, std::size_t n) const {
     constexpr std::size_t kChunk = 1024;

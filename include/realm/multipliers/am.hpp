@@ -16,8 +16,8 @@
 //
 // The reduction tree is defined once, as a template over a lane count
 // (src/multipliers/am.cpp): multiply() is its 1-lane instantiation and
-// multiply_batch() its 8-lane, vectorized one, so the two paths cannot
-// drift apart.
+// multiply_batch()/multiply_row_batch() its 8-lane, vectorized one, so the
+// paths cannot drift apart.
 
 #pragma once
 
@@ -38,6 +38,11 @@ class AmMultiplier final : public Multiplier {
   /// with the variant chosen once per call.
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
+  /// The batch kernel with the fixed operand broadcast into its a block.
+  /// multiply_row_range keeps the base class's materialized range, which
+  /// lands here.
+  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
+                          std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 

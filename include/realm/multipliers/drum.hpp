@@ -18,11 +18,12 @@ class DrumMultiplier final : public Multiplier {
   DrumMultiplier(int n, int k);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: the fixed operand's fragment and shift computed once.
+  /// Batch, row and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                      std::uint64_t* out, std::size_t n) const override;
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous-column kernel: constant fragment shift per
-  /// power-of-two interval, so the loop is one multiply and one fixed shift.
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
@@ -30,6 +31,7 @@ class DrumMultiplier final : public Multiplier {
   [[nodiscard]] int k() const noexcept { return k_; }
 
  private:
+  struct Policy;
   int n_;
   int k_;
 };

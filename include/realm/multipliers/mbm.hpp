@@ -22,12 +22,12 @@ class MbmMultiplier final : public Multiplier {
   explicit MbmMultiplier(int n = 16, int t = 0, int q = 6);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: ka, the fixed log fraction and both carry-selected
-  /// correction addends computed once per row.
+  /// Batch, row and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                      std::uint64_t* out, std::size_t n) const override;
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous-column kernel (constant kb per power-of-two
-  /// interval; final shift as two constant shift pairs).
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
@@ -37,6 +37,7 @@ class MbmMultiplier final : public Multiplier {
   [[nodiscard]] std::uint32_t correction_units() const noexcept { return corr_units_; }
 
  private:
+  struct Policy;
   int n_;
   int t_;
   int q_;

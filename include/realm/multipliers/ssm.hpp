@@ -21,17 +21,19 @@ class SsmMultiplier final : public Multiplier {
   SsmMultiplier(int n, int m);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: the fixed operand's segment and offset chosen once.
+  /// Batch, row and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                      std::uint64_t* out, std::size_t n) const override;
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous columns: [b0, b0+n) split at 2^m, each side with a
-  /// constant segment shift — one multiply and one fixed shift per element.
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  struct Policy;
   int n_;
   int m_;
 };
@@ -43,17 +45,19 @@ class EssmMultiplier final : public Multiplier {
   EssmMultiplier(int n, int m);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: the fixed operand's 3-way segment chosen once.
+  /// Batch, row and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                      std::uint64_t* out, std::size_t n) const override;
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous columns: split at 2^m and 2^(m+(n-m)/2), each
-  /// sub-range with a constant segment shift.
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  struct Policy;
   int n_;
   int m_;
 };

@@ -17,7 +17,12 @@
 
 #pragma once
 
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && !defined(__clang__)
+// ThreadSanitizer builds get no clones: the ifunc resolver runs during
+// relocation, before the TSan runtime is initialized, and the instrumented
+// resolver segfaults at load — every binary linking a multiversioned kernel
+// would crash before main().
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define REALM_MULTIVERSION \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #else

@@ -1,182 +1,63 @@
 #include "realm/core/realm_multiplier.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
+#include "../multipliers/datapath.hpp"
 
 namespace realm::core {
-namespace {
 
-// Configuration constants hoisted out of the batch loop, so the per-element
-// body is pure straight-line integer arithmetic.  Everything per-element is
-// kept in 64-bit lanes (no int/uint64 mixing) — the vectorizer needs shift
-// amounts and values in the same lane width.
-struct RealmKernelParams {
-  std::uint64_t w;          // full fraction width out of the shifters (n - 1)
-  std::uint64_t t;          // truncated LSBs
-  std::uint64_t f;          // kept fraction width
-  std::uint64_t sel_shift;  // fraction -> segment-select shift
-  std::uint64_t sel;        // log2(M) — LUT row stride (M is a power of two)
-  const std::uint64_t* lut;  // pre-aligned c_of = 0 values (see batch_lut_)
-  std::uint64_t fmask;
-  std::uint64_t one_f;  // 1 << f
-  std::uint64_t one_w;  // 1 << w
-};
+// The REALM datapath of Fig. 3 as a log-shape policy.  decode() is the LOD
+// plus input barrel shifter: the w-bit fraction below the leading one, t LSBs
+// truncated, the new LSB forced to 1; its log2(M) MSBs are the segment.  The
+// fraction adder's carry c_of selects s_ij vs s_ij >> 1 (Eq. 13): batch_lut_
+// holds the aligned c_of = 0 value and the c_of = 1 value is exactly one bit
+// lower.  Either way the significand word is (1.frac) + s_sel, carried out
+// to f+2 bits — the final barrel shifter moves the whole word, so a carry
+// out of the fraction needs no special decode.  A final shift below the
+// fraction width drops bits (the paper's special case 2); operands near
+// 2^N - 1 reach 2N+1 result bits (special case 1) — both reproduced
+// faithfully.
+struct RealmMultiplier::Policy {
+  static constexpr mult::dp::Shape kShape = mult::dp::Shape::kLog;
+  std::uint64_t w, t, f, fmask, sel, sel_shift, col_shift;
+  const std::uint64_t* __restrict lut;
 
-// Same datapath as RealmMultiplier::multiply(), restructured branchless so
-// the loop has no data-dependent control flow and auto-vectorizes
-// (leading_one -> vplzcntq, shifts -> vpsllvq/vpsrlvq, selects -> blends on
-// the AVX-512 clone): zeros run through the datapath as if they were 1 and
-// the result is blended to 0 at the end, and the normalize step uses
-// (av << (w - ka)) ^ (1 << w) — the leading one always lands on bit w, so
-// the clearing mask is loop-invariant instead of the variable 1 << ka.
-REALM_MULTIVERSION
-void realm_batch_kernel(const std::uint64_t* __restrict a,
-                        const std::uint64_t* __restrict b,
-                        std::uint64_t* __restrict out, std::size_t n,
-                        RealmKernelParams kp) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t a0 = a[idx];
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t av = a0 | static_cast<std::uint64_t>(a0 == 0);
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto ka = 63u - static_cast<std::uint64_t>(std::countl_zero(av));
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t xf = (((av << (kp.w - ka)) ^ kp.one_w) >> kp.t) | 1u;
-    const std::uint64_t yf = (((bv << (kp.w - kb)) ^ kp.one_w) >> kp.t) | 1u;
+  explicit Policy(const RealmMultiplier& r)
+      : w{static_cast<std::uint64_t>(r.cfg_.n - 1)},
+        t{static_cast<std::uint64_t>(r.cfg_.t)},
+        f{w - t},
+        fmask{num::mask(static_cast<int>(f))},
+        sel{static_cast<std::uint64_t>(r.lut_->select_bits())},
+        sel_shift{f - sel},
+        // A segment is u >> (w - sel) of the normalized offset u; at
+        // sel_shift = 0 it also holds the forced LSB, fixed by u >> (t + 1).
+        col_shift{w - sel + (sel_shift == 0 ? 1u : 0u)},
+        lut{r.batch_lut_.data()} {}
 
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> kp.f;
-    const std::uint64_t frac = fsum & kp.fmask;
-
-    // The table holds the aligned c_of = 0 value; the c_of = 1 value is
-    // exactly one bit lower (Eq. 13's s_ij vs s_ij >> 1 after alignment).
-    const std::uint64_t s_aligned =
-        kp.lut[((xf >> kp.sel_shift) << kp.sel) | (yf >> kp.sel_shift)] >> c_of;
-
-    const std::uint64_t significand = kp.one_f + frac + s_aligned;
-    // Final barrel shift, with both directions unconditionally computed at
-    // masked (always in-range) amounts so the select is speculation-safe and
-    // if-converts to a blend.  |d| <= 61 < 64, so the masking never changes
-    // the selected value.
-    const auto d = static_cast<std::int64_t>(ka + kb + c_of) -
-                   static_cast<std::int64_t>(kp.f);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = ((a0 != 0) & (b0 != 0)) ? val : 0;
+  [[nodiscard]] mult::dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    const std::uint64_t x = mult::dp::log_fraction(v, k, w, t, 1);
+    return {k, x, x >> sel_shift};
   }
-}
-
-// Row-hoisted variant of realm_batch_kernel: the fixed operand's
-// characteristic ka, truncated fraction xf and LUT segment row are scalar
-// parameters, so the loop carries only the b-side LOD/normalize/truncate
-// chain, one L1-resident row lookup, and the final shift.
-struct RealmRowParams {
-  std::uint64_t w, t, f, sel_shift, fmask, one_f, one_w;
-  const std::uint64_t* lut_row;  // batch_lut_ row of the fixed operand's segment
-  std::uint64_t xf;              // fixed operand's truncated log fraction
-  std::int64_t dbase;            // ka - f (the fixed half of the final shift)
-};
-
-REALM_MULTIVERSION
-void realm_row_batch_kernel(const std::uint64_t* __restrict b,
-                            std::uint64_t* __restrict out, std::size_t n,
-                            RealmRowParams rp) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t yf = (((bv << (rp.w - kb)) ^ rp.one_w) >> rp.t) | 1u;
-
-    const std::uint64_t fsum = rp.xf + yf;
-    const std::uint64_t c_of = fsum >> rp.f;
-    const std::uint64_t frac = fsum & rp.fmask;
-    const std::uint64_t s_aligned = rp.lut_row[yf >> rp.sel_shift] >> c_of;
-
-    const std::uint64_t significand = rp.one_f + frac + s_aligned;
-    const auto d = rp.dbase + static_cast<std::int64_t>(kb + c_of);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = (b0 != 0) ? val : 0;
+  [[nodiscard]] mult::dp::Term combine(const mult::dp::Operand& a,
+                                       const mult::dp::Operand& b) const {
+    const std::uint64_t fsum = a.frac + b.frac;
+    const std::uint64_t c_of = fsum >> f;
+    // Both carry cases as selects, so over a range piece (constant entry)
+    // the significand base folds to a blend of two invariants.
+    const std::uint64_t s = lut[(a.seg << sel) | b.seg];
+    const std::uint64_t s_sel = c_of != 0 ? s >> 1 : s;
+    return {(std::uint64_t{1} << f) + (fsum & fmask) + s_sel, c_of};
   }
-}
-
-// Contiguous-column segment kernel: over [b_first, b_first + n) with a
-// constant characteristic kb, the LOD vanishes, the normalize shift is the
-// fixed norm_shift, and the final barrel shift reduces to two constant
-// (shl, shr) pairs selected by the fraction carry — the only remaining
-// variable shift is the 1-bit >> c_of on the LUT value.
-struct RealmSegParams {
-  std::uint64_t norm_shift;  // w - kb for this segment
-  std::uint64_t one_w, t, f, fmask, one_f, sel_shift;
-  const std::uint64_t* lut_row;
-  std::uint64_t xf;
-  std::uint64_t shl0, shr0;  // value shift for c_of = 0 (one of the two is 0)
-  std::uint64_t shl1, shr1;  // value shift for c_of = 1
-};
-
-REALM_MULTIVERSION
-void realm_row_segment_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                              std::size_t n, RealmSegParams sp) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t bb = b_first + idx;
-    const std::uint64_t yf = (((bb << sp.norm_shift) ^ sp.one_w) >> sp.t) | 1u;
-    const std::uint64_t fsum = sp.xf + yf;
-    const std::uint64_t c_of = fsum >> sp.f;  // 0 or 1: xf, yf < 2^f
-    const std::uint64_t frac = fsum & sp.fmask;
-    const std::uint64_t s_aligned = sp.lut_row[yf >> sp.sel_shift] >> c_of;
-    const std::uint64_t significand = sp.one_f + frac + s_aligned;
-    // significand < 2^(f+2) and shl <= ka+kb+1-f keep both products below
-    // 2^63 (the 2N+1-bit result bus), so computing the untaken case is safe.
-    const std::uint64_t v0 = (significand << sp.shl0) >> sp.shr0;
-    const std::uint64_t v1 = (significand << sp.shl1) >> sp.shr1;
-    out[idx] = (c_of != 0) ? v1 : v0;
+  // Splits a power-of-two interval at the LUT column boundaries: the segment
+  // is monotone in b, so within a piece the LUT entry is a constant.
+  [[nodiscard]] std::uint64_t piece_last(std::uint64_t b, std::uint64_t kb,
+                                         std::uint64_t last) const {
+    const std::uint64_t norm = w - kb;
+    const std::uint64_t one_w = std::uint64_t{1} << w;
+    const std::uint64_t j = ((b << norm) - one_w) >> col_shift;
+    return std::min(last, (one_w + ((j + 1) << col_shift) - 1) >> norm);
   }
-}
-
-// Sub-segment kernel: within a kb-segment the b-side LUT column index
-// (yf >> sel_shift) is monotone in b, so splitting the segment at the column
-// boundaries makes the LUT value a constant too — both carry-selected
-// significand bases (1 << f plus the aligned s_ij for c_of = 0 / 1) fold
-// into scalars and the loop body has *no* memory access except the store:
-// induction add, normalize/truncate, fraction add, two constant shifts and
-// a carry blend.
-struct RealmSubsegParams {
-  std::uint64_t norm_shift, one_w, t, f, fmask;
-  std::uint64_t xf;
-  std::uint64_t base0, base1;  // (1 << f) + (entry >> c_of) for c_of = 0 / 1
-  std::uint64_t shl0, shr0, shl1, shr1;
 };
-
-REALM_MULTIVERSION
-void realm_row_subseg_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                             std::size_t n, RealmSubsegParams sp) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t bb = b_first + idx;
-    const std::uint64_t yf = (((bb << sp.norm_shift) ^ sp.one_w) >> sp.t) | 1u;
-    const std::uint64_t fsum = sp.xf + yf;
-    const std::uint64_t c_of = fsum >> sp.f;
-    const std::uint64_t frac = fsum & sp.fmask;
-    const std::uint64_t v0 = ((sp.base0 + frac) << sp.shl0) >> sp.shr0;
-    const std::uint64_t v1 = ((sp.base1 + frac) << sp.shl1) >> sp.shr1;
-    out[idx] = (c_of != 0) ? v1 : v0;
-  }
-}
-
-// Decomposes the signed net shift d into the (shl, shr) pair the segment
-// kernels apply as `(v << shl) >> shr`.
-constexpr void shift_pair(std::int64_t d, std::uint64_t& shl, std::uint64_t& shr) {
-  shl = d >= 0 ? static_cast<std::uint64_t>(d) : 0;
-  shr = d >= 0 ? 0 : static_cast<std::uint64_t>(-d);
-}
-
-}  // namespace
 
 RealmMultiplier::RealmMultiplier(RealmConfig cfg) : cfg_{cfg} {
   // N is capped at 31 so the widest product (2N+1 bits, special case 1)
@@ -205,182 +86,7 @@ RealmMultiplier::RealmMultiplier(RealmConfig cfg) : cfg_{cfg} {
   }
 }
 
-std::uint64_t RealmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, cfg_.n) && num::fits(b, cfg_.n));
-  if (a == 0 || b == 0) return 0;  // zero-detect bypass (special-case logic)
-
-  const int n = cfg_.n;
-  const int w = n - 1;                 // full fraction width out of the shifters
-  const int f = cfg_.fraction_bits();  // kept fraction width after truncation
-  const int ka = num::leading_one(a);
-  const int kb = num::leading_one(b);
-
-  // Input barrel shifters: normalize the bits below the leading one into a
-  // w-bit fraction, then truncate t LSBs and force the new LSB to 1.
-  const std::uint64_t xf_full = (a ^ (std::uint64_t{1} << ka)) << (w - ka);
-  const std::uint64_t yf_full = (b ^ (std::uint64_t{1} << kb)) << (w - kb);
-  const std::uint64_t xf = (xf_full >> cfg_.t) | 1u;
-  const std::uint64_t yf = (yf_full >> cfg_.t) | 1u;
-
-  // Fraction adder: carry-out selects between s_ij and s_ij >> 1 (Eq. 13).
-  const std::uint64_t fsum = xf + yf;
-  const std::uint64_t c_of = fsum >> f;
-  const std::uint64_t frac = fsum & num::mask(f);
-
-  // LUT lookup: the log2(M) MSBs of each fraction identify the segment.
-  const int sel = lut_->select_bits();
-  const auto i = static_cast<int>(xf >> (f - sel));
-  const auto j = static_cast<int>(yf >> (f - sel));
-
-  // Work in 2^-(q+1) units so s_ij >> 1 is exact; align to the f-bit
-  // fraction, dropping bits the datapath cannot hold (hardware drops them
-  // the same way when f < q+1, which happens for large t).
-  const int q1 = cfg_.q + 1;
-  const std::uint64_t s_units = (c_of != 0) ? lut_->units(i, j)
-                                            : (std::uint64_t{lut_->units(i, j)} << 1);
-  const std::uint64_t s_aligned =
-      (f >= q1) ? (s_units << (f - q1)) : (s_units >> (q1 - f));
-
-  // Antilog significand per Eq. 13.  With c_of = 0 the value is
-  // 2^(ka+kb) · (1 + x + y + s); with c_of = 1 it is
-  // 2^(ka+kb+1) · (x + y + s/2) = 2^(ka+kb+1) · (1 + frac + s/2).  Either
-  // way the significand word is (1.frac) + s_sel, carried out to f+2 bits —
-  // the final barrel shifter moves the *whole* word, so a carry out of the
-  // fraction needs no special decode.
-  const std::uint64_t significand = (std::uint64_t{1} << f) + frac + s_aligned;
-  const int k_sum = ka + kb + static_cast<int>(c_of);
-
-  // Final barrel shifter.  k_sum < f drops fraction bits (the paper's
-  // special case 2, which shapes peak error for small products); operands
-  // near 2^N - 1 reach 2N+1 result bits (special case 1) — both reproduced
-  // faithfully.
-  if (k_sum >= f) return significand << (k_sum - f);
-  return significand >> (f - k_sum);
-}
-
-void RealmMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
-                                     std::uint64_t* out, std::size_t n) const {
-  const int f = cfg_.fraction_bits();
-  RealmKernelParams kp;
-  kp.w = static_cast<std::uint64_t>(cfg_.n - 1);
-  kp.t = static_cast<std::uint64_t>(cfg_.t);
-  kp.f = static_cast<std::uint64_t>(f);
-  kp.sel_shift = static_cast<std::uint64_t>(f - lut_->select_bits());
-  kp.sel = static_cast<std::uint64_t>(lut_->select_bits());
-  kp.lut = batch_lut_.data();
-  kp.fmask = num::mask(f);
-  kp.one_f = std::uint64_t{1} << f;
-  kp.one_w = std::uint64_t{1} << kp.w;
-  realm_batch_kernel(a, b, out, n, kp);
-}
-
-void RealmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                         std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, cfg_.n));
-  if (a_fixed == 0) {  // zero-detect bypass: the whole row is zero
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int f = cfg_.fraction_bits();
-  const int w = cfg_.n - 1;
-  const int ka = num::leading_one(a_fixed);
-  const int sel = lut_->select_bits();
-
-  RealmRowParams rp;
-  rp.w = static_cast<std::uint64_t>(w);
-  rp.t = static_cast<std::uint64_t>(cfg_.t);
-  rp.f = static_cast<std::uint64_t>(f);
-  rp.sel_shift = static_cast<std::uint64_t>(f - sel);
-  rp.fmask = num::mask(f);
-  rp.one_f = std::uint64_t{1} << f;
-  rp.one_w = std::uint64_t{1} << rp.w;
-  rp.xf = (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> cfg_.t) | 1u;
-  rp.lut_row = batch_lut_.data() + ((rp.xf >> rp.sel_shift) << sel);
-  rp.dbase = static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f);
-  realm_row_batch_kernel(b, out, n, rp);
-}
-
-void RealmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                         std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, cfg_.n) && (n == 0 || num::fits(b0 + n - 1, cfg_.n)));
-  if (n == 0) return;
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int f = cfg_.fraction_bits();
-  const int w = cfg_.n - 1;
-  const int ka = num::leading_one(a_fixed);
-  const int sel = lut_->select_bits();
-
-  RealmSegParams sp;
-  sp.one_w = std::uint64_t{1} << w;
-  sp.t = static_cast<std::uint64_t>(cfg_.t);
-  sp.f = static_cast<std::uint64_t>(f);
-  sp.fmask = num::mask(f);
-  sp.one_f = std::uint64_t{1} << f;
-  sp.sel_shift = static_cast<std::uint64_t>(f - sel);
-  sp.xf = (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> cfg_.t) | 1u;
-  sp.lut_row = batch_lut_.data() + ((sp.xf >> sp.sel_shift) << sel);
-
-  std::uint64_t b = b0;
-  const std::uint64_t last = b0 + n - 1;
-  if (b == 0) {  // zero column: handled outside the segment loop
-    out[0] = 0;
-    if (n == 1) return;
-    b = 1;
-  }
-  // One constant-shift segment per power-of-two interval [2^kb, 2^(kb+1)).
-  while (b <= last) {
-    const int kb = num::leading_one(b);
-    const std::uint64_t seg_last =
-        std::min(last, (std::uint64_t{2} << kb) - 1);
-    sp.norm_shift = static_cast<std::uint64_t>(w - kb);
-    const std::int64_t d0 = static_cast<std::int64_t>(ka + kb) -
-                            static_cast<std::int64_t>(f);
-    shift_pair(d0, sp.shl0, sp.shr0);
-    shift_pair(d0 + 1, sp.shl1, sp.shr1);
-    if (sp.sel_shift == 0) {
-      // t at its maximum (f == select bits): the forced-1 fraction LSB feeds
-      // the column index, so the index is not derivable from b alone — keep
-      // the per-element LUT lookup.
-      realm_row_segment_kernel(b, out + (b - b0),
-                               static_cast<std::size_t>(seg_last - b + 1), sp);
-    } else {
-      // The normalized offset u = (b << norm_shift) - 2^w is monotone in b,
-      // and for sel_shift >= 1 the column index is j = u >> (w - sel)
-      // (the forced-1 LSB is below the select field).  Split the segment at
-      // the <= M column boundaries; within each piece the LUT value is a
-      // scalar and the kernel runs with no loads at all.
-      RealmSubsegParams ssp;
-      ssp.norm_shift = sp.norm_shift;
-      ssp.one_w = sp.one_w;
-      ssp.t = sp.t;
-      ssp.f = sp.f;
-      ssp.fmask = sp.fmask;
-      ssp.xf = sp.xf;
-      ssp.shl0 = sp.shl0;
-      ssp.shr0 = sp.shr0;
-      ssp.shl1 = sp.shl1;
-      ssp.shr1 = sp.shr1;
-      const std::uint64_t col_shift = static_cast<std::uint64_t>(w - sel);
-      std::uint64_t bs = b;
-      while (bs <= seg_last) {
-        const std::uint64_t u = (bs << sp.norm_shift) - sp.one_w;
-        const std::uint64_t j = u >> col_shift;
-        const std::uint64_t sub_last = std::min(
-            seg_last,
-            (sp.one_w + ((j + 1) << col_shift) - 1) >> sp.norm_shift);
-        ssp.base0 = sp.one_f + sp.lut_row[j];
-        ssp.base1 = sp.one_f + (sp.lut_row[j] >> 1);
-        realm_row_subseg_kernel(bs, out + (bs - b0),
-                                static_cast<std::size_t>(sub_last - bs + 1), ssp);
-        bs = sub_last + 1;
-      }
-    }
-    b = seg_last + 1;
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(RealmMultiplier)
 
 std::uint64_t RealmMultiplier::multiply_saturated(std::uint64_t a, std::uint64_t b) const {
   return num::saturate(multiply(a, b), 2 * cfg_.n);

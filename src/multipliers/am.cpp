@@ -65,39 +65,45 @@ template <std::size_t Lanes, bool Am1>
 
 constexpr std::size_t kBatchLanes = 8;
 
+// Blocks of kBatchLanes pairs.  The a block advances by a_step per block:
+// kBatchLanes for the batch kernel, 0 for the row kernel, whose a block holds
+// the fixed operand in every lane.
 template <bool Am1>
 [[gnu::always_inline]] inline void am_batch_blocks(const std::uint64_t* __restrict a,
+                                                   std::size_t a_step,
                                                    const std::uint64_t* __restrict b,
                                                    std::uint64_t* __restrict out,
                                                    std::size_t n, int width,
                                                    std::uint64_t recov_mask,
                                                    std::uint64_t out_mask) {
   const std::size_t main_n = n - n % kBatchLanes;
-  for (std::size_t i = 0; i < main_n; i += kBatchLanes) {
-    am_reduce<kBatchLanes, Am1>(a + i, b + i, out + i, width, recov_mask, out_mask);
+  std::size_t ai = 0;
+  for (std::size_t i = 0; i < main_n; i += kBatchLanes, ai += a_step) {
+    am_reduce<kBatchLanes, Am1>(a + ai, b + i, out + i, width, recov_mask, out_mask);
   }
   // Ragged tail: zero-padded to one full block (zero pairs are harmless).
   const std::size_t tail = n - main_n;
   if (tail == 0) return;
   std::uint64_t ta[kBatchLanes] = {}, tb[kBatchLanes] = {}, tp[kBatchLanes] = {};
   for (std::size_t l = 0; l < tail; ++l) {
-    ta[l] = a[main_n + l];
+    ta[l] = a[ai + l];
     tb[l] = b[main_n + l];
   }
   am_reduce<kBatchLanes, Am1>(ta, tb, tp, width, recov_mask, out_mask);
   for (std::size_t l = 0; l < tail; ++l) out[main_n + l] = tp[l];
 }
 
-// Lane-blocked batch kernel: the variant is chosen once per call, then every
-// block of kBatchLanes pairs runs the same tree as multiply().
+// Lane-blocked batch and row kernel: the variant is chosen once per call,
+// then every block of kBatchLanes pairs runs the same tree as multiply().
 REALM_MULTIVERSION
-void am_batch_kernel(const std::uint64_t* __restrict a, const std::uint64_t* __restrict b,
-                     std::uint64_t* __restrict out, std::size_t n, int width,
-                     std::uint64_t recov_mask, std::uint64_t out_mask, bool am1) {
+void am_batch_kernel(const std::uint64_t* __restrict a, std::size_t a_step,
+                     const std::uint64_t* __restrict b, std::uint64_t* __restrict out,
+                     std::size_t n, int width, std::uint64_t recov_mask,
+                     std::uint64_t out_mask, bool am1) {
   if (am1) {
-    am_batch_blocks<true>(a, b, out, n, width, recov_mask, out_mask);
+    am_batch_blocks<true>(a, a_step, b, out, n, width, recov_mask, out_mask);
   } else {
-    am_batch_blocks<false>(a, b, out, n, width, recov_mask, out_mask);
+    am_batch_blocks<false>(a, a_step, b, out, n, width, recov_mask, out_mask);
   }
 }
 
@@ -124,7 +130,16 @@ std::uint64_t AmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
 
 void AmMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                                   std::uint64_t* out, std::size_t n) const {
-  am_batch_kernel(a, b, out, n, n_, recov_mask_, num::mask(2 * n_),
+  am_batch_kernel(a, kBatchLanes, b, out, n, n_, recov_mask_, num::mask(2 * n_),
+                  variant_ == AmVariant::kAm1);
+}
+
+void AmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
+                                      std::uint64_t* out, std::size_t n) const {
+  assert(num::fits(a_fixed, n_));
+  std::uint64_t a_block[kBatchLanes];
+  for (auto& v : a_block) v = a_fixed;
+  am_batch_kernel(a_block, 0, b, out, n, n_, recov_mask_, num::mask(2 * n_),
                   variant_ == AmVariant::kAm1);
 }
 

@@ -1,118 +1,34 @@
 #include "realm/multipliers/drum.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
+#include "datapath.hpp"
 
 namespace realm::mult {
-namespace {
 
-// Row-hoisted kernel: the fixed operand's fragment fa and shift sa are
-// scalar parameters, so the loop is the b-side fragment extraction, one
-// multiply and one variable shift.  kth = k - 1 so a shift is needed
-// exactly when the leading one is at position >= k.
-REALM_MULTIVERSION
-void drum_row_batch_kernel(const std::uint64_t* __restrict b,
-                           std::uint64_t* __restrict out, std::size_t n,
-                           std::uint64_t fa, std::uint64_t sa, std::int64_t kth) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto kb = static_cast<std::int64_t>(
-        63u - static_cast<std::uint64_t>(std::countl_zero(bv)));
-    const std::int64_t sh_s = kb - kth;
-    const std::uint64_t sb = sh_s > 0 ? static_cast<std::uint64_t>(sh_s) : 0;
-    const std::uint64_t fb = (bv >> sb) | static_cast<std::uint64_t>(sb != 0);
-    const std::uint64_t val = (fa * fb) << (sa + sb);
-    out[idx] = (b0 != 0) ? val : 0;
+// The k-bit fragment from the leading one down: operands whose leading one
+// is below bit k pass through unshifted; wider ones shift right by
+// k_lead - k + 1 and force the fragment's LSB to 1, which unbiases the
+// truncation.
+struct DrumMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kFragment;
+  std::uint64_t kth;  // k - 1: a shift is needed from leading-one position k on
+
+  explicit Policy(const DrumMultiplier& m) : kth{static_cast<std::uint64_t>(m.k_ - 1)} {}
+
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    const std::uint64_t sh = k > kth ? k - kth : 0;
+    const auto force = static_cast<std::uint64_t>(k > kth);
+    return {sh, (v >> sh) | force, force};
   }
-}
-
-// Contiguous-column segment with constant leading-one position: the
-// fragment shift and forced LSB are loop-invariant, leaving one multiply
-// and one constant shift per element.
-REALM_MULTIVERSION
-void drum_row_segment_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                             std::size_t n, std::uint64_t fa, std::uint64_t sb,
-                             std::uint64_t force1, std::uint64_t total_shift) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t fb = ((b_first + idx) >> sb) | force1;
-    out[idx] = (fa * fb) << total_shift;
-  }
-}
-
-}  // namespace
+};
 
 DrumMultiplier::DrumMultiplier(int n, int k) : n_{n}, k_{k} {
   if (n < 2 || n > 31) throw std::invalid_argument("DrumMultiplier: N in [2, 31]");
   if (k < 3 || k > n) throw std::invalid_argument("DrumMultiplier: k in [3, N]");
 }
 
-std::uint64_t DrumMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  if (a == 0 || b == 0) return 0;
-
-  const auto fragment = [this](std::uint64_t v) -> std::pair<std::uint64_t, int> {
-    const int k = num::leading_one(v);
-    if (k < k_) return {v, 0};  // already fits the small multiplier
-    const int shift = k - k_ + 1;
-    return {(v >> shift) | 1u, shift};  // forced-1 LSB unbiases truncation
-  };
-  const auto [fa, sa] = fragment(a);
-  const auto [fb, sb] = fragment(b);
-  return (fa * fb) << (sa + sb);
-}
-
-void DrumMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                        std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int ka = num::leading_one(a_fixed);
-  const int sa = ka < k_ ? 0 : ka - k_ + 1;
-  const std::uint64_t fa =
-      sa == 0 ? a_fixed : ((a_fixed >> sa) | 1u);
-  drum_row_batch_kernel(b, out, n, fa, static_cast<std::uint64_t>(sa),
-                        static_cast<std::int64_t>(k_ - 1));
-}
-
-void DrumMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                        std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int ka = num::leading_one(a_fixed);
-  const int sa = ka < k_ ? 0 : ka - k_ + 1;
-  const std::uint64_t fa = sa == 0 ? a_fixed : ((a_fixed >> sa) | 1u);
-
-  std::uint64_t b = b0;
-  const std::uint64_t last = b0 + n - 1;
-  if (b == 0) {
-    out[0] = 0;
-    if (n == 1) return;
-    b = 1;
-  }
-  while (b <= last) {
-    const int kb = num::leading_one(b);
-    const std::uint64_t seg_last = std::min(last, (std::uint64_t{2} << kb) - 1);
-    const int sb = kb < k_ ? 0 : kb - k_ + 1;
-    drum_row_segment_kernel(b, out + (b - b0),
-                            static_cast<std::size_t>(seg_last - b + 1), fa,
-                            static_cast<std::uint64_t>(sb),
-                            static_cast<std::uint64_t>(sb != 0),
-                            static_cast<std::uint64_t>(sa + sb));
-    b = seg_last + 1;
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(DrumMultiplier)
 
 std::string DrumMultiplier::name() const { return "DRUM (k=" + std::to_string(k_) + ")"; }
 

@@ -1,42 +1,42 @@
 #include "realm/multipliers/implm.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/int128.hpp"
+#include "datapath.hpp"
 
 namespace realm::mult {
+
+// Signed fractions in Q(w) relative to the *nearest* power of two: the
+// exponent is k + bit(k-1) (nearest-one detector) and f = v/2^e - 1 ∈
+// [-1/4, 1/2), held two's-complement in the 64-bit lane.  v << w < 2^59 at
+// N <= 30, so the scaled division is exact.  C~ = 2^(ea+eb) · (1 + fa + fb):
+// the fraction sum lies in [-1/2, 1), so the significand is in [1/2, 2) and
+// never carries.  The exponent flips at the interval midpoint, so the range
+// kernel splits there too.
+struct ImplmMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kLog;
+  std::uint64_t w, f;
+
+  explicit Policy(const ImplmMultiplier& m)
+      : w{static_cast<std::uint64_t>(m.n_ - 1)}, f{w} {}
+
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    const std::uint64_t e = k + (((v << 1) >> k) & 1u);
+    return {e, ((v << w) >> e) - (std::uint64_t{1} << w), 0};
+  }
+  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
+    return {(std::uint64_t{1} << w) + a.frac + b.frac, 0};
+  }
+  [[nodiscard]] static std::uint64_t piece_last(std::uint64_t b, std::uint64_t kb,
+                                                std::uint64_t last) {
+    return dp::half_last(b, kb, last);
+  }
+};
 
 ImplmMultiplier::ImplmMultiplier(int n) : n_{n} {
   if (n < 2 || n > 30) throw std::invalid_argument("ImplmMultiplier: N in [2, 30]");
 }
 
-std::uint64_t ImplmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  if (a == 0 || b == 0) return 0;
-
-  // Signed fractions in Q(w) relative to the *nearest* power of two:
-  // f = A/2^k_hat - 1 ∈ [-1/4, 1/2).
-  const int w = n_ - 1;
-  const auto frac_of = [w](std::uint64_t v) {
-    const int k = num::nearest_one(v);
-    // v·2^w / 2^k - 2^w, exact in 128-bit then narrowed (|f| < 2^w).
-    const auto scaled = static_cast<num::int128>(v) << w;
-    return std::pair{k, static_cast<std::int64_t>((scaled >> k) -
-                                                  (static_cast<num::int128>(1) << w))};
-  };
-  const auto [ka, fa] = frac_of(a);
-  const auto [kb, fb] = frac_of(b);
-
-  // C~ = 2^(ka+kb) · (1 + fa + fb); the signed fraction sum lies in
-  // [-1/2, 1), so the significand (1 + fa + fb) ∈ [1/2, 2) is always
-  // positive and the final shift realizes it exactly.
-  const std::int64_t significand = (std::int64_t{1} << w) + fa + fb;
-  assert(significand > 0);
-  const int k_sum = ka + kb;
-  if (k_sum >= w) return static_cast<std::uint64_t>(significand) << (k_sum - w);
-  return static_cast<std::uint64_t>(significand) >> (w - k_sum);
-}
+REALM_DATAPATH_ENTRY_POINTS(ImplmMultiplier)
 
 }  // namespace realm::mult

@@ -1,12 +1,10 @@
 #include "realm/multipliers/intalp.hpp"
 
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/int128.hpp"
+#include "datapath.hpp"
 #include "realm/numeric/quadrature.hpp"
 
 namespace realm::mult {
@@ -49,6 +47,48 @@ std::array<double, 3> fit_plane(const num::Fn2& f, double x0, double x1, double 
 
 }  // namespace
 
+// C~ = 2^(ka+kb) · (1 + x + y + p) with p the plane approximation of xy in
+// Q(w): the level-1 plane per side of the x+y = 1 comparator (the
+// fraction-sum MSB), plus the level-2 residual plane of the (x, y) MSB
+// quadrant — all-zero planes at level 1.  The quadrant is the operand's
+// segment; it flips at the interval midpoint, so the range kernel splits
+// there.  The significand stays positive and below 4 · 2^w, and never
+// carries into the exponent.
+struct IntAlpMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kLog;
+  std::uint64_t w, f;
+  std::int64_t ax[4]{}, ay[4]{}, c1[4]{};  // c1 = c · 2^w
+
+  explicit Policy(const IntAlpMultiplier& m)
+      : w{static_cast<std::uint64_t>(m.n_ - 1)}, f{w} {
+    for (std::size_t q = 0; q < 4; ++q) {
+      const Plane& pl = m.quadrant_planes_[q];
+      ax[q] = pl.ax;
+      ay[q] = pl.ay;
+      c1[q] = pl.c * (std::int64_t{1} << w);
+    }
+  }
+
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    const std::uint64_t x = dp::log_fraction(v, k, w, 0, 0);
+    return {k, x, (x >> (w - 1)) & 1u};
+  }
+  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
+    const auto x = static_cast<std::int64_t>(a.frac);
+    const auto y = static_cast<std::int64_t>(b.frac);
+    const std::int64_t one = std::int64_t{1} << w;
+    const std::int64_t s = x + y;
+    std::int64_t p = (s < one) ? (s >> 2) : ((3 * s - 2 * one) >> 2);
+    const std::uint64_t q = (a.seg << 1) | b.seg;
+    p += (ax[q] * x + ay[q] * y + c1[q]) >> kCoeffBits;
+    return {static_cast<std::uint64_t>(one + s + p), 0};
+  }
+  [[nodiscard]] static std::uint64_t piece_last(std::uint64_t b, std::uint64_t kb,
+                                                std::uint64_t last) {
+    return dp::half_last(b, kb, last);
+  }
+};
+
 IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
   if (n < 3 || n > 24) throw std::invalid_argument("IntAlpMultiplier: N in [3, 24]");
   if (level != 1 && level != 2) throw std::invalid_argument("IntAlpMultiplier: level 1 or 2");
@@ -74,39 +114,7 @@ IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
   }
 }
 
-std::uint64_t IntAlpMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  if (a == 0 || b == 0) return 0;
-
-  const int w = n_ - 1;
-  const int ka = num::leading_one(a);
-  const int kb = num::leading_one(b);
-  const std::int64_t xf =
-      static_cast<std::int64_t>((a ^ (std::uint64_t{1} << ka)) << (w - ka));
-  const std::int64_t yf =
-      static_cast<std::int64_t>((b ^ (std::uint64_t{1} << kb)) << (w - kb));
-
-  // Level-1 plane, evaluated in Q(w): the comparator is the fraction-sum MSB.
-  const std::int64_t s = xf + yf;
-  const std::int64_t one = std::int64_t{1} << w;
-  std::int64_t p = (s < one) ? (s >> 2) : ((3 * s - 2 * one) >> 2);
-
-  if (level_ == 2) {
-    const auto qx = static_cast<int>((xf >> (w - 1)) & 1);
-    const auto qy = static_cast<int>((yf >> (w - 1)) & 1);
-    const Plane& pl = quadrant_planes_[static_cast<std::size_t>(qx * 2 + qy)];
-    p += (pl.ax * xf + pl.ay * yf + pl.c * one) >> kCoeffBits;
-  }
-
-  // C~ = 2^(ka+kb) · (1 + x + y + p).  The significand stays positive
-  // (level-2 corrections are tiny relative to 1), widest value < 4·2^w.
-  const std::int64_t significand = one + s + p;
-  assert(significand > 0);
-  const int k_sum = ka + kb;
-  const auto sig128 = static_cast<num::uint128>(significand);
-  if (k_sum >= w) return static_cast<std::uint64_t>(sig128 << (k_sum - w));
-  return static_cast<std::uint64_t>(sig128 >> (w - k_sum));
-}
+REALM_DATAPATH_ENTRY_POINTS(IntAlpMultiplier)
 
 std::string IntAlpMultiplier::name() const {
   return "IntALP (L=" + std::to_string(level_) + ")";

@@ -1,76 +1,44 @@
 #include "realm/multipliers/mbm.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
+#include "datapath.hpp"
 #include "realm/core/segment_factors.hpp"
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
 
 namespace realm::mult {
-namespace {
 
-// Row-hoisted kernel: the fixed operand's fraction xf and both
-// carry-selected significand bases (1 << f plus the aligned correction for
-// c_of = 0 / 1) are scalar parameters — the loop carries the b-side LOD
-// chain, one add, a blend and the final shift.
-REALM_MULTIVERSION
-void mbm_row_batch_kernel(const std::uint64_t* __restrict b,
-                          std::uint64_t* __restrict out, std::size_t n,
-                          std::uint64_t w, std::uint64_t t, std::uint64_t f,
-                          std::uint64_t fmask, std::uint64_t one_w,
-                          std::uint64_t xf, std::uint64_t base0,
-                          std::uint64_t base1, std::int64_t dbase) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t yf = (((bv << (w - kb)) ^ one_w) >> t) | 1u;
+// Mitchell with the forced rounding bit plus a single correction constant,
+// halved when the fraction sum carried — identical application to REALM's
+// s_ij (Eq. 13 with M = 1).  `corr` is the c_of = 0 addend (2s in 2^-(q+1)
+// units) aligned to the f-bit fraction; the c_of = 1 addend is exactly
+// corr >> 1 whether the alignment widens or narrows.  base0/base1 fold the
+// implicit leading one into both.
+struct MbmMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kLog;
+  std::uint64_t w, t, f, fmask, base0, base1;
 
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t frac = fsum & fmask;
-
-    const std::uint64_t significand = ((c_of != 0) ? base1 : base0) + frac;
-    const auto d = dbase + static_cast<std::int64_t>(kb + c_of);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = (b0 != 0) ? val : 0;
+  explicit Policy(const MbmMultiplier& m)
+      : w{static_cast<std::uint64_t>(m.n_ - 1)},
+        t{static_cast<std::uint64_t>(m.t_)},
+        f{w - t},
+        fmask{num::mask(static_cast<int>(f))} {
+    const auto q1 = static_cast<std::uint64_t>(m.q_ + 1);
+    const std::uint64_t doubled = std::uint64_t{m.corr_units_} << 1;
+    const std::uint64_t corr = f >= q1 ? doubled << (f - q1) : doubled >> (q1 - f);
+    base0 = (std::uint64_t{1} << f) + corr;
+    base1 = (std::uint64_t{1} << f) + (corr >> 1);
   }
-}
 
-// Contiguous-column segment with constant kb: both carry cases are computed
-// with constant shift pairs and blended on the fraction carry.
-REALM_MULTIVERSION
-void mbm_row_segment_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                            std::size_t n, std::uint64_t norm_shift,
-                            std::uint64_t t, std::uint64_t f, std::uint64_t fmask,
-                            std::uint64_t one_w, std::uint64_t xf,
-                            std::uint64_t base0, std::uint64_t base1,
-                            std::uint64_t shl0, std::uint64_t shr0,
-                            std::uint64_t shl1, std::uint64_t shr1) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t bb = b_first + idx;
-    const std::uint64_t yf = (((bb << norm_shift) ^ one_w) >> t) | 1u;
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t frac = fsum & fmask;
-    const std::uint64_t v0 = ((base0 + frac) << shl0) >> shr0;
-    const std::uint64_t v1 = ((base1 + frac) << shl1) >> shr1;
-    out[idx] = (c_of != 0) ? v1 : v0;
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    return {k, dp::log_fraction(v, k, w, t, 1), 0};
   }
-}
-
-constexpr void shift_pair(std::int64_t d, std::uint64_t& shl, std::uint64_t& shr) {
-  shl = d >= 0 ? static_cast<std::uint64_t>(d) : 0;
-  shr = d >= 0 ? 0 : static_cast<std::uint64_t>(-d);
-}
-
-}  // namespace
+  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
+    const std::uint64_t fsum = a.frac + b.frac;
+    const std::uint64_t c_of = fsum >> f;
+    return {(c_of != 0 ? base1 : base0) + (fsum & fmask), c_of};
+  }
+};
 
 MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_units_{0} {
   if (n < 2 || n > 31) throw std::invalid_argument("MbmMultiplier: N in [2, 31]");
@@ -80,105 +48,7 @@ MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_un
       static_cast<std::uint32_t>(std::lround(core::mbm_correction() * std::ldexp(1.0, q_)));
 }
 
-std::uint64_t MbmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  if (a == 0 || b == 0) return 0;
-
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int ka = num::leading_one(a);
-  const int kb = num::leading_one(b);
-  const std::uint64_t xf = (((a ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_) | 1u;
-  const std::uint64_t yf = (((b ^ (std::uint64_t{1} << kb)) << (w - kb)) >> t_) | 1u;
-
-  const std::uint64_t fsum = xf + yf;
-  const std::uint64_t c_of = fsum >> f;
-  const std::uint64_t frac = fsum & num::mask(f);
-
-  // Single correction constant, halved when the fraction sum carried —
-  // identical application to REALM's s_ij (Eq. 13 with M = 1).
-  const int q1 = q_ + 1;
-  const std::uint64_t s_units =
-      (c_of != 0) ? corr_units_ : (std::uint64_t{corr_units_} << 1);
-  const std::uint64_t s_aligned =
-      (f >= q1) ? (s_units << (f - q1)) : (s_units >> (q1 - f));
-
-  const std::uint64_t significand = (std::uint64_t{1} << f) + frac + s_aligned;
-  const int k_sum = ka + kb + static_cast<int>(c_of);
-  if (k_sum >= f) return significand << (k_sum - f);
-  return significand >> (f - k_sum);
-}
-
-void MbmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int q1 = q_ + 1;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_) | 1u;
-  const std::uint64_t s0 = std::uint64_t{corr_units_} << 1;  // c_of = 0
-  const std::uint64_t s1 = corr_units_;                      // c_of = 1
-  const std::uint64_t al0 = (f >= q1) ? (s0 << (f - q1)) : (s0 >> (q1 - f));
-  const std::uint64_t al1 = (f >= q1) ? (s1 << (f - q1)) : (s1 >> (q1 - f));
-  mbm_row_batch_kernel(b, out, n, static_cast<std::uint64_t>(w),
-                       static_cast<std::uint64_t>(t_), static_cast<std::uint64_t>(f),
-                       num::mask(f), std::uint64_t{1} << w, xf,
-                       (std::uint64_t{1} << f) + al0, (std::uint64_t{1} << f) + al1,
-                       static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f));
-}
-
-void MbmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int q1 = q_ + 1;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_) | 1u;
-  const std::uint64_t s0 = std::uint64_t{corr_units_} << 1;
-  const std::uint64_t s1 = corr_units_;
-  const std::uint64_t al0 = (f >= q1) ? (s0 << (f - q1)) : (s0 >> (q1 - f));
-  const std::uint64_t al1 = (f >= q1) ? (s1 << (f - q1)) : (s1 >> (q1 - f));
-  const std::uint64_t base0 = (std::uint64_t{1} << f) + al0;
-  const std::uint64_t base1 = (std::uint64_t{1} << f) + al1;
-
-  std::uint64_t b = b0;
-  const std::uint64_t last = b0 + n - 1;
-  if (b == 0) {
-    out[0] = 0;
-    if (n == 1) return;
-    b = 1;
-  }
-  while (b <= last) {
-    const int kb = num::leading_one(b);
-    const std::uint64_t seg_last = std::min(last, (std::uint64_t{2} << kb) - 1);
-    const std::int64_t d0 =
-        static_cast<std::int64_t>(ka + kb) - static_cast<std::int64_t>(f);
-    std::uint64_t shl0 = 0, shr0 = 0, shl1 = 0, shr1 = 0;
-    shift_pair(d0, shl0, shr0);
-    shift_pair(d0 + 1, shl1, shr1);
-    mbm_row_segment_kernel(b, out + (b - b0),
-                           static_cast<std::size_t>(seg_last - b + 1),
-                           static_cast<std::uint64_t>(w - kb),
-                           static_cast<std::uint64_t>(t_),
-                           static_cast<std::uint64_t>(f), num::mask(f),
-                           std::uint64_t{1} << w, xf, base0, base1, shl0, shr0,
-                           shl1, shr1);
-    b = seg_last + 1;
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(MbmMultiplier)
 
 std::string MbmMultiplier::name() const { return "MBM (t=" + std::to_string(t_) + ")"; }
 

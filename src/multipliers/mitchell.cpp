@@ -1,209 +1,39 @@
 #include "realm/multipliers/mitchell.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <cassert>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
+#include "datapath.hpp"
 
 namespace realm::mult {
-namespace {
 
-// Branchless form of the scalar datapath, all per-element values in 64-bit
-// lanes so the loop auto-vectorizes: zero operands run through as if they
-// were 1 and the result is blended to 0, and the normalize step uses
-// (av << (w - ka)) ^ (1 << w) — the leading one always lands on bit w, so
-// the clearing mask is loop-invariant.  With f = 0 (t = N-1), mask(0) = 0
-// makes frac 0 and c_of = fsum, matching the scalar path's special case.
-REALM_MULTIVERSION
-void mitchell_batch_kernel(const std::uint64_t* __restrict a,
-                           const std::uint64_t* __restrict b,
-                           std::uint64_t* __restrict out, std::size_t n,
-                           std::uint64_t w, std::uint64_t t, std::uint64_t f,
-                           std::uint64_t fmask, std::uint64_t one_f,
-                           std::uint64_t one_w) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t a0 = a[idx];
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t av = a0 | static_cast<std::uint64_t>(a0 == 0);
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto ka = 63u - static_cast<std::uint64_t>(std::countl_zero(av));
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t xf = ((av << (w - ka)) ^ one_w) >> t;
-    const std::uint64_t yf = ((bv << (w - kb)) ^ one_w) >> t;
+// Eq. 3: both branches collapse to (1.frac) · 2^(ka+kb+carry) because
+// x + y >= 1 means x + y = 1 + frac.  With f = 0 (t = N-1) the fractions are
+// 0, so the mask and the carry are 0 too.
+struct MitchellMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kLog;
+  std::uint64_t w, t, f, fmask;
 
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t frac = fsum & fmask;
+  explicit Policy(const MitchellMultiplier& m)
+      : w{static_cast<std::uint64_t>(m.n_ - 1)},
+        t{static_cast<std::uint64_t>(m.t_)},
+        f{w - t},
+        fmask{num::mask(static_cast<int>(f))} {}
 
-    const std::uint64_t significand = one_f | frac;
-    // Both shift directions computed at masked (in-range) amounts so the
-    // select if-converts to a blend; |d| < 64 always.
-    const auto d = static_cast<std::int64_t>(ka + kb + c_of) -
-                   static_cast<std::int64_t>(f);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = ((a0 != 0) & (b0 != 0)) ? val : 0;
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
+    return {k, dp::log_fraction(v, k, w, t, 0), 0};
   }
-}
-
-// Row-hoisted variant: the fixed operand's ka and truncated fraction are
-// scalar parameters (dbase = ka - f), leaving only the b-side LOD chain,
-// one add and the final shift in the loop.
-REALM_MULTIVERSION
-void mitchell_row_batch_kernel(const std::uint64_t* __restrict b,
-                               std::uint64_t* __restrict out, std::size_t n,
-                               std::uint64_t w, std::uint64_t t, std::uint64_t f,
-                               std::uint64_t fmask, std::uint64_t one_f,
-                               std::uint64_t one_w, std::uint64_t xf,
-                               std::int64_t dbase) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t yf = ((bv << (w - kb)) ^ one_w) >> t;
-
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t frac = fsum & fmask;
-
-    const std::uint64_t significand = one_f | frac;
-    const auto d = dbase + static_cast<std::int64_t>(kb + c_of);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = (b0 != 0) ? val : 0;
+  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
+    const std::uint64_t fsum = a.frac + b.frac;
+    return {(std::uint64_t{1} << f) | (fsum & fmask), fsum >> f};
   }
-}
-
-// Contiguous-column segment with constant kb: no LOD, fixed normalize shift,
-// and the final barrel shift reduced to two constant (shl, shr) pairs
-// selected by the fraction carry c_of in {0, 1}.
-REALM_MULTIVERSION
-void mitchell_row_segment_kernel(std::uint64_t b_first,
-                                 std::uint64_t* __restrict out, std::size_t n,
-                                 std::uint64_t norm_shift, std::uint64_t t,
-                                 std::uint64_t f, std::uint64_t fmask,
-                                 std::uint64_t one_f, std::uint64_t one_w,
-                                 std::uint64_t xf, std::uint64_t shl0,
-                                 std::uint64_t shr0, std::uint64_t shl1,
-                                 std::uint64_t shr1) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t bb = b_first + idx;
-    const std::uint64_t yf = ((bb << norm_shift) ^ one_w) >> t;
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t significand = one_f | (fsum & fmask);
-    const std::uint64_t v0 = (significand << shl0) >> shr0;
-    const std::uint64_t v1 = (significand << shl1) >> shr1;
-    out[idx] = (c_of != 0) ? v1 : v0;
-  }
-}
-
-constexpr void shift_pair(std::int64_t d, std::uint64_t& shl, std::uint64_t& shr) {
-  shl = d >= 0 ? static_cast<std::uint64_t>(d) : 0;
-  shr = d >= 0 ? 0 : static_cast<std::uint64_t>(-d);
-}
-
-}  // namespace
+};
 
 MitchellMultiplier::MitchellMultiplier(int n, int t) : n_{n}, t_{t} {
   if (n < 2 || n > 31) throw std::invalid_argument("MitchellMultiplier: N in [2, 31]");
   if (t < 0 || t > n - 1) throw std::invalid_argument("MitchellMultiplier: t in [0, N-1]");
 }
 
-std::uint64_t MitchellMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  if (a == 0 || b == 0) return 0;
-
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int ka = num::leading_one(a);
-  const int kb = num::leading_one(b);
-  const std::uint64_t xf = ((a ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_;
-  const std::uint64_t yf = ((b ^ (std::uint64_t{1} << kb)) << (w - kb)) >> t_;
-
-  // Eq. 3: both branches collapse to (1.frac) · 2^(ka+kb+carry) because
-  // x + y >= 1 means x + y = 1 + frac.
-  const std::uint64_t fsum = xf + yf;
-  const std::uint64_t c_of = f > 0 ? (fsum >> f) : fsum;
-  const std::uint64_t frac = f > 0 ? (fsum & num::mask(f)) : 0;
-  const int k_sum = ka + kb + static_cast<int>(c_of);
-
-  const std::uint64_t significand = (std::uint64_t{1} << f) | frac;
-  if (k_sum >= f) return significand << (k_sum - f);
-  return significand >> (f - k_sum);
-}
-
-void MitchellMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
-                                        std::uint64_t* out, std::size_t n) const {
-  const auto w = static_cast<std::uint64_t>(n_ - 1);
-  const auto f = static_cast<std::uint64_t>(n_ - 1 - t_);
-  mitchell_batch_kernel(a, b, out, n, w, static_cast<std::uint64_t>(t_), f,
-                        num::mask(static_cast<int>(f)), std::uint64_t{1} << f,
-                        std::uint64_t{1} << w);
-}
-
-void MitchellMultiplier::multiply_row_batch(std::uint64_t a_fixed,
-                                            const std::uint64_t* b,
-                                            std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      ((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_;
-  mitchell_row_batch_kernel(
-      b, out, n, static_cast<std::uint64_t>(w), static_cast<std::uint64_t>(t_),
-      static_cast<std::uint64_t>(f), num::mask(f), std::uint64_t{1} << f,
-      std::uint64_t{1} << w, xf,
-      static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f));
-}
-
-void MitchellMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                            std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      ((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_;
-
-  std::uint64_t b = b0;
-  const std::uint64_t last = b0 + n - 1;
-  if (b == 0) {
-    out[0] = 0;
-    if (n == 1) return;
-    b = 1;
-  }
-  while (b <= last) {
-    const int kb = num::leading_one(b);
-    const std::uint64_t seg_last = std::min(last, (std::uint64_t{2} << kb) - 1);
-    const std::int64_t d0 =
-        static_cast<std::int64_t>(ka + kb) - static_cast<std::int64_t>(f);
-    std::uint64_t shl0 = 0, shr0 = 0, shl1 = 0, shr1 = 0;
-    shift_pair(d0, shl0, shr0);
-    shift_pair(d0 + 1, shl1, shr1);
-    mitchell_row_segment_kernel(
-        b, out + (b - b0), static_cast<std::size_t>(seg_last - b + 1),
-        static_cast<std::uint64_t>(w - kb), static_cast<std::uint64_t>(t_),
-        static_cast<std::uint64_t>(f), num::mask(f), std::uint64_t{1} << f,
-        std::uint64_t{1} << w, xf, shl0, shr0, shl1, shr1);
-    b = seg_last + 1;
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(MitchellMultiplier)
 
 std::string MitchellMultiplier::name() const {
   return t_ == 0 ? "cALM" : "cALM (t=" + std::to_string(t_) + ")";

@@ -1,114 +1,54 @@
 #include "realm/multipliers/ssm.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
-#include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
+#include "datapath.hpp"
 
 namespace realm::mult {
-namespace {
 
-// Shared contiguous-column kernel: within a sub-range on one side of a
-// segment boundary the segment shift sb and the product shift are constant,
-// so the loop is one multiply and one fixed shift (SSM and ESSM only differ
-// in how the caller splits the range).
-REALM_MULTIVERSION
-void ssm_row_segment_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                            std::size_t n, std::uint64_t sa, std::uint64_t sb,
-                            std::uint64_t shift) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    out[idx] = (sa * ((b_first + idx) >> sb)) << shift;
+// The static segment of an operand: SSM takes the top m bits (offset
+// off = N - m) from 2^m on, else the operand itself; ESSM adds a middle
+// segment at offset off_mid = (N - m)/2 from 2^m on and moves the top one to
+// 2^(m + off_mid).  The selects compare the operand itself, as the
+// hardware's OR of the upper bits does, so the kernels need no LOD, and
+// pick between invariant shifts of v, which vectorize as uniform shifts.
+// The thresholds are powers of two, so a range piece never straddles one.
+struct SsmMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kFragment;
+  std::uint64_t top_min, off;
+
+  explicit Policy(const SsmMultiplier& s)
+      : top_min{std::uint64_t{1} << s.m_}, off{static_cast<std::uint64_t>(s.n_ - s.m_)} {}
+
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t /*k*/) const {
+    const bool top = v >= top_min;
+    return {top ? off : 0, top ? v >> off : v, 0};
   }
-}
+};
 
-// Row-hoisted SSM kernel: the fixed operand's segment (sa) and offset are
-// folded into scalars; the loop keeps only the b-side 2-way segment select.
-REALM_MULTIVERSION
-void ssm_row_batch_kernel(const std::uint64_t* __restrict b,
-                          std::uint64_t* __restrict out, std::size_t n,
-                          std::uint64_t sa, std::uint64_t oa, std::uint64_t m,
-                          std::uint64_t off) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const bool top = (b0 >> m) != 0;
-    const std::uint64_t sb = top ? (b0 >> off) : b0;
-    const std::uint64_t ob = top ? off : 0;
-    out[idx] = (sa * sb) << (oa + ob);
+struct EssmMultiplier::Policy {
+  static constexpr dp::Shape kShape = dp::Shape::kFragment;
+  std::uint64_t mid_min, hi_min, off_mid, off_hi;
+
+  explicit Policy(const EssmMultiplier& s)
+      : mid_min{std::uint64_t{1} << s.m_},
+        hi_min{std::uint64_t{1} << (s.m_ + (s.n_ - s.m_) / 2)},
+        off_mid{static_cast<std::uint64_t>((s.n_ - s.m_) / 2)},
+        off_hi{static_cast<std::uint64_t>(s.n_ - s.m_)} {}
+
+  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t /*k*/) const {
+    const bool hi = v >= hi_min;
+    const bool mid = v >= mid_min;
+    return {hi ? off_hi : (mid ? off_mid : 0), hi ? v >> off_hi : (mid ? v >> off_mid : v), 0};
   }
-}
-
-// Row-hoisted ESSM kernel: b-side 3-way segment select, a-side hoisted.
-REALM_MULTIVERSION
-void essm_row_batch_kernel(const std::uint64_t* __restrict b,
-                           std::uint64_t* __restrict out, std::size_t n,
-                           std::uint64_t sa, std::uint64_t oa, std::uint64_t m,
-                           std::uint64_t off_mid, std::uint64_t off_hi) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const bool hi = (b0 >> (m + off_mid)) != 0;
-    const bool mid = (b0 >> m) != 0;
-    const std::uint64_t sb = hi ? (b0 >> off_hi) : (mid ? (b0 >> off_mid) : b0);
-    const std::uint64_t ob = hi ? off_hi : (mid ? off_mid : 0);
-    out[idx] = (sa * sb) << (oa + ob);
-  }
-}
-
-}  // namespace
+};
 
 SsmMultiplier::SsmMultiplier(int n, int m) : n_{n}, m_{m} {
   if (n < 2 || n > 31) throw std::invalid_argument("SsmMultiplier: N in [2, 31]");
   if (m < 1 || m > n) throw std::invalid_argument("SsmMultiplier: m in [1, N]");
 }
 
-std::uint64_t SsmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  const int off = n_ - m_;
-  const auto segment = [&](std::uint64_t v) -> std::pair<std::uint64_t, int> {
-    if (v >> m_ != 0) return {v >> off, off};  // any upper bit set -> top segment
-    return {v, 0};
-  };
-  const auto [sa, oa] = segment(a);
-  const auto [sb, ob] = segment(b);
-  return (sa * sb) << (oa + ob);
-}
-
-void SsmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  const int off = n_ - m_;
-  const bool top = (a_fixed >> m_) != 0;
-  const std::uint64_t sa = top ? (a_fixed >> off) : a_fixed;
-  const std::uint64_t oa = top ? static_cast<std::uint64_t>(off) : 0;
-  ssm_row_batch_kernel(b, out, n, sa, oa, static_cast<std::uint64_t>(m_),
-                       static_cast<std::uint64_t>(off));
-}
-
-void SsmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  const int off = n_ - m_;
-  const bool top = (a_fixed >> m_) != 0;
-  const std::uint64_t sa = top ? (a_fixed >> off) : a_fixed;
-  const std::uint64_t oa = top ? static_cast<std::uint64_t>(off) : 0;
-
-  const std::uint64_t last = b0 + n - 1;
-  const std::uint64_t boundary = std::uint64_t{1} << m_;  // first top-segment b
-  if (b0 < boundary) {
-    const std::uint64_t lo_last = std::min(last, boundary - 1);
-    ssm_row_segment_kernel(b0, out, static_cast<std::size_t>(lo_last - b0 + 1),
-                           sa, 0, oa);
-  }
-  if (last >= boundary) {
-    const std::uint64_t hi_first = std::max(b0, boundary);
-    ssm_row_segment_kernel(hi_first, out + (hi_first - b0),
-                           static_cast<std::size_t>(last - hi_first + 1), sa,
-                           static_cast<std::uint64_t>(off),
-                           oa + static_cast<std::uint64_t>(off));
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(SsmMultiplier)
 
 std::string SsmMultiplier::name() const { return "SSM (m=" + std::to_string(m_) + ")"; }
 
@@ -120,70 +60,7 @@ EssmMultiplier::EssmMultiplier(int n, int m) : n_{n}, m_{m} {
   }
 }
 
-std::uint64_t EssmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
-  assert(num::fits(a, n_) && num::fits(b, n_));
-  const int off_hi = n_ - m_;
-  const int off_mid = off_hi / 2;
-  const auto segment = [&](std::uint64_t v) -> std::pair<std::uint64_t, int> {
-    if (v >> (m_ + off_mid) != 0) return {v >> off_hi, off_hi};
-    if (v >> m_ != 0) return {v >> off_mid, off_mid};
-    return {v, 0};
-  };
-  const auto [sa, oa] = segment(a);
-  const auto [sb, ob] = segment(b);
-  return (sa * sb) << (oa + ob);
-}
-
-void EssmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                        std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  const int off_hi = n_ - m_;
-  const int off_mid = off_hi / 2;
-  const bool hi = (a_fixed >> (m_ + off_mid)) != 0;
-  const bool mid = (a_fixed >> m_) != 0;
-  const std::uint64_t sa =
-      hi ? (a_fixed >> off_hi) : (mid ? (a_fixed >> off_mid) : a_fixed);
-  const std::uint64_t oa = hi ? static_cast<std::uint64_t>(off_hi)
-                              : (mid ? static_cast<std::uint64_t>(off_mid) : 0);
-  essm_row_batch_kernel(b, out, n, sa, oa, static_cast<std::uint64_t>(m_),
-                        static_cast<std::uint64_t>(off_mid),
-                        static_cast<std::uint64_t>(off_hi));
-}
-
-void EssmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                        std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  const int off_hi = n_ - m_;
-  const int off_mid = off_hi / 2;
-  const bool a_hi = (a_fixed >> (m_ + off_mid)) != 0;
-  const bool a_mid = (a_fixed >> m_) != 0;
-  const std::uint64_t sa =
-      a_hi ? (a_fixed >> off_hi) : (a_mid ? (a_fixed >> off_mid) : a_fixed);
-  const std::uint64_t oa = a_hi ? static_cast<std::uint64_t>(off_hi)
-                                : (a_mid ? static_cast<std::uint64_t>(off_mid) : 0);
-
-  const std::uint64_t last = b0 + n - 1;
-  // Sub-ranges per b-side segment: [0, 2^m), [2^m, 2^(m+off_mid)), above.
-  const std::uint64_t cut_mid = std::uint64_t{1} << m_;
-  const std::uint64_t cut_hi = std::uint64_t{1} << (m_ + off_mid);
-  struct Piece {
-    std::uint64_t first, last, sb, ob;
-  };
-  const Piece pieces[3] = {
-      {b0, std::min(last, cut_mid - 1), 0, 0},
-      {std::max(b0, cut_mid), std::min(last, cut_hi - 1),
-       static_cast<std::uint64_t>(off_mid), static_cast<std::uint64_t>(off_mid)},
-      {std::max(b0, cut_hi), last, static_cast<std::uint64_t>(off_hi),
-       static_cast<std::uint64_t>(off_hi)},
-  };
-  for (const auto& p : pieces) {
-    if (p.first > p.last || p.first > last) continue;
-    ssm_row_segment_kernel(p.first, out + (p.first - b0),
-                           static_cast<std::size_t>(p.last - p.first + 1), sa,
-                           p.sb, oa + p.ob);
-  }
-}
+REALM_DATAPATH_ENTRY_POINTS(EssmMultiplier)
 
 std::string EssmMultiplier::name() const {
   return "ESSM" + std::to_string(m_) + " (m=" + std::to_string(m_) + ")";

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +55,40 @@ void expect_batch_matches_scalar(const Multiplier& m, std::uint64_t seed) {
   }
 }
 
+// Row kernels against scalar multiply(): multiply_row_batch for a dozen fixed
+// operands (zero and all-ones among them) over ragged column slices, and
+// multiply_row_range over column ranges that start at 0 or 1 and cross
+// powers of two.
+void expect_row_kernels_match_scalar(const Multiplier& m, std::uint64_t seed) {
+  const std::size_t kCols = 1031;  // deliberately not a block multiple
+  std::vector<std::uint64_t> rows(kCols), cols(kCols), out(kCols);
+  fill_operands(m.width(), seed, rows, cols);
+  const std::uint64_t top = std::uint64_t{1} << m.width();
+  for (std::size_t r = 0; r < 12; ++r) {
+    const std::uint64_t x = rows[r];
+    std::size_t i0 = 0;
+    for (std::size_t len = 1; i0 < kCols; len = 3 * len + 1) {  // 1, 4, 13, 40, ...
+      const std::size_t take = std::min(len, kCols - i0);
+      m.multiply_row_batch(x, cols.data() + i0, out.data() + i0, take);
+      i0 += take;
+    }
+    for (std::size_t i = 0; i < kCols; ++i) {
+      ASSERT_EQ(out[i], m.multiply(x, cols[i]))
+          << m.name() << " row_batch diverges at a=" << x << " b=" << cols[i];
+    }
+    for (const std::uint64_t b0 :
+         {std::uint64_t{0}, std::uint64_t{1}, top / 4 + 3, top / 2 - 100,
+          top - std::min<std::uint64_t>(top, kCols)}) {
+      const auto len = static_cast<std::size_t>(std::min<std::uint64_t>(kCols, top - b0));
+      m.multiply_row_range(x, b0, out.data(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], m.multiply(x, b0 + i))
+            << m.name() << " row_range diverges at a=" << x << " b=" << b0 + i;
+      }
+    }
+  }
+}
+
 void expect_metrics_identical(const err::ErrorMetrics& x, const err::ErrorMetrics& y) {
   EXPECT_EQ(x.samples, y.samples);
   EXPECT_EQ(x.bias, y.bias);
@@ -80,19 +117,37 @@ TEST(MultiplyBatch, RealmMatchesScalarAtOtherWidths) {
 }
 
 TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
-  // Covers the devirtualized overrides (accurate, cALM, REALM, AM1/AM2) and
-  // the generic virtual-loop fallback of every other design in Table I.  AM's
-  // scalar and batch paths share one reduction tree, so for AM this only
-  // checks the lane blocking; test_packed_simulator checks the tree itself
-  // against the gate-level netlist.
+  // Every Table I design and the exact reference, at N = 16 and N = 10
+  // (specs whose parameters are invalid at 10 bits are skipped there): the
+  // batch, row and range kernels must match scalar multiply(), and none may
+  // reach the base-class broadcast fallback.  The datapath-template families
+  // derive all four entry points from one policy and AM's paths share one
+  // reduction tree, so this checks the lane blocking and the range
+  // splitting; test_packed_simulator checks the datapaths themselves against
+  // the gate-level netlists.
   const auto table1 = mult::table1_specs();
   std::set<std::string> specs{table1.begin(), table1.end()};
   specs.insert("accurate");
+  const std::uint64_t fallback_before =
+      obs::counter_value(obs::Counter::kRowFallbackBatches);
   std::uint64_t salt = 1;
-  for (const auto& spec : specs) {
-    const auto m = mult::make_multiplier(spec, 16);
-    expect_batch_matches_scalar(*m, 0x5eed0000u + salt++);
+  std::size_t checked_at_10 = 0;
+  for (const int n : {16, 10}) {
+    for (const auto& spec : specs) {
+      std::unique_ptr<Multiplier> m;
+      try {
+        m = mult::make_multiplier(spec, n);
+      } catch (const std::invalid_argument&) {
+        EXPECT_NE(n, 16) << spec;
+        continue;
+      }
+      expect_batch_matches_scalar(*m, 0x5eed0000u + salt);
+      expect_row_kernels_match_scalar(*m, 0x5eed8000u + salt++);
+      checked_at_10 += n == 10 ? 1 : 0;
+    }
   }
+  EXPECT_GE(checked_at_10, 40u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), fallback_before);
 }
 
 TEST(EvalEngine, MonteCarloIsThreadCountInvariant) {

@@ -166,10 +166,10 @@ TEST(RowKernels, RangeCoversFullSpaceEdges) {
 }
 
 TEST(RowKernels, FallbackPathCountsForwardedBatches) {
-  // A design without a row override goes through the base-class broadcast
-  // fallback, which tallies each forwarded block.
+  // A design without a row override (UDM keeps the base-class path) goes
+  // through the broadcast fallback, which tallies each forwarded block.
   obs::counters_reset();
-  const auto m = mult::make_multiplier("implm", 16);
+  const auto m = mult::make_multiplier("udm", 16);
   std::vector<std::uint64_t> b(100), out(100);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = i;
   m->multiply_row_batch(3, b.data(), out.data(), b.size());

@@ -214,6 +214,53 @@ TEST(AmFamily, TableOneMonteCarloMetricsArePinned) {
   }
 }
 
+TEST(DatapathFamilies, TableOneMonteCarloMetricsArePinned) {
+  // err::monte_carlo metrics of one Table I spec per family on the datapath
+  // template, captured from the hand-written kernels it replaced (Release
+  // build).  Any change to one of these products moves these doubles.  The
+  // reduction's last bit follows the build's FP code generation: an -O0
+  // build, of this or of the replaced code, rounds alm-soa:m=11's variance
+  // one ulp lower.
+  struct Pinned {
+    const char* spec;
+    double bias, mean, variance, min, max;
+  };
+  constexpr Pinned kPinned[] = {
+      {"realm:m=16,t=0", 0x1.a095a5506f42p-7, 0x1.addcca8b73c99p-2, 0x1.2175bc9d3e152p-2,
+       -0x1.f52c0938a915bp+0, 0x1.c637c37008134p+0},
+      {"calm", -0x1.ec0aff333bf92p+1, 0x1.ec0aff333bf91p+1, 0x1.140ed8e4b1469p+3,
+       -0x1.6348533e499fcp+3, 0x0p+0},
+      {"mbm:t=0", -0x1.67fbd3dfb9284p-4, 0x1.4a47599b86c7dp+1, 0x1.4066d0da3e1f4p+3,
+       -0x1.e8074fd575642p+2, 0x1.f04125d36790fp+2},
+      {"alm-soa:m=11", -0x1.e8b78a2128b49p+1, 0x1.075c45e57fac8p+2, 0x1.74e2910fa387cp+3,
+       -0x1.cd1b04d05a15dp+3, 0x1.60a260dd056bep+2},
+      {"alm-maa:m=6", -0x1.ebbe26cb0ee1ap+1, 0x1.ebc6d784a6bf9p+1, 0x1.141b313efaf88p+3,
+       -0x1.638d16c80ddebp+3, 0x1.7bc40153c1d65p-4},
+      {"implm", -0x1.fa1215b534d5cp-6, 0x1.6f811aa1b239fp+1, 0x1.d27e5e429a8c8p+3,
+       -0x1.61d9227d5af15p+3, 0x1.6209d410c4403p+3},
+      {"intalp:l=2", -0x1.0b06767b2686dp-7, 0x1.6c530595db012p-1, 0x1.dcdbde7d24de1p-1,
+       -0x1.8086d115cea5p+2, 0x1.08eee5b68e401p+2},
+      {"drum:k=6", 0x1.e181db104eef2p-5, 0x1.7650ba11ac0cp+0, 0x1.9d61ec875a168p+1,
+       -0x1.5ad2b0aaf26a8p+2, 0x1.7c930604b4d7dp+2},
+      {"ssm:m=10", -0x1.9707f098427ap-2, 0x1.9707f098427ap-2, 0x1.32f8be241a1ffp-2,
+       -0x1.bf314e280c0ebp+2, 0x0p+0},
+      {"essm:m=8", -0x1.225beb5052d68p+0, 0x1.225beb5052d68p+0, 0x1.cdbb64e334812p-1,
+       -0x1.1dd58d44be821p+3, 0x0p+0},
+  };
+  err::MonteCarloOptions opts;
+  opts.samples = std::uint64_t{1} << 16;
+  opts.seed = 0x7ab1e1;
+  for (const auto& pin : kPinned) {
+    const auto r = err::monte_carlo(*mult::make_multiplier(pin.spec, 16), opts);
+    EXPECT_EQ(r.samples, 65534u) << pin.spec;  // two pairs have a zero operand
+    EXPECT_EQ(r.bias, pin.bias) << pin.spec;
+    EXPECT_EQ(r.mean, pin.mean) << pin.spec;
+    EXPECT_EQ(r.variance, pin.variance) << pin.spec;
+    EXPECT_EQ(r.min, pin.min) << pin.spec;
+    EXPECT_EQ(r.max, pin.max) << pin.spec;
+  }
+}
+
 TEST(Registry, ParsesSpecsAndRejectsGarbage) {
   EXPECT_NO_THROW((void)mult::make_multiplier("REALM:M=8,T=2", 16));  // case-insensitive
   EXPECT_NO_THROW((void)mult::make_multiplier("realm:m=8;t=2", 16));  // CSV-safe form

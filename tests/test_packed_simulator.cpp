@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "realm/hw/circuits.hpp"
@@ -354,5 +355,67 @@ TEST(AmOracle, BatchMatchesNetlistOnExtremeOperandsAtOtherWidths) {
         }
       }
     }
+  }
+}
+
+// Every family on the datapath template (src/multipliers/datapath.hpp) gets
+// its scalar, batch, row and range kernels from one policy, so comparing
+// those paths with each other cannot catch a bug in the policy or the
+// template; the gate-level netlist is the independent oracle.  Parameters
+// are the ones valid at N = 8.
+TEST(DatapathOracle, EveryEntryPointMatchesNetlistExhaustivelyAt8Bits) {
+  constexpr int n = 8;
+  constexpr std::uint64_t kSide = 1u << n;
+  const char* const specs[] = {
+      "calm",          "mbm:t=0",       "mbm:t=3",        "alm-soa:m=3",
+      "alm-soa:m=6",   "alm-maa:m=3",   "alm-maa:m=6",    "implm",
+      "intalp:l=1",    "intalp:l=2",    "drum:k=4",       "drum:k=6",
+      "ssm:m=4",       "ssm:m=6",       "essm:m=6",       "realm:m=4,t=0",
+      "realm:m=4,t=3", "realm:m=8,t=0", "realm:m=8,t=3"};
+  // Column ranges [b0, b0 + len): whole rows, ranges from 0, and ranges
+  // that cross one or several powers of two.
+  constexpr std::pair<std::uint64_t, std::uint64_t> kRanges[] = {
+      {0, kSide}, {0, 1}, {0, 3}, {1, 1}, {3, 6}, {5, 60}, {60, 70}, {127, 2}, {129, 127}};
+  std::vector<std::uint64_t> a, b;
+  for (std::uint64_t x = 0; x < kSide; ++x) {
+    for (std::uint64_t y = 0; y < kSide; ++y) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  std::vector<std::uint64_t> cols(kSide);
+  for (std::uint64_t y = 0; y < kSide; ++y) cols[y] = y;
+
+  for (const char* spec : specs) {
+    const Module mod = build_circuit(spec, n);
+    const auto model = mult::make_multiplier(spec, n);
+    const auto expect = netlist_products(mod, a, b);
+
+    std::uint64_t scalar_bad = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      scalar_bad += model->multiply(a[i], b[i]) != expect[i];
+    }
+    EXPECT_EQ(scalar_bad, 0u) << spec << " multiply";
+    for (const std::size_t batch : kBatchLengths) {
+      EXPECT_EQ(batch_mismatches(*model, a, b, expect, batch), 0u)
+          << spec << " multiply_batch " << batch;
+    }
+
+    std::uint64_t row_bad = 0, range_bad = 0;
+    std::vector<std::uint64_t> out(kSide);
+    for (std::uint64_t x = 0; x < kSide; ++x) {
+      const std::uint64_t* want = expect.data() + x * kSide;
+      // Ragged row_batch calls: 7 columns, then the rest.
+      model->multiply_row_batch(x, cols.data(), out.data(), 7);
+      model->multiply_row_batch(x, cols.data() + 7, out.data() + 7, kSide - 7);
+      for (std::uint64_t y = 0; y < kSide; ++y) row_bad += out[y] != want[y];
+      for (const auto& [b0, len] : kRanges) {
+        std::fill(out.begin(), out.end(), ~std::uint64_t{0});
+        model->multiply_row_range(x, b0, out.data(), len);
+        for (std::uint64_t i = 0; i < len; ++i) range_bad += out[i] != want[b0 + i];
+      }
+    }
+    EXPECT_EQ(row_bad, 0u) << spec << " multiply_row_batch";
+    EXPECT_EQ(range_bad, 0u) << spec << " multiply_row_range";
   }
 }
