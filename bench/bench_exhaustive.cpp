@@ -32,7 +32,6 @@
 
 #include "bench_common.hpp"
 #include "realm/campaign/cached_eval.hpp"
-#include "realm/error/eval_engine.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/bits.hpp"

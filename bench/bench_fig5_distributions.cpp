@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       const std::string spec = "realm:m=" + std::to_string(m) + ",t=" + std::to_string(t);
       const auto model = mult::make_multiplier(spec, 16);
       err::Histogram hist{-8.0, 8.0, 240};
-      const auto r = err::monte_carlo_histogram(*model, &hist, opts);
+      const auto r = err::monte_carlo(*model, opts, &hist);
       std::printf("\n%s   %s\n", model->name().c_str(), r.summary().c_str());
       ascii_histogram(hist);
 

@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "paper_reference.hpp"
 #include "realm/campaign/cached_eval.hpp"
-#include "realm/error/eval_engine.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/obs/metrics_sink.hpp"

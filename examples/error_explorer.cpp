@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   err::MonteCarloOptions opts;
   opts.samples = 1 << 21;
   err::Histogram hist{-12.0, 12.0, 120};
-  const auto metrics = err::monte_carlo_histogram(*model, &hist, opts);
+  const auto metrics = err::monte_carlo(*model, opts, &hist);
   std::printf("%s\n%s\n\n", model->name().c_str(), metrics.summary().c_str());
 
   // ASCII distribution.

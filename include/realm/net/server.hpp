@@ -5,9 +5,8 @@
 //
 //   * The event loop (run()) owns every socket.  It is the only thread that
 //     reads, writes, accepts, or touches connection state, so connection
-//     bookkeeping needs no locks.  Readiness comes from epoll on Linux and
-//     poll elsewhere (ServerOptions::force_poll exercises the fallback on
-//     any platform).
+//     bookkeeping needs no locks.  Readiness comes from epoll; the server
+//     is Linux-only, and other targets fail to compile.
 //   * Decoded requests become jobs on a small executor (worker threads
 //     pulling from one queue).  The executor threads are thin dispatchers:
 //     the engines they call (Monte-Carlo, exhaustive, synthesis) fan their
@@ -76,8 +75,6 @@ struct ServerOptions {
   /// Optional campaign store front end; must outlive the server.  Build the
   /// runner with resume=true so stored results are served, not recomputed.
   campaign::CampaignRunner* campaign = nullptr;
-
-  bool force_poll = false;  ///< use the poll() backend even where epoll exists
 };
 
 class Server {

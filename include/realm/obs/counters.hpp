@@ -8,7 +8,8 @@
 // counters can stay enabled even in throughput benchmarks.  The catalog is
 // a closed enum rather than a string registry so an increment compiles to a
 // single `lock add` with no hashing; MetricsSink snapshots the whole table
-// into every BENCH_*.json.
+// into every BENCH_*.json, and `realm_cli catalog` prints the names for
+// tools/check_bench_schema.py, which keeps no copy of its own.
 //
 // Counter semantics (the catalog; keep counter_name() in sync):
 //   kMcSamples          operand pairs evaluated by the error engines

@@ -31,7 +31,6 @@
 #include "realm/dse/pareto.hpp"
 #include "realm/dse/sweep.hpp"
 #include "realm/dsp/filter.hpp"
-#include "realm/error/eval_engine.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/error/profile.hpp"
 #include "realm/fp/float_multiplier.hpp"

@@ -1,4 +1,4 @@
-#include "realm/error/eval_engine.hpp"
+#include "realm/error/monte_carlo.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -346,8 +346,10 @@ ExhaustiveShardOut run_exhaustive_shard(const Multiplier& design,
 
 }  // namespace
 
-ErrorMetrics monte_carlo_batched(const Multiplier& design,
-                                 const MonteCarloOptions& opts, Histogram* hist) {
+ErrorMetrics monte_carlo(const Multiplier& design, const MonteCarloOptions& opts,
+                         Histogram* hist) {
+  // Bench history records key on both outer span names.
+  const obs::ScopedSpan outer{hist != nullptr ? "mc/histogram" : "mc/total"};
   REALM_TRACE_SCOPE("mc/run");
   const std::uint64_t shards = mc_shard_count(opts.samples);
 

@@ -3,12 +3,13 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/epoll.h>
+#else
+#error "realm::net::Server needs epoll (Linux)"
 #endif
 
 #include <array>
@@ -63,7 +64,7 @@ void set_nonblocking(int fd) {
   }
 }
 
-// -- readiness backends -----------------------------------------------------
+// -- readiness backend -----------------------------------------------------
 
 struct PollEvent {
   int fd = -1;
@@ -72,65 +73,26 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Level-triggered readiness with explicit per-fd read/write interest; the
-/// loop owns interest transitions (backpressure, drain) so both backends
-/// stay trivial.
-class PollerBase {
- public:
-  virtual ~PollerBase() = default;
-  virtual void add(int fd, bool read, bool write) = 0;
-  virtual void mod(int fd, bool read, bool write) = 0;
-  virtual void del(int fd) = 0;
-  virtual void wait(int timeout_ms, std::vector<PollEvent>& out) = 0;
-};
-
-/// Portable fallback: rebuilds the pollfd array each wait.  O(connections)
-/// per call, which is fine at the connection counts this server caps at.
-class PollPoller final : public PollerBase {
- public:
-  void add(int fd, bool read, bool write) override { interest_[fd] = {read, write}; }
-  void mod(int fd, bool read, bool write) override { interest_[fd] = {read, write}; }
-  void del(int fd) override { interest_.erase(fd); }
-
-  void wait(int timeout_ms, std::vector<PollEvent>& out) override {
-    fds_.clear();
-    for (const auto& [fd, want] : interest_) {
-      int events = 0;
-      if (want.first) events |= POLLIN;
-      if (want.second) events |= POLLOUT;
-      fds_.push_back(pollfd{fd, static_cast<short>(events), 0});
-    }
-    const int n = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n <= 0) return;  // timeout or EINTR: the loop re-evaluates timers
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      out.push_back(PollEvent{p.fd, (p.revents & POLLIN) != 0,
-                              (p.revents & POLLOUT) != 0,
-                              (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0});
-    }
-  }
-
- private:
-  std::unordered_map<int, std::pair<bool, bool>> interest_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class EpollPoller final : public PollerBase {
+/// Level-triggered epoll readiness with explicit per-fd read/write interest;
+/// the loop owns interest transitions (backpressure, drain).
+class EpollPoller {
  public:
   EpollPoller() : epfd_{::epoll_create1(EPOLL_CLOEXEC)} {
     if (epfd_ < 0) throw std::runtime_error(errno_message("epoll_create1"));
   }
-  ~EpollPoller() override { ::close(epfd_); }
+  ~EpollPoller() { ::close(epfd_); }
 
-  void add(int fd, bool read, bool write) override { ctl(EPOLL_CTL_ADD, fd, read, write); }
-  void mod(int fd, bool read, bool write) override { ctl(EPOLL_CTL_MOD, fd, read, write); }
-  void del(int fd) override {
+  EpollPoller(const EpollPoller&) = delete;
+  EpollPoller& operator=(const EpollPoller&) = delete;
+
+  void add(int fd, bool read, bool write) { ctl(EPOLL_CTL_ADD, fd, read, write); }
+  void mod(int fd, bool read, bool write) { ctl(EPOLL_CTL_MOD, fd, read, write); }
+  void del(int fd) {
     epoll_event ev{};
     ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   }
 
-  void wait(int timeout_ms, std::vector<PollEvent>& out) override {
+  void wait(int timeout_ms, std::vector<PollEvent>& out) {
     epoll_event evs[64];
     const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -152,16 +114,6 @@ class EpollPoller final : public PollerBase {
 
   int epfd_;
 };
-#endif
-
-[[nodiscard]] std::unique_ptr<PollerBase> make_poller(bool force_poll) {
-#ifdef __linux__
-  if (!force_poll) return std::make_unique<EpollPoller>();
-#else
-  (void)force_poll;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 // -- requests ---------------------------------------------------------------
 
@@ -314,7 +266,7 @@ struct Server::Impl {
   int wake_r = -1;
   std::atomic<int> wake_w{-1};
   int bound_port = 0;
-  std::unique_ptr<PollerBase> poller;
+  std::unique_ptr<EpollPoller> poller;
 
   struct Conn {
     int fd = -1;
@@ -403,7 +355,7 @@ struct Server::Impl {
     if (started) throw std::runtime_error("net: Server::start() called twice");
     started = true;
     serve_start_ns = obs::now_ns();
-    poller = make_poller(opts.force_poll);
+    poller = std::make_unique<EpollPoller>();
 
     int pfds[2];
     if (::pipe(pfds) != 0) throw std::runtime_error(errno_message("pipe"));

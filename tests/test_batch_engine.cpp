@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "realm/core/realm_multiplier.hpp"
-#include "realm/error/eval_engine.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/numeric/thread_pool.hpp"
+#include "realm/obs/trace.hpp"
 
 using namespace realm;
 
@@ -174,10 +174,10 @@ TEST(EvalEngine, HistogramRunReturnsMonteCarloMetricsAndSameFill) {
 
   err::Histogram h2{-12.0, 2.0, 140};
   opts.threads = 2;
-  const auto r2 = err::monte_carlo_histogram(*m, &h2, opts);
+  const auto r2 = err::monte_carlo(*m, opts, &h2);
   err::Histogram h1{-12.0, 2.0, 140};
   opts.threads = 1;
-  const auto r1 = err::monte_carlo_histogram(*m, &h1, opts);
+  const auto r1 = err::monte_carlo(*m, opts, &h1);
 
   expect_metrics_identical(plain, r2);  // same shard runner, same samples
   expect_metrics_identical(r1, r2);
@@ -186,6 +186,29 @@ TEST(EvalEngine, HistogramRunReturnsMonteCarloMetricsAndSameFill) {
   for (int b = 0; b < h1.bins(); ++b) EXPECT_EQ(h1.count(b), h2.count(b)) << b;
   EXPECT_EQ(h1.underflow(), h2.underflow());
   EXPECT_EQ(h1.overflow(), h2.overflow());
+}
+
+// Bench history records key on the outer span of each Monte-Carlo run, so
+// its name must follow whether a histogram is filled.
+TEST(EvalEngine, OuterSpanNameFollowsHistogramArgument) {
+  obs::set_tracing(false);
+  obs::trace_reset();
+  obs::set_tracing(true);
+  const auto m = mult::make_multiplier("calm", 16);
+  err::MonteCarloOptions opts;
+  opts.samples = 1 << 12;
+  (void)err::monte_carlo(*m, opts);
+  const auto plain = obs::span_aggregates();
+  err::Histogram h{-12.0, 2.0, 14};
+  (void)err::monte_carlo(*m, opts, &h);
+  const auto both = obs::span_aggregates();
+  obs::set_tracing(false);
+  obs::trace_reset();
+  EXPECT_EQ(plain.count("mc/total"), 1u);
+  EXPECT_EQ(plain.count("mc/histogram"), 0u);
+  ASSERT_EQ(both.count("mc/histogram"), 1u);
+  EXPECT_EQ(both.at("mc/total").count, 1u);
+  EXPECT_EQ(both.at("mc/histogram").count, 1u);
 }
 
 TEST(EvalEngine, ExhaustiveIsThreadCountInvariant) {

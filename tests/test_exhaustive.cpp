@@ -27,7 +27,6 @@
 #include "realm/campaign/cached_eval.hpp"
 #include "realm/campaign/result_store.hpp"
 #include "realm/campaign/runner.hpp"
-#include "realm/error/eval_engine.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/obs/counters.hpp"

@@ -76,7 +76,7 @@ TEST(MonteCarloHistogram, FillsHistogramAndMatchesMetrics) {
   err::Histogram hist{-10.0, 10.0, 101};
   err::MonteCarloOptions opts;
   opts.samples = 1 << 16;
-  const auto r = err::monte_carlo_histogram(*m, &hist, opts);
+  const auto r = err::monte_carlo(*m, opts, &hist);
   EXPECT_EQ(hist.total(), r.samples);
   EXPECT_EQ(hist.underflow(), 0u);  // REALM8 peak error ~±3.7 %
   EXPECT_EQ(hist.overflow(), 0u);

@@ -285,16 +285,6 @@ TEST(NetServer, PingOverUnixSocket) {
   EXPECT_EQ(reply.type, MsgType::kReplyOk);
 }
 
-TEST(NetServer, PingOverPollBackend) {
-  net::ServerOptions opts;
-  opts.force_poll = true;
-  TestServer ts{std::move(opts)};
-  net::Client c;
-  c.connect_tcp(ts.port());
-  const Frame reply = c.call(MsgType::kPing, 3, {});
-  EXPECT_EQ(reply.type, MsgType::kReplyOk);
-}
-
 TEST(NetServer, MultiplyBatchMatchesLocalModel) {
   TestServer ts{net::ServerOptions{}};
   net::Client c;

@@ -1,104 +1,50 @@
 #!/usr/bin/env python3
-"""Validate bench output files against the realm-bench-v3 schema.
+"""Validate bench documents against the realm-bench-v3 schema, and assert
+floors on their values.
 
-Usage: check_bench_schema.py FILE [FILE ...]
-       check_bench_schema.py --equal-metrics FILE_A FILE_B
-       check_bench_schema.py --equal-metric FILE_A FILE_B KEY
-       check_bench_schema.py --min-counter FILE NAME MIN
-       check_bench_schema.py --min-speedup FILE MIN [METRIC]
-       check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN
-       check_bench_schema.py --min-timeline FILE N
-       check_bench_schema.py --min-window-count FILE MIN
+Usage: check_bench_schema.py --catalog=PATH FILE [FILE ...]
+       check_bench_schema.py --min FILE KEY MIN
+       check_bench_schema.py --ratio FILE_A FILE_B KEY MIN
+       check_bench_schema.py --equal FILE_A FILE_B KEY
 
-Two file kinds are accepted:
-  * BENCH_*.json — MetricsSink documents; must carry schema "realm-bench-v3"
-    with `meta` (including the producing bench's name), a `run` stamp
-    (host/commit/hw_threads), `metrics`, the full `counters` catalog
-    (including the campaign-store hit/miss/bytes and resumed-vs-computed
-    unit counters), `gauges`, `spans` (each span with count/total/mean/min/
-    max/p50/p95/p99 in µs plus a 64-entry log2 bucket array), the full
-    `value_histograms` catalog and a `timeline` list (sampler snapshots;
-    empty unless --sample-hz was given).
-  * trace_*.json — Chrome trace-event exports; must hold a non-empty
+Schema mode accepts two file kinds:
+  * BENCH_*.json and other MetricsSink documents: schema "realm-bench-v3"
+    with `meta` (naming the producing bench), a `run` stamp
+    (host/commit/hw_threads), `metrics`, `counters`, `gauges`, `spans`
+    (per-span count/total/mean/min/max/p50/p95/p99 in µs plus a bucket
+    array), `value_histograms` and a `timeline` list of sampler snapshots.
+    Every counter, gauge and value-histogram name of the metric catalog must
+    be present.  Any `slo_*_w<N>_count` metric that is nonzero must come with
+    its `slo_*_w<N>_p99_us` metric (realm_top snapshots carry these).
+  * trace_*.json: Chrome trace-event exports; must hold a non-empty
     `traceEvents` list whose complete ("X") events carry name/ts/dur/pid/tid.
 
---equal-metrics compares the `metrics` objects of two documents for exact
-equality (key set and values) — the crash/resume smoke uses it to prove an
-interrupted-then-resumed campaign reproduces the uninterrupted run bit for
-bit.  --min-counter asserts counters[NAME] >= MIN in one document, e.g. that
-a resumed run actually replayed units from the store.  --min-speedup asserts
-metrics[METRIC] >= MIN in one document; METRIC defaults to
-"speedup_row_vs_generic" (the CI gate for the row-hoisted exhaustive
-kernels).  The app-bench smoke passes METRIC=speedup_batched_vs_scalar to
-gate the batched JPEG engine's floor against BENCH_apps.json.
---min-timeline asserts the document's timeline holds at least N sampler
-snapshots — the CI smoke for --sample-hz actually sampling.
---equal-metric compares a single metric KEY across two documents for exact
-equality — the serve smoke uses it to prove a warm pass's reply bytes match
-the cold pass's (metrics.reply_digest).  --min-ratio asserts
-metrics_B[KEY] / metrics_A[KEY] >= MIN — the serve smoke's warm-vs-cold
-request-rate floor.  --min-window-count reads a realm_top --once --json
-snapshot and asserts the summed slo_*_w10_count metrics cover at least MIN
-requests, with a matching _p99_us metric published for every non-empty
-window — the live-stats smoke's proof that the SLO ring actually recorded
-the load it was under.
+The catalog is the output of `realm_cli catalog` from the same build, so the
+names exist only in C++ (include/realm/obs/counters.hpp, histogram.hpp):
 
-Exits non-zero (listing every problem) if any check fails, so CI catches a
-bench drifting off the unified schema the moment it happens.  Stdlib only.
+    build/tools/realm_cli catalog > catalog.json
+    check_bench_schema.py --catalog=catalog.json bench_out/*.json
+
+The assertion forms read one value by a dotted KEY (`metrics.requests_per_s`,
+`counters.net_requests`, `timeline`).  Each component names a key of the
+object before it; a component may itself contain dots, as metric names do.
+  --min    asserts value >= MIN.  A list value counts its length; a `*` in
+           the last component sums every matching value
+           (`metrics.slo_*_w10_count`).
+  --ratio  asserts value_B / value_A >= MIN (e.g. the warm-vs-cold request
+           rate of two serving runs).
+  --equal  asserts the two values are equal; an object value compares key set
+           and values, so `--equal A B metrics` proves a resumed campaign
+           reproduces the uninterrupted run bit for bit.
+
+Exit status: 0 if every check passes, 1 if any fails (each problem listed),
+2 on a usage error.  Stdlib only.
 """
 
+import fnmatch
 import json
+import re
 import sys
-
-# Keep in sync with obs::Counter / counter_name() (include/realm/obs/counters.hpp).
-EXPECTED_COUNTERS = [
-    "mc_samples",
-    "mc_shards",
-    "lut_cache_hits",
-    "lut_cache_misses",
-    "gate_evals",
-    "packed_blocks",
-    "equiv_pairs",
-    "fault_sites_dropped",
-    "pool_regions",
-    "pool_tasks_executed",
-    "pool_tasks_inline",
-    "pool_tasks_failed",
-    "pool_queue_wait_ns",
-    "jpeg_blocks_encoded",
-    "jpeg_blocks_decoded",
-    "store_hits",
-    "store_misses",
-    "store_bytes_read",
-    "store_bytes_written",
-    "campaign_units_resumed",
-    "campaign_units_computed",
-    "sweep_points",
-    "exhaustive_rows",
-    "exhaustive_tiles",
-    "row_fallback_batches",
-    "dct_blocks_batched",
-    "nn_macs_batched",
-    "dsp_taps_batched",
-    "net_accepts",
-    "net_requests",
-    "net_bytes_in",
-    "net_bytes_out",
-    "net_frame_errors",
-    "net_backpressure_stalls",
-    "net_drained",
-    "net_client_timeouts",
-    "slo_records",
-    "slo_rotations",
-]
-
-EXPECTED_GAUGES = ["pool_workers", "pool_active_workers", "pool_queue_depth"]
-
-# Keep in sync with obs::ValueHist / value_hist_name()
-# (include/realm/obs/histogram.hpp).
-EXPECTED_VALUE_HISTOGRAMS = ["pool_queue_wait_ns", "store_record_bytes"]
-
-HISTOGRAM_BUCKETS = 64
 
 # Per-span and per-value-histogram summary columns (µs-scaled for spans,
 # raw units for value histograms).
@@ -109,26 +55,81 @@ VHIST_FIELDS = ("count", "total", "mean", "min", "max", "p50", "p95", "p99")
 TIMELINE_FIELDS = ("t_us", "rss_kb", "pool_workers", "pool_active",
                    "pool_queue_depth", "counters")
 
+CATALOG_LISTS = ("counters", "gauges", "value_histograms")
 
-def check_histogram(name, entry, fields, problems):
+SLO_WINDOW_COUNT = re.compile(r"^slo_.+_w\d+_count$")
+
+
+class UsageError(Exception):
+    pass
+
+
+class CheckFailed(Exception):
+    pass
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_catalog(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            catalog = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read catalog {path}: {exc}") from exc
+    ok = isinstance(catalog, dict) and isinstance(
+        catalog.get("histogram_buckets"), int) and all(
+            isinstance(catalog.get(key), list)
+            and all(isinstance(n, str) for n in catalog[key])
+            for key in CATALOG_LISTS)
+    if not ok:
+        raise UsageError(f"{path} is not a realm_cli catalog document")
+    return catalog
+
+
+def check_histogram(name, entry, fields, buckets_expected, problems):
     if not isinstance(entry, dict):
         problems.append(f"{name} is not an object")
         return
     for key in fields:
-        if not isinstance(entry.get(key), (int, float)) or isinstance(
-                entry.get(key), bool):
+        if not is_number(entry.get(key)):
             problems.append(f"{name} missing numeric {key!r}")
     buckets = entry.get("buckets")
-    if (not isinstance(buckets, list) or len(buckets) != HISTOGRAM_BUCKETS
+    if (not isinstance(buckets, list) or len(buckets) != buckets_expected
             or not all(isinstance(b, int) and b >= 0 for b in buckets)):
         problems.append(
-            f"{name}.buckets is not a {HISTOGRAM_BUCKETS}-entry list of"
+            f"{name}.buckets is not a {buckets_expected}-entry list of"
             " non-negative integers")
     elif isinstance(entry.get("count"), int) and sum(buckets) != entry["count"]:
         problems.append(f"{name}: bucket sum {sum(buckets)} != count {entry['count']}")
 
 
-def check_bench(doc, problems):
+def check_catalog_section(doc, section, catalog, problems):
+    """The `section` object must exist and hold every catalog name."""
+    entries = doc.get(section)
+    if not isinstance(entries, dict):
+        problems.append(f"missing {section!r} object")
+        return {}
+    for name in catalog[section]:
+        if name not in entries:
+            problems.append(f"{section} missing {name!r}")
+    return entries
+
+
+def check_slo_windows(metrics, problems):
+    for key, value in sorted(metrics.items()):
+        if not SLO_WINDOW_COUNT.match(key):
+            continue
+        if not isinstance(value, int) or value < 0:
+            problems.append(f"{key} is not a non-negative integer: {value!r}")
+            continue
+        p99_key = key[: -len("count")] + "p99_us"
+        if value > 0 and not is_number(metrics.get(p99_key)):
+            problems.append(f"{key} = {value} but {p99_key} is missing")
+
+
+def check_bench(doc, catalog, problems):
     if doc.get("schema") != "realm-bench-v3":
         problems.append(f"schema is {doc.get('schema')!r}, expected 'realm-bench-v3'")
     meta = doc.get("meta")
@@ -150,39 +151,25 @@ def check_bench(doc, problems):
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         problems.append("missing or empty 'metrics' object")
-    counters = doc.get("counters")
-    if not isinstance(counters, dict):
-        problems.append("missing 'counters' object")
     else:
-        for name in EXPECTED_COUNTERS:
-            if name not in counters:
-                problems.append(f"counters missing {name!r}")
-        for name, value in counters.items():
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"counter {name!r} is not a non-negative integer")
-    gauges = doc.get("gauges")
-    if not isinstance(gauges, dict):
-        problems.append("missing 'gauges' object")
-    else:
-        for name in EXPECTED_GAUGES:
-            if name not in gauges:
-                problems.append(f"gauges missing {name!r}")
+        check_slo_windows(metrics, problems)
+    counters = check_catalog_section(doc, "counters", catalog, problems)
+    for name, value in counters.items():
+        if not isinstance(value, int) or value < 0:
+            problems.append(f"counter {name!r} is not a non-negative integer")
+    check_catalog_section(doc, "gauges", catalog, problems)
+    buckets = catalog["histogram_buckets"]
     spans = doc.get("spans")
     if not isinstance(spans, dict):
         problems.append("missing 'spans' object")
     else:
         for name, entry in spans.items():
-            check_histogram(f"spans[{name!r}]", entry, SPAN_FIELDS, problems)
-    vhists = doc.get("value_histograms")
-    if not isinstance(vhists, dict):
-        problems.append("missing 'value_histograms' object")
-    else:
-        for name in EXPECTED_VALUE_HISTOGRAMS:
-            if name not in vhists:
-                problems.append(f"value_histograms missing {name!r}")
-        for name, entry in vhists.items():
-            check_histogram(f"value_histograms[{name!r}]", entry, VHIST_FIELDS,
+            check_histogram(f"spans[{name!r}]", entry, SPAN_FIELDS, buckets,
                             problems)
+    vhists = check_catalog_section(doc, "value_histograms", catalog, problems)
+    for name, entry in vhists.items():
+        check_histogram(f"value_histograms[{name!r}]", entry, VHIST_FIELDS,
+                        buckets, problems)
     timeline = doc.get("timeline")
     if not isinstance(timeline, list):
         problems.append("missing 'timeline' list")
@@ -213,211 +200,138 @@ def check_trace(doc, problems):
                 break
 
 
-def check_file(path):
-    problems = []
+def load(path):
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        return [str(exc)]
+        raise CheckFailed(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
-        return ["top level is not a JSON object"]
-    if "traceEvents" in doc:
-        check_trace(doc, problems)
-    else:
-        check_bench(doc, problems)
-    return problems
-
-
-def load(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top level is not a JSON object")
+        raise CheckFailed(f"{path}: top level is not a JSON object")
     return doc
 
 
-def equal_metrics(path_a, path_b):
-    a, b = load(path_a).get("metrics"), load(path_b).get("metrics")
-    if not isinstance(a, dict) or not isinstance(b, dict):
-        print("FAIL --equal-metrics: one document has no 'metrics' object")
-        return 1
-    problems = []
-    for key in sorted(set(a) | set(b)):
-        if key not in a:
-            problems.append(f"only in {path_b}: {key!r}")
-        elif key not in b:
-            problems.append(f"only in {path_a}: {key!r}")
-        elif a[key] != b[key]:
-            problems.append(f"{key!r}: {a[key]!r} != {b[key]!r}")
-    if problems:
-        print(f"FAIL metrics of {path_a} and {path_b} differ")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(f"ok   metrics of {path_a} and {path_b} are identical ({len(a)} entries)")
-    return 0
-
-
-def equal_metric(path_a, path_b, key):
-    a, b = load(path_a).get("metrics"), load(path_b).get("metrics")
-    if not isinstance(a, dict) or not isinstance(b, dict):
-        print("FAIL --equal-metric: one document has no 'metrics' object")
-        return 1
-    if key not in a or key not in b:
-        print(f"FAIL --equal-metric: metric {key!r} missing from one document")
-        return 1
-    if a[key] != b[key]:
-        print(f"FAIL metric {key!r} differs: {a[key]!r} != {b[key]!r}")
-        return 1
-    print(f"ok   metric {key!r} identical in {path_a} and {path_b}: {a[key]!r}")
-    return 0
-
-
-def min_ratio(path_a, path_b, key, minimum):
-    a, b = load(path_a).get("metrics"), load(path_b).get("metrics")
-    va = a.get(key) if isinstance(a, dict) else None
-    vb = b.get(key) if isinstance(b, dict) else None
-    for path, v in ((path_a, va), (path_b, vb)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            print(f"FAIL {path}: metric {key!r} missing or not a number")
-            return 1
-    if va <= 0:
-        print(f"FAIL {path_a}: metric {key} = {va} is not positive")
-        return 1
-    ratio = vb / va
-    if ratio < minimum:
-        print(f"FAIL {key}: {path_b} / {path_a} = {ratio:.2f} < required {minimum}")
-        return 1
-    print(f"ok   {key}: {path_b} / {path_a} = {ratio:.2f} >= {minimum}")
-    return 0
-
-
-def min_speedup(path, minimum, metric="speedup_row_vs_generic"):
-    metrics = load(path).get("metrics")
-    value = metrics.get(metric) if isinstance(metrics, dict) else None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        print(f"FAIL {path}: metric {metric!r} missing or not a number")
-        return 1
-    if value < minimum:
-        print(f"FAIL {path}: {metric} = {value:.2f} < required {minimum}")
-        return 1
-    print(f"ok   {path}: {metric} = {value:.2f} >= {minimum}")
-    return 0
-
-
-def min_timeline(path, minimum):
-    timeline = load(path).get("timeline")
-    if not isinstance(timeline, list):
-        print(f"FAIL {path}: missing 'timeline' list")
-        return 1
-    if len(timeline) < minimum:
-        print(f"FAIL {path}: timeline has {len(timeline)} sample(s) < required {minimum}")
-        return 1
-    print(f"ok   {path}: timeline has {len(timeline)} sample(s) >= {minimum}")
-    return 0
-
-
-def min_window_count(path, minimum):
-    metrics = load(path).get("metrics")
-    if not isinstance(metrics, dict):
-        print(f"FAIL {path}: missing 'metrics' object")
-        return 1
-    suffix = "_w10_count"
-    windows = {k: v for k, v in metrics.items()
-               if k.startswith("slo_") and k.endswith(suffix)}
-    if not windows:
-        print(f"FAIL {path}: no slo_*{suffix} metrics found")
-        return 1
-    problems = []
-    total = 0
-    for key, value in sorted(windows.items()):
-        if not isinstance(value, int) or value < 0:
-            problems.append(f"{key} is not a non-negative integer: {value!r}")
-            continue
-        total += value
-        p99_key = key[: -len(suffix)] + "_w10_p99_us"
-        if value > 0 and not isinstance(metrics.get(p99_key), (int, float)):
-            problems.append(f"{key} = {value} but {p99_key} is missing")
-    if total < minimum:
-        problems.append(f"summed w10 window count {total} < required {minimum}")
-    if problems:
-        print(f"FAIL {path}")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(f"ok   {path}: {len(windows)} windows hold {total} request(s) >= {minimum}")
-    return 0
-
-
-def min_counter(path, name, minimum):
-    counters = load(path).get("counters")
-    value = counters.get(name) if isinstance(counters, dict) else None
-    if not isinstance(value, int):
-        print(f"FAIL {path}: counter {name!r} missing or not an integer")
-        return 1
-    if value < minimum:
-        print(f"FAIL {path}: counter {name} = {value} < required {minimum}")
-        return 1
-    print(f"ok   {path}: counter {name} = {value} >= {minimum}")
-    return 0
-
-
-def main(argv):
-    if len(argv) < 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+def check_file(path, catalog):
     try:
-        if argv[1] == "--equal-metrics":
-            if len(argv) != 4:
-                print("usage: check_bench_schema.py --equal-metrics FILE_A FILE_B",
-                      file=sys.stderr)
-                return 2
-            return equal_metrics(argv[2], argv[3])
-        if argv[1] == "--equal-metric":
-            if len(argv) != 5:
-                print("usage: check_bench_schema.py --equal-metric FILE_A FILE_B KEY",
-                      file=sys.stderr)
-                return 2
-            return equal_metric(argv[2], argv[3], argv[4])
-        if argv[1] == "--min-ratio":
-            if len(argv) != 6:
-                print("usage: check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN",
-                      file=sys.stderr)
-                return 2
-            return min_ratio(argv[2], argv[3], argv[4], float(argv[5]))
-        if argv[1] == "--min-counter":
-            if len(argv) != 5:
-                print("usage: check_bench_schema.py --min-counter FILE NAME MIN",
-                      file=sys.stderr)
-                return 2
-            return min_counter(argv[2], argv[3], int(argv[4]))
-        if argv[1] == "--min-window-count":
-            if len(argv) != 4:
-                print("usage: check_bench_schema.py --min-window-count FILE MIN",
-                      file=sys.stderr)
-                return 2
-            return min_window_count(argv[2], int(argv[3]))
-        if argv[1] == "--min-timeline":
-            if len(argv) != 4:
-                print("usage: check_bench_schema.py --min-timeline FILE N",
-                      file=sys.stderr)
-                return 2
-            return min_timeline(argv[2], int(argv[3]))
-        if argv[1] == "--min-speedup":
-            if len(argv) not in (4, 5):
-                print("usage: check_bench_schema.py --min-speedup FILE MIN [METRIC]",
-                      file=sys.stderr)
-                return 2
-            if len(argv) == 5:
-                return min_speedup(argv[2], float(argv[3]), argv[4])
-            return min_speedup(argv[2], float(argv[3]))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"FAIL {exc}")
-        return 1
+        doc = load(path)
+    except CheckFailed as exc:
+        return [str(exc)]
+    problems = []
+    if "traceEvents" in doc:
+        check_trace(doc, problems)
+    else:
+        check_bench(doc, catalog, problems)
+    return problems
+
+
+def resolve(node, path, key):
+    """The value at dotted `path` below `node`; the longest key wins when a
+    component itself contains dots."""
+    while path:
+        if not isinstance(node, dict):
+            raise CheckFailed(f"{key!r}: not an object above {path!r}")
+        parts = path.split(".")
+        for i in range(len(parts), 0, -1):
+            head = ".".join(parts[:i])
+            if head in node:
+                node, path = node[head], ".".join(parts[i:])
+                break
+        else:
+            raise CheckFailed(f"{key!r}: no key {parts[0]!r}")
+    return node
+
+
+def value_at(path, key):
+    """The value of `key` in the document at `path`; a `*` in the last
+    component sums the numeric values of every matching key."""
+    doc = load(path)
+    if "*" not in key:
+        return resolve(doc, key, key)
+    parent, _, pattern = key[: key.index("*")].rpartition(".")
+    pattern += key[key.index("*"):]
+    node = resolve(doc, parent, key)
+    if not isinstance(node, dict):
+        raise CheckFailed(f"{path}: {parent!r} is not an object")
+    matches = {k: v for k, v in node.items() if fnmatch.fnmatchcase(k, pattern)}
+    if not matches:
+        raise CheckFailed(f"{path}: no key matches {key!r}")
+    for k, v in matches.items():
+        if not is_number(v):
+            raise CheckFailed(f"{path}: {k!r} is not a number: {v!r}")
+    return sum(matches.values())
+
+
+def number_at(path, key):
+    value = value_at(path, key)
+    if isinstance(value, list):
+        return len(value)
+    if not is_number(value):
+        raise CheckFailed(f"{path}: {key!r} is not a number or list: {value!r}")
+    return value
+
+
+def parse_min(text):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"MIN must be a number, got {text!r}") from exc
+
+
+def assert_min(path, key, minimum):
+    value = number_at(path, key)
+    if value < minimum:
+        raise CheckFailed(f"{path}: {key} = {value} < required {minimum:g}")
+    return f"{path}: {key} = {value} >= {minimum:g}"
+
+
+def assert_ratio(path_a, path_b, key, minimum):
+    a, b = number_at(path_a, key), number_at(path_b, key)
+    if a <= 0:
+        raise CheckFailed(f"{path_a}: {key} = {a:g} is not positive")
+    if b / a < minimum:
+        raise CheckFailed(
+            f"{key}: {path_b} / {path_a} = {b / a:.2f} < required {minimum:g}")
+    return f"{key}: {path_b} / {path_a} = {b / a:.2f} >= {minimum:g}"
+
+
+def assert_equal(path_a, path_b, key):
+    a, b = value_at(path_a, key), value_at(path_b, key)
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        if a != b:
+            raise CheckFailed(f"{key} differs: {a!r} != {b!r}")
+        return f"{key} identical in {path_a} and {path_b}: {a!r}"
+    diffs = []
+    for k in sorted(set(a) | set(b)):
+        if k not in a:
+            diffs.append(f"only in {path_b}: {k!r}")
+        elif k not in b:
+            diffs.append(f"only in {path_a}: {k!r}")
+        elif a[k] != b[k]:
+            diffs.append(f"{k!r}: {a[k]!r} != {b[k]!r}")
+    if diffs:
+        raise CheckFailed(f"{key} of {path_a} and {path_b} differ"
+                          + "".join(f"\n  - {d}" for d in diffs))
+    return f"{key} of {path_a} and {path_b} are identical ({len(a)} entries)"
+
+
+ASSERTIONS = {
+    "--min": (3, "FILE KEY MIN",
+              lambda f, k, m: assert_min(f, k, parse_min(m))),
+    "--ratio": (4, "FILE_A FILE_B KEY MIN",
+                lambda a, b, k, m: assert_ratio(a, b, k, parse_min(m))),
+    "--equal": (3, "FILE_A FILE_B KEY", assert_equal),
+}
+
+
+def check_schema(args):
+    if not args or not args[0].startswith("--catalog="):
+        raise UsageError("schema mode needs --catalog=PATH before the files")
+    catalog = load_catalog(args[0][len("--catalog="):])
+    if len(args) < 2:
+        raise UsageError("no files to check")
     failed = False
-    for path in argv[1:]:
-        problems = check_file(path)
+    for path in args[1:]:
+        problems = check_file(path, catalog)
         if problems:
             failed = True
             print(f"FAIL {path}")
@@ -426,6 +340,26 @@ def main(argv):
         else:
             print(f"ok   {path}")
     return 1 if failed else 0
+
+
+def main(argv):
+    args = argv[1:]
+    try:
+        if args and args[0] in ASSERTIONS:
+            arity, synopsis, run = ASSERTIONS[args[0]]
+            if len(args) != arity + 1:
+                raise UsageError(f"usage: check_bench_schema.py {args[0]} {synopsis}")
+            try:
+                print(f"ok   {run(*args[1:])}")
+            except CheckFailed as exc:
+                print(f"FAIL {exc}")
+                return 1
+            return 0
+        return check_schema(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

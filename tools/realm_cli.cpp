@@ -16,6 +16,8 @@
 #include "realm/core/error_analysis.hpp"
 #include "realm/error/render.hpp"
 #include "realm/net/client.hpp"
+#include "realm/obs/counters.hpp"
+#include "realm/obs/histogram.hpp"
 #include "realm/realm.hpp"
 #include "realm_cli_commands.hpp"
 
@@ -231,6 +233,26 @@ int cmd_stats(int argc, char** argv) {
   return 0;
 }
 
+// The metric catalog every realm-bench-v3 document carries, printed from the
+// obs enums themselves so no tool keeps its own copy of the names.
+template <typename Enum>
+void print_catalog_list(const char* key, unsigned count, const char* (*name)(Enum)) {
+  std::printf("  \"%s\": [", key);
+  for (unsigned i = 0; i < count; ++i) {
+    std::printf("%s\"%s\"", i == 0 ? "" : ", ", name(static_cast<Enum>(i)));
+  }
+  std::printf("],\n");
+}
+
+int cmd_catalog() {
+  std::printf("{\n");
+  print_catalog_list("counters", obs::kCounterCount, obs::counter_name);
+  print_catalog_list("gauges", obs::kGaugeCount, obs::gauge_name);
+  print_catalog_list("value_histograms", obs::kValueHistCount, obs::value_hist_name);
+  std::printf("  \"histogram_buckets\": %u\n}\n", obs::kHistogramBuckets);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,6 +280,7 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list();
     if (cmd == "recommend") return cmd_recommend(argc, argv);
     if (cmd == "stats") return cmd_stats(argc, argv);
+    if (cmd == "catalog") return cmd_catalog();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

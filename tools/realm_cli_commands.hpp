@@ -34,6 +34,7 @@ inline constexpr CommandSpec kCommands[] = {
     {"recommend", "[max_mean%] [max_peak%]", "cheapest design in budget"},
     {"stats", "(--unix PATH | --port N) [--stats-format=raw|prom]",
      "poll a running realm_served for live stats"},
+    {"catalog", "", "metric catalog as JSON (check_bench_schema.py --catalog)"},
 };
 
 inline constexpr std::size_t kCommandCount =

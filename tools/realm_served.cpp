@@ -2,7 +2,7 @@
 //
 //   realm_served [--port=N | --unix=PATH] [--store=PATH] [--threads=N]
 //                [--executors=N] [--max-conns=N] [--max-frame=BYTES]
-//                [--idle-timeout-ms=N] [--json=PATH] [--force-poll]
+//                [--idle-timeout-ms=N] [--json=PATH]
 //
 // Serves the realm-net/v1 protocol on loopback TCP (default; --port=0 picks
 // an ephemeral port) or a Unix socket.  With --store the campaign journal
@@ -40,7 +40,7 @@ int usage(int code) {
                "usage: realm_served [--port=N | --unix=PATH] [--store=PATH]\n"
                "                    [--threads=N] [--executors=N] [--max-conns=N]\n"
                "                    [--max-frame=BYTES] [--idle-timeout-ms=N]\n"
-               "                    [--json=PATH] [--force-poll]\n");
+               "                    [--json=PATH]\n");
   return code;
 }
 
@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad value for --json: expected a file path\n");
         return 2;
       }
-    } else if (arg == "--force-poll") {
-      opts.force_poll = true;
     } else if (arg == "--help") {
       return usage(0);
     } else {
