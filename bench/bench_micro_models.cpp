@@ -1,5 +1,6 @@
 // Throughput microbenchmarks (google-benchmark): behavioral models, the
-// s_ij derivation engine, netlist simulation, and the JPEG block pipeline.
+// s_ij derivation engine, netlist simulation, the JPEG block pipeline, and
+// the serving layer's u64-list wire codec and frame checksum.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "realm/hw/simulator.hpp"
 #include "realm/jpeg/dct.hpp"
 #include "realm/multipliers/registry.hpp"
+#include "realm/net/protocol.hpp"
 #include "realm/numeric/rng.hpp"
 
 using namespace realm;
@@ -99,6 +101,51 @@ void BM_Dct8x8(benchmark::State& state, const std::string& spec) {
   }
 }
 
+// The multiply_batch reply list: 4096 products of 16-bit operands (about
+// ten digits each, a 40 KB list).  Items = list elements.
+[[nodiscard]] std::vector<std::uint64_t> wire_products() {
+  constexpr std::size_t kPairs = 4096;
+  num::Xoshiro256 rng{1};
+  std::vector<std::uint64_t> v(kPairs);
+  for (auto& x : v) x = rng.below(65536) * rng.below(65536);
+  return v;
+}
+
+void BM_U64ListEncode(benchmark::State& state) {
+  const std::vector<std::uint64_t> v = wire_products();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string s = net::encode_u64_list(v);
+    bytes = s.size();
+    benchmark::DoNotOptimize(s.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(v.size()));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+
+void BM_U64ListParse(benchmark::State& state) {
+  const std::string s = net::encode_u64_list(wire_products());
+  std::size_t n = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint64_t> v = net::parse_u64_list(s);
+    n = v.size();
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(s.size()));
+}
+
+// encode_frame over the reply body `out=<list>\n`: the 28-byte header, one
+// body copy, and FNV-1a over every body byte, which dominates.
+void BM_FrameChecksum(benchmark::State& state) {
+  const std::string body = "out=" + net::encode_u64_list(wire_products()) + "\n";
+  for (auto _ : state) {
+    const std::string frame = net::encode_frame(net::MsgType::kReplyOk, 1, body);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(body.size()));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Multiply, accurate, std::string{"accurate"});
@@ -133,5 +180,9 @@ BENCHMARK_CAPTURE(BM_PackedNetlistSim, realm16, std::string{"realm:m=16,t=0"});
 
 BENCHMARK_CAPTURE(BM_Dct8x8, exact, std::string{"accurate"});
 BENCHMARK_CAPTURE(BM_Dct8x8, realm16_t8, std::string{"realm:m=16,t=8"});
+
+BENCHMARK(BM_U64ListEncode)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_U64ListParse)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrameChecksum)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -163,10 +163,18 @@ class FrameDecoder {
 // one comma-separated field value (fields may contain commas).  u64 lists
 // are decimal; double lists are C99 hex-floats, exact for every finite
 // value.
+//
+// The u64 list grammar is strict: `[0-9]{1,20}(,[0-9]{1,20})*` with every
+// element at most 2^64-1, or the empty string for an empty list.  Signs,
+// whitespace, empty elements and embedded NULs are rejected, so each list
+// has exactly one encoding up to leading zeros.
 
+/// Appends `v` comma-joined in decimal to `out` in one pass into space
+/// sized once up front; the bytes equal a "%llu" join.
+void append_u64_list(std::string& out, const std::vector<std::uint64_t>& v);
 [[nodiscard]] std::string encode_u64_list(const std::vector<std::uint64_t>& v);
-/// Throws std::runtime_error on a malformed element.
-[[nodiscard]] std::vector<std::uint64_t> parse_u64_list(const std::string& s);
+/// Throws std::runtime_error on input outside the grammar above.
+[[nodiscard]] std::vector<std::uint64_t> parse_u64_list(std::string_view s);
 
 [[nodiscard]] std::string encode_double_list(const std::vector<double>& v);
 [[nodiscard]] std::vector<double> parse_double_list(const std::string& s);

@@ -105,6 +105,9 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  /// Records nothing at scope exit: for a probe that found no work.
+  void cancel() noexcept { name_ = nullptr; }
+
  private:
   const char* name_ = nullptr;  // must be a string literal (stored by pointer)
   std::uint64_t start_ = 0;

@@ -1,5 +1,6 @@
 #include "realm/net/protocol.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,12 +14,20 @@ namespace realm::net {
 
 namespace {
 
-void put_le32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+void store_le(char* p, std::uint64_t v, int bytes) noexcept {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-void put_le64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Longest u64 list element on the wire: 20 digits plus its comma.
+constexpr std::size_t kMaxU64ElementBytes = 21;
+
+/// Whether the 20 decimal digits at `p` are at most 2^64-1.  Any 19 digits
+/// fit, so only the last step can overflow.
+[[nodiscard]] bool fits_u64(const char* p) noexcept {
+  std::uint64_t head = 0;
+  for (int i = 0; i < 19; ++i) head = head * 10 + static_cast<unsigned>(p[i] - '0');
+  const auto last = static_cast<std::uint64_t>(p[19] - '0');
+  return head <= (std::numeric_limits<std::uint64_t>::max() - last) / 10;
 }
 
 [[nodiscard]] std::uint32_t get_le32(const char* p) noexcept {
@@ -34,16 +43,12 @@ void put_le64(std::string& out, std::uint64_t v) {
 }
 
 /// Checksum input: LE(type) . LE(seq) . LE(body_len) . body — the same
-/// lengths-then-content recipe the campaign journal uses.
-[[nodiscard]] std::uint64_t frame_checksum(std::uint32_t type, std::uint64_t seq,
-                                           std::string_view body) {
-  std::string prefix;
-  prefix.reserve(16);
-  put_le32(prefix, type);
-  put_le64(prefix, seq);
-  put_le32(prefix, static_cast<std::uint32_t>(body.size()));
-  std::uint64_t h = campaign::fnv1a64(prefix);
-  // Continue FNV-1a over the body without concatenating (bodies can be MBs).
+/// lengths-then-content recipe the campaign journal uses.  Those 16 bytes
+/// are the frame header after the magic, so both directions hash them where
+/// they already lie and FNV-1a continues over the body without
+/// concatenating.
+[[nodiscard]] std::uint64_t frame_checksum(const char* header, std::string_view body) {
+  std::uint64_t h = campaign::fnv1a64(std::string_view{header + 4, 16});
   for (const char c : body) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
@@ -85,14 +90,15 @@ std::string encode_frame(MsgType type, std::uint64_t seq, std::string_view body)
   if (body.size() > std::numeric_limits<std::uint32_t>::max()) {
     throw std::runtime_error("net: frame body exceeds u32 length");
   }
-  const auto t = static_cast<std::uint32_t>(type);
+  char header[kFrameHeaderBytes];
+  store_le(header, kFrameMagic, 4);
+  store_le(header + 4, static_cast<std::uint32_t>(type), 4);
+  store_le(header + 8, seq, 8);
+  store_le(header + 16, body.size(), 4);
+  store_le(header + 20, frame_checksum(header, body), 8);
   std::string out;
   out.reserve(kFrameHeaderBytes + body.size());
-  put_le32(out, kFrameMagic);
-  put_le32(out, t);
-  put_le64(out, seq);
-  put_le32(out, static_cast<std::uint32_t>(body.size()));
-  put_le64(out, frame_checksum(t, seq, body));
+  out.append(header, kFrameHeaderBytes);
   out.append(body);
   return out;
 }
@@ -173,55 +179,70 @@ FrameDecoder::Status FrameDecoder::next(Frame& frame) {
     return Status::kTooLarge;
   }
   if (buffered() < kFrameHeaderBytes + body_len) return Status::kNeedMore;
+  const std::string_view body{h + kFrameHeaderBytes, body_len};
   frame.type = static_cast<MsgType>(type);
   frame.seq = seq;
-  frame.body.assign(buf_, pos_ + kFrameHeaderBytes, body_len);
   pos_ += kFrameHeaderBytes + body_len;
-  if (frame_checksum(type, seq, frame.body) != checksum) {
+  if (frame_checksum(h, body) != checksum) {
     frame.body.clear();
     return Status::kBadChecksum;
   }
+  frame.body.assign(body);
   return Status::kFrame;
+}
+
+void append_u64_list(std::string& out, const std::vector<std::uint64_t>& v) {
+  // One up-front size: at most 20 digits per element plus a comma between
+  // elements, so no element can regrow the string mid-pass.
+  const std::size_t base = out.size();
+  out.resize(base + kMaxU64ElementBytes * v.size());
+  char* p = out.data() + base;
+  char* const end = out.data() + out.size();
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) *p++ = ',';
+    p = std::to_chars(p, end, v[i]).ptr;
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 std::string encode_u64_list(const std::vector<std::uint64_t>& v) {
   std::string out;
-  char buf[24];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v[i]));
-    out += buf;
-  }
+  append_u64_list(out, v);
   return out;
 }
 
-namespace {
-
-template <typename T, typename Parse>
-std::vector<T> parse_list(const std::string& s, Parse parse) {
-  std::vector<T> out;
+std::vector<std::uint64_t> parse_u64_list(std::string_view s) {
+  std::vector<std::uint64_t> out;
   if (s.empty()) return out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(parse(s.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> parse_u64_list(const std::string& s) {
-  return parse_list<std::uint64_t>(s, [](const std::string& tok) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end == tok.c_str() || *end != '\0' || tok[0] == '-') {
-      throw std::runtime_error("net: bad u64 list element '" + tok + "'");
+  // Every element takes at least one digit and every separator one comma.
+  out.reserve(s.size() / 2 + 1);
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  for (;;) {
+    const char* const first = p;
+    std::uint64_t v = 0;  // wraps past 19 digits; checked below
+    for (; p != end; ++p) {
+      const auto d = static_cast<unsigned>(static_cast<unsigned char>(*p) - '0');
+      if (d >= 10) break;
+      v = v * 10 + d;
     }
-    return static_cast<std::uint64_t>(v);
-  });
+    const auto digits = static_cast<std::size_t>(p - first);
+    if (digits == 0 || digits > 20) {
+      throw std::runtime_error("net: u64 list element " + std::to_string(out.size()) +
+                               " is not 1 to 20 digits");
+    }
+    if (digits == 20 && !fits_u64(first)) {
+      throw std::runtime_error("net: u64 list element " + std::to_string(out.size()) +
+                               " exceeds 2^64-1");
+    }
+    out.push_back(v);
+    if (p == end) return out;
+    if (*p != ',') {
+      throw std::runtime_error("net: u64 list element " + std::to_string(out.size() - 1) +
+                               " is followed by a byte other than ','");
+    }
+    ++p;
+  }
 }
 
 std::string encode_double_list(const std::vector<double>& v) {
@@ -236,14 +257,22 @@ std::string encode_double_list(const std::vector<double>& v) {
 }
 
 std::vector<double> parse_double_list(const std::string& s) {
-  return parse_list<double>(s, [](const std::string& tok) {
+  std::vector<double> out;
+  if (s.empty()) return out;
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    std::size_t comma = s.find(',', pos);
+    if (comma == std::string::npos) comma = s.size();
+    const std::string tok = s.substr(pos, comma - pos);
     char* end = nullptr;
     const double d = std::strtod(tok.c_str(), &end);
     if (tok.empty() || end == tok.c_str() || *end != '\0') {
       throw std::runtime_error("net: bad double list element '" + tok + "'");
     }
-    return d;
-  });
+    out.push_back(d);
+    pos = comma + 1;
+  }
+  return out;
 }
 
 }  // namespace realm::net

@@ -544,12 +544,27 @@ struct Server::Impl {
     const int fd = c->fd;
     Frame f;
     for (;;) {
-      const FrameDecoder::Status s = c->decoder.next(f);
+      // One id per decoded frame, installed before any span opens: ScopedSpan
+      // stamps the thread's trace context at destruction, so net/decode,
+      // every span below — and every executor/pool span that adopts the id
+      // through Job and ThreadPool — lands in the same per-request
+      // Chrome-trace lane.
+      obs::ScopedTraceContext trace_ctx{next_request_id};
+      FrameDecoder::Status s;
+      {
+        // Header check, body copy and checksum; a probe that finds no whole
+        // frame records nothing.
+        obs::ScopedSpan decode{"net/decode"};
+        s = c->decoder.next(f);
+        if (s == FrameDecoder::Status::kNeedMore) decode.cancel();
+      }
+      if (s == FrameDecoder::Status::kNeedMore) return true;
+      const std::uint64_t rid = next_request_id++;
       switch (s) {
-        case FrameDecoder::Status::kNeedMore:
+        case FrameDecoder::Status::kNeedMore:  // returned above
           return true;
         case FrameDecoder::Status::kFrame:
-          handle_request(c, f);
+          handle_request(c, f, rid);
           break;
         case FrameDecoder::Status::kBadChecksum:
           send_error(c, f.seq, ErrorCode::kBadChecksum, "frame checksum mismatch");
@@ -577,14 +592,9 @@ struct Server::Impl {
            v <= static_cast<std::uint32_t>(MsgType::kStats);
   }
 
-  void handle_request(Conn* c, const Frame& f) {
-    // One id per accepted frame, installed before any span opens: ScopedSpan
-    // stamps the thread's trace context at destruction, so every span below
-    // — and every executor/pool span that adopts the id through Job and
-    // ThreadPool — lands in the same per-request Chrome-trace lane.
-    const std::uint64_t rid = next_request_id++;
+  /// Runs inside pump_frames' trace context for `rid`.
+  void handle_request(Conn* c, const Frame& f, std::uint64_t rid) {
     const std::uint64_t t0 = obs::now_ns();
-    obs::ScopedTraceContext trace_ctx{rid};
     REALM_TRACE_SCOPE("net/request");
     if (!is_request_type(f.type)) {
       send_error(c, f.seq, ErrorCode::kUnknownType, "not a request type");
@@ -875,7 +885,7 @@ struct Server::Impl {
       std::string reply;
       bool error = false;
       try {
-        reply = encode_frame(MsgType::kReplyOk, job.rq.seq, compute_body(job.rq));
+        reply = reply_frame(job.rq);
       } catch (const std::invalid_argument& e) {
         obs::counter_add(obs::Counter::kNetFrameErrors, 1);
         st.frame_errors.fetch_add(1, std::memory_order_relaxed);
@@ -915,20 +925,32 @@ struct Server::Impl {
     return model;
   }
 
-  /// The reply body for a dispatched request.  Cacheable kinds run through
-  /// the campaign runner (compute + durable put on miss), so the body is
-  /// always exactly the stored payload.
+  /// The kReplyOk frame for a dispatched request: compute, then the
+  /// net/encode stage (the body text that is not a stored payload, and the
+  /// framing with its checksum).
+  [[nodiscard]] std::string reply_frame(const Request& rq) {
+    if (rq.type == MsgType::kMultiplyBatch) {
+      const auto model = model_for(rq.spec, rq.n);
+      std::vector<std::uint64_t> out(rq.a.size());
+      model->multiply_batch(rq.a.data(), rq.b.data(), out.data(), out.size());
+      REALM_TRACE_SCOPE("net/encode");
+      // The PayloadWriter body `out=<list>\n`, with the list written once.
+      std::string body{"out="};
+      append_u64_list(body, out);
+      body += '\n';
+      return encode_frame(MsgType::kReplyOk, rq.seq, body);
+    }
+    const std::string body = compute_body(rq);
+    REALM_TRACE_SCOPE("net/encode");
+    return encode_frame(MsgType::kReplyOk, rq.seq, body);
+  }
+
+  /// The reply body for a dispatched request other than multiply_batch.
+  /// Cacheable kinds run through the campaign runner (compute + durable put
+  /// on miss), so the body is always exactly the stored payload.
   [[nodiscard]] std::string compute_body(const Request& rq) {
     campaign::CampaignRunner* runner = opts.campaign;
     switch (rq.type) {
-      case MsgType::kMultiplyBatch: {
-        const auto model = model_for(rq.spec, rq.n);
-        std::vector<std::uint64_t> out(rq.a.size());
-        model->multiply_batch(rq.a.data(), rq.b.data(), out.data(), out.size());
-        return campaign::PayloadWriter{}
-            .field_str("out", encode_u64_list(out))
-            .str();
-      }
       case MsgType::kCharacterizeMc: {
         err::MonteCarloOptions opts_mc;
         opts_mc.samples = rq.samples;

@@ -31,6 +31,7 @@
 #include "realm/multipliers/registry.hpp"
 #include "realm/net/client.hpp"
 #include "realm/net/server.hpp"
+#include "realm/numeric/rng.hpp"
 #include "realm/obs/counters.hpp"
 #include "realm/obs/slo_window.hpp"
 #include "realm/obs/trace.hpp"
@@ -263,6 +264,101 @@ TEST(NetProtocol, ListCodecsRoundTrip) {
   EXPECT_THROW((void)net::parse_double_list("1.0,,2.0"), std::runtime_error);
 }
 
+TEST(NetProtocol, FrameBytesFollowTheV1Layout) {
+  // Built field by field from the header comment in protocol.hpp, with the
+  // checksum taken over one concatenated string.
+  const auto le = [](std::uint64_t v, int bytes) {
+    std::string out;
+    for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return out;
+  };
+  const std::string body = "out=" + net::encode_u64_list({1, 22, 333}) + "\n";
+  const std::uint64_t seq = 0x0123456789abcdefULL;
+  const std::string lengths = le(static_cast<std::uint32_t>(MsgType::kReplyOk), 4) +
+                              le(seq, 8) + le(body.size(), 4);
+  const std::string expected = le(net::kFrameMagic, 4) + lengths +
+                               le(campaign::fnv1a64(lengths + body), 8) + body;
+  EXPECT_EQ(net::encode_frame(MsgType::kReplyOk, seq, body), expected);
+}
+
+TEST(NetProtocol, U64ListRejectsNonCanonicalElements) {
+  using namespace std::string_literals;
+  const std::vector<std::string> bad = {
+      "5\0junk"s,                // embedded NUL
+      " 5", "\t5", "1, 2",      // whitespace
+      "+5", "-5", " -5",         // signs (" -5" once wrapped to 2^64-5)
+      "1,", ",1", "1,,2", ",",   // empty elements
+      "5 ", "0x10", "1;2",       // trailing junk, hex, foreign separator
+      "18446744073709551616",    // 2^64
+      "99999999999999999999",    // 20 digits above 2^64-1
+      "000000000000000000001",   // 21 digits
+      "1,18446744073709551616",  // overflow after a good element
+  };
+  for (const std::string& s : bad) {
+    EXPECT_THROW((void)net::parse_u64_list(s), std::runtime_error)
+        << "accepted '" << s << "' (" << s.size() << " bytes)";
+  }
+  EXPECT_EQ(net::parse_u64_list("18446744073709551615"),
+            std::vector<std::uint64_t>{~std::uint64_t{0}});
+  EXPECT_EQ(net::parse_u64_list("00000000000000000007,0"),
+            (std::vector<std::uint64_t>{7, 0}));
+  EXPECT_TRUE(net::parse_u64_list("").empty());
+}
+
+namespace {
+
+/// The reference encoding: "%llu" per element, comma-joined.
+[[nodiscard]] std::string printf_u64_list(const std::vector<std::uint64_t>& v) {
+  std::string out;
+  char buf[24];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v[i]));
+    out += buf;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(NetProtocol, U64ListEncodeMatchesPrintfOracle) {
+  std::vector<std::vector<std::uint64_t>> lists = {{}, {0}};
+  // Every digit-count boundary: 10^k - 1 and 10^k, up to 10^19, and 2^64-1.
+  std::vector<std::uint64_t> bounds = {0};
+  std::uint64_t p = 1;
+  for (int k = 1; k <= 19; ++k) {
+    p *= 10;
+    bounds.push_back(p - 1);
+    bounds.push_back(p);
+  }
+  bounds.push_back(~std::uint64_t{0});
+  lists.push_back(bounds);
+  // Seeded splitmix64 lists of every length up to 64, each value shifted
+  // so all digit counts appear, and one 4096-element request-sized list.
+  for (std::uint64_t len = 1; len <= 64; ++len) {
+    std::vector<std::uint64_t> v(len);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      v[i] = num::splitmix64_at(len, i) >> (i % 64);
+    }
+    lists.push_back(std::move(v));
+  }
+  std::vector<std::uint64_t> big(4096);
+  for (std::uint64_t i = 0; i < big.size(); ++i) {
+    big[i] = num::splitmix64_at(4096, i) & 0xffffffffu;
+  }
+  lists.push_back(std::move(big));
+
+  for (const auto& v : lists) {
+    const std::string encoded = net::encode_u64_list(v);
+    ASSERT_EQ(encoded, printf_u64_list(v)) << v.size() << " elements";
+    EXPECT_EQ(net::parse_u64_list(encoded), v) << v.size() << " elements";
+    // Appending writes the same bytes after whatever the string held.
+    std::string appended = "out=";
+    net::append_u64_list(appended, v);
+    EXPECT_EQ(appended, "out=" + encoded);
+  }
+}
+
 // -- end-to-end server ------------------------------------------------------
 
 TEST(NetServer, PingOverTcp) {
@@ -365,6 +461,24 @@ TEST(NetServer, ExhaustiveAndSijAndSynthesis) {
   EXPECT_GT(s.area_um2, 0.0);
   EXPECT_GT(s.power_uw, 0.0);
   EXPECT_GT(s.delay_ps, 0.0);
+}
+
+TEST(NetServer, MultiplyBatchRejectsNonCanonicalOperands) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  const std::string body = campaign::PayloadWriter{}
+                               .field_str("spec", "realm:m=16,t=4")
+                               .field("n", std::int64_t{16})
+                               .field_str("a", " 5")
+                               .field_str("b", "5")
+                               .str();
+  Frame r = c.call(MsgType::kMultiplyBatch, 1, body);
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  // The same request in canonical form is served on the same connection.
+  r = c.call(MsgType::kMultiplyBatch, 2, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
+  EXPECT_EQ(r.type, MsgType::kReplyOk);
 }
 
 TEST(NetServer, TypedErrorsKeepTheConnection) {
@@ -773,6 +887,9 @@ TEST(NetServer, RequestIdRidesTraceSpansAcrossThreads) {
     const Frame r = c.call(MsgType::kCharacterizeMc, 1,
                            mc_body("realm:m=16,t=0", 16, 4096, 42), 60000);
     ASSERT_EQ(r.type, MsgType::kReplyOk);
+    const Frame m = c.call(MsgType::kMultiplyBatch, 2,
+                           multiply_body("realm:m=16,t=0", 16, {3, 4}, {5, 6}), 60000);
+    ASSERT_EQ(m.type, MsgType::kReplyOk);
     ts.stop();  // flush completions so net/reply spans are recorded
   }
   obs::set_tracing(false);
@@ -793,4 +910,21 @@ TEST(NetServer, RequestIdRidesTraceSpansAcrossThreads) {
   }
   EXPECT_TRUE(shared) << "no net/job span shares a rid with a net/request span";
   EXPECT_NE(job_rids.front(), 0u);
+
+  // Decode and encode are stages of their own in the same lane: one decode
+  // per request frame, one encode per executed request.
+  const auto decode_rids = rids_for_span(json, "net/decode");
+  const auto encode_rids = rids_for_span(json, "net/encode");
+  const auto has = [](const std::vector<std::uint64_t>& v, std::uint64_t rid) {
+    return std::find(v.begin(), v.end(), rid) != v.end();
+  };
+  ASSERT_EQ(decode_rids.size(), request_rids.size());
+  for (const std::uint64_t rid : request_rids) {
+    EXPECT_TRUE(has(decode_rids, rid)) << "no net/decode span for rid " << rid;
+  }
+  ASSERT_EQ(encode_rids.size(), job_rids.size());
+  for (const std::uint64_t rid : job_rids) {
+    EXPECT_TRUE(has(encode_rids, rid)) << "no net/encode span shares rid " << rid
+                                       << " with net/job";
+  }
 }
