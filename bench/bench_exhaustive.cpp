@@ -5,7 +5,7 @@
 //
 //   scalar   — one virtual multiply() per pair (the pre-engine baseline)
 //   generic  — operands materialized into blocks, multiply_batch (exactly
-//              the legacy exhaustive() inner loop)
+//              the inner loop of exhaustive_generic_reference)
 //   row      — multiply_row_range: fixed-operand work hoisted per row,
 //              constant-shift segments per power-of-two column interval
 //
@@ -219,6 +219,7 @@ int main(int argc, char** argv) {
   sink.meta("width", width);
   sink.meta("ladder_rows", n_rows);
   sink.meta("engine_range_hi", sq_hi);
+  sink.meta("threads", args.threads);
   sink.metric("scalar_pps", scalar_pps);
   sink.metric("generic_pps", generic_pps);
   sink.metric("row_pps", row_pps);

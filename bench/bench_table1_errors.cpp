@@ -155,6 +155,7 @@ int run_exact_mode(const bench::Args& args, const bench::Campaign& camp) {
   sink.meta("width", width);
   sink.meta("samples", opts.samples);
   sink.meta("designs_evaluated", evaluated);
+  sink.meta("threads", args.threads);
   camp.describe(sink);
   bench::write_outputs(args, sink, "bench_out/BENCH_table1_exact.json");
   return 0;

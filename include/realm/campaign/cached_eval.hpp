@@ -1,11 +1,15 @@
 // Campaign-memoized front ends for the expensive evaluation engines.
 //
-// Each wrapper pairs a canonical key builder with an exact (hex-float)
-// payload codec and funnels the computation through CampaignRunner::run_unit,
-// so Monte-Carlo error characterization, calibrated synthesis costs and
-// fault-campaign summaries all become resumable shard-granular work units.
-// Passing a null runner degrades every wrapper to the direct computation —
-// call sites stay oblivious to whether a store is attached.
+// Each request kind pairs a canonical key builder with an exact (hex-float)
+// payload codec and one *payload function* that funnels the computation
+// through CampaignRunner::run_unit, so Monte-Carlo error characterization,
+// exact sweeps, calibrated synthesis costs and fault-campaign summaries all
+// become resumable shard-granular work units.  A payload function returns
+// the stored bytes: replayed on a hit, computed and durably stored on a
+// miss, or computed directly when the runner is null — call sites stay
+// oblivious to whether a store is attached.  The serving layer replies with
+// those bytes verbatim; the cached_* front ends parse them, so a campaign
+// run, a served reply and a store replay all carry the same numbers.
 //
 // Keys deliberately exclude thread counts: every wrapped engine is
 // bit-identical for any parallelism (the seed-stability invariant), so a
@@ -48,38 +52,6 @@ inline constexpr const char* kFaultEngineVersion = "packed-v1";
 [[nodiscard]] std::string fault_key(const std::string& spec, int n, int vectors,
                                     std::uint64_t seed, std::size_t max_sites);
 
-// -- payload codecs (exact round-trip; parse throws on schema drift) --------
-
-[[nodiscard]] std::string serialize_error_metrics(const err::ErrorMetrics& m);
-[[nodiscard]] err::ErrorMetrics parse_error_metrics(const std::string& payload);
-[[nodiscard]] std::string serialize_exhaustive_report(const err::ExhaustiveReport& r);
-[[nodiscard]] err::ExhaustiveReport parse_exhaustive_report(const std::string& payload);
-struct SynthesisResult;
-[[nodiscard]] std::string serialize_synthesis(const SynthesisResult& s);
-[[nodiscard]] SynthesisResult parse_synthesis(const std::string& payload);
-
-// -- memoized front ends ----------------------------------------------------
-
-/// err::monte_carlo through the campaign store.  `spec`/`n` must be the
-/// provenance of `design` — they form the key; the engine never checks.
-[[nodiscard]] err::ErrorMetrics cached_monte_carlo(CampaignRunner* runner,
-                                                   const Multiplier& design,
-                                                   const std::string& spec, int n,
-                                                   const err::MonteCarloOptions& opts);
-
-/// err::exhaustive_report through the campaign store.  Exact results are
-/// ideal memoization targets: the key is just (engine version, spec, n,
-/// range) — no seed, no sample budget — and a stored unit resumes a full
-/// 2^32 sweep in one journal read.  `threads` never enters the key (the
-/// tiled engine is thread-count invariant); histograms are not stored, so
-/// pass hist only through the direct path (runner == nullptr).
-[[nodiscard]] err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
-                                                      const Multiplier& design,
-                                                      const std::string& spec, int n,
-                                                      std::uint64_t lo,
-                                                      std::uint64_t hi,
-                                                      int threads = 0);
-
 /// One design's calibrated synthesis record: the Table I design-metric
 /// columns plus critical-path delay.
 struct SynthesisResult {
@@ -90,9 +62,58 @@ struct SynthesisResult {
   double delay_ps = 0.0;
 };
 
-/// Calibrated cost + timing through the campaign store.  `model` is invoked
-/// lazily, only when a unit actually misses — a fully warm sweep never pays
-/// the CostModel's accurate-reference calibration.
+// -- payload codecs (exact round-trip; parse throws on schema drift) --------
+
+[[nodiscard]] std::string serialize_error_metrics(const err::ErrorMetrics& m);
+[[nodiscard]] err::ErrorMetrics parse_error_metrics(const std::string& payload);
+[[nodiscard]] std::string serialize_exhaustive_report(const err::ExhaustiveReport& r);
+[[nodiscard]] err::ExhaustiveReport parse_exhaustive_report(const std::string& payload);
+[[nodiscard]] std::string serialize_synthesis(const SynthesisResult& s);
+[[nodiscard]] SynthesisResult parse_synthesis(const std::string& payload);
+
+// -- stored payloads ---------------------------------------------------------
+
+/// The stored err::monte_carlo payload.  `spec`/`n` must be the provenance
+/// of `design` — they form the key; the engine never checks.
+[[nodiscard]] std::string monte_carlo_payload(CampaignRunner* runner,
+                                              const Multiplier& design,
+                                              const std::string& spec, int n,
+                                              const err::MonteCarloOptions& opts);
+
+/// The stored err::exhaustive_report payload.  Exact results are ideal
+/// memoization targets: the key is just (engine version, spec, n, range) —
+/// no seed, no sample budget — and a stored unit resumes a full 2^32 sweep
+/// in one journal read.  `threads` never enters the key (the tiled engine
+/// is thread-count invariant); histograms are not stored.
+[[nodiscard]] std::string exhaustive_payload(CampaignRunner* runner,
+                                             const Multiplier& design,
+                                             const std::string& spec, int n,
+                                             std::uint64_t lo, std::uint64_t hi,
+                                             int threads = 0);
+
+/// The stored calibrated cost + timing payload.  `model` is invoked lazily,
+/// only when a unit actually misses — a fully warm sweep never pays the
+/// CostModel's accurate-reference calibration; an empty `model` builds a
+/// fresh CostModel{n, profile} for the one unit.
+[[nodiscard]] std::string synthesis_payload(
+    CampaignRunner* runner, const std::string& spec, int n,
+    const hw::StimulusProfile& profile,
+    const std::function<hw::CostModel&()>& model = {});
+
+// -- memoized front ends (parse the stored payload) -------------------------
+
+[[nodiscard]] err::ErrorMetrics cached_monte_carlo(CampaignRunner* runner,
+                                                   const Multiplier& design,
+                                                   const std::string& spec, int n,
+                                                   const err::MonteCarloOptions& opts);
+
+[[nodiscard]] err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
+                                                      const Multiplier& design,
+                                                      const std::string& spec, int n,
+                                                      std::uint64_t lo,
+                                                      std::uint64_t hi,
+                                                      int threads = 0);
+
 [[nodiscard]] SynthesisResult cached_synthesis(
     CampaignRunner* runner, const std::string& spec, int n,
     const hw::StimulusProfile& profile,

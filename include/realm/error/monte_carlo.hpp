@@ -22,8 +22,9 @@
 //      executed by long-lived workers instead of freshly spawned threads;
 //   4. fixed sharding — work is split into shards whose count, seeds
 //      (splitmix64 over the user seed, in shard order) and sample counts
-//      depend only on the workload, never on the thread count.  Shard
-//      results are merged in shard order.
+//      depend only on the workload, never on the thread count.  One shard
+//      driver runs every engine's grid and merges shard results in shard
+//      order, and one block reduction serves every engine.
 //
 // Mechanism 4 is the engines' *seed-stability invariant*: a run is
 // bit-identical for threads = 1, 2, or hardware_concurrency, so error tables
@@ -113,7 +114,15 @@ struct ExhaustiveReport {
 /// the full width() range), on the tiled fixed-operand engine: each row holds
 /// `a` constant and runs Multiplier::multiply_row_range over L2-resident
 /// column blocks, so per-row work (the fixed operand's LOD, log fraction and
-/// LUT segment row) is hoisted out of the inner loop.
+/// LUT segment row) is hoisted out of the inner loop.  Callers that need only
+/// the metrics read `.metrics`.
+///
+/// The report carries integer-exact peak witnesses — the first pair in
+/// (a, b) scan order realizing each peak, found by a block-level rescan only
+/// when a block beats the running peak, so the common path stays
+/// vectorized — and a non-null `hist` is filled with the exact error
+/// histogram (percent units, per-shard private histograms merged in shard
+/// order).
 ///
 /// Cost is exactly (hi - lo + 1)² products: the full 16-bit space is 2^32
 /// pairs (seconds per design on the row-hoisted kernels), the full 2N-bit
@@ -123,16 +132,6 @@ struct ExhaustiveReport {
 /// Validation: throws std::invalid_argument unless lo <= hi and
 /// hi < 2^width().  Deterministic for any thread count: the shard grid
 /// depends only on the input range and shards merge in shard order.
-[[nodiscard]] ErrorMetrics exhaustive(const Multiplier& design,
-                                      std::optional<std::uint64_t> lo = {},
-                                      std::optional<std::uint64_t> hi = {},
-                                      int threads = 0);
-
-/// exhaustive() with the full report: peak witnesses tracked integer-exactly
-/// (block-level rescan only when a block beats the running peak, so the
-/// common path stays vectorized) and an optional exact error histogram
-/// (percent units, per-shard private histograms merged in shard order).
-/// Same validation, determinism contract and cost formula as exhaustive().
 [[nodiscard]] ExhaustiveReport exhaustive_report(const Multiplier& design,
                                                  Histogram* hist = nullptr,
                                                  std::optional<std::uint64_t> lo = {},
@@ -147,14 +146,13 @@ struct ExhaustiveReport {
 [[nodiscard]] ErrorMetrics monte_carlo_scalar_reference(const Multiplier& design,
                                                         const MonteCarloOptions& opts);
 
-/// The previous exhaustive() implementation kept verbatim: same shard grid
-/// and fold order, but each block materializes the broadcast fixed operand
-/// and the column iota into operand buffers and runs the generic
-/// multiply_batch kernel.  The tiled engine (exhaustive_report) must match
-/// it bit-for-bit — reduce_row_block performs the identical IEEE operations
-/// on the identical values in the identical order, only without the operand
-/// stores/loads — which the tests assert; benches report the row-hoisted
-/// speedup against it.
+/// The pre-tiling exhaustive engine: the same shard grid and fold order,
+/// but each block materializes the broadcast fixed operand and the column
+/// iota into operand buffers and runs the generic multiply_batch kernel.
+/// The tiled engine (exhaustive_report) must match it bit-for-bit — both run
+/// the one block reduction, which sees the identical doubles whether the
+/// operands come from buffers or from the row and the column index — which
+/// the tests assert; benches report the row-hoisted speedup against it.
 [[nodiscard]] ErrorMetrics exhaustive_generic_reference(
     const Multiplier& design, std::optional<std::uint64_t> lo = {},
     std::optional<std::uint64_t> hi = {}, int threads = 0);

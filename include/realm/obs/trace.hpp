@@ -40,7 +40,7 @@ namespace realm::obs {
 namespace detail {
 
 extern std::atomic<bool> g_trace_enabled;
-extern thread_local std::uint64_t g_trace_rid;
+extern constinit thread_local std::uint64_t g_trace_rid;
 
 /// Appends one finished span to the calling thread's ring buffer.
 void record_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns);

@@ -122,35 +122,6 @@ err::ExhaustiveReport parse_exhaustive_report(const std::string& payload) {
   return r;
 }
 
-err::ErrorMetrics cached_monte_carlo(CampaignRunner* runner, const Multiplier& design,
-                                     const std::string& spec, int n,
-                                     const err::MonteCarloOptions& opts) {
-  if (runner == nullptr) return err::monte_carlo(design, opts);
-  const std::string payload =
-      runner->run_unit(monte_carlo_key(spec, n, opts), [&] {
-        return serialize_error_metrics(err::monte_carlo(design, opts));
-      });
-  // Both paths (fresh and resumed) decode the stored payload, so a campaign
-  // run's numbers are the store's numbers by construction.
-  return parse_error_metrics(payload);
-}
-
-err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
-                                        const Multiplier& design,
-                                        const std::string& spec, int n,
-                                        std::uint64_t lo, std::uint64_t hi,
-                                        int threads) {
-  if (runner == nullptr) {
-    return err::exhaustive_report(design, nullptr, lo, hi, threads);
-  }
-  const std::string payload =
-      runner->run_unit(exhaustive_key(spec, n, lo, hi), [&] {
-        return serialize_exhaustive_report(
-            err::exhaustive_report(design, nullptr, lo, hi, threads));
-      });
-  return parse_exhaustive_report(payload);
-}
-
 // Public since the serving layer: the net warm path answers synthesis
 // requests with the stored payload verbatim, so the codec is part of the
 // wire contract, not a private detail.
@@ -176,6 +147,16 @@ err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
 }
 
 namespace {
+
+// The one place a missing store degrades to the direct computation.  With a
+// runner, the unit is replayed on a hit or computed and durably stored on a
+// miss; without one, `compute` just runs.  Either way the caller gets payload
+// bytes, so every front end reports the store's numbers by construction.
+[[nodiscard]] std::string stored_payload(CampaignRunner* runner, const std::string& key,
+                                         const std::function<std::string()>& compute) {
+  if (runner == nullptr) return compute();
+  return runner->run_unit(key, compute);
+}
 
 [[nodiscard]] SynthesisResult compute_synthesis(hw::CostModel& cm,
                                                 const std::string& spec, int n) {
@@ -227,27 +208,61 @@ namespace {
 
 }  // namespace
 
+std::string monte_carlo_payload(CampaignRunner* runner, const Multiplier& design,
+                                const std::string& spec, int n,
+                                const err::MonteCarloOptions& opts) {
+  return stored_payload(runner, monte_carlo_key(spec, n, opts), [&] {
+    return serialize_error_metrics(err::monte_carlo(design, opts));
+  });
+}
+
+std::string exhaustive_payload(CampaignRunner* runner, const Multiplier& design,
+                               const std::string& spec, int n, std::uint64_t lo,
+                               std::uint64_t hi, int threads) {
+  return stored_payload(runner, exhaustive_key(spec, n, lo, hi), [&] {
+    return serialize_exhaustive_report(
+        err::exhaustive_report(design, nullptr, lo, hi, threads));
+  });
+}
+
+std::string synthesis_payload(CampaignRunner* runner, const std::string& spec, int n,
+                              const hw::StimulusProfile& profile,
+                              const std::function<hw::CostModel&()>& model) {
+  return stored_payload(runner, synthesis_key(spec, n, profile), [&] {
+    if (model) return serialize_synthesis(compute_synthesis(model(), spec, n));
+    hw::CostModel cm{n, profile};
+    return serialize_synthesis(compute_synthesis(cm, spec, n));
+  });
+}
+
+err::ErrorMetrics cached_monte_carlo(CampaignRunner* runner, const Multiplier& design,
+                                     const std::string& spec, int n,
+                                     const err::MonteCarloOptions& opts) {
+  return parse_error_metrics(monte_carlo_payload(runner, design, spec, n, opts));
+}
+
+err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
+                                        const Multiplier& design,
+                                        const std::string& spec, int n,
+                                        std::uint64_t lo, std::uint64_t hi,
+                                        int threads) {
+  return parse_exhaustive_report(
+      exhaustive_payload(runner, design, spec, n, lo, hi, threads));
+}
+
 SynthesisResult cached_synthesis(CampaignRunner* runner, const std::string& spec,
                                  int n, const hw::StimulusProfile& profile,
                                  const std::function<hw::CostModel&()>& model) {
-  if (runner == nullptr) return compute_synthesis(model(), spec, n);
-  const std::string payload =
-      runner->run_unit(synthesis_key(spec, n, profile),
-                       [&] { return serialize_synthesis(compute_synthesis(model(), spec, n)); });
-  return parse_synthesis(payload);
+  return parse_synthesis(synthesis_payload(runner, spec, n, profile, model));
 }
 
 FaultSummary cached_fault_impact(CampaignRunner* runner, const std::string& spec,
                                  int n, int vectors, std::uint64_t seed,
                                  std::size_t max_sites, int threads) {
-  if (runner == nullptr) {
-    return compute_faults(spec, n, vectors, seed, max_sites, threads);
-  }
-  const std::string payload =
-      runner->run_unit(fault_key(spec, n, vectors, seed, max_sites), [&] {
+  return parse_faults(
+      stored_payload(runner, fault_key(spec, n, vectors, seed, max_sites), [&] {
         return serialize_faults(compute_faults(spec, n, vectors, seed, max_sites, threads));
-      });
-  return parse_faults(payload);
+      }));
 }
 
 }  // namespace realm::campaign

@@ -76,6 +76,36 @@ typedef double Vd __attribute__((vector_size(64), aligned(8)));
 typedef std::uint64_t Vu __attribute__((vector_size(64), aligned(8)));
 constexpr std::size_t kLanes = sizeof(Vd) / sizeof(double);
 
+// Operand sources of reduce_block.  Both hand the reduction the same doubles
+// for the same pair — the broadcast of a fixed row and the column iota convert
+// to exactly what materialized buffers holding them would load — so the one
+// reduction makes the tiled exhaustive engine bit-identical to the generic
+// batched reference, and the row source simply never stores or re-loads its
+// operands.  Vector operands come back through out-parameters: a 64-byte Vd
+// return value would change the ABI between ISA clones (-Wpsabi).
+struct BufferOperands {  // pair i is (a[i], b[i])
+  const std::uint64_t* a;
+  const std::uint64_t* b;
+  [[gnu::always_inline]] void load(std::size_t i, Vd& ad, Vd& bd) const {
+    ad = __builtin_convertvector(*reinterpret_cast<const Vu*>(a + i), Vd);
+    bd = __builtin_convertvector(*reinterpret_cast<const Vu*>(b + i), Vd);
+  }
+  [[nodiscard]] std::uint64_t a_at(std::size_t i) const { return a[i]; }
+  [[nodiscard]] std::uint64_t b_at(std::size_t i) const { return b[i]; }
+};
+
+struct RowOperands {  // pair i is (a, b0 + i)
+  std::uint64_t a;
+  std::uint64_t b0;
+  [[gnu::always_inline]] void load(std::size_t i, Vd& ad, Vd& bd) const {
+    const Vu iota = {0, 1, 2, 3, 4, 5, 6, 7};
+    ad = Vd{} + static_cast<double>(a);
+    bd = __builtin_convertvector((Vu{} + (b0 + i)) + iota, Vd);
+  }
+  [[nodiscard]] std::uint64_t a_at(std::size_t) const { return a; }
+  [[nodiscard]] std::uint64_t b_at(std::size_t i) const { return b0 + i; }
+};
+
 // Reduces a block of products to BlockStats and writes the per-pair relative
 // errors to e[] (0 for skipped zero pairs) for the histogram pass.  Zero
 // pairs are skipped exactly as in the scalar reference: the max() divisor
@@ -84,11 +114,10 @@ constexpr std::size_t kLanes = sizeof(Vd) / sizeof(double);
 // is nonzero for a zero operand (e.g. TRUNC's correction constant); min/max
 // and the count blend the pair away.  Lanes fold in fixed order and the tail
 // runs the same formulas in scalar, so the result is deterministic.
-REALM_MULTIVERSION
-BlockStats reduce_block(const std::uint64_t* __restrict a,
-                        const std::uint64_t* __restrict b,
-                        const std::uint64_t* __restrict p, double* __restrict e,
-                        std::size_t n) {
+template <class Operands>
+REALM_MULTIVERSION BlockStats reduce_block(const Operands ops,
+                                           const std::uint64_t* __restrict p,
+                                           double* __restrict e, std::size_t n) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const Vd vzero = Vd{};
   const Vd vone = vzero + 1.0;
@@ -102,8 +131,8 @@ BlockStats reduce_block(const std::uint64_t* __restrict a,
     // scalar extract sequences on GCC 12, FP compares to vcmppd + blends.
     // A pair is valid iff exact > 0 (operands are < 2^31, so the product
     // converts without losing the zero/nonzero distinction).
-    const Vd ad = __builtin_convertvector(*reinterpret_cast<const Vu*>(a + i), Vd);
-    const Vd bd = __builtin_convertvector(*reinterpret_cast<const Vu*>(b + i), Vd);
+    Vd ad{}, bd{};
+    ops.load(i, ad, bd);
     const Vd pd = __builtin_convertvector(*reinterpret_cast<const Vu*>(p + i), Vd);
     const Vd exact = ad * bd;
     const Vd divisor = exact > vone ? exact : vone;  // 1.0 only for zero pairs
@@ -132,7 +161,8 @@ BlockStats reduce_block(const std::uint64_t* __restrict a,
     cnt += vcnt[l];
   }
   for (std::size_t i = main_n; i < n; ++i) {
-    const double exact = static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    const double exact =
+        static_cast<double>(ops.a_at(i)) * static_cast<double>(ops.b_at(i));
     const double eraw = (static_cast<double>(p[i]) - exact) / std::max(exact, 1.0);
     const double ev = exact > 0.0 ? eraw : 0.0;
     e[i] = ev;
@@ -159,85 +189,134 @@ ErrorAccumulator stats_to_acc(const BlockStats& s) noexcept {
                                         s.abs_sum, s.min, s.max);
 }
 
-// Reduces a fixed-operand block — products of (a, b0 + i) for i in [0, n) —
-// to BlockStats.  Performs the *identical* IEEE operations on the identical
-// values in the identical order as reduce_block would on materialized
-// operand buffers (the broadcast of a and the column iota convert to the
-// same doubles), so the tiled exhaustive engine is bit-identical to the
-// generic-batched reference; the operands are simply never stored or
-// re-loaded.
-REALM_MULTIVERSION
-BlockStats reduce_row_block(std::uint64_t a, std::uint64_t b0,
-                            const std::uint64_t* __restrict p,
-                            double* __restrict e, std::size_t n) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Vd vzero = Vd{};
-  const Vd vone = vzero + 1.0;
-  const Vd vinf = vzero + kInf;
-  const Vd ad = vzero + static_cast<double>(a);
-  const Vu iota = {0, 1, 2, 3, 4, 5, 6, 7};
-  Vd vsum{}, vsumsq{}, vabs{}, vcnt{};
-  Vd vmn = vinf, vmx = -vinf;
+// Working peaks of a block, a shard or a whole sweep.  Errors are kept as
+// fractions (not percent) so peak comparisons use the exact values
+// reduce_block produced; conversion to percent happens once in the final
+// report.  The ±inf sentinels lose every comparison, so an empty block or
+// shard merges as a no-op.
+struct Peaks {
+  PeakWitness min{0, 0, 0, std::numeric_limits<double>::infinity(), false};
+  PeakWitness max{0, 0, 0, -std::numeric_limits<double>::infinity(), false};
+};
 
-  const std::size_t main_n = n - n % kLanes;
-  for (std::size_t i = 0; i < main_n; i += kLanes) {
-    const Vu bu = (Vu{} + (b0 + i)) + iota;
-    const Vd bd = __builtin_convertvector(bu, Vd);
-    const Vd pd = __builtin_convertvector(*reinterpret_cast<const Vu*>(p + i), Vd);
-    const Vd exact = ad * bd;
-    const Vd divisor = exact > vone ? exact : vone;
-    const Vd eraw = (pd - exact) / divisor;
-    const Vd validm = exact > vzero ? vone : vzero;
-    const Vd ev = eraw * validm;
-    *reinterpret_cast<Vd*>(e + i) = ev;
-    vsum += ev;
-    vsumsq += ev * ev;
-    vabs += reinterpret_cast<Vd>(reinterpret_cast<Vu>(ev) & 0x7fffffffffffffffULL);
-    const Vd cmin = exact > vzero ? ev : vinf;
-    const Vd cmax = exact > vzero ? ev : -vinf;
-    vmn = vmn < cmin ? vmn : cmin;
-    vmx = vmx > cmax ? vmx : cmax;
-    vcnt += validm;
-  }
+struct PeaksWon {
+  bool min = false;
+  bool max = false;
+};
 
-  BlockStats s;
-  double cnt = 0.0;
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    s.sum += vsum[l];
-    s.sumsq += vsumsq[l];
-    s.abs_sum += vabs[l];
-    s.min = std::min(s.min, vmn[l]);
-    s.max = std::max(s.max, vmx[l]);
-    cnt += vcnt[l];
+// The one peak merge, used for blocks into their shard and for shards into
+// the sweep, both in scan order.  Comparisons are strict, so a tie keeps the
+// peak already held: the witness is the first pair in (a, b) scan order.
+PeaksWon merge_peaks(Peaks& into, const Peaks& from) {
+  PeaksWon won;
+  if (from.min.error < into.min.error) {
+    into.min = from.min;
+    won.min = true;
   }
-  for (std::size_t i = main_n; i < n; ++i) {
-    const double exact = static_cast<double>(a) * static_cast<double>(b0 + i);
-    const double eraw =
-        (static_cast<double>(p[i]) - exact) / std::max(exact, 1.0);
-    const double ev = exact > 0.0 ? eraw : 0.0;
-    e[i] = ev;
-    s.sum += ev;
-    s.sumsq += ev * ev;
-    s.abs_sum += std::fabs(ev);
-    if (exact > 0.0) {
-      s.min = std::min(s.min, ev);
-      s.max = std::max(s.max, ev);
-      cnt += 1.0;
+  if (from.max.error > into.max.error) {
+    into.max = from.max;
+    won.max = true;
+  }
+  return won;
+}
+
+// Fills in the operands of a block peak that just won: the first column of
+// the block whose error equals w.error.  Runs only when a block beats the
+// shard's running peak, so the scan is rare and the common path stays
+// vectorized; "first in scan order" makes the witness deterministic.  The
+// b != 0 guard keeps a zero pair's forced e = 0 from matching a genuine 0.0
+// peak (e.g. the accurate design's max).
+void locate_peak(std::uint64_t a, std::uint64_t b0, const std::uint64_t* p,
+                 const double* e, std::size_t n, PeakWitness& w) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (b0 + i != 0 && e[i] == w.error) {
+      w.a = a;
+      w.b = b0 + i;
+      w.product = p[i];
+      return;
     }
   }
-  s.n = static_cast<std::uint64_t>(cnt);
-  return s;
+}
+
+// What every shard of every engine returns: its error moments and, for the
+// tiled exhaustive engine, its peak witnesses.
+struct ShardOut {
+  ErrorAccumulator acc;
+  Peaks peaks;
+};
+
+// Part `i` of an even split of `total` items into `parts`: the first
+// total % parts parts take one extra item.  Splits MC sample budgets and
+// exhaustive row ranges alike.
+struct Part {
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+};
+
+Part split_part(std::uint64_t total, std::uint64_t parts, std::uint64_t i) {
+  const std::uint64_t per = total / parts;
+  const std::uint64_t rem = total % parts;
+  return {i * per + std::min(i, rem), per + (i < rem ? 1 : 0)};
+}
+
+// The one shard driver: runs shard(si, shard_hist) for si in [0, shards) on
+// the shared pool, each shard with a private histogram when `hist` is
+// given, then merges moments, peaks and histograms in shard order under the
+// `merge_span` trace scope (none when null).  Seed-stability invariant: the
+// caller's shard grid is a fixed function of the workload, never of
+// `threads`, so the merged result is independent of how many threads run it.
+template <class Fn>
+ShardOut run_shards(std::uint64_t shards, int threads, Histogram* hist,
+                    const char* merge_span, const Fn& shard) {
+  std::vector<ShardOut> outs(shards);
+  std::vector<Histogram> shard_hists;
+  if (hist != nullptr) {
+    shard_hists.assign(static_cast<std::size_t>(shards),
+                       Histogram{hist->lo(), hist->hi(), hist->bins()});
+  }
+
+  num::ThreadPool::global().run(
+      static_cast<std::size_t>(shards), resolve_threads(threads),
+      [&](std::size_t si) {
+        outs[si] = shard(si, hist != nullptr ? &shard_hists[si] : nullptr);
+      });
+
+  const obs::ScopedSpan span{merge_span};
+  ShardOut total;
+  for (const auto& o : outs) {
+    total.acc.merge(o.acc);
+    merge_peaks(total.peaks, o.peaks);
+  }
+  if (hist != nullptr) {
+    for (const auto& h : shard_hists) hist->merge(h);
+  }
+  return total;
+}
+
+// The exhaustive shard grid over rows [a0, a1]: kExhaustiveShards row
+// blocks, capped by the row count — a function of the input range alone.
+// row_shard(r0, n_rows, hist) sweeps rows [r0, r0 + n_rows).
+template <class Fn>
+ShardOut run_row_shards(std::uint64_t a0, std::uint64_t a1, int threads,
+                        Histogram* hist, const Fn& row_shard) {
+  const std::uint64_t rows = a1 - a0 + 1;
+  const std::uint64_t shards = std::min<std::uint64_t>(rows, kExhaustiveShards);
+  return run_shards(shards, threads, hist, nullptr,
+                    [&](std::size_t si, Histogram* h) {
+                      const Part part = split_part(rows, shards, si);
+                      return row_shard(a0 + part.first, part.count, h);
+                    });
 }
 
 // One Monte-Carlo shard: generate → multiply_batch → reduce, kBatchPairs at
 // a time.  Everything depends only on (seed, samples), never on which worker
 // runs the shard.
-ErrorAccumulator run_mc_shard(const Multiplier& design, std::uint64_t samples,
-                              std::uint64_t seed, Histogram* hist) {
+ShardOut run_mc_shard(const Multiplier& design, std::uint64_t samples,
+                      std::uint64_t seed, Histogram* hist) {
   REALM_TRACE_SCOPE("mc/shard");
   const int shift = 64 - design.width();
   Scratch& buf = scratch();
-  ErrorAccumulator acc;
+  ShardOut out;
 
   std::uint64_t pair0 = 0;
   while (pair0 < samples) {
@@ -245,8 +324,8 @@ ErrorAccumulator run_mc_shard(const Multiplier& design, std::uint64_t samples,
         std::min<std::uint64_t>(samples - pair0, kBatchPairs));
     generate_block(seed, pair0, shift, buf.a.data(), buf.b.data(), block);
     design.multiply_batch(buf.a.data(), buf.b.data(), buf.p.data(), block);
-    acc.merge(stats_to_acc(
-        reduce_block(buf.a.data(), buf.b.data(), buf.p.data(), buf.e.data(), block)));
+    out.acc.merge(stats_to_acc(reduce_block(BufferOperands{buf.a.data(), buf.b.data()},
+                                            buf.p.data(), buf.e.data(), block)));
     if (hist != nullptr) {
       for (std::size_t i = 0; i < block; ++i) {
         if (buf.a[i] != 0 && buf.b[i] != 0) hist->add(100.0 * buf.e[i]);
@@ -256,55 +335,20 @@ ErrorAccumulator run_mc_shard(const Multiplier& design, std::uint64_t samples,
   }
   obs::counter_add(obs::Counter::kMcSamples, samples);
   obs::counter_add(obs::Counter::kMcShards, 1);
-  return acc;
+  return out;
 }
-
-// Working peak state of one exhaustive shard.  Errors are kept as fractions
-// (not percent) so peak comparisons use the exact values reduce_row_block
-// produced; conversion to percent happens once in the final report.
-struct ShardPeaks {
-  double min_frac = std::numeric_limits<double>::infinity();
-  double max_frac = -std::numeric_limits<double>::infinity();
-  std::uint64_t min_a = 0, min_b = 0, min_p = 0;
-  std::uint64_t max_a = 0, max_b = 0, max_p = 0;
-  bool valid = false;  // some pair with exact > 0 was seen
-};
-
-// Records the first column of the block whose error equals `target`.  Called
-// only when a block's min/max beats the shard's running peak, so the scan is
-// rare and the common path stays vectorized; "first in scan order" makes the
-// witness deterministic.  The b != 0 guard keeps a zero pair's forced e = 0
-// from matching a genuine 0.0 peak (e.g. the accurate design's max).
-void rescan_peak(std::uint64_t a, std::uint64_t b0, const std::uint64_t* p,
-                 const double* e, std::size_t n, double target,
-                 std::uint64_t& wa, std::uint64_t& wb, std::uint64_t& wp) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (b0 + i != 0 && e[i] == target) {
-      wa = a;
-      wb = b0 + i;
-      wp = p[i];
-      return;
-    }
-  }
-}
-
-struct ExhaustiveShardOut {
-  ErrorAccumulator acc;
-  ShardPeaks peaks;
-};
 
 // One exhaustive shard: rows [r0, r0 + n_rows) × columns [b_lo, b_hi], each
 // row through multiply_row_range in kBatchPairs-column tiles (one tile ≈
 // 64 KiB of product + error working set, L2-resident).  Fold order matches
 // exhaustive_generic_reference exactly: per row, column tiles in ascending
 // order, blocks merged as they complete.
-ExhaustiveShardOut run_exhaustive_shard(const Multiplier& design,
-                                        std::uint64_t r0, std::uint64_t n_rows,
-                                        std::uint64_t b_lo, std::uint64_t b_hi,
-                                        Histogram* hist) {
+ShardOut run_exhaustive_shard(const Multiplier& design, std::uint64_t r0,
+                              std::uint64_t n_rows, std::uint64_t b_lo,
+                              std::uint64_t b_hi, Histogram* hist) {
   REALM_TRACE_SCOPE("exhaustive/shard");
   Scratch& buf = scratch();
-  ExhaustiveShardOut out;
+  ShardOut out;
   std::uint64_t tiles = 0;
   for (std::uint64_t a = r0; a < r0 + n_rows; ++a) {
     std::uint64_t b = b_lo;
@@ -313,21 +357,14 @@ ExhaustiveShardOut run_exhaustive_shard(const Multiplier& design,
           std::min<std::uint64_t>(b_hi - b + 1, kBatchPairs));
       design.multiply_row_range(a, b, buf.p.data(), block);
       const BlockStats s =
-          reduce_row_block(a, b, buf.p.data(), buf.e.data(), block);
+          reduce_block(RowOperands{a, b}, buf.p.data(), buf.e.data(), block);
       out.acc.merge(stats_to_acc(s));
-      if (s.n != 0) {
-        if (s.min < out.peaks.min_frac) {
-          out.peaks.min_frac = s.min;
-          rescan_peak(a, b, buf.p.data(), buf.e.data(), block, s.min,
-                      out.peaks.min_a, out.peaks.min_b, out.peaks.min_p);
-        }
-        if (s.max > out.peaks.max_frac) {
-          out.peaks.max_frac = s.max;
-          rescan_peak(a, b, buf.p.data(), buf.e.data(), block, s.max,
-                      out.peaks.max_a, out.peaks.max_b, out.peaks.max_p);
-        }
-        out.peaks.valid = true;
-      }
+      // The block's peak values merge first; their operands are located
+      // only for a side the block won.
+      const PeaksWon won =
+          merge_peaks(out.peaks, {{0, 0, 0, s.min, true}, {0, 0, 0, s.max, true}});
+      if (won.min) locate_peak(a, b, buf.p.data(), buf.e.data(), block, out.peaks.min);
+      if (won.max) locate_peak(a, b, buf.p.data(), buf.e.data(), block, out.peaks.max);
       if (hist != nullptr) {
         for (std::size_t i = 0; i < block; ++i) {
           if (a != 0 && b + i != 0) hist->add(100.0 * buf.e[i]);
@@ -362,31 +399,13 @@ ErrorMetrics monte_carlo(const Multiplier& design, const MonteCarloOptions& opts
   std::vector<std::uint64_t> seeds(shards);
   for (auto& s : seeds) s = num::splitmix64(st);
 
-  const std::uint64_t per = opts.samples / shards;
-  const std::uint64_t rem = opts.samples % shards;
-
-  std::vector<ErrorAccumulator> accs(shards);
-  std::vector<Histogram> shard_hists;
-  if (hist != nullptr) {
-    shard_hists.assign(static_cast<std::size_t>(shards),
-                       Histogram{hist->lo(), hist->hi(), hist->bins()});
-  }
-
-  num::ThreadPool::global().run(
-      static_cast<std::size_t>(shards), resolve_threads(opts.threads),
-      [&](std::size_t si) {
-        const std::uint64_t n = per + (si < rem ? 1 : 0);
-        accs[si] = run_mc_shard(design, n, seeds[si],
-                                hist != nullptr ? &shard_hists[si] : nullptr);
-      });
-
-  REALM_TRACE_SCOPE("mc/merge");
-  ErrorAccumulator total;
-  for (const auto& acc : accs) total.merge(acc);
-  if (hist != nullptr) {
-    for (const auto& h : shard_hists) hist->merge(h);
-  }
-  return total.metrics();
+  return run_shards(shards, opts.threads, hist, "mc/merge",
+                    [&](std::size_t si, Histogram* h) {
+                      return run_mc_shard(design,
+                                          split_part(opts.samples, shards, si).count,
+                                          seeds[si], h);
+                    })
+      .acc.metrics();
 }
 
 ErrorMetrics exhaustive_generic_reference(const Multiplier& design,
@@ -396,51 +415,37 @@ ErrorMetrics exhaustive_generic_reference(const Multiplier& design,
   const std::uint64_t a0 = lo.value_or(0);
   const std::uint64_t a1 = hi.value_or(num::mask(design.width()));
   if (a1 < a0) return ErrorMetrics{};
-  const std::uint64_t rows = a1 - a0 + 1;
 
-  // Row-range sharding.  The shard grid depends only on the input range
-  // (never the thread count), and shards merge in row order, so the result
-  // is deterministic for any parallelism.
-  const std::uint64_t shards = std::min<std::uint64_t>(rows, kExhaustiveShards);
-  const std::uint64_t rows_per = rows / shards;
-  const std::uint64_t rows_rem = rows % shards;
-
-  std::vector<ErrorAccumulator> accs(shards);
-  num::ThreadPool::global().run(
-      static_cast<std::size_t>(shards), resolve_threads(threads),
-      [&](std::size_t si) {
-        // Shard si covers rows [r0, r0 + n_rows); the first rows_rem shards
-        // take one extra row.
-        const std::uint64_t r0 =
-            a0 + si * rows_per + std::min<std::uint64_t>(si, rows_rem);
-        const std::uint64_t n_rows = rows_per + (si < rows_rem ? 1 : 0);
-
-        REALM_TRACE_SCOPE("exhaustive/shard");
-        obs::counter_add(obs::Counter::kMcSamples, n_rows * (a1 - a0 + 1));
-        obs::counter_add(obs::Counter::kMcShards, 1);
-        Scratch& buf = scratch();
-        ErrorAccumulator acc;
-        for (std::uint64_t a = r0; a < r0 + n_rows; ++a) {
-          std::uint64_t b = a0;
-          while (b <= a1) {
-            const auto block = static_cast<std::size_t>(
-                std::min<std::uint64_t>(a1 - b + 1, kBatchPairs));
-            for (std::size_t i = 0; i < block; ++i) {
-              buf.a[i] = a;
-              buf.b[i] = b + i;
-            }
-            design.multiply_batch(buf.a.data(), buf.b.data(), buf.p.data(), block);
-            acc.merge(stats_to_acc(reduce_block(buf.a.data(), buf.b.data(),
-                                                buf.p.data(), buf.e.data(), block)));
-            b += block;
-          }
-        }
-        accs[si] = acc;
-      });
-
-  ErrorAccumulator total;
-  for (const auto& acc : accs) total.merge(acc);
-  return total.metrics();
+  // The tiled engine's shard grid and fold order; each block materializes
+  // the broadcast row and the column iota and runs the generic kernel.
+  return run_row_shards(
+             a0, a1, threads, nullptr,
+             [&](std::uint64_t r0, std::uint64_t n_rows, Histogram*) {
+               REALM_TRACE_SCOPE("exhaustive/shard");
+               obs::counter_add(obs::Counter::kMcSamples, n_rows * (a1 - a0 + 1));
+               obs::counter_add(obs::Counter::kMcShards, 1);
+               Scratch& buf = scratch();
+               ShardOut out;
+               for (std::uint64_t a = r0; a < r0 + n_rows; ++a) {
+                 std::uint64_t b = a0;
+                 while (b <= a1) {
+                   const auto block = static_cast<std::size_t>(
+                       std::min<std::uint64_t>(a1 - b + 1, kBatchPairs));
+                   for (std::size_t i = 0; i < block; ++i) {
+                     buf.a[i] = a;
+                     buf.b[i] = b + i;
+                   }
+                   design.multiply_batch(buf.a.data(), buf.b.data(), buf.p.data(),
+                                         block);
+                   out.acc.merge(stats_to_acc(
+                       reduce_block(BufferOperands{buf.a.data(), buf.b.data()},
+                                    buf.p.data(), buf.e.data(), block)));
+                   b += block;
+                 }
+               }
+               return out;
+             })
+      .acc.metrics();
 }
 
 ExhaustiveReport exhaustive_report(const Multiplier& design, Histogram* hist,
@@ -460,70 +465,22 @@ ExhaustiveReport exhaustive_report(const Multiplier& design, Histogram* hist,
   }
 
   REALM_TRACE_SCOPE("exhaustive/run");
-  const std::uint64_t rows = a1 - a0 + 1;
-
-  // Seed-stability invariant: the shard grid is a fixed function of the
-  // input range (kExhaustiveShards row blocks, capped by the row count),
-  // never of the thread count, and shards merge in shard order below.
-  const std::uint64_t shards = std::min<std::uint64_t>(rows, kExhaustiveShards);
-  const std::uint64_t rows_per = rows / shards;
-  const std::uint64_t rows_rem = rows % shards;
-
-  std::vector<ExhaustiveShardOut> outs(shards);
-  std::vector<Histogram> shard_hists;
-  if (hist != nullptr) {
-    shard_hists.assign(static_cast<std::size_t>(shards),
-                       Histogram{hist->lo(), hist->hi(), hist->bins()});
-  }
-
-  num::ThreadPool::global().run(
-      static_cast<std::size_t>(shards), resolve_threads(threads),
-      [&](std::size_t si) {
-        const std::uint64_t r0 =
-            a0 + si * rows_per + std::min<std::uint64_t>(si, rows_rem);
-        const std::uint64_t n_rows = rows_per + (si < rows_rem ? 1 : 0);
-        outs[si] = run_exhaustive_shard(design, r0, n_rows, a0, a1,
-                                        hist != nullptr ? &shard_hists[si] : nullptr);
+  const ShardOut total = run_row_shards(
+      a0, a1, threads, hist,
+      [&](std::uint64_t r0, std::uint64_t n_rows, Histogram* h) {
+        return run_exhaustive_shard(design, r0, n_rows, a0, a1, h);
       });
 
-  ErrorAccumulator total;
-  ShardPeaks best;
-  for (const auto& o : outs) {
-    total.merge(o.acc);
-    if (!o.peaks.valid) continue;
-    // Strict comparisons in shard order: ties keep the earliest shard's
-    // witness, which is also the first in (a, b) scan order.
-    if (o.peaks.min_frac < best.min_frac) {
-      best.min_frac = o.peaks.min_frac;
-      best.min_a = o.peaks.min_a;
-      best.min_b = o.peaks.min_b;
-      best.min_p = o.peaks.min_p;
-    }
-    if (o.peaks.max_frac > best.max_frac) {
-      best.max_frac = o.peaks.max_frac;
-      best.max_a = o.peaks.max_a;
-      best.max_b = o.peaks.max_b;
-      best.max_p = o.peaks.max_p;
-    }
-    best.valid = true;
-  }
-  if (hist != nullptr) {
-    for (const auto& h : shard_hists) hist->merge(h);
-  }
-
   ExhaustiveReport rep;
-  rep.metrics = total.metrics();
-  rep.pairs = rows * rows;
-  if (best.valid) {
-    rep.min_peak = {best.min_a, best.min_b, best.min_p, 100.0 * best.min_frac, true};
-    rep.max_peak = {best.max_a, best.max_b, best.max_p, 100.0 * best.max_frac, true};
+  rep.metrics = total.acc.metrics();
+  rep.pairs = (a1 - a0 + 1) * (a1 - a0 + 1);
+  if (total.peaks.min.valid) {
+    rep.min_peak = total.peaks.min;
+    rep.min_peak.error *= 100.0;
+    rep.max_peak = total.peaks.max;
+    rep.max_peak.error *= 100.0;
   }
   return rep;
-}
-
-ErrorMetrics exhaustive(const Multiplier& design, std::optional<std::uint64_t> lo,
-                        std::optional<std::uint64_t> hi, int threads) {
-  return exhaustive_report(design, nullptr, lo, hi, threads).metrics;
 }
 
 ErrorMetrics exhaustive_scalar_reference(const Multiplier& design,

@@ -29,10 +29,7 @@
 #include "realm/campaign/record.hpp"
 #include "realm/core/lut.hpp"
 #include "realm/error/monte_carlo.hpp"
-#include "realm/hw/circuits.hpp"
-#include "realm/hw/cost_model.hpp"
 #include "realm/hw/power.hpp"
-#include "realm/hw/timing.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/net/protocol.hpp"
 #include "realm/obs/counters.hpp"
@@ -232,17 +229,21 @@ struct Request {
   return p;
 }
 
+[[nodiscard]] err::MonteCarloOptions mc_options(const Request& rq, int threads) {
+  err::MonteCarloOptions o;
+  o.samples = rq.samples;
+  o.seed = rq.seed;
+  o.threads = threads;
+  return o;
+}
+
 /// Canonical store key for a cacheable request ("" for uncacheable kinds).
 /// Shared by the loop's warm fast path and the executor's campaign units, so
 /// both sides always agree on the content address.
 [[nodiscard]] std::string request_key(const Request& rq, int engine_threads) {
   switch (rq.type) {
-    case MsgType::kCharacterizeMc: {
-      err::MonteCarloOptions opts;
-      opts.samples = rq.samples;
-      opts.seed = rq.seed;
-      return campaign::monte_carlo_key(rq.spec, rq.n, opts);
-    }
+    case MsgType::kCharacterizeMc:
+      return campaign::monte_carlo_key(rq.spec, rq.n, mc_options(rq, engine_threads));
     case MsgType::kCharacterizeExhaustive:
       return campaign::exhaustive_key(rq.spec, rq.n, rq.lo, rq.hi);
     case MsgType::kSynthesisCost:
@@ -946,53 +947,21 @@ struct Server::Impl {
   }
 
   /// The reply body for a dispatched request other than multiply_batch.
-  /// Cacheable kinds run through the campaign runner (compute + durable put
-  /// on miss), so the body is always exactly the stored payload.
+  /// Cacheable kinds return cached_eval's stored payload (replayed, or
+  /// computed and durably stored on a miss), so the body is always exactly
+  /// what a campaign run stores and a warm hit replays.
   [[nodiscard]] std::string compute_body(const Request& rq) {
     campaign::CampaignRunner* runner = opts.campaign;
     switch (rq.type) {
-      case MsgType::kCharacterizeMc: {
-        err::MonteCarloOptions opts_mc;
-        opts_mc.samples = rq.samples;
-        opts_mc.seed = rq.seed;
-        opts_mc.threads = opts.engine_threads;
-        const auto model = model_for(rq.spec, rq.n);
-        const auto compute = [&] {
-          return campaign::serialize_error_metrics(err::monte_carlo(*model, opts_mc));
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(campaign::monte_carlo_key(rq.spec, rq.n, opts_mc),
-                                compute);
-      }
-      case MsgType::kCharacterizeExhaustive: {
-        const auto model = model_for(rq.spec, rq.n);
-        const auto compute = [&] {
-          return campaign::serialize_exhaustive_report(err::exhaustive_report(
-              *model, nullptr, rq.lo, rq.hi, opts.engine_threads));
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(
-            campaign::exhaustive_key(rq.spec, rq.n, rq.lo, rq.hi), compute);
-      }
-      case MsgType::kSynthesisCost: {
-        const hw::StimulusProfile profile =
-            synthesis_profile(rq.cycles, opts.engine_threads);
-        const auto compute = [&] {
-          hw::CostModel cm{rq.n, profile};
-          const hw::DesignCost& cost = cm.cost(rq.spec);
-          campaign::SynthesisResult s;
-          s.area_um2 = cost.area_um2;
-          s.power_uw = cost.power_uw;
-          s.area_reduction_pct = cm.area_reduction_pct(rq.spec);
-          s.power_reduction_pct = cm.power_reduction_pct(rq.spec);
-          s.delay_ps =
-              hw::analyze_timing(hw::build_circuit(rq.spec, rq.n)).critical_path_ps;
-          return campaign::serialize_synthesis(s);
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(
-            campaign::synthesis_key(rq.spec, rq.n, profile), compute);
-      }
+      case MsgType::kCharacterizeMc:
+        return campaign::monte_carlo_payload(runner, *model_for(rq.spec, rq.n), rq.spec,
+                                             rq.n, mc_options(rq, opts.engine_threads));
+      case MsgType::kCharacterizeExhaustive:
+        return campaign::exhaustive_payload(runner, *model_for(rq.spec, rq.n), rq.spec,
+                                            rq.n, rq.lo, rq.hi, opts.engine_threads);
+      case MsgType::kSynthesisCost:
+        return campaign::synthesis_payload(
+            runner, rq.spec, rq.n, synthesis_profile(rq.cycles, opts.engine_threads));
       case MsgType::kSijLookup: {
         const auto lut = core::SegmentLut::shared(rq.m, rq.q);
         std::vector<double> exact;

@@ -152,7 +152,7 @@ void append_double(std::string& out, double v) {
 namespace detail {
 
 std::atomic<bool> g_trace_enabled{env_tracing_on()};
-thread_local std::uint64_t g_trace_rid = 0;
+constinit thread_local std::uint64_t g_trace_rid = 0;
 
 void record_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns) {
   ThreadBuffer& b = local_buffer();

@@ -213,8 +213,8 @@ TEST(EvalEngine, OuterSpanNameFollowsHistogramArgument) {
 
 TEST(EvalEngine, ExhaustiveIsThreadCountInvariant) {
   const auto m = mult::make_multiplier("realm:m=4,t=0", 8);
-  const auto r1 = err::exhaustive(*m, {}, {}, 1);
-  const auto r4 = err::exhaustive(*m, {}, {}, 4);
+  const auto r1 = err::exhaustive_report(*m, nullptr, {}, {}, 1).metrics;
+  const auto r4 = err::exhaustive_report(*m, nullptr, {}, {}, 4).metrics;
   expect_metrics_identical(r1, r4);
   EXPECT_EQ(r1.samples, 255u * 255u);  // zero rows/columns skipped
 }

@@ -6,13 +6,15 @@
 //     multiply() for every design (exhaustively at 8 bits, randomized at 16);
 //   * the tiled engine reproduces exhaustive_generic_reference bit-for-bit
 //     (identical fold order and IEEE ops) at any thread count;
-//   * peak witnesses are integer-exact and reproduce the metrics peaks;
+//   * peak witnesses are integer-exact, reproduce the metrics peaks and are
+//     the first pair in (a, b) scan order among ties;
 //   * range validation throws instead of silently sweeping a wrong space;
 //   * the campaign codec round-trips reports exactly and a resumed
 //     cached_exhaustive serves the stored result bit-for-bit.
 
 #include "realm/error/monte_carlo.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -190,7 +192,7 @@ TEST(ExhaustiveEngine, TiledMatchesGenericReferenceBitForBit) {
     const auto ref = err::exhaustive_generic_reference(*m);
     const auto rep = err::exhaustive_report(*m);
     EXPECT_TRUE(metrics_identical(ref, rep.metrics));
-    EXPECT_TRUE(metrics_identical(ref, err::exhaustive(*m)));
+    EXPECT_TRUE(metrics_identical(ref, err::exhaustive_report(*m).metrics));
   }
 }
 
@@ -219,7 +221,7 @@ TEST(ExhaustiveEngine, ScalarReferenceAgreesStatistically) {
   // Different summation order — numerically close, not bit-identical.
   const auto m = mult::make_multiplier("calm", 8);
   const auto scalar = err::exhaustive_scalar_reference(*m);
-  const auto tiled = err::exhaustive(*m);
+  const auto tiled = err::exhaustive_report(*m).metrics;
   EXPECT_NEAR(scalar.bias, tiled.bias, 1e-9);
   EXPECT_NEAR(scalar.mean, tiled.mean, 1e-9);
   EXPECT_NEAR(scalar.variance, tiled.variance, 1e-7);
@@ -243,6 +245,49 @@ TEST(ExhaustiveEngine, PeakWitnessesAreIntegerExact) {
   EXPECT_EQ(rep.min_peak.error, rep.metrics.min);
   EXPECT_EQ(rep.max_peak.error, rep.metrics.max);
   EXPECT_EQ(rep.pairs, std::uint64_t{1} << 20);
+}
+
+TEST(ExhaustiveEngine, PeakWitnessesAreFirstInScanOrder) {
+  // cALM at 8 bits ties many pairs at both peaks, so the witnesses pin the
+  // tie rule: the first pair in row-major (a, b) scan order, at any thread
+  // count.  The oracle is a scalar scan with strict comparisons.
+  const auto m = mult::make_multiplier("calm", 8);
+  double min_e = 0.0, max_e = 0.0;
+  std::uint64_t min_a = 0, min_b = 0, max_a = 0, max_b = 0;
+  bool seen = false;
+  std::vector<double> errors;
+  for (std::uint64_t a = 1; a < 256; ++a) {
+    for (std::uint64_t b = 1; b < 256; ++b) {
+      const double exact = static_cast<double>(a) * static_cast<double>(b);
+      const double e = (static_cast<double>(m->multiply(a, b)) - exact) / exact;
+      errors.push_back(e);
+      if (!seen || e < min_e) {
+        min_e = e;
+        min_a = a;
+        min_b = b;
+      }
+      if (!seen || e > max_e) {
+        max_e = e;
+        max_a = a;
+        max_b = b;
+      }
+      seen = true;
+    }
+  }
+  EXPECT_EQ(std::count(errors.begin(), errors.end(), min_e), 49);
+  EXPECT_EQ(std::count(errors.begin(), errors.end(), max_e), 4016);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const auto rep = err::exhaustive_report(*m, nullptr, {}, {}, threads);
+    ASSERT_TRUE(rep.min_peak.valid);
+    EXPECT_EQ(rep.min_peak.a, min_a);
+    EXPECT_EQ(rep.min_peak.b, min_b);
+    EXPECT_EQ(rep.min_peak.error, 100.0 * min_e);
+    EXPECT_EQ(rep.max_peak.a, max_a);
+    EXPECT_EQ(rep.max_peak.b, max_b);
+    EXPECT_EQ(rep.max_peak.error, 100.0 * max_e);
+  }
 }
 
 TEST(ExhaustiveEngine, AccurateDesignHasZeroErrorEverywhere) {
@@ -275,13 +320,15 @@ TEST(ExhaustiveEngine, HistogramIsThreadCountInvariant) {
 
 TEST(ExhaustiveEngine, ValidationRejectsBadRanges) {
   const auto m = mult::make_multiplier("realm:m=16,t=0", 8);
-  EXPECT_THROW((void)err::exhaustive(*m, 10, 5), std::invalid_argument);
-  EXPECT_THROW((void)err::exhaustive(*m, {}, 256), std::invalid_argument);
+  EXPECT_THROW((void)err::exhaustive_report(*m, nullptr, 10, 5).metrics,
+               std::invalid_argument);
+  EXPECT_THROW((void)err::exhaustive_report(*m, nullptr, {}, 256).metrics,
+               std::invalid_argument);
   EXPECT_THROW((void)err::exhaustive_report(*m, nullptr, 10, 5), std::invalid_argument);
   EXPECT_THROW((void)err::exhaustive_report(*m, nullptr, 0, 1u << 20),
                std::invalid_argument);
   // The boundary itself is fine.
-  EXPECT_NO_THROW((void)err::exhaustive(*m, 255, 255));
+  EXPECT_NO_THROW((void)err::exhaustive_report(*m, nullptr, 255, 255).metrics);
 }
 
 TEST(ExhaustiveEngine, MonteCarloStaysInsideExactEnvelope) {

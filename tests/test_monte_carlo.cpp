@@ -54,7 +54,7 @@ TEST(MonteCarlo, SameSeedSameResult) {
 
 TEST(MonteCarlo, AgreesWithExhaustiveFor8Bit) {
   const auto m = mult::make_multiplier("calm", 8);
-  const auto ex = err::exhaustive(*m);
+  const auto ex = err::exhaustive_report(*m).metrics;
   err::MonteCarloOptions opts;
   opts.samples = 1 << 20;
   const auto mc = err::monte_carlo(*m, opts);
@@ -66,7 +66,8 @@ TEST(MonteCarlo, AgreesWithExhaustiveFor8Bit) {
 
 TEST(Exhaustive, RangeRestriction) {
   const auto m = mult::make_multiplier("calm", 8);
-  const auto r = err::exhaustive(*m, 32, 63);  // one power-of-two interval
+  // One power-of-two interval.
+  const auto r = err::exhaustive_report(*m, nullptr, 32, 63).metrics;
   EXPECT_EQ(r.samples, 32u * 32u);
   EXPECT_LE(r.max, 0.0);  // Mitchell never overestimates
 }

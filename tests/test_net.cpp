@@ -415,6 +415,8 @@ TEST(NetServer, CharacterizeMcMatchesLocalEngine) {
   EXPECT_EQ(got.mean, want.mean);  // hex-float codec: bit-exact
   EXPECT_EQ(got.bias, want.bias);
   EXPECT_EQ(got.samples, want.samples);
+  // The reply is the campaign payload, byte for byte.
+  EXPECT_EQ(reply.body, campaign::monte_carlo_payload(nullptr, *model, "calm", 16, opts));
 }
 
 TEST(NetServer, ExhaustiveAndSijAndSynthesis) {
@@ -432,6 +434,10 @@ TEST(NetServer, ExhaustiveAndSijAndSynthesis) {
   ASSERT_EQ(ex.type, MsgType::kReplyOk);
   const err::ExhaustiveReport rep = campaign::parse_exhaustive_report(ex.body);
   EXPECT_EQ(rep.pairs, 256u * 256u);
+  // Every cacheable reply is the campaign payload, byte for byte.
+  const auto ex_model = mult::make_multiplier("realm:m=8,t=0", 8);
+  EXPECT_EQ(ex.body,
+            campaign::exhaustive_payload(nullptr, *ex_model, "realm:m=8,t=0", 8, 0, 255));
 
   const std::string sij_body = campaign::PayloadWriter{}
                                    .field("m", std::int64_t{4})
@@ -461,6 +467,9 @@ TEST(NetServer, ExhaustiveAndSijAndSynthesis) {
   EXPECT_GT(s.area_um2, 0.0);
   EXPECT_GT(s.power_uw, 0.0);
   EXPECT_GT(s.delay_ps, 0.0);
+  hw::StimulusProfile profile;  // the wire contract: defaults but for cycles
+  profile.cycles = 64;
+  EXPECT_EQ(syn.body, campaign::synthesis_payload(nullptr, "realm:m=8,t=0", 8, profile));
 }
 
 TEST(NetServer, MultiplyBatchRejectsNonCanonicalOperands) {
