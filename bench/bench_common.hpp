@@ -38,7 +38,6 @@ struct Args {
   std::string json_path;   ///< --json=PATH: override the bench's BENCH_*.json
   std::string store_path;  ///< --store=PATH: attach a campaign result store
   bool resume = false;     ///< --resume: replay completed units from the store
-  std::string history_dir;  ///< --history=DIR: append a run record for benchdiff
   double sample_hz = 0.0;  ///< --sample-hz=N / REALM_SAMPLE_HZ: timeline sampler
 
   /// Strict decimal parse: the whole value must be digits (strtoull's
@@ -153,12 +152,6 @@ struct Args {
         }
       } else if (arg == "--resume") {
         a.resume = true;
-      } else if (arg.rfind("--history=", 0) == 0) {
-        a.history_dir = val("--history=");
-        if (a.history_dir.empty()) {
-          std::fprintf(stderr, "bad value for --history: expected a directory\n");
-          std::exit(2);
-        }
       } else if (arg.rfind("--sample-hz=", 0) == 0) {
         a.sample_hz = static_cast<double>(
             parse_ranged("--sample-hz", val("--sample-hz="), 1, 1000));
@@ -170,7 +163,7 @@ struct Args {
         std::printf(
             "flags: --samples=N --cycles=N --vectors=N --image-size=N "
             "--threads=N --width=N --rows=N --exact --full --trace=PATH "
-            "--json=PATH --store=PATH --resume --history=DIR --sample-hz=N\n");
+            "--json=PATH --store=PATH --resume --sample-hz=N\n");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -247,37 +240,14 @@ inline Campaign open_campaign(const Args& args) {
 /// The single exit path for bench measurements: stops the sampler (so the
 /// timeline snapshot is complete), writes the sink (with the counter/gauge/
 /// span/timeline snapshot) to --json=PATH or the bench's default
-/// BENCH_*.json, appends one content-addressed history record when
-/// --history=DIR was given, and — when tracing was requested — the Chrome
-/// trace next to it.  Every bench that used to hand-roll snprintf JSON now
-/// funnels here.
+/// BENCH_*.json and — when tracing was requested — the Chrome trace next to
+/// it.  Every bench that used to hand-roll snprintf JSON now funnels here.
 inline void write_outputs(const Args& args, const obs::MetricsSink& sink,
                           const std::string& default_json) {
   if (args.sample_hz > 0.0) obs::Sampler::stop();
   const std::string& json_path = args.json_path.empty() ? default_json : args.json_path;
   sink.write(json_path);
   std::printf("measurements written to %s\n", json_path.c_str());
-  if (!args.history_dir.empty()) {
-    // One record per run, addressed by its own content (the campaign-store
-    // hash): re-writing an identical record is a no-op, and the filename
-    // carries the producing bench so a mixed directory stays greppable.
-    const std::string record = sink.history_record();
-    const std::filesystem::path dir{args.history_dir};
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::filesystem::path rec_path =
-        dir / (sink.bench() + "-" + campaign::content_hash_hex(record) + ".rec");
-    std::FILE* f = std::fopen(rec_path.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
-      std::fprintf(stderr, "cannot write history record %s\n", rec_path.c_str());
-      if (f != nullptr) std::fclose(f);
-      std::exit(2);
-    }
-    std::fclose(f);
-    std::printf("history record written to %s (compare with realm_benchdiff)\n",
-                rec_path.c_str());
-  }
   if (!args.trace_path.empty()) {
     obs::write_chrome_trace(args.trace_path);
     std::printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n",

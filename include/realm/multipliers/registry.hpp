@@ -40,7 +40,8 @@ struct SpecParams {
 };
 
 /// Parses "design:key=value,key=value" (shared by the behavioral factory and
-/// the circuit builders, so both sides agree on the design set).
+/// the circuit builders, so both sides agree on the design set).  Each value
+/// must be a whole decimal int; throws std::invalid_argument otherwise.
 [[nodiscard]] SpecParams parse_spec(const std::string& spec);
 
 /// Parses a spec string and constructs the design for n-bit operands.

@@ -24,9 +24,8 @@
 // consumers can diff runs without key-existence churn; "spans" is empty
 // unless tracing was on.  v3 extends v2 with the "run" stamp, per-span
 // percentiles + bucket arrays, the value-histogram catalog and the
-// timeline; history_record() flattens the same snapshot into the
-// line-oriented record the bench-history harness appends and
-// realm_benchdiff compares.
+// timeline.  This document is the only bench-result format:
+// `check_bench_schema.py --diff` compares two runs of it.
 
 #pragma once
 
@@ -62,11 +61,6 @@ class JsonValue {
   [[nodiscard]] std::string render() const;
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_numeric() const noexcept {
-    return kind_ == Kind::kDouble || kind_ == Kind::kInt || kind_ == Kind::kUInt;
-  }
-  /// Numeric value widened to double (0.0 for strings/bools).
-  [[nodiscard]] double as_double() const noexcept;
 
  private:
   Kind kind_;
@@ -84,7 +78,7 @@ class JsonValue {
 [[nodiscard]] std::string run_host();
 
 /// Commit stamp: REALM_GIT_COMMIT, else GITHUB_SHA, else "unknown" — CI
-/// exports one of these so history records are commit-addressable.
+/// exports one of these so bench documents are commit-addressable.
 [[nodiscard]] std::string run_commit();
 
 class MetricsSink {
@@ -108,13 +102,6 @@ class MetricsSink {
   /// to_json() to a file, creating parent directories.  Throws
   /// std::runtime_error on I/O failure.
   void write(const std::string& path) const;
-
-  /// The bench-history record: `name=value` lines (campaign-store payload
-  /// conventions — doubles as C99 hex-floats for bit-exact round-trips,
-  /// metric names may contain '=', so consumers split on the *last* '=').
-  /// Carries the run stamp, every numeric metric, the counter catalog and
-  /// per-span count/total/percentiles; realm_benchdiff parses it back.
-  [[nodiscard]] std::string history_record() const;
 
  private:
   std::string bench_;

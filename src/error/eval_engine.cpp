@@ -385,7 +385,7 @@ ShardOut run_exhaustive_shard(const Multiplier& design, std::uint64_t r0,
 
 ErrorMetrics monte_carlo(const Multiplier& design, const MonteCarloOptions& opts,
                          Histogram* hist) {
-  // Bench history records key on both outer span names.
+  // Run-over-run bench diffs key on both outer span names.
   const obs::ScopedSpan outer{hist != nullptr ? "mc/histogram" : "mc/total"};
   REALM_TRACE_SCOPE("mc/run");
   const std::uint64_t shards = mc_shard_count(opts.samples);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <stdexcept>
 
@@ -56,7 +57,17 @@ SpecParams parse_spec(const std::string& spec) {
     std::string key = kv.substr(0, eq);
     std::transform(key.begin(), key.end(), key.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    out.params[key] = std::stoi(kv.substr(eq + 1));
+    // The whole value must be one in-range int ("16x" is not 16); any other
+    // value is a malformed spec, so callers see std::invalid_argument.
+    const char* first = kv.data() + eq + 1;
+    const char* last = kv.data() + kv.size();
+    int value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc{} || end != last) {
+      throw std::invalid_argument("make_multiplier: bad value for '" + key + "' in '" +
+                                  spec + "'");
+    }
+    out.params[key] = value;
     pos = comma == std::string::npos ? rest.size() : comma + 1;
   }
   return out;

@@ -19,8 +19,8 @@ namespace realm::num {
 namespace {
 
 // REALM_OBS_TEST_SLOWDOWN=<us>: sleeps that long after every task, inline or
-// pooled.  CI's bench-history regression gate sets it to fake a hot-path
-// regression and asserts realm_benchdiff catches it; unset (the only state
+// pooled.  CI's regression gate sets it to fake a hot-path regression and
+// asserts `check_bench_schema.py --diff` catches it; unset (the only state
 // outside that job) costs one cached-load branch per task.
 std::uint64_t test_slowdown_us() noexcept {
   static const std::uint64_t v = [] {

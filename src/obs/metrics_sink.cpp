@@ -143,17 +143,6 @@ std::string JsonValue::render() const {
   return "null";
 }
 
-double JsonValue::as_double() const noexcept {
-  switch (kind_) {
-    case Kind::kDouble: return num_;
-    case Kind::kInt: return static_cast<double>(i_);
-    case Kind::kUInt: return static_cast<double>(u_);
-    case Kind::kString:
-    case Kind::kBool: break;
-  }
-  return 0.0;
-}
-
 MetricsSink::MetricsSink(std::string bench) : bench_{std::move(bench)} {}
 
 void MetricsSink::meta(const std::string& key, JsonValue value) {
@@ -250,55 +239,6 @@ std::string MetricsSink::to_json() const {
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";
-  return out;
-}
-
-std::string MetricsSink::history_record() const {
-  std::string out;
-  const auto line = [&](const std::string& key, const std::string& value) {
-    out += key;
-    out += '=';
-    out += value;
-    out += '\n';
-  };
-  const auto hex_double = [](double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return std::string{buf};
-  };
-
-  line("schema", "realm-history-v1");
-  line("bench", bench_);
-  line("utc", utc_timestamp());
-  line("commit", run_commit());
-  line("host", run_host());
-  line("hw_threads", std::to_string(std::thread::hardware_concurrency()));
-  line("pool_workers", std::to_string(gauge_value(Gauge::kPoolWorkers)));
-
-  for (const auto& [key, value] : metrics_) {
-    if (!value.is_numeric()) continue;  // strings/bools cannot regress numerically
-    line("metric." + key, hex_double(value.as_double()));
-  }
-  for (unsigned c = 0; c < kCounterCount; ++c) {
-    line(std::string{"counter."} + counter_name(static_cast<Counter>(c)),
-         std::to_string(counter_value(static_cast<Counter>(c))));
-  }
-  for (const auto& [name, hist] : span_histograms()) {
-    const std::string prefix = "span." + name + ".";
-    line(prefix + "count", std::to_string(hist.count));
-    line(prefix + "total_us", hex_double(static_cast<double>(hist.total) / 1e3));
-    line(prefix + "p50_us", hex_double(static_cast<double>(hist.percentile(0.50)) / 1e3));
-    line(prefix + "p95_us", hex_double(static_cast<double>(hist.percentile(0.95)) / 1e3));
-    line(prefix + "p99_us", hex_double(static_cast<double>(hist.percentile(0.99)) / 1e3));
-  }
-  for (unsigned h = 0; h < kValueHistCount; ++h) {
-    const auto s = value_hist_snapshot(static_cast<ValueHist>(h));
-    const std::string prefix =
-        std::string{"vhist."} + value_hist_name(static_cast<ValueHist>(h)) + ".";
-    line(prefix + "count", std::to_string(s.count));
-    line(prefix + "total", std::to_string(s.total));
-    line(prefix + "p95", std::to_string(s.percentile(0.95)));
-  }
   return out;
 }
 

@@ -188,8 +188,8 @@ TEST(EvalEngine, HistogramRunReturnsMonteCarloMetricsAndSameFill) {
   EXPECT_EQ(h1.overflow(), h2.overflow());
 }
 
-// Bench history records key on the outer span of each Monte-Carlo run, so
-// its name must follow whether a histogram is filled.
+// Run-over-run bench diffs key on the outer span of each Monte-Carlo run,
+// so its name must follow whether a histogram is filled.
 TEST(EvalEngine, OuterSpanNameFollowsHistogramArgument) {
   obs::set_tracing(false);
   obs::trace_reset();

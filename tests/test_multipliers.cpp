@@ -270,6 +270,18 @@ TEST(Registry, ParsesSpecsAndRejectsGarbage) {
   EXPECT_THROW((void)mult::make_multiplier("realm:m=5", 16), std::invalid_argument);
 }
 
+TEST(Registry, ParameterValuesParseStrictly) {
+  // A trailing suffix is not ignored ("16x" must not build REALM16), and
+  // an overflowing value is invalid_argument, not std::out_of_range.
+  EXPECT_THROW((void)mult::parse_spec("realm:m=16x"), std::invalid_argument);
+  EXPECT_THROW((void)mult::make_multiplier("realm:m=16x", 16), std::invalid_argument);
+  EXPECT_THROW((void)mult::parse_spec("realm:m=99999999999"), std::invalid_argument);
+  EXPECT_THROW((void)mult::parse_spec("realm:m="), std::invalid_argument);
+  EXPECT_THROW((void)mult::parse_spec("realm:m= 16"), std::invalid_argument);
+  EXPECT_EQ(mult::parse_spec("realm:m=16,t=-1").get("t", 0), -1);
+  EXPECT_EQ(mult::parse_spec("realm:m=2147483647").get("m", 0), 2147483647);
+}
+
 TEST(Registry, Table1CoversThePaperRowCount) {
   const auto specs = mult::table1_specs();
   // 30 REALM rows + cALM + ImpLM + 6 MBM + 10 ALM + 2 IntALP + 6 AM +

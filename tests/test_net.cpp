@@ -490,6 +490,19 @@ TEST(NetServer, MultiplyBatchRejectsNonCanonicalOperands) {
   EXPECT_EQ(r.type, MsgType::kReplyOk);
 }
 
+TEST(NetServer, MalformedSpecParameterIsBadRequest) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  // An int-overflowing parameter is the client's fault, not kInternal.
+  Frame r = c.call(MsgType::kMultiplyBatch, 1,
+                   multiply_body("realm:m=99999999999", 16, {5}, {5}));
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  r = c.call(MsgType::kMultiplyBatch, 2, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
+  EXPECT_EQ(r.type, MsgType::kReplyOk);
+}
+
 TEST(NetServer, TypedErrorsKeepTheConnection) {
   TestServer ts{net::ServerOptions{}};
   net::Client c;

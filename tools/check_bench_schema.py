@@ -6,6 +6,8 @@ Usage: check_bench_schema.py --catalog=PATH FILE [FILE ...]
        check_bench_schema.py --min FILE KEY MIN
        check_bench_schema.py --ratio FILE_A FILE_B KEY MIN
        check_bench_schema.py --equal FILE_A FILE_B KEY
+       check_bench_schema.py --diff BASELINE [BASELINE ...] CURRENT
+                             [--tolerance=F] [--tol=KEY=F ...] [--verbose]
 
 Schema mode accepts two file kinds:
   * BENCH_*.json and other MetricsSink documents: schema "realm-bench-v3"
@@ -37,12 +39,36 @@ object before it; a component may itself contain dots, as metric names do.
            and values, so `--equal A B metrics` proves a resumed campaign
            reproduces the uninterrupted run bit for bit.
 
-Exit status: 0 if every check passes, 1 if any fails (each problem listed),
-2 on a usage error.  Stdlib only.
+--diff is the run-over-run regression gate.  It flattens each document to
+`metrics.<k>` (numbers; a JSON null, which is how NaN is written, reads as
+NaN), `counters.<k>`, `spans.<name>.{count,total_us,p50_us,p95_us,p99_us}`
+and `value_histograms.<name>.{count,total,p95}`, and compares CURRENT with
+BASELINE, or with the per-key lower median of several baselines (NaN
+skipped).  Every document must carry the same meta.bench.  Each key gets a
+direction from its name:
+  higher-is-better  metrics.* containing speedup, _sps, _per_s, per_sec,
+                    mpix, psnr or _acc
+  lower-is-better   spans.* except .count; metrics.* ending in _ns, _us,
+                    _ms, _s or _seconds, or containing latency, wait, time
+  informational     everything else (counters, value histograms, error
+                    metrics, and uptime, which is a clock reading that
+                    every later snapshot moves): listed, never gated
+A directional key regresses when it moves the wrong way by more than its
+tolerance (--tolerance=F, default 0.10; --tol=KEY=F per key).  Percentile
+keys (.p50/.p95/.p99, with or without _us) are log2-bucket estimates, so a
+slowdown there must exceed one bucket as well: current > 2*(1+F)*baseline.
+A NaN or missing value on a directional key is a regression; a new key is
+not.  A lower-is-better key with a zero baseline regresses on any nonzero
+value; a higher-is-better key with a zero baseline never does.
+
+Exit status: 0 if every check passes (--diff: no regression), 1 if any
+fails (each problem listed), 2 on a usage or I/O error.  Stdlib only.
 """
 
+import collections
 import fnmatch
 import json
+import math
 import re
 import sys
 
@@ -342,9 +368,189 @@ def check_schema(args):
     return 1 if failed else 0
 
 
+# -- run-over-run diff -------------------------------------------------------
+
+DIFF_FIELDS = {"spans": ("count", "total_us", "p50_us", "p95_us", "p99_us"),
+               "value_histograms": ("count", "total", "p95")}
+HIGHER_BETTER_WORDS = ("speedup", "_sps", "_per_s", "per_sec", "mpix", "psnr",
+                       "_acc")
+LOWER_BETTER_SUFFIXES = ("_ns", "_us", "_ms", "_s", "_seconds")
+LOWER_BETTER_WORDS = ("latency", "wait", "time")
+PERCENTILE_SUFFIXES = (".p50_us", ".p95_us", ".p99_us", ".p50", ".p95", ".p99")
+DIRECTION_TAGS = {"higher": "higher-better", "lower": "lower-better", "info": "info"}
+
+Delta = collections.namedtuple(
+    "Delta", "key direction baseline current rel_change regression note")
+
+
+def classify(key):
+    """'higher', 'lower' or 'info' for a flattened key (see the docstring)."""
+    if key.startswith("spans."):
+        return "info" if key.endswith(".count") else "lower"
+    if key.startswith("metrics.") and "uptime" not in key:
+        if any(w in key for w in HIGHER_BETTER_WORDS):
+            return "higher"
+        if key.endswith(LOWER_BETTER_SUFFIXES) or any(
+                w in key for w in LOWER_BETTER_WORDS):
+            return "lower"
+    return "info"
+
+
+def flatten(doc):
+    """{dotted key: float} over the columns --diff compares; null is NaN."""
+    values = {}
+
+    def put(key, value):
+        if value is None:
+            values[key] = math.nan
+        elif is_number(value):
+            values[key] = float(value)
+
+    for section in ("metrics", "counters", *DIFF_FIELDS):
+        entries = doc.get(section)
+        for name, entry in (entries if isinstance(entries, dict) else {}).items():
+            if section not in DIFF_FIELDS:
+                put(f"{section}.{name}", entry)
+            elif isinstance(entry, dict):
+                for field in DIFF_FIELDS[section]:
+                    if field in entry:
+                        put(f"{section}.{name}.{field}", entry[field])
+    return values
+
+
+def lower_median(flats):
+    """Per-key lower median, NaN skipped, so the result is always an observed
+    value; a key that is NaN in every document is left out."""
+    out = {}
+    for key in set().union(*flats):
+        vals = sorted(f[key] for f in flats if key in f and not math.isnan(f[key]))
+        if vals:
+            out[key] = vals[(len(vals) - 1) // 2]
+    return out
+
+
+def diff(baseline, current, tolerance, per_key):
+    """One Delta per key of either side, sorted by key."""
+    deltas = []
+    for key in sorted(set(baseline) | set(current)):
+        direction = classify(key)
+        directional = direction != "info"
+        base, cur = baseline.get(key), current.get(key)
+        if base is None:
+            deltas.append(Delta(key, direction, 0.0, cur, 0.0, False,
+                                "new key (not in baseline)"))
+        elif cur is None:
+            deltas.append(Delta(key, direction, base, 0.0, 0.0, directional,
+                                "missing from current run"))
+        elif math.isnan(base) or math.isnan(cur):
+            deltas.append(Delta(key, direction, base, cur, 0.0, directional,
+                                "NaN value"))
+        else:
+            rel = (cur - base) / abs(base) if base != 0 else 0.0
+            tol = per_key.get(key, tolerance)
+            if direction == "lower":
+                # One log2 bucket of slack on percentiles: only a move past
+                # 2*(1+tol) cannot be edge flap.  A zero baseline ("was
+                # instantaneous") regresses on any measurable time.
+                limit = 2 * (1 + tol) - 1 if key.endswith(PERCENTILE_SUFFIXES) else tol
+                regression = cur > 0 if base == 0 else rel > limit
+            else:
+                regression = direction == "higher" and base != 0 and rel < -tol
+            deltas.append(Delta(key, direction, base, cur, rel, regression, ""))
+    return deltas
+
+
+def format_delta(d):
+    tail = f"[{d.note}]" if d.note else f"{d.rel_change * 100:+.1f}%"
+    return (f"  {d.key:<52} {DIRECTION_TAGS[d.direction]:<13} "
+            f"baseline={d.baseline:.6g} current={d.current:.6g}  {tail}")
+
+
+def parse_fraction(flag, text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= 10:
+        raise UsageError(f"bad value for {flag}: {text!r} (expected a fraction,"
+                         " e.g. 0.25)")
+    return value
+
+
+def load_for_diff(path):
+    """(bench, document); an unreadable file or a missing meta.bench is a
+    usage error, not a regression."""
+    try:
+        doc = load(path)
+    except CheckFailed as exc:
+        raise UsageError(str(exc)) from exc
+    meta = doc.get("meta")
+    bench = meta.get("bench") if isinstance(meta, dict) else None
+    if not bench:
+        raise UsageError(f"{path}: meta.bench is missing")
+    return bench, doc
+
+
+def describe(path, doc):
+    run = doc.get("run")
+    commit = run.get("commit") if isinstance(run, dict) else None
+    return f"{path} (commit {commit or '?'})"
+
+
+def run_diff(args):
+    tolerance, per_key, verbose, paths = 0.10, {}, False, []
+    for arg in args:
+        if arg.startswith("--tolerance="):
+            tolerance = parse_fraction("--tolerance", arg[len("--tolerance="):])
+        elif arg.startswith("--tol="):
+            key, eq, value = arg[len("--tol="):].rpartition("=")
+            if not eq or not key:
+                raise UsageError(f"bad value for --tol: {arg!r} (expected KEY=F)")
+            per_key[key] = parse_fraction("--tol", value)
+        elif arg == "--verbose":
+            verbose = True
+        elif arg.startswith("-"):
+            raise UsageError(f"unknown --diff option: {arg}")
+        else:
+            paths.append(arg)
+    if len(paths) < 2:
+        raise UsageError("--diff needs at least one BASELINE and a CURRENT file")
+    loaded = [load_for_diff(path) for path in paths]
+    benches = [bench for bench, _ in loaded]
+    if len(set(benches)) != 1:
+        raise UsageError("bench mismatch: " + ", ".join(
+            f"{path} is {bench!r}" for path, bench in zip(paths, benches)))
+    docs = [doc for _, doc in loaded]
+    flats = [flatten(doc) for doc in docs]
+    # One baseline is compared as it is, NaN included.
+    baseline = flats[0] if len(flats) == 2 else lower_median(flats[:-1])
+    deltas = diff(baseline, flats[-1], tolerance, per_key)
+
+    source = (describe(paths[0], docs[0]) if len(docs) == 2
+              else f"per-key median of {len(docs) - 1} documents")
+    print(f"diff: {benches[0]}\n  baseline: {source}\n"
+          f"  current:  {describe(paths[-1], docs[-1])}")
+    if verbose:
+        for d in deltas:
+            print(format_delta(d))
+    directional = sum(d.direction != "info" for d in deltas)
+    regressions = [d for d in deltas if d.regression]
+    if regressions:
+        print(f"REGRESSION: {len(regressions)} of {directional} directional"
+              f" metric(s) outside tolerance (default {tolerance * 100:.0f}%):")
+        for d in regressions:
+            print(format_delta(d))
+        return 1
+    print(f"ok   {directional} directional metric(s) within tolerance"
+          f" ({len(deltas)} keys compared)")
+    return 0
+
+
 def main(argv):
     args = argv[1:]
     try:
+        if args and args[0] == "--diff":
+            return run_diff(args[1:])
         if args and args[0] in ASSERTIONS:
             arity, synopsis, run = ASSERTIONS[args[0]]
             if len(args) != arity + 1:

@@ -19,6 +19,7 @@
 #include "realm/obs/counters.hpp"
 #include "realm/obs/histogram.hpp"
 #include "realm/realm.hpp"
+#include "parse_u64.hpp"
 #include "realm_cli_commands.hpp"
 
 using namespace realm;
@@ -30,19 +31,28 @@ int usage() {
   return 2;
 }
 
+/// argv[i] as a strict decimal int in [lo, hi] (exit 2 otherwise), or
+/// `fallback` when the optional argument is absent.
+int int_arg(int argc, char** argv, int i, const char* name, int fallback,
+            std::uint64_t lo, std::uint64_t hi) {
+  if (argc <= i) return fallback;
+  return static_cast<int>(cli::parse_u64_flag(name, argv[i], lo, hi));
+}
+
 int cmd_characterize(int argc, char** argv) {
   const std::string spec = argc > 2 ? argv[2] : "realm:m=16,t=0";
   const auto model = mult::make_multiplier(spec, 16);
   err::MonteCarloOptions opts;
-  opts.samples = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : (1ull << 22);
+  opts.samples = argc > 3 ? cli::parse_u64_flag("samples", argv[3], 1, 1ull << 40)
+                          : (1ull << 22);
   const auto r = err::monte_carlo(*model, opts);
   std::printf("%s\n%s\n", model->name().c_str(), r.summary().c_str());
   return 0;
 }
 
 int cmd_predict(int argc, char** argv) {
-  const int m = argc > 2 ? std::atoi(argv[2]) : 16;
-  const int q = argc > 3 ? std::atoi(argv[3]) : 6;
+  const int m = int_arg(argc, argv, 2, "M", 16, 2, 1024);
+  const int q = int_arg(argc, argv, 3, "q", 6, 3, 30);
   const core::SegmentLut lut{m, q};
   const auto p = core::predict_realm_errors(lut);
   std::printf("REALM%d (q=%d), analytic prediction at t=0:\n", m, q);
@@ -53,7 +63,7 @@ int cmd_predict(int argc, char** argv) {
 
 int cmd_synth(int argc, char** argv) {
   const std::string spec = argc > 2 ? argv[2] : "realm:m=16,t=0";
-  const int n = argc > 3 ? std::atoi(argv[3]) : 16;
+  const int n = int_arg(argc, argv, 3, "n", 16, 2, 31);
   const hw::Module mod = hw::build_circuit(spec, n);
   const auto timing = hw::analyze_timing(mod);
   hw::StimulusProfile prof;
@@ -85,8 +95,8 @@ int cmd_verilog(int argc, char** argv) {
 }
 
 int cmd_sij(int argc, char** argv) {
-  const int m = argc > 2 ? std::atoi(argv[2]) : 8;
-  const int q = argc > 3 ? std::atoi(argv[3]) : 6;
+  const int m = int_arg(argc, argv, 2, "M", 8, 2, 1024);
+  const int q = int_arg(argc, argv, 3, "q", 6, 3, 30);
   const core::SegmentLut lut{m, q};
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < m; ++j) std::printf(" %8.6f", lut.exact(i, j));
@@ -122,9 +132,9 @@ int cmd_jpeg(int argc, char** argv) {
 
 int cmd_divide(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto a = std::strtoull(argv[2], nullptr, 10);
-  const auto b = std::strtoull(argv[3], nullptr, 10);
-  const int m = argc > 4 ? std::atoi(argv[4]) : 8;
+  const std::uint64_t a = cli::parse_u64_flag("a", argv[2], 0, 65535);
+  const std::uint64_t b = cli::parse_u64_flag("b", argv[3], 0, 65535);
+  const int m = int_arg(argc, argv, 4, "M", 8, 2, 1024);
   const core::MitchellDivider mitchell{16};
   const core::RealmDivider rdiv{{.n = 16, .m = m, .q = 6}};
   const double exact = b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
@@ -197,7 +207,7 @@ int cmd_stats(int argc, char** argv) {
     if (arg == "--unix" && i + 1 < argc) {
       unix_path = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      port = static_cast<int>(cli::parse_u64_flag("--port", argv[++i], 1, 65535));
     } else if (arg == "--stats-format=prom") {
       prom = true;
     } else if (arg == "--stats-format=raw") {

@@ -25,8 +25,11 @@
 #include "realm/net/server.hpp"
 #include "realm/obs/metrics_sink.hpp"
 #include "realm/obs/trace.hpp"
+#include "parse_u64.hpp"
 
 namespace {
+
+using realm::cli::parse_u64_flag;
 
 realm::net::Server* g_server = nullptr;
 
@@ -42,21 +45,6 @@ int usage(int code) {
                "                    [--max-frame=BYTES] [--idle-timeout-ms=N]\n"
                "                    [--json=PATH]\n");
   return code;
-}
-
-std::uint64_t parse_u64_flag(const char* flag, const char* s, std::uint64_t lo,
-                             std::uint64_t hi) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (s[0] == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-      s[0] == '-' || v < lo || v > hi) {
-    std::fprintf(stderr, "bad value for %s: '%s' (expected %llu..%llu)\n", flag, s,
-                 static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-    std::exit(2);
-  }
-  return v;
 }
 
 }  // namespace

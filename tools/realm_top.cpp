@@ -14,8 +14,8 @@
 // --once polls a single snapshot and exits; with --json it emits a
 // realm-bench-v3 document (MetricsSink) whose metrics section is the
 // flattened stats catalog (counter.* -> bare names, slo.a.b.c ->
-// slo_a_b_c), so check_bench_schema.py validates it and realm_benchdiff
-// can compare two snapshots.
+// slo_a_b_c), so check_bench_schema.py validates it and its --diff mode
+// compares two snapshots.
 
 #include <chrono>
 #include <csignal>
