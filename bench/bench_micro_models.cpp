@@ -1,11 +1,12 @@
 // Throughput microbenchmarks (google-benchmark): behavioral models, the
 // s_ij derivation engine, netlist simulation, the JPEG block pipeline, and
-// the serving layer's u64-list wire codec and frame checksum.
+// the serving layer's u64-list wire codec, frame checksum and frame decoder.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "realm/campaign/record.hpp"
 #include "realm/core/segment_factors.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/packed_simulator.hpp"
@@ -136,7 +137,8 @@ void BM_U64ListParse(benchmark::State& state) {
 }
 
 // encode_frame over the reply body `out=<list>\n`: the 28-byte header, one
-// body copy, and FNV-1a over every body byte, which dominates.
+// body copy, and XXH64 over every body byte, which costs about as much as
+// the copy.
 void BM_FrameChecksum(benchmark::State& state) {
   const std::string body = "out=" + net::encode_u64_list(wire_products()) + "\n";
   for (auto _ : state) {
@@ -144,6 +146,38 @@ void BM_FrameChecksum(benchmark::State& state) {
     benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(body.size()));
+}
+
+// FrameDecoder over one multiply_batch request frame: 4096 16-bit operand
+// pairs on realm:m=16,t=4 (about 48 KB).  Covers the receive-buffer append,
+// the header parse, XXH64 over the body and the body copy into the Frame.
+void BM_FrameDecode(benchmark::State& state) {
+  constexpr std::size_t kPairs = 4096;
+  num::Xoshiro256 rng{2};
+  std::vector<std::uint64_t> a(kPairs), b(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    a[i] = rng.below(65536);
+    b[i] = rng.below(65536);
+  }
+  const std::string frame =
+      net::encode_frame(net::MsgType::kMultiplyBatch, 1,
+                        campaign::PayloadWriter{}
+                            .field_str("spec", "realm:m=16,t=4")
+                            .field("n", std::int64_t{16})
+                            .field_str("a", net::encode_u64_list(a))
+                            .field_str("b", net::encode_u64_list(b))
+                            .str());
+  net::Frame f;
+  for (auto _ : state) {
+    net::FrameDecoder dec;
+    dec.feed(frame.data(), frame.size());
+    if (dec.next(f) != net::FrameDecoder::Status::kFrame) {
+      state.SkipWithError("frame did not decode");
+      break;
+    }
+    benchmark::DoNotOptimize(f.body.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(frame.size()));
 }
 
 }  // namespace
@@ -184,5 +218,6 @@ BENCHMARK_CAPTURE(BM_Dct8x8, realm16_t8, std::string{"realm:m=16,t=8"});
 BENCHMARK(BM_U64ListEncode)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_U64ListParse)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FrameChecksum)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FrameDecode)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -1,4 +1,4 @@
-// Blocking client for the realm-net/v1 serving protocol.
+// Blocking client for the realm-net/v2 serving protocol.
 //
 // One Client owns one connected socket.  It is intentionally synchronous —
 // the load generator gets concurrency by opening many clients, and the tests

@@ -53,15 +53,19 @@ struct BlockStats {
 // Fills an operand block from the shard's splitmix64 stream in counter form:
 // pair i uses draws 2i and 2i+1, each mapped to `width` bits by taking the
 // top bits (draws are uniform over 2^64, so the top-bit map is exactly
-// uniform over [0, 2^width)).  No loop-carried dependency — vectorizes.
+// uniform over [0, 2^width)).  Draw j mixes seed + (j+1)·gamma
+// (num::splitmix64_at); the loop carries that state as an induction
+// variable, gamma per draw and 2·gamma per pair, so no draw pays a 64-bit
+// multiply for its counter and the loop still vectorizes.
 REALM_MULTIVERSION
 void generate_block(std::uint64_t seed, std::uint64_t first_pair, int shift,
                     std::uint64_t* __restrict a, std::uint64_t* __restrict b,
                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t j = 2 * (first_pair + i);
-    a[i] = num::splitmix64_at(seed, j) >> shift;
-    b[i] = num::splitmix64_at(seed, j + 1) >> shift;
+  constexpr std::uint64_t kGamma = num::kSplitmix64Gamma;
+  std::uint64_t z = seed + (2 * first_pair + 1) * kGamma;
+  for (std::size_t i = 0; i < n; ++i, z += 2 * kGamma) {
+    a[i] = num::splitmix64_mix(z) >> shift;
+    b[i] = num::splitmix64_mix(z + kGamma) >> shift;
   }
 }
 
@@ -106,15 +110,16 @@ struct RowOperands {  // pair i is (a, b0 + i)
   [[nodiscard]] std::uint64_t b_at(std::size_t i) const { return b0 + i; }
 };
 
-// Reduces a block of products to BlockStats and writes the per-pair relative
-// errors to e[] (0 for skipped zero pairs) for the histogram pass.  Zero
+// Reduces a block of products to BlockStats.  With kStoreErrors it also
+// writes the per-pair relative errors to e[] (0 for skipped zero pairs) for
+// the histogram pass and the peak search; without, e is never touched.  Zero
 // pairs are skipped exactly as in the scalar reference: the max() divisor
 // keeps the (unconditional) division safe, and the mask blend forces e to
 // exactly 0 so the pair drops out of the sums even for designs whose product
 // is nonzero for a zero operand (e.g. TRUNC's correction constant); min/max
 // and the count blend the pair away.  Lanes fold in fixed order and the tail
 // runs the same formulas in scalar, so the result is deterministic.
-template <class Operands>
+template <bool kStoreErrors, class Operands>
 REALM_MULTIVERSION BlockStats reduce_block(const Operands ops,
                                            const std::uint64_t* __restrict p,
                                            double* __restrict e, std::size_t n) {
@@ -139,7 +144,7 @@ REALM_MULTIVERSION BlockStats reduce_block(const Operands ops,
     const Vd eraw = (pd - exact) / divisor;
     const Vd validm = exact > vzero ? vone : vzero;
     const Vd ev = eraw * validm;  // exact 0 for zero pairs (eraw is finite)
-    *reinterpret_cast<Vd*>(e + i) = ev;
+    if constexpr (kStoreErrors) *reinterpret_cast<Vd*>(e + i) = ev;
     vsum += ev;
     vsumsq += ev * ev;
     vabs += reinterpret_cast<Vd>(reinterpret_cast<Vu>(ev) & 0x7fffffffffffffffULL);
@@ -165,7 +170,7 @@ REALM_MULTIVERSION BlockStats reduce_block(const Operands ops,
         static_cast<double>(ops.a_at(i)) * static_cast<double>(ops.b_at(i));
     const double eraw = (static_cast<double>(p[i]) - exact) / std::max(exact, 1.0);
     const double ev = exact > 0.0 ? eraw : 0.0;
-    e[i] = ev;
+    if constexpr (kStoreErrors) e[i] = ev;
     s.sum += ev;
     s.sumsq += ev * ev;
     s.abs_sum += std::fabs(ev);
@@ -324,9 +329,11 @@ ShardOut run_mc_shard(const Multiplier& design, std::uint64_t samples,
         std::min<std::uint64_t>(samples - pair0, kBatchPairs));
     generate_block(seed, pair0, shift, buf.a.data(), buf.b.data(), block);
     design.multiply_batch(buf.a.data(), buf.b.data(), buf.p.data(), block);
-    out.acc.merge(stats_to_acc(reduce_block(BufferOperands{buf.a.data(), buf.b.data()},
-                                            buf.p.data(), buf.e.data(), block)));
-    if (hist != nullptr) {
+    const BufferOperands ops{buf.a.data(), buf.b.data()};
+    if (hist == nullptr) {
+      out.acc.merge(stats_to_acc(reduce_block<false>(ops, buf.p.data(), nullptr, block)));
+    } else {
+      out.acc.merge(stats_to_acc(reduce_block<true>(ops, buf.p.data(), buf.e.data(), block)));
       for (std::size_t i = 0; i < block; ++i) {
         if (buf.a[i] != 0 && buf.b[i] != 0) hist->add(100.0 * buf.e[i]);
       }
@@ -356,8 +363,9 @@ ShardOut run_exhaustive_shard(const Multiplier& design, std::uint64_t r0,
       const auto block = static_cast<std::size_t>(
           std::min<std::uint64_t>(b_hi - b + 1, kBatchPairs));
       design.multiply_row_range(a, b, buf.p.data(), block);
+      // e[] is stored: locate_peak and the histogram read it.
       const BlockStats s =
-          reduce_block(RowOperands{a, b}, buf.p.data(), buf.e.data(), block);
+          reduce_block<true>(RowOperands{a, b}, buf.p.data(), buf.e.data(), block);
       out.acc.merge(stats_to_acc(s));
       // The block's peak values merge first; their operands are located
       // only for a side the block won.
@@ -438,8 +446,8 @@ ErrorMetrics exhaustive_generic_reference(const Multiplier& design,
                    design.multiply_batch(buf.a.data(), buf.b.data(), buf.p.data(),
                                          block);
                    out.acc.merge(stats_to_acc(
-                       reduce_block(BufferOperands{buf.a.data(), buf.b.data()},
-                                    buf.p.data(), buf.e.data(), block)));
+                       reduce_block<false>(BufferOperands{buf.a.data(), buf.b.data()},
+                                           buf.p.data(), nullptr, block)));
                    b += block;
                  }
                }

@@ -1,5 +1,6 @@
 #include "realm/net/protocol.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -8,7 +9,6 @@
 #include <stdexcept>
 
 #include "realm/campaign/record.hpp"
-#include "realm/campaign/result_store.hpp"
 
 namespace realm::net {
 
@@ -30,33 +30,85 @@ constexpr std::size_t kMaxU64ElementBytes = 21;
   return head <= (std::numeric_limits<std::uint64_t>::max() - last) / 10;
 }
 
-[[nodiscard]] std::uint32_t get_le32(const char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
+// XXH64 primes, from the xxHash specification.
+constexpr std::uint64_t kXxPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kXxPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kXxPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kXxPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kXxPrime5 = 0x27d4eb2f165667c5ULL;
 
-[[nodiscard]] std::uint64_t get_le64(const char* p) noexcept {
+/// Unaligned little-endian loads; one plain load on a little-endian host.
+[[nodiscard]] std::uint64_t load_le64(const char* p) noexcept {
   std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
   return v;
 }
 
-/// Checksum input: LE(type) . LE(seq) . LE(body_len) . body — the same
-/// lengths-then-content recipe the campaign journal uses.  Those 16 bytes
-/// are the frame header after the magic, so both directions hash them where
-/// they already lie and FNV-1a continues over the body without
-/// concatenating.
+[[nodiscard]] std::uint32_t load_le32(const char* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap32(v);
+  return v;
+}
+
+[[nodiscard]] std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t lane) noexcept {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+[[nodiscard]] std::uint64_t xxh64_merge(std::uint64_t acc, std::uint64_t v) noexcept {
+  return (acc ^ xxh64_round(0, v)) * kXxPrime1 + kXxPrime4;
+}
+
+/// Checksum of a frame: XXH64 of the body, seeded with XXH64 of
+/// LE(type) . LE(seq) . LE(body_len).  Those 16 bytes are the frame header
+/// after the magic, so both directions hash them where they already lie,
+/// and every header field is covered without concatenating.
 [[nodiscard]] std::uint64_t frame_checksum(const char* header, std::string_view body) {
-  std::uint64_t h = campaign::fnv1a64(std::string_view{header + 4, 16});
-  for (const char c : body) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return xxh64(body, xxh64(std::string_view{header + 4, 16}, 0));
 }
 
 }  // namespace
+
+std::uint64_t xxh64(std::string_view bytes, std::uint64_t seed) noexcept {
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  std::uint64_t acc = seed + kXxPrime5;
+  if (bytes.size() >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = seed + kXxPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kXxPrime1;
+    for (const char* const last = end - 32; p <= last; p += 32) {
+      v1 = xxh64_round(v1, load_le64(p));
+      v2 = xxh64_round(v2, load_le64(p + 8));
+      v3 = xxh64_round(v3, load_le64(p + 16));
+      v4 = xxh64_round(v4, load_le64(p + 24));
+    }
+    acc = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    acc = xxh64_merge(acc, v1);
+    acc = xxh64_merge(acc, v2);
+    acc = xxh64_merge(acc, v3);
+    acc = xxh64_merge(acc, v4);
+  }
+  acc += bytes.size();
+  // Tail: 8-byte words, at most one 4-byte word, then single bytes.
+  for (; end - p >= 8; p += 8) {
+    acc = std::rotl(acc ^ xxh64_round(0, load_le64(p)), 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    acc = std::rotl(acc ^ (load_le32(p) * kXxPrime1), 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    acc = std::rotl(acc ^ (static_cast<unsigned char>(*p) * kXxPrime5), 11) * kXxPrime1;
+  }
+  // Avalanche.
+  acc = (acc ^ (acc >> 33)) * kXxPrime2;
+  acc = (acc ^ (acc >> 29)) * kXxPrime3;
+  return acc ^ (acc >> 32);
+}
 
 const char* request_kind_name(MsgType t) noexcept {
   switch (t) {
@@ -153,14 +205,14 @@ FrameDecoder::Status FrameDecoder::next(Frame& frame) {
   }
   if (buffered() < kFrameHeaderBytes) return Status::kNeedMore;
   const char* h = buf_.data() + pos_;
-  if (get_le32(h) != kFrameMagic) {
+  if (load_le32(h) != kFrameMagic) {
     poisoned_ = true;
     return Status::kBadMagic;
   }
-  const std::uint32_t type = get_le32(h + 4);
-  const std::uint64_t seq = get_le64(h + 8);
-  const std::uint32_t body_len = get_le32(h + 16);
-  const std::uint64_t checksum = get_le64(h + 20);
+  const std::uint32_t type = load_le32(h + 4);
+  const std::uint64_t seq = load_le64(h + 8);
+  const std::uint32_t body_len = load_le32(h + 16);
+  const std::uint64_t checksum = load_le64(h + 20);
   if (body_len > max_body_) {
     // Enter discard mode: drop whatever body bytes are already buffered and
     // remember how many are still owed by the stream.

@@ -264,9 +264,9 @@ TEST(NetProtocol, ListCodecsRoundTrip) {
   EXPECT_THROW((void)net::parse_double_list("1.0,,2.0"), std::runtime_error);
 }
 
-TEST(NetProtocol, FrameBytesFollowTheV1Layout) {
-  // Built field by field from the header comment in protocol.hpp, with the
-  // checksum taken over one concatenated string.
+TEST(NetProtocol, FrameBytesFollowTheV2Layout) {
+  // Built field by field from the header comment in protocol.hpp: the
+  // header's 16 length bytes seed the body hash.
   const auto le = [](std::uint64_t v, int bytes) {
     std::string out;
     for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -276,9 +276,76 @@ TEST(NetProtocol, FrameBytesFollowTheV1Layout) {
   const std::uint64_t seq = 0x0123456789abcdefULL;
   const std::string lengths = le(static_cast<std::uint32_t>(MsgType::kReplyOk), 4) +
                               le(seq, 8) + le(body.size(), 4);
-  const std::string expected = le(net::kFrameMagic, 4) + lengths +
-                               le(campaign::fnv1a64(lengths + body), 8) + body;
+  const std::string expected = "RNF2" + lengths +
+                               le(net::xxh64(body, net::xxh64(lengths, 0)), 8) + body;
+  EXPECT_EQ(le(net::kFrameMagic, 4), "RNF2");
   EXPECT_EQ(net::encode_frame(MsgType::kReplyOk, seq, body), expected);
+}
+
+TEST(NetProtocol, Xxh64MatchesSpecVectors) {
+  EXPECT_EQ(net::xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(net::xxh64("a", 0), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(net::xxh64("abc", 0), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(net::xxh64("Nobody inspects the spammish repetition", 0),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+namespace {
+
+/// XXH64 written straight from the spec's stripe/tail description, one
+/// byte at a time: the oracle for net::xxh64 at every tail shape.
+std::uint64_t xxh64_reference(const std::string& in, std::uint64_t seed) {
+  constexpr std::uint64_t p1 = 0x9E3779B185EBCA87ULL, p2 = 0xC2B2AE3D27D4EB4FULL,
+                          p3 = 0x165667B19E3779F9ULL, p4 = 0x85EBCA77C2B2AE63ULL,
+                          p5 = 0x27D4EB2F165667C5ULL;
+  const auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  const auto read = [&](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(in[at + i])} << (8 * i);
+    }
+    return v;
+  };
+  const auto round = [&](std::uint64_t acc, std::uint64_t lane) {
+    return rotl(acc + lane * p2, 31) * p1;
+  };
+  std::size_t at = 0;
+  std::uint64_t acc = seed + p5;
+  if (in.size() >= 32) {
+    std::uint64_t v[4] = {seed + p1 + p2, seed + p2, seed, seed - p1};
+    for (; at + 32 <= in.size(); at += 32) {
+      for (std::size_t l = 0; l < 4; ++l) v[l] = round(v[l], read(at + 8 * l, 8));
+    }
+    acc = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+    for (const std::uint64_t lane : v) acc = (acc ^ round(0, lane)) * p1 + p4;
+  }
+  acc += in.size();
+  for (; at + 8 <= in.size(); at += 8) acc = rotl(acc ^ round(0, read(at, 8)), 27) * p1 + p4;
+  if (at + 4 <= in.size()) {
+    acc = rotl(acc ^ (read(at, 4) * p1), 23) * p2 + p3;
+    at += 4;
+  }
+  for (; at < in.size(); ++at) acc = rotl(acc ^ (read(at, 1) * p5), 11) * p1;
+  acc ^= acc >> 33;
+  acc *= p2;
+  acc ^= acc >> 29;
+  acc *= p3;
+  return acc ^ (acc >> 32);
+}
+
+}  // namespace
+
+TEST(NetProtocol, Xxh64MatchesStripeTailReference) {
+  std::string bytes;
+  std::uint64_t st = 21;
+  for (int i = 0; i < 100; ++i) bytes.push_back(static_cast<char>(num::splitmix64(st)));
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0} - 6}) {
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      const std::string in = bytes.substr(0, len);
+      EXPECT_EQ(net::xxh64(in, seed), xxh64_reference(in, seed))
+          << "len " << len << " seed " << seed;
+    }
+  }
 }
 
 TEST(NetProtocol, U64ListRejectsNonCanonicalElements) {
@@ -567,6 +634,50 @@ TEST(NetServer, BadMagicGetsErrorThenClose) {
   EXPECT_THROW((void)c.recv_reply(2000), std::runtime_error);
 }
 
+TEST(NetServer, V1FrameGetsBadMagicThenClose) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  // A well-formed frame from a realm-net/v1 peer: only the magic differs
+  // in the header, and v2 has no fallback for it.
+  std::string v1 = ping_frame(7);
+  v1.replace(0, 4, "RNF1");
+  c.send_raw(v1);
+  const Frame r = c.recv_reply();
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(r.seq, 0u);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadMagic);
+  EXPECT_THROW((void)c.recv_reply(2000), std::runtime_error);
+}
+
+TEST(NetServer, FlippedHeaderStripeOrTailByteIsBadChecksum) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  // 79 bytes: two 32-byte stripes, then an 8-, a 4- and a 3-byte tail.
+  const std::string body(79, 'x');
+  const std::size_t body_at = net::kFrameHeaderBytes;
+  const std::size_t flips[] = {
+      8,                  // header: seq
+      body_at + 37,       // body: second stripe
+      body_at + 78,       // body: 1-byte tail
+  };
+  std::uint64_t seq = 1;
+  for (const std::size_t at : flips) {
+    std::string frame = net::encode_frame(MsgType::kPing, seq, body);
+    frame[at] = static_cast<char>(frame[at] ^ 0x01);
+    c.send_raw(frame);
+    Frame r = c.recv_reply();
+    ASSERT_EQ(r.type, MsgType::kReplyError) << "flip at " << at;
+    EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadChecksum) << "flip at " << at;
+    // The connection survives and serves the next valid request.
+    r = c.call(MsgType::kPing, ++seq, {});
+    EXPECT_EQ(r.type, MsgType::kReplyOk);
+    EXPECT_EQ(r.seq, seq);
+    ++seq;
+  }
+}
+
 TEST(NetServer, KillClientMidRequest) {
   TestServer ts{net::ServerOptions{}};
   {
@@ -785,7 +896,7 @@ TEST(NetServer, StatsCarriesFullCatalogAndSloWindows) {
   ASSERT_EQ(r.type, MsgType::kReplyOk);
   const campaign::PayloadReader body{r.body};
 
-  EXPECT_EQ(body.get_i64("proto"), 1);
+  EXPECT_EQ(body.get_i64("proto"), net::kNetProtocolVersion);
   EXPECT_GE(body.get_double("uptime_s"), 0.0);
   EXPECT_TRUE(has_field(body, "rss_kb"));
   EXPECT_EQ(body.get_u64("connections"), 1u);

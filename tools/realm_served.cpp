@@ -4,7 +4,7 @@
 //                [--executors=N] [--max-conns=N] [--max-frame=BYTES]
 //                [--idle-timeout-ms=N] [--json=PATH]
 //
-// Serves the realm-net/v1 protocol on loopback TCP (default; --port=0 picks
+// Serves the realm-net/v2 protocol on loopback TCP (default; --port=0 picks
 // an ephemeral port) or a Unix socket.  With --store the campaign journal
 // memoizes every cacheable request: warm hits are answered on the event loop
 // from stored bytes, misses compute once and are durably recorded.  SIGINT/
