@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   for (const char* spec : {"realm:m=16,t=8", "realm:m=16,t=0", "mbm:t=0", "calm"}) {
     const auto mul = mult::make_multiplier(spec, 16);
     jpeg::CodecOptions a;
-    a.umul = mul->as_function();
+    a.mul = mul.get();
     jpeg::CodecOptions b = a;
     b.approximate_dequant = true;
     std::printf("%-18s %14.2f %14.2f\n", spec,

@@ -3,11 +3,14 @@
 //
 //  1. A measured throughput ladder for the batched application engine
 //     (DESIGN.md §12): JPEG encode/decode, MLP inference, and FIR/Sobel
-//     filtering each run scalar-reference → batched → batched+threads on
+//     filtering each run scalar reference → batched → batched+threads on
 //     REALM16, asserting bit-identical outputs at every rung (the bench
 //     exits 1 on any byte/pixel/prediction mismatch) and reporting the
-//     speedups.  `speedup_batched_vs_scalar` (single-threaded JPEG encode)
-//     is the CI-gated floor.
+//     speedups.  The scalar rung is the named oracle: the library's
+//     encode_plane_reference / decode_plane_reference for JPEG, and the
+//     realm_test_support oracles for MLP and DSP.
+//     `speedup_batched_vs_scalar` (single-threaded JPEG encode) is the
+//     CI-gated floor.
 //
 //  2. The quality table: the error-resilient workloads the paper's
 //     introduction motivates — multimedia filtering (Gaussian blur), feature
@@ -21,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "app_oracles.hpp"
 #include "bench_common.hpp"
 #include "realm/dsp/filter.hpp"
 #include "realm/fp/float_multiplier.hpp"
 #include "realm/jpeg/codec.hpp"
 #include "realm/jpeg/quality.hpp"
+#include "realm/jpeg/quant.hpp"
 #include "realm/jpeg/synthetic.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/nn/mlp.hpp"
@@ -79,6 +84,7 @@ int main(int argc, char** argv) {
 
   // --- 1. JPEG ladder: scalar reference -> batched -> batched+threads ---
   const auto limg = jpeg::synthetic_cameraman(args.image_size);
+  const auto qtable = jpeg::scaled_table(50);
   jpeg::CodecOptions ref_opts;
   ref_opts.quality = 50;
   ref_opts.umul = lmul->as_function();
@@ -89,21 +95,23 @@ int main(int argc, char** argv) {
   jpeg::CodecOptions bt_opts = b1_opts;
   bt_opts.threads = args.threads;
 
-  const auto c_ref = jpeg::encode(limg, ref_opts);
+  const auto c_ref = jpeg::encode_plane_reference(limg, qtable, ref_opts);
   const auto c_b1 = jpeg::encode(limg, b1_opts);
   const auto c_bt = jpeg::encode(limg, bt_opts);
   require(same_compressed(c_ref, c_b1), "JPEG bytes: batched != scalar reference");
   require(same_compressed(c_ref, c_bt), "JPEG bytes: threaded != single-thread batch");
-  const auto d_ref = jpeg::decode(c_ref, ref_opts);
+  const auto d_ref = jpeg::decode_plane_reference(c_ref, qtable, ref_opts);
   const auto d_b1 = jpeg::decode(c_ref, b1_opts);
   const auto d_bt = jpeg::decode(c_ref, bt_opts);
   require(d_ref.pixels() == d_b1.pixels(), "JPEG pixels: batched != scalar reference");
   require(d_ref.pixels() == d_bt.pixels(), "JPEG pixels: threaded != single-thread batch");
 
-  const double t_enc_ref = measure_seconds([&] { (void)jpeg::encode(limg, ref_opts); });
+  const double t_enc_ref =
+      measure_seconds([&] { (void)jpeg::encode_plane_reference(limg, qtable, ref_opts); });
   const double t_enc_b1 = measure_seconds([&] { (void)jpeg::encode(limg, b1_opts); });
   const double t_enc_bt = measure_seconds([&] { (void)jpeg::encode(limg, bt_opts); });
-  const double t_dec_ref = measure_seconds([&] { (void)jpeg::decode(c_ref, ref_opts); });
+  const double t_dec_ref =
+      measure_seconds([&] { (void)jpeg::decode_plane_reference(c_ref, qtable, ref_opts); });
   const double t_dec_b1 = measure_seconds([&] { (void)jpeg::decode(c_ref, b1_opts); });
   const double t_dec_bt = measure_seconds([&] { (void)jpeg::decode(c_ref, bt_opts); });
   const double mpix = 1e-6 * limg.width() * limg.height();
@@ -137,26 +145,28 @@ int main(int argc, char** argv) {
   const auto lf = lmul->as_function();
   const auto pred_batch = nn::predict_fixed_batch(qnet, test.x, *lmul);
   for (std::size_t i = 0; i < test.x.size(); ++i) {
-    require(pred_batch[i] == nn::predict_fixed(qnet, test.x[i], lf),
+    require(pred_batch[i] == nn::predict_fixed_reference(qnet, test.x[i], lf),
             "MLP predictions: batched != scalar reference");
   }
-  const double t_nn_ref = measure_seconds([&] { (void)nn::accuracy_fixed(qnet, test, lf); });
+  const double t_nn_ref =
+      measure_seconds([&] { (void)nn::accuracy_fixed_reference(qnet, test, lf); });
   const double t_nn_b = measure_seconds([&] { (void)nn::accuracy_fixed_batch(qnet, test, *lmul); });
   row("mlp inference batched", t_nn_ref, t_nn_b);
   sink.metric("nn_speedup_batched_vs_scalar", t_nn_ref / t_nn_b);
 
   // --- 3. DSP ladder ---
   const auto dimg = jpeg::synthetic_cameraman(std::min(args.image_size, 256));
-  const auto blur_s = dsp::gaussian_blur(dimg, 1.5, lf);
+  const auto blur_s = dsp::gaussian_blur_reference(dimg, 1.5, lf);
   const auto blur_b = dsp::gaussian_blur_batch(dimg, 1.5, *lmul);
   require(blur_s.pixels() == blur_b.pixels(), "blur pixels: batched != scalar reference");
-  const auto sob_s = dsp::sobel(dimg, lf);
+  const auto sob_s = dsp::sobel_reference(dimg, lf);
   const auto sob_b = dsp::sobel_batch(dimg, *lmul);
   require(sob_s.pixels() == sob_b.pixels(), "sobel pixels: batched != scalar reference");
-  const double t_blur_ref = measure_seconds([&] { (void)dsp::gaussian_blur(dimg, 1.5, lf); });
+  const double t_blur_ref =
+      measure_seconds([&] { (void)dsp::gaussian_blur_reference(dimg, 1.5, lf); });
   const double t_blur_b =
       measure_seconds([&] { (void)dsp::gaussian_blur_batch(dimg, 1.5, *lmul); });
-  const double t_sob_ref = measure_seconds([&] { (void)dsp::sobel(dimg, lf); });
+  const double t_sob_ref = measure_seconds([&] { (void)dsp::sobel_reference(dimg, lf); });
   const double t_sob_b = measure_seconds([&] { (void)dsp::sobel_batch(dimg, *lmul); });
   row("gaussian blur batched", t_blur_ref, t_blur_b);
   row("sobel batched", t_sob_ref, t_sob_b);
@@ -169,10 +179,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> specs = {"accurate", "realm:m=16,t=8", "realm:m=8,t=8",
                                           "mbm:t=0",  "calm",           "drum:k=6",
                                           "ssm:m=8"};
-  const num::UMulFn exact = [](std::uint64_t a, std::uint64_t b) { return a * b; };
+  const auto exact = mult::make_multiplier("accurate", 16);
   const auto img = dimg;
-  const auto blur_ref = dsp::gaussian_blur(img, 1.5, exact);
-  const auto sobel_ref = dsp::sobel(img, exact);
+  const auto blur_ref = dsp::gaussian_blur_batch(img, 1.5, *exact);
+  const auto sobel_ref = dsp::sobel_batch(img, *exact);
   std::printf("float MLP reference accuracy: %.1f %%\n\n", 100.0 * net.accuracy(test));
 
   // FP32 mean relative error over random operands.

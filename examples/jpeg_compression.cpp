@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     const auto mul = mult::make_multiplier(mul_spec, 16);
     jpeg::CodecOptions opts;
     opts.quality = 50;
-    opts.umul = mul->as_function();
+    opts.mul = mul.get();
     const auto compressed = jpeg::encode(input, opts);
     const jpeg::Image rec = jpeg::decode(compressed, opts);
     std::printf("%-18s PSNR %6.2f dB   %zu bytes (%.2f:1)\n", mul->name().c_str(),

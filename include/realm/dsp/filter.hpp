@@ -4,14 +4,16 @@
 //
 // Kernels are quantized to Q(frac_bits) signed fixed point; every
 // coefficient×pixel product goes through the multiplier under test via the
-// sign-magnitude scheme (num::signed_mul).
+// sign-magnitude scheme.  Each tap is fixed across an image row, so the
+// filters issue one num::signed_row_batch per (tap, row) and land on the
+// multiplier's row-hoisted kernels.  Their bit-identity oracles (one
+// num::signed_mul per product) live in the test-support target.
 
 #pragma once
 
 #include <vector>
 
 #include "realm/jpeg/image.hpp"
-#include "realm/numeric/fixed_point.hpp"
 
 namespace realm {
 class Multiplier;
@@ -23,32 +25,20 @@ namespace realm::dsp {
 [[nodiscard]] std::vector<double> gaussian_kernel(int size, double sigma);
 
 /// 2-D convolution with replicate border handling.  `kernel` is size×size
-/// row-major real coefficients, quantized internally to Q(frac_bits).
-[[nodiscard]] jpeg::Image convolve(const jpeg::Image& img,
-                                   const std::vector<double>& kernel, int size,
-                                   const num::UMulFn& umul, int frac_bits = 10);
-
-/// Gaussian blur through the multiplier under test.
-[[nodiscard]] jpeg::Image gaussian_blur(const jpeg::Image& img, double sigma,
-                                        const num::UMulFn& umul);
-
-/// Sobel gradient magnitude (|Gx| + |Gy|, clamped to 8 bits); the gradient
-/// products go through the multiplier under test.
-[[nodiscard]] jpeg::Image sobel(const jpeg::Image& img, const num::UMulFn& umul);
-
-/// Batched convolution: each tap is fixed across an image row, so the filter
-/// issues one num::signed_row_batch per (ky, kx) tap over a border-replicated
-/// row of pixels, landing on the multiplier's row-hoisted kernels instead of
-/// one virtual multiply per product.  Pixels are bit-identical to convolve
-/// with umul = mul.multiply: identical tap-first products accumulated in the
-/// same ky-major, kx-minor order with the same zero-tap skips.
+/// row-major real coefficients, quantized internally to Q(frac_bits).  One
+/// num::signed_row_batch per (ky, kx) tap over a border-replicated row of
+/// pixels; tap-first products are accumulated ky-major, kx-minor, and zero
+/// taps are skipped.
 [[nodiscard]] jpeg::Image convolve_batch(const jpeg::Image& img,
                                          const std::vector<double>& kernel, int size,
                                          const Multiplier& mul, int frac_bits = 10);
 
-/// Batched counterparts of gaussian_blur / sobel (same bit-identity contract).
+/// Gaussian blur through the multiplier under test.
 [[nodiscard]] jpeg::Image gaussian_blur_batch(const jpeg::Image& img, double sigma,
                                               const Multiplier& mul);
+
+/// Sobel gradient magnitude (|Gx| + |Gy|, clamped to 8 bits); the gradient
+/// products go through the multiplier under test.
 [[nodiscard]] jpeg::Image sobel_batch(const jpeg::Image& img, const Multiplier& mul);
 
 }  // namespace realm::dsp

@@ -26,7 +26,11 @@ namespace realm::jpeg {
 
 struct CodecOptions {
   int quality = 50;
-  num::UMulFn umul;  ///< multiplier for the DCT/IDCT datapath; empty = exact
+  /// Read only by encode_plane_reference / decode_plane_reference, the
+  /// scalar bit-identity oracles (empty = exact).  The engine rejects
+  /// options that set `umul` without `mul` with std::invalid_argument, since
+  /// it would otherwise ignore the multiplier the caller asked for.
+  num::UMulFn umul;
   /// Route dequantization through the multiplier under test as well.  Off by
   /// default: the dequantizer multiplies by one of 64 *known constants*,
   /// which hardware implements as shift-add constant multipliers — the
@@ -35,15 +39,14 @@ struct CodecOptions {
   /// frequent power-of-two quantizer constants otherwise excite the
   /// log-multipliers' x = 0 ridge coherently across stages.)
   bool approximate_dequant = false;
-  /// Batched panel engine: when set, encode/decode route the DCT, the IDCT
-  /// and (with approximate_dequant) the dequantizer through this design's
-  /// devirtualized multiply_row_batch kernels — W blocks per call instead of
-  /// one virtual multiply per product — and shard the block passes over the
-  /// persistent thread pool per `threads`.  Output is bit-identical to the
-  /// scalar reference path with umul = mul->as_function(); `umul` is
-  /// ignored while `mul` is set.  Not owned; must outlive the call.
+  /// The design under test for the DCT, the IDCT and (with
+  /// approximate_dequant) the dequantizer.  Every codec entry point runs the
+  /// batched panel engine on it: W blocks per multiply_row_batch call instead
+  /// of one virtual multiply per product, with the block passes sharded over
+  /// the persistent thread pool per `threads`.  nullptr = exact products.
+  /// Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
-  /// Parallelism of the batched engine's block shards (1 = serial, 0 = all
+  /// Parallelism of the panel engine's block shards (1 = serial, 0 = all
   /// hardware threads).  Encoded bytes and decoded pixels are invariant to
   /// this by construction: the shard grid is a fixed function of the block
   /// count and shards write disjoint block-index ranges.
@@ -83,8 +86,7 @@ void write_compressed(const Compressed& c, const std::string& path);
 
 /// Plane-level API (used by the color extension): same pipeline with an
 /// explicit quantization table instead of the quality-scaled luminance one.
-/// Dispatches to the batched panel engine when opts.mul is set, else to the
-/// scalar reference path.
+/// Runs the panel engine on opts.mul (exact when it is null).
 [[nodiscard]] Compressed encode_plane(const Image& img,
                                       const std::array<std::uint16_t, 64>& qtable,
                                       const CodecOptions& opts);
@@ -92,9 +94,11 @@ void write_compressed(const Compressed& c, const std::string& path);
                                  const std::array<std::uint16_t, 64>& qtable,
                                  const CodecOptions& opts);
 
-/// The retained scalar paths — one virtual multiply per product through
-/// opts.umul, single-threaded — kept as the bit-identity cross-check for
-/// the batched engine (opts.mul is ignored here).
+/// The scalar reference paths — one virtual multiply per product through
+/// opts.umul, single-threaded — kept as the bit-identity oracle for the
+/// panel engine (opts.mul and opts.threads are ignored here).  With
+/// umul = mul.as_function() their bytes and pixels equal encode_plane /
+/// decode_plane on mul.
 [[nodiscard]] Compressed encode_plane_reference(const Image& img,
                                                 const std::array<std::uint16_t, 64>& qtable,
                                                 const CodecOptions& opts);

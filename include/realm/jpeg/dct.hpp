@@ -8,16 +8,17 @@
 // Sign handling follows the unsigned-multiplier sign-magnitude scheme of
 // num::signed_mul.
 //
-// Two engines share that arithmetic:
-//   * the scalar reference (fdct8x8 / idct8x8) — one block per call, one
-//     virtual multiply per product through a UMulFn;
-//   * the panel engine (fdct_panel / idct_panel) — W blocks per call.  Each
-//     1-D pass has a *fixed* coefficient per (row u, tap k), so the panel
-//     engine issues one multiply_row_batch per (u, k) over a W·8-wide lane
-//     of sign/magnitude-split inputs (decomposed once per panel), landing
-//     on the multiplier's row-hoisted kernels.  Bit-identical to the scalar
-//     reference: same products in the same per-output accumulation order
-//     (k ascending), same rescale and saturation.
+// The codec runs the panel engine (fdct_panel / idct_panel): W blocks per
+// call.  Each 1-D pass has a *fixed* coefficient per (row u, tap k), so the
+// engine issues one multiply_row_batch per (u, k) over a W·8-wide lane of
+// sign/magnitude-split inputs (decomposed once per panel), landing on the
+// multiplier's row-hoisted kernels.
+//
+// fdct8x8 / idct8x8 — one block per call, one virtual multiply per product
+// through a UMulFn — are the scalar oracle behind the codec's *_reference
+// paths.  The panel engine is bit-identical to them: same products in the
+// same per-output accumulation order (k ascending), same rescale and
+// saturation.
 
 #pragma once
 
@@ -38,12 +39,12 @@ inline constexpr int kDctCoeffBits = 12;
 
 /// Forward 2-D DCT of a level-shifted 8×8 block (inputs in [-128, 127]),
 /// producing coefficients in natural (pre-quantization) scale.
-/// Every multiplication goes through `umul`.  Scalar reference path.
+/// Every multiplication goes through `umul`.  Scalar oracle.
 void fdct8x8(const std::array<std::int16_t, 64>& block, std::array<std::int16_t, 64>& out,
              const num::UMulFn& umul);
 
 /// Inverse 2-D DCT; output is level-shifted pixel domain (clamp to
-/// [-128, 127] is the caller's job when reconstructing).  Scalar reference.
+/// [-128, 127] is the caller's job when reconstructing).  Scalar oracle.
 void idct8x8(const std::array<std::int16_t, 64>& coeffs,
              std::array<std::int16_t, 64>& out, const num::UMulFn& umul);
 

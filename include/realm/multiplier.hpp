@@ -104,8 +104,10 @@ class Multiplier {
   /// Operand width N in bits.
   [[nodiscard]] virtual int width() const = 0;
 
-  /// Convenience adapter for code that wants a plain function object
-  /// (e.g. the fixed-point JPEG datapath).
+  /// Plain function object over multiply().  Its one remaining library use
+  /// is CodecOptions::umul, which feeds the JPEG reference codec
+  /// (encode_plane_reference / decode_plane_reference); applications take
+  /// `const Multiplier&`.
   [[nodiscard]] std::function<std::uint64_t(std::uint64_t, std::uint64_t)>
   as_function() const {
     return [this](std::uint64_t a, std::uint64_t b) { return multiply(a, b); };

@@ -5,16 +5,14 @@
 // workloads (§I); this module provides a self-contained classification
 // study: train a small MLP in double precision on a synthetic dataset,
 // quantize weights/activations to Q8 fixed point, and run inference with the
-// multiplier under test (products via num::signed_mul).  The question the
-// bench asks: how much accuracy does each Table I design give up?
+// multiplier under test (products via num::signed_row_batch).  The question
+// the bench asks: how much accuracy does each Table I design give up?
 
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
-
-#include "realm/numeric/fixed_point.hpp"
 
 namespace realm {
 class Multiplier;
@@ -63,21 +61,13 @@ class Mlp {
   std::vector<std::vector<double>> biases_;
 };
 
-/// Fixed-point inference with the multiplier under test.  Scalar reference
-/// path: one virtual multiply per MAC, one sample per call.
-[[nodiscard]] int predict_fixed(const Mlp::Quantized& net, const std::array<double, 2>& x,
-                                const num::UMulFn& umul);
-
-[[nodiscard]] double accuracy_fixed(const Mlp::Quantized& net, const Dataset& data,
-                                    const num::UMulFn& umul);
-
-/// Batched fixed-point inference: the whole input batch runs through each
-/// layer as per-weight row batches — for every (output neuron o, input i)
-/// the weight w[o][i] is fixed across the batch, so the matvec issues one
-/// num::signed_row_batch over the samples' i-th activations per weight,
-/// landing on the multiplier's row-hoisted kernels.  Per-sample results are
-/// bit-identical to predict_fixed with umul = mul.multiply: identical
-/// products accumulated in the same order (i ascending per neuron).
+/// Fixed-point inference with the multiplier under test: the whole input
+/// batch runs through each layer as per-weight row batches — for every
+/// (output neuron o, input i) the weight w[o][i] is fixed across the batch,
+/// so the matvec issues one num::signed_row_batch over the samples' i-th
+/// activations per weight, landing on the multiplier's row-hoisted kernels.
+/// Products are accumulated i ascending per neuron on top of the bias.  The
+/// per-sample bit-identity oracle lives in the test-support target.
 [[nodiscard]] std::vector<int> predict_fixed_batch(
     const Mlp::Quantized& net, const std::vector<std::array<double, 2>>& xs,
     const Multiplier& mul);

@@ -9,12 +9,13 @@
 // unsigned integer multiplier for handling signed numbers"): take magnitudes,
 // multiply unsigned, re-apply the XOR of the signs.
 //
-// Two tiers of API:
-//   * scalar (signed_mul / fx_mul) — one product per call through a UMulFn;
-//     the reference path every application keeps for cross-checking.
-//   * batched (signed_mul_batch / signed_row_batch) — contiguous spans of
-//     products through a Multiplier's devirtualized multiply_batch /
-//     multiply_row_batch kernels.  Bit-identical to the scalar tier by
+// The signed product exists twice, once per role:
+//   * num::signed_mul — one product per call through a UMulFn; the scalar
+//     reference that the bit-identity oracles (the JPEG reference codec and
+//     the test-support DSP/MLP oracles) are written against.
+//   * num::signed_row_batch — the engine every application runs: one fixed
+//     operand times a span, lowered onto a Multiplier's devirtualized
+//     multiply_row_batch kernel.  Bit-identical to a signed_mul loop by
 //     construction: same magnitude decomposition, same unsigned products
 //     (the Multiplier batch contract), same sign re-application.
 
@@ -45,14 +46,6 @@ using UMulFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 /// (values anywhere near the 16-bit application datapath can never hit it).
 [[nodiscard]] std::int64_t signed_mul(std::int64_t a, std::int64_t b, const UMulFn& umul);
 
-/// Element-wise signed product over contiguous spans:
-/// out[i] = signed_mul(a[i], b[i]) for i in [0, n), with the unsigned
-/// magnitude products formed by mul.multiply_batch — one devirtualized
-/// kernel call per block instead of n virtual calls.  `out` may alias
-/// neither input.  Same magnitude-domain precondition as signed_mul.
-void signed_mul_batch(const std::int64_t* a, const std::int64_t* b, std::int64_t* out,
-                      std::size_t n, const Multiplier& mul);
-
 /// Fixed-operand signed row product: out[i] = signed_mul(a_fixed, b[i]) for
 /// i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
 /// data-dependent work (LOD, log fraction, segment row) is hoisted out of
@@ -61,12 +54,6 @@ void signed_mul_batch(const std::int64_t* a, const std::int64_t* b, std::int64_t
 /// activations, one FIR tap times an image row.  `out` must not alias `b`.
 void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul);
-
-/// Fixed-point multiply: (a * b) >> frac_bits with the product formed by the
-/// supplied unsigned multiplier.  Rounds toward zero, as a hardware
-/// truncation of the low product bits would.
-[[nodiscard]] std::int32_t fx_mul(std::int32_t a, std::int32_t b, int frac_bits,
-                                  const UMulFn& umul);
 
 /// Convert a double to Q(frac_bits) with round-to-nearest.
 [[nodiscard]] std::int32_t to_fx(double v, int frac_bits);

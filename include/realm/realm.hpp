@@ -45,5 +45,4 @@
 #include "realm/jpeg/synthetic.hpp"
 #include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
-#include "realm/multipliers/signed_adapter.hpp"
 #include "realm/nn/mlp.hpp"

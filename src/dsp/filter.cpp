@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "realm/multiplier.hpp"
+#include "realm/numeric/fixed_point.hpp"
 #include "realm/obs/counters.hpp"
 #include "realm/obs/trace.hpp"
 
@@ -14,8 +15,8 @@ namespace realm::dsp {
 namespace {
 
 // Border-replicated pixel row: padded[j] = row[clamp(j - r)], j in
-// [0, w + 2r), so the pixel the scalar path reads at (x + kx, clamped) is
-// padded[x + kx + r] for every x in the row.
+// [0, w + 2r), so the pixel at column (x + kx, clamped) is padded[x + kx + r]
+// for every x in the row.
 void gather_padded_row(const jpeg::Image& img, int y, int r,
                        std::vector<std::int64_t>& padded) {
   const int w = img.width();
@@ -43,46 +44,6 @@ std::vector<double> gaussian_kernel(int size, double sigma) {
   return k;
 }
 
-jpeg::Image convolve(const jpeg::Image& img, const std::vector<double>& kernel,
-                     int size, const num::UMulFn& umul, int frac_bits) {
-  if (size < 1 || size % 2 == 0) throw std::invalid_argument("convolve: odd size");
-  if (kernel.size() != static_cast<std::size_t>(size) * static_cast<std::size_t>(size)) {
-    throw std::invalid_argument("convolve: kernel size mismatch");
-  }
-  // Quantize the taps once.
-  std::vector<std::int32_t> taps(kernel.size());
-  for (std::size_t i = 0; i < kernel.size(); ++i) {
-    taps[i] = num::to_fx(kernel[i], frac_bits);
-  }
-
-  const int r = size / 2;
-  jpeg::Image out{img.width(), img.height()};
-  const auto clamp_coord = [](int v, int hi) { return std::clamp(v, 0, hi - 1); };
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      std::int64_t acc = 0;
-      for (int ky = -r; ky <= r; ++ky) {
-        for (int kx = -r; kx <= r; ++kx) {
-          const std::int32_t tap =
-              taps[static_cast<std::size_t>((ky + r) * size + (kx + r))];
-          if (tap == 0) continue;
-          const int px = img.at(clamp_coord(x + kx, img.width()),
-                                clamp_coord(y + ky, img.height()));
-          acc += num::signed_mul(tap, px, umul);
-        }
-      }
-      const auto v = static_cast<std::int64_t>(acc >> frac_bits);
-      out.set(x, y, static_cast<std::uint8_t>(std::clamp<std::int64_t>(v, 0, 255)));
-    }
-  }
-  return out;
-}
-
-jpeg::Image gaussian_blur(const jpeg::Image& img, double sigma, const num::UMulFn& umul) {
-  const int size = std::max(3, 2 * static_cast<int>(std::ceil(2.0 * sigma)) + 1);
-  return convolve(img, gaussian_kernel(size, sigma), size, umul);
-}
-
 jpeg::Image convolve_batch(const jpeg::Image& img, const std::vector<double>& kernel,
                            int size, const Multiplier& mul, int frac_bits) {
   if (size < 1 || size % 2 == 0) throw std::invalid_argument("convolve: odd size");
@@ -104,7 +65,7 @@ jpeg::Image convolve_batch(const jpeg::Image& img, const std::vector<double>& ke
   std::uint64_t products = 0;
   for (int y = 0; y < img.height(); ++y) {
     std::fill(acc.begin(), acc.end(), std::int64_t{0});
-    // Same tap order as the scalar path (ky-major, kx-minor, zero taps
+    // Same tap order as the reference oracle (ky-major, kx-minor, zero taps
     // skipped); each tap is fixed across the row, so it lowers onto one
     // row batch over the replicated pixel row.
     for (int ky = -r; ky <= r; ++ky) {
@@ -130,30 +91,6 @@ jpeg::Image gaussian_blur_batch(const jpeg::Image& img, double sigma,
                                 const Multiplier& mul) {
   const int size = std::max(3, 2 * static_cast<int>(std::ceil(2.0 * sigma)) + 1);
   return convolve_batch(img, gaussian_kernel(size, sigma), size, mul);
-}
-
-jpeg::Image sobel(const jpeg::Image& img, const num::UMulFn& umul) {
-  static constexpr int kGx[9] = {-1, 0, 1, -2, 0, 2, -1, 0, 1};
-  static constexpr int kGy[9] = {-1, -2, -1, 0, 0, 0, 1, 2, 1};
-  jpeg::Image out{img.width(), img.height()};
-  const auto clamp_coord = [](int v, int hi) { return std::clamp(v, 0, hi - 1); };
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      std::int64_t gx = 0, gy = 0;
-      for (int ky = -1; ky <= 1; ++ky) {
-        for (int kx = -1; kx <= 1; ++kx) {
-          const int px = img.at(clamp_coord(x + kx, img.width()),
-                                clamp_coord(y + ky, img.height()));
-          const int idx = (ky + 1) * 3 + (kx + 1);
-          if (kGx[idx] != 0) gx += num::signed_mul(kGx[idx], px, umul);
-          if (kGy[idx] != 0) gy += num::signed_mul(kGy[idx], px, umul);
-        }
-      }
-      const std::int64_t mag = std::abs(gx) + std::abs(gy);
-      out.set(x, y, static_cast<std::uint8_t>(std::clamp<std::int64_t>(mag, 0, 255)));
-    }
-  }
-  return out;
 }
 
 jpeg::Image sobel_batch(const jpeg::Image& img, const Multiplier& mul) {

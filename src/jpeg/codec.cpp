@@ -11,6 +11,7 @@
 #include "realm/jpeg/huffman.hpp"
 #include "realm/jpeg/quant.hpp"
 #include "realm/multiplier.hpp"
+#include "realm/multipliers/accurate.hpp"
 #include "realm/numeric/thread_pool.hpp"
 #include "realm/obs/counters.hpp"
 #include "realm/obs/trace.hpp"
@@ -64,6 +65,20 @@ unsigned resolve_threads(int requested) {
   if (requested > 0) return static_cast<unsigned>(requested);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+// The design the panel engine runs: opts.mul, or the exact product when it
+// is unset.  `umul` drives only the *_reference paths, so a caller that set
+// it alone would silently get exact arithmetic here; that is rejected.
+const Multiplier& engine_mul(const CodecOptions& opts) {
+  if (opts.mul != nullptr) return *opts.mul;
+  if (opts.umul) {
+    throw std::invalid_argument(
+        "jpeg codec: CodecOptions::umul is read only by the *_reference paths; "
+        "set CodecOptions::mul");
+  }
+  static const mult::AccurateMultiplier exact{16};
+  return exact;
 }
 
 num::UMulFn effective_mul(const CodecOptions& opts) {
@@ -187,6 +202,13 @@ std::vector<std::int16_t> parse_levels(const Compressed& c) {
   const HuffmanCode ac_code = HuffmanCode::from_lengths(c.ac_code_lengths);
   const std::size_t n_blocks = static_cast<std::size_t>(c.width / 8) *
                                static_cast<std::size_t>(c.height / 8);
+  // Every block decodes at least two Huffman symbols (DC, then an AC symbol
+  // or EOB) of at least one bit each, so a payload of P bytes backs at most
+  // 4·P blocks.  Checked before the levels are allocated, so a header that
+  // claims a huge image cannot make the decoder commit memory for it.
+  if (n_blocks > 4 * c.payload.size()) {
+    throw std::runtime_error("decode: payload too short for the image dimensions");
+  }
   std::vector<std::int16_t> levels(n_blocks * 64, 0);
   BitReader r{c.payload};
   int prev_dc = 0;
@@ -272,7 +294,7 @@ Compressed encode_plane_reference(const Image& img,
 
 Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& qtable,
                         const CodecOptions& opts) {
-  if (opts.mul == nullptr) return encode_plane_reference(img, qtable, opts);
+  const Multiplier& mul = engine_mul(opts);
   if (img.width() % 8 != 0 || img.height() % 8 != 0) {
     throw std::invalid_argument("encode: dimensions must be multiples of 8");
   }
@@ -302,7 +324,7 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
               }
             }
           }
-          fdct_panel(panel, coeffs, nb, *opts.mul);
+          fdct_panel(panel, coeffs, nb, mul);
           quantize_panel(coeffs, qtable, levels.data() + b0 * 64, nb);
         });
   }
@@ -340,14 +362,14 @@ Image decode_plane_reference(const Compressed& c,
 
 Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qtable,
                    const CodecOptions& opts) {
-  if (opts.mul == nullptr) return decode_plane_reference(c, qtable, opts);
+  const Multiplier& mul = engine_mul(opts);
   REALM_TRACE_SCOPE("jpeg/decode");
   const std::vector<std::int16_t> levels = parse_levels(c);
 
   Image img{c.width, c.height};
   const int bw = c.width / 8;
   const std::size_t n_blocks = levels.size() / 64;
-  const Multiplier* dq_mul = opts.approximate_dequant ? opts.mul : nullptr;
+  const Multiplier* dq_mul = opts.approximate_dequant ? &mul : nullptr;
   {
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -359,7 +381,7 @@ Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qta
           std::int16_t coeffs[kCodecShardBlocks * 64];
           std::int16_t pixels[kCodecShardBlocks * 64];
           dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb, dq_mul);
-          idct_panel(coeffs, pixels, nb, *opts.mul);
+          idct_panel(coeffs, pixels, nb, mul);
           for (std::size_t b = 0; b < nb; ++b) {
             const std::size_t bi = b0 + b;
             const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;

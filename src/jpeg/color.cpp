@@ -66,6 +66,15 @@ ColorImage read_ppm(const std::string& path) {
     throw std::runtime_error("read_ppm: bad header in " + path);
   }
   is.get();
+  // Check the claimed raster against the bytes the file holds before
+  // allocating it: a header alone must not make the reader commit memory.
+  const std::streampos raster_start = is.tellg();
+  is.seekg(0, std::ios::end);
+  if (!is || 3 * static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) >
+                 static_cast<std::uint64_t>(is.tellg() - raster_start)) {
+    throw std::runtime_error("read_ppm: truncated raster in " + path);
+  }
+  is.seekg(raster_start);
   ColorImage img{w, h};
   std::vector<std::uint8_t> raster(static_cast<std::size_t>(w) *
                                    static_cast<std::size_t>(h) * 3);

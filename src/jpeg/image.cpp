@@ -1,5 +1,6 @@
 #include "realm/jpeg/image.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 
@@ -59,6 +60,15 @@ Image read_pgm(const std::string& path) {
     throw std::runtime_error("read_pgm: bad header in " + path);
   }
   is.get();  // single whitespace before raster
+  // Check the claimed raster against the bytes the file holds before
+  // allocating it: a header alone must not make the reader commit memory.
+  const std::streampos raster = is.tellg();
+  is.seekg(0, std::ios::end);
+  if (!is || static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) >
+                 static_cast<std::uint64_t>(is.tellg() - raster)) {
+    throw std::runtime_error("read_pgm: truncated raster in " + path);
+  }
+  is.seekg(raster);
   Image img{w, h};
   is.read(reinterpret_cast<char*>(img.pixels().data()),
           static_cast<std::streamsize>(img.pixels().size()));

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "realm/multiplier.hpp"
+#include "realm/numeric/fixed_point.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/obs/counters.hpp"
 #include "realm/obs/trace.hpp"
@@ -157,39 +158,6 @@ Mlp::Quantized Mlp::quantize(int frac_bits) const {
     q.biases.push_back(std::move(b));
   }
   return q;
-}
-
-int predict_fixed(const Mlp::Quantized& net, const std::array<double, 2>& x,
-                  const num::UMulFn& umul) {
-  const int fb = net.frac_bits;
-  std::vector<std::int32_t> cur{num::to_fx(x[0], fb), num::to_fx(x[1], fb)};
-  for (std::size_t l = 0; l < net.weights.size(); ++l) {
-    const int in = net.layers[l];
-    const int out = net.layers[l + 1];
-    std::vector<std::int32_t> next(static_cast<std::size_t>(out));
-    for (int o = 0; o < out; ++o) {
-      std::int64_t acc = net.biases[l][static_cast<std::size_t>(o)];  // Q(2fb)
-      for (int i = 0; i < in; ++i) {
-        acc += num::signed_mul(net.weights[l][static_cast<std::size_t>(o * in + i)],
-                               cur[static_cast<std::size_t>(i)], umul);
-      }
-      std::int32_t v = num::sat_signed(acc >> fb, 16);  // back to Q(fb)
-      const bool last = l + 1 == net.weights.size();
-      if (!last && v < 0) v = 0;  // ReLU
-      next[static_cast<std::size_t>(o)] = v;
-    }
-    cur = std::move(next);
-  }
-  return cur[1] > cur[0] ? 1 : 0;
-}
-
-double accuracy_fixed(const Mlp::Quantized& net, const Dataset& data,
-                      const num::UMulFn& umul) {
-  int correct = 0;
-  for (std::size_t i = 0; i < data.x.size(); ++i) {
-    if (predict_fixed(net, data.x[i], umul) == data.y[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(data.x.size());
 }
 
 std::vector<int> predict_fixed_batch(const Mlp::Quantized& net,

@@ -11,9 +11,9 @@ namespace realm::num {
 
 namespace {
 
-// Stack-block size for the batched tiers: big enough that the devirtualized
-// kernels amortize their per-call setup, small enough that three blocks
-// (magnitudes x2 + products) stay L1-resident alongside the caller's lanes.
+// Stack-block size for the row batch: big enough that the devirtualized
+// kernels amortize their per-call setup, small enough that both blocks
+// (magnitudes + products) stay L1-resident alongside the caller's lanes.
 constexpr std::size_t kBlock = 512;
 
 }  // namespace
@@ -25,27 +25,6 @@ std::int64_t signed_mul(std::int64_t a, std::int64_t b, const UMulFn& umul) {
   const auto ub = static_cast<std::uint64_t>(b < 0 ? -b : b);
   const auto p = static_cast<std::int64_t>(umul(ua, ub));
   return neg ? -p : p;
-}
-
-void signed_mul_batch(const std::int64_t* a, const std::int64_t* b, std::int64_t* out,
-                      std::size_t n, const Multiplier& mul) {
-  std::uint64_t ua[kBlock], ub[kBlock], prod[kBlock];
-  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
-    const std::size_t len = n - i0 < kBlock ? n - i0 : kBlock;
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::int64_t av = a[i0 + i];
-      const std::int64_t bv = b[i0 + i];
-      assert(av != INT64_MIN && bv != INT64_MIN &&
-             "signed_mul_batch: |INT64_MIN| overflows");
-      ua[i] = static_cast<std::uint64_t>(av < 0 ? -av : av);
-      ub[i] = static_cast<std::uint64_t>(bv < 0 ? -bv : bv);
-    }
-    mul.multiply_batch(ua, ub, prod, len);
-    for (std::size_t i = 0; i < len; ++i) {
-      const auto p = static_cast<std::int64_t>(prod[i]);
-      out[i0 + i] = (a[i0 + i] < 0) != (b[i0 + i] < 0) ? -p : p;
-    }
-  }
 }
 
 void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
@@ -67,15 +46,6 @@ void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t*
       out[i0 + i] = (b[i0 + i] < 0) != a_neg ? -p : p;
     }
   }
-}
-
-std::int32_t fx_mul(std::int32_t a, std::int32_t b, int frac_bits, const UMulFn& umul) {
-  assert(frac_bits >= 0 && frac_bits < 32);
-  const std::int64_t p = signed_mul(a, b, umul);
-  // Arithmetic shift of the magnitude: truncation toward zero matches a
-  // hardware right-shift of the unsigned product before sign re-application.
-  const std::int64_t q = (p < 0) ? -((-p) >> frac_bits) : (p >> frac_bits);
-  return static_cast<std::int32_t>(q);
 }
 
 std::int32_t to_fx(double v, int frac_bits) {

@@ -1,8 +1,9 @@
 // Bit-identity contract of the batched application engine (DESIGN.md §12):
-// the panel DCT/IDCT, the batched codec, the batched MLP matvec and the
-// batched FIR/Sobel filters must reproduce their scalar reference paths
-// exactly — same bytes, same pixels, same predictions — for every
-// multiplier design and every thread count.
+// the panel DCT/IDCT, the codec, the batched MLP matvec and the batched
+// FIR/Sobel filters must reproduce their scalar oracles exactly — same
+// bytes, same pixels, same predictions — for every multiplier design and
+// every thread count.  The JPEG oracles are the library's *_reference
+// paths; the DSP and MLP oracles come from the realm_test_support target.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "app_oracles.hpp"
 #include "realm/dsp/filter.hpp"
 #include "realm/jpeg/codec.hpp"
+#include "realm/jpeg/color.hpp"
 #include "realm/jpeg/dct.hpp"
 #include "realm/jpeg/quality.hpp"
 #include "realm/jpeg/quant.hpp"
@@ -147,13 +150,14 @@ TEST(AppBatch, DequantizePanelMatchesScalar) {
 
 TEST(AppBatch, JpegBatchedEngineBitIdenticalAcrossSpecsAndThreads) {
   const auto img = jpeg::synthetic_cameraman(64);
+  const auto qtable = jpeg::scaled_table(50);
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
     jpeg::CodecOptions ref_opts;
     ref_opts.quality = 50;
     ref_opts.umul = mul->as_function();
-    const auto c_ref = jpeg::encode(img, ref_opts);
-    const auto d_ref = jpeg::decode(c_ref, ref_opts);
+    const auto c_ref = jpeg::encode_plane_reference(img, qtable, ref_opts);
+    const auto d_ref = jpeg::decode_plane_reference(c_ref, qtable, ref_opts);
     const double psnr_ref = jpeg::psnr(img, d_ref);
 
     for (const int threads : kThreadCounts) {
@@ -173,13 +177,14 @@ TEST(AppBatch, JpegBatchedEngineBitIdenticalAcrossSpecsAndThreads) {
 
 TEST(AppBatch, JpegBatchedApproximateDequantMatchesReference) {
   const auto img = jpeg::synthetic_cameraman(64);
+  const auto qtable = jpeg::scaled_table(50);
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   jpeg::CodecOptions ref_opts;
   ref_opts.quality = 50;
   ref_opts.umul = mul->as_function();
   ref_opts.approximate_dequant = true;
-  const auto c = jpeg::encode(img, ref_opts);
-  const auto d_ref = jpeg::decode(c, ref_opts);
+  const auto c = jpeg::encode_plane_reference(img, qtable, ref_opts);
+  const auto d_ref = jpeg::decode_plane_reference(c, qtable, ref_opts);
   for (const int threads : kThreadCounts) {
     jpeg::CodecOptions opts = ref_opts;
     opts.mul = mul.get();
@@ -187,6 +192,71 @@ TEST(AppBatch, JpegBatchedApproximateDequantMatchesReference) {
     const auto d = jpeg::decode(c, opts);
     EXPECT_EQ(d.pixels(), d_ref.pixels()) << "threads=" << threads;
   }
+}
+
+TEST(AppBatch, JpegDefaultOptionsRunTheEngineExactly) {
+  // CodecOptions{} (no multiplier) is the exact product on the panel engine:
+  // same bytes and pixels as the reference with an empty umul.
+  const auto img = jpeg::synthetic_lena(64);
+  const auto qtable = jpeg::scaled_table(50);
+  const jpeg::CodecOptions exact;
+  const auto c_ref = jpeg::encode_plane_reference(img, qtable, exact);
+  const auto d_ref = jpeg::decode_plane_reference(c_ref, qtable, exact);
+  for (const bool approx_dequant : {false, true}) {
+    for (const int threads : {1, 2, 4}) {
+      jpeg::CodecOptions opts;
+      opts.approximate_dequant = approx_dequant;
+      opts.threads = threads;
+      const auto dct0 = obs::counter_value(obs::Counter::kDctBlocksBatched);
+      const auto c = jpeg::encode(img, opts);
+      EXPECT_EQ(obs::counter_value(obs::Counter::kDctBlocksBatched), dct0 + 64)
+          << "the default encode must run the panel engine";
+      EXPECT_EQ(jpeg::serialize(c), jpeg::serialize(c_ref)) << "threads=" << threads;
+      EXPECT_EQ(jpeg::decode(c_ref, opts).pixels(), d_ref.pixels())
+          << "threads=" << threads << " approximate_dequant=" << approx_dequant;
+    }
+  }
+}
+
+TEST(AppBatch, ColorCodecMatchesPerPlaneReferences) {
+  const auto img = jpeg::synthetic_color_scene(64);
+  const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
+  jpeg::CodecOptions opts;
+  opts.mul = mul.get();
+  opts.threads = 2;
+  jpeg::CodecOptions ref_opts;
+  ref_opts.umul = mul->as_function();
+
+  const auto c = jpeg::encode_color(img, opts);
+  const auto planes = jpeg::rgb_to_ycbcr420(img);
+  const auto luma_q = jpeg::scaled_table(opts.quality);
+  const auto chroma_q = jpeg::scaled_chroma_table(opts.quality);
+  const auto y_ref = jpeg::encode_plane_reference(planes.y, luma_q, ref_opts);
+  const auto cb_ref = jpeg::encode_plane_reference(planes.cb, chroma_q, ref_opts);
+  const auto cr_ref = jpeg::encode_plane_reference(planes.cr, chroma_q, ref_opts);
+  EXPECT_EQ(jpeg::serialize(c.y), jpeg::serialize(y_ref));
+  EXPECT_EQ(jpeg::serialize(c.cb), jpeg::serialize(cb_ref));
+  EXPECT_EQ(jpeg::serialize(c.cr), jpeg::serialize(cr_ref));
+
+  jpeg::YCbCrPlanes rec;
+  rec.y = jpeg::decode_plane_reference(y_ref, luma_q, ref_opts);
+  rec.cb = jpeg::decode_plane_reference(cb_ref, chroma_q, ref_opts);
+  rec.cr = jpeg::decode_plane_reference(cr_ref, chroma_q, ref_opts);
+  EXPECT_EQ(jpeg::decode_color(c, opts).pixels(), jpeg::ycbcr420_to_rgb(rec).pixels());
+}
+
+TEST(AppBatch, JpegRejectsUmulWithoutMul) {
+  // umul feeds only the *_reference paths; the engine refuses to ignore it.
+  const auto img = jpeg::synthetic_cameraman(32);
+  const auto mul = mult::make_multiplier("calm", 16);
+  jpeg::CodecOptions umul_only;
+  umul_only.umul = mul->as_function();
+  EXPECT_THROW((void)jpeg::encode(img, umul_only), std::invalid_argument);
+  const auto c = jpeg::encode(img, jpeg::CodecOptions{});
+  EXPECT_THROW((void)jpeg::decode(c, umul_only), std::invalid_argument);
+  EXPECT_THROW((void)jpeg::roundtrip(img, umul_only), std::invalid_argument);
+  EXPECT_THROW((void)jpeg::encode_color(jpeg::synthetic_color_scene(32), umul_only),
+               std::invalid_argument);
 }
 
 TEST(AppBatch, MlpBatchMatchesScalarPredictions) {
@@ -201,10 +271,11 @@ TEST(AppBatch, MlpBatchMatchesScalarPredictions) {
     const auto pred = nn::predict_fixed_batch(qnet, test.x, *mul);
     ASSERT_EQ(pred.size(), test.x.size());
     for (std::size_t i = 0; i < test.x.size(); ++i) {
-      ASSERT_EQ(pred[i], nn::predict_fixed(qnet, test.x[i], f)) << spec << " i=" << i;
+      ASSERT_EQ(pred[i], nn::predict_fixed_reference(qnet, test.x[i], f))
+          << spec << " i=" << i;
     }
     EXPECT_DOUBLE_EQ(nn::accuracy_fixed_batch(qnet, test, *mul),
-                     nn::accuracy_fixed(qnet, test, f))
+                     nn::accuracy_fixed_reference(qnet, test, f))
         << spec;
   }
   // Empty batch is a no-op.
@@ -217,10 +288,10 @@ TEST(AppBatch, FilterBatchMatchesScalarPixels) {
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
     const auto f = mul->as_function();
-    const auto blur_s = dsp::gaussian_blur(img, 1.5, f);
+    const auto blur_s = dsp::gaussian_blur_reference(img, 1.5, f);
     const auto blur_b = dsp::gaussian_blur_batch(img, 1.5, *mul);
     EXPECT_EQ(blur_b.pixels(), blur_s.pixels()) << spec;
-    const auto sob_s = dsp::sobel(img, f);
+    const auto sob_s = dsp::sobel_reference(img, f);
     const auto sob_b = dsp::sobel_batch(img, *mul);
     EXPECT_EQ(sob_b.pixels(), sob_s.pixels()) << spec;
   }

@@ -1,5 +1,6 @@
 #include "realm/jpeg/color.hpp"
 
+#include <cstdio>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -75,13 +76,13 @@ TEST(Color, RealmTracksAccurateOnColor) {
 
   const auto realm16 = mult::make_multiplier("realm:m=16,t=8", 16);
   jp::CodecOptions approx;
-  approx.umul = realm16->as_function();
+  approx.mul = realm16.get();
   const double got = jp::psnr_color(img, jp::roundtrip_color(img, approx));
   EXPECT_GT(got, ref - 1.5);
 
   const auto calm = mult::make_multiplier("calm", 16);
   jp::CodecOptions worst;
-  worst.umul = calm->as_function();
+  worst.mul = calm.get();
   EXPECT_LT(jp::psnr_color(img, jp::roundtrip_color(img, worst)), got - 2.0);
 }
 
@@ -90,4 +91,23 @@ TEST(Color, RejectsBadDimensions) {
   EXPECT_THROW((void)jp::encode_color(img, {}), std::invalid_argument);
   jp::ColorImage odd{3, 3};
   EXPECT_THROW((void)jp::rgb_to_ycbcr420(odd), std::invalid_argument);
+}
+
+TEST(Color, PpmHeaderClaimingAHugeRasterIsRejected) {
+  // The header alone claims a 3·w·h raster no machine can back: read_ppm
+  // must refuse before allocating it.
+  const auto path = std::filesystem::temp_directory_path() / "realm_huge.ppm";
+  {
+    std::FILE* f = std::fopen(path.string().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "P6\n2147483640 2147483640\n255\n");
+    std::fclose(f);
+  }
+  EXPECT_THROW((void)jp::read_ppm(path.string()), std::runtime_error);
+
+  // One byte short of a small raster is the same error.
+  jp::write_ppm(jp::ColorImage{4, 4}, path.string());
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  EXPECT_THROW((void)jp::read_ppm(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
 }

@@ -43,16 +43,6 @@ TEST(FixedPoint, SignedMulRoutesThroughProvidedMultiplier) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(FixedPoint, FxMulTruncatesTowardZero) {
-  // 1.5 * 1.5 = 2.25 -> 2.25 in Q8 = 576; check truncation on negatives.
-  const std::int32_t a = num::to_fx(1.5, 8);
-  EXPECT_EQ(num::fx_mul(a, a, 8, kExact), num::to_fx(2.25, 8));
-  const std::int32_t m = num::to_fx(-1.5, 8);
-  EXPECT_EQ(num::fx_mul(m, a, 8, kExact), -num::to_fx(2.25, 8));
-  // (-3) * 1 with 1 fraction bit: -3/2 * 1/2 = -0.75 -> truncates to -0.5 raw -1.
-  EXPECT_EQ(num::fx_mul(-3, 1, 1, kExact), -1);
-}
-
 TEST(FixedPoint, ToFromFxRoundTrip) {
   for (const double v : {0.0, 0.25, -0.25, 1.999, -3.125}) {
     EXPECT_NEAR(num::from_fx(num::to_fx(v, 12), 12), v, 1.0 / (1 << 12));
@@ -67,22 +57,7 @@ TEST(FixedPoint, SatSignedClampsToRange) {
   EXPECT_EQ(num::sat_signed(32767, 16), 32767);
 }
 
-// --- batched sign/magnitude substrate ---
-
-TEST(FixedPoint, SignedMulBatchMatchesScalarLoop) {
-  // 600 elements crosses the internal 512-element chunk boundary.
-  const auto a = random_operands(600, 0xA);
-  const auto b = random_operands(600, 0xB);
-  for (const char* spec : {"accurate", "realm:m=16,t=8", "mitchell", "drum:k=6"}) {
-    const auto mul = realm::mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    std::vector<std::int64_t> out(a.size());
-    num::signed_mul_batch(a.data(), b.data(), out.data(), a.size(), *mul);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(out[i], num::signed_mul(a[i], b[i], f)) << spec << " i=" << i;
-    }
-  }
-}
+// --- the engine: fixed-operand signed row batch ---
 
 TEST(FixedPoint, SignedRowBatchMatchesScalarLoop) {
   const auto b = random_operands(600, 0xC);
@@ -102,15 +77,15 @@ TEST(FixedPoint, SignedRowBatchMatchesScalarLoop) {
 TEST(FixedPoint, BatchHandlesEmptyAndOddLengths) {
   const auto mul = realm::mult::make_multiplier("realm:m=16,t=8", 16);
   const auto f = mul->as_function();
-  num::signed_mul_batch(nullptr, nullptr, nullptr, 0, *mul);  // n = 0 is a no-op
-  num::signed_row_batch(7, nullptr, nullptr, 0, *mul);
+  num::signed_row_batch(7, nullptr, nullptr, 0, *mul);  // n = 0 is a no-op
+  // 513 crosses the internal 512-element chunk boundary by one.
   for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{513}}) {
-    const auto a = random_operands(n, 0xD0 + n);
+    const std::int64_t a = random_operands(1, 0xD0 + n)[0];
     const auto b = random_operands(n, 0xE0 + n);
     std::vector<std::int64_t> out(n);
-    num::signed_mul_batch(a.data(), b.data(), out.data(), n, *mul);
+    num::signed_row_batch(a, b.data(), out.data(), n, *mul);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], num::signed_mul(a[i], b[i], f)) << "n=" << n << " i=" << i;
+      ASSERT_EQ(out[i], num::signed_mul(a, b[i], f)) << "n=" << n << " i=" << i;
     }
   }
 }

@@ -82,7 +82,7 @@ TEST(Integration, JpegFileRoundTripThroughDisk) {
   const jpeg::Image loaded = jpeg::read_pgm(in_path.string());
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   jpeg::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   const jpeg::Image rec = jpeg::roundtrip(loaded, opts);
   jpeg::write_pgm(rec, out_path.string());
 
@@ -106,16 +106,20 @@ TEST(Integration, CostModelAndTimingAgreeOnWhoIsSmallAndFast) {
 }
 
 TEST(Integration, SignedFlowFixedPointDctMatchesAdapterSemantics) {
-  // The JPEG datapath's sign handling (num::signed_mul) must agree with the
-  // SignedMultiplier adapter on the same core.
+  // The application engine's sign handling (num::signed_row_batch, one fixed
+  // operand per lane) must agree with the scalar reference num::signed_mul
+  // on the same core, over the JPEG datapath's operand range.
   const auto core_mul = mult::make_multiplier("realm:m=8,t=4", 16);
-  const auto adapter = mult::make_signed_multiplier("realm:m=8,t=4", 16);
   const auto f = core_mul->as_function();
   num::Xoshiro256 rng{0x516};
-  for (int it = 0; it < 20000; ++it) {
+  std::vector<std::int64_t> lane(200), out(lane.size());
+  for (int it = 0; it < 100; ++it) {
     const auto a = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    const auto b = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    ASSERT_EQ(num::signed_mul(a, b, f), adapter.multiply(a, b));
+    for (auto& b : lane) b = static_cast<std::int64_t>(rng.below(4000)) - 2000;
+    num::signed_row_batch(a, lane.data(), out.data(), lane.size(), *core_mul);
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      ASSERT_EQ(out[i], num::signed_mul(a, lane[i], f)) << "a=" << a << " b=" << lane[i];
+    }
   }
 }
 

@@ -227,7 +227,7 @@ TEST(Codec, RealmTracksAccurateWithinOneDb) {
 
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   jp::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   const double got = jp::psnr(img, jp::roundtrip(img, opts));
   EXPECT_GT(got, ref - 1.2);
 }
@@ -238,7 +238,7 @@ TEST(Codec, CalmDegradesQualityMarkedly) {
   const double ref = jp::psnr(img, jp::roundtrip(img, exact_opts));
   const auto mul = mult::make_multiplier("calm", 16);
   jp::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   EXPECT_LT(jp::psnr(img, jp::roundtrip(img, opts)), ref - 2.0);
 }
 
@@ -301,4 +301,47 @@ TEST(Bitstream, FileRoundTripAndValidation) {
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW((void)jp::deserialize(truncated), std::runtime_error);
   EXPECT_THROW((void)jp::deserialize({}), std::runtime_error);
+}
+
+namespace {
+
+// Side length the parsers must refuse without allocating: a multiple of 8
+// that fits int, whose w·h raster (4.6e18 bytes) no machine can back.
+constexpr std::uint32_t kHugeSide = 2147483640;
+
+void put_le32(std::vector<std::uint8_t>& blob, std::size_t pos, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    blob[pos + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+}  // namespace
+
+TEST(Bitstream, HeaderClaimingMoreBlocksThanThePayloadIsRejected) {
+  // A real 16×16 stream whose header is rewritten to claim a huge image:
+  // the header is plausible, but its few payload bytes cannot back
+  // 2.7e8² blocks, so decode must refuse before allocating their levels.
+  const auto c = jp::encode(jp::synthetic_cameraman(16), {});
+  auto blob = jp::serialize(c);
+  put_le32(blob, 4, kHugeSide);  // width
+  put_le32(blob, 8, kHugeSide);  // height
+  const auto huge = jp::deserialize(blob);
+  EXPECT_THROW((void)jp::decode(huge, {}), std::runtime_error);
+}
+
+TEST(Image, PgmHeaderClaimingAHugeRasterIsRejected) {
+  const auto path = std::filesystem::temp_directory_path() / "realm_huge.pgm";
+  {
+    std::FILE* f = std::fopen(path.string().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "P5\n%u %u\n255\n", kHugeSide, kHugeSide);
+    std::fclose(f);
+  }
+  EXPECT_THROW((void)jp::read_pgm(path.string()), std::runtime_error);
+
+  // One byte short of a small raster is the same error.
+  jp::write_pgm(jp::Image{8, 8, 7}, path.string());
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  EXPECT_THROW((void)jp::read_pgm(path.string()), std::runtime_error);
+  std::filesystem::remove(path);
 }

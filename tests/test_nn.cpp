@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/registry.hpp"
 
 using namespace realm;
 
 namespace {
 
-const num::UMulFn kExact = [](std::uint64_t a, std::uint64_t b) { return a * b; };
+const mult::AccurateMultiplier kExact{16};
 
 nn::Dataset train_set() { return nn::make_two_moons(600, 0.25, 0xDA7A); }
 nn::Dataset test_set() { return nn::make_two_moons(400, 0.25, 0x7E57); }
@@ -50,7 +51,7 @@ TEST(Mlp, QuantizedExactInferenceMatchesFloatClosely) {
   const auto q = net.quantize(8);
   const auto data = test_set();
   const double fl = net.accuracy(data);
-  const double fx = nn::accuracy_fixed(q, data, kExact);
+  const double fx = nn::accuracy_fixed_batch(q, data, kExact);
   EXPECT_NEAR(fx, fl, 0.04);  // Q8 quantization costs at most a few points
 }
 
@@ -58,9 +59,9 @@ TEST(Mlp, RealmInferenceMatchesExactFixedPoint) {
   const auto net = trained_net();
   const auto q = net.quantize(8);
   const auto data = test_set();
-  const double exact_acc = nn::accuracy_fixed(q, data, kExact);
+  const double exact_acc = nn::accuracy_fixed_batch(q, data, kExact);
   const auto realm = mult::make_multiplier("realm:m=16,t=8", 16);
-  const double realm_acc = nn::accuracy_fixed(q, data, realm->as_function());
+  const double realm_acc = nn::accuracy_fixed_batch(q, data, *realm);
   EXPECT_GT(realm_acc, exact_acc - 0.03);
 }
 
@@ -70,7 +71,7 @@ TEST(Mlp, ApproximateOrderingFollowsMultiplierAccuracy) {
   const auto data = test_set();
   const auto acc_of = [&](const char* spec) {
     const auto mul = mult::make_multiplier(spec, 16);
-    return nn::accuracy_fixed(q, data, mul->as_function());
+    return nn::accuracy_fixed_batch(q, data, *mul);
   };
   // The 2-16-2 net is robust; even cALM usually classifies well, but it must
   // not beat REALM by a margin, and a catastrophically bad multiplier

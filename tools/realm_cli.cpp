@@ -122,7 +122,7 @@ int cmd_jpeg(int argc, char** argv) {
       argc > 3 ? jpeg::read_pgm(argv[3]) : jpeg::synthetic_cameraman(512);
   const auto model = mult::make_multiplier(spec, 16);
   jpeg::CodecOptions opts;
-  opts.umul = model->as_function();
+  opts.mul = model.get();
   const auto c = jpeg::encode(img, opts);
   const auto rec = jpeg::decode(c, opts);
   std::printf("%s: PSNR %.2f dB, %zu bytes\n", model->name().c_str(),
