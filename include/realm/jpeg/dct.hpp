@@ -9,10 +9,14 @@
 // num::signed_mul.
 //
 // The codec runs the panel engine (fdct_panel / idct_panel): W blocks per
-// call.  Each 1-D pass has a *fixed* coefficient per (row u, tap k), so the
-// engine issues one multiply_row_batch per (u, k) over a W·8-wide lane of
-// sign/magnitude-split inputs (decomposed once per panel), landing on the
-// multiplier's row-hoisted kernels.
+// call.  Each 1-D pass has a *fixed* coefficient per (row u, tap k), and a
+// product depends only on (|c|, |x|), so per tap k the engine splits the
+// W·8-wide input lane into sign/magnitude form once and issues one
+// multiply_row_batch per *distinct* |c| among the tap's eight outputs,
+// landing on the multiplier's row-hoisted kernels; each output then adds
+// its magnitude's products with its own sign.  The reuse plan is derived
+// once per orientation from dct_matrix_q12(): a full 32-block panel issues
+// 112 row batches forward and 44 inverse (rather than 64 per pass).
 //
 // fdct8x8 / idct8x8 — one block per call, one virtual multiply per product
 // through a UMulFn — are the scalar oracle behind the codec's *_reference

@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -61,7 +62,15 @@ void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t*
 /// Convert Q(frac_bits) back to double.
 [[nodiscard]] double from_fx(std::int32_t v, int frac_bits);
 
-/// Saturate to a signed n-bit range [-2^(n-1), 2^(n-1)-1].
-[[nodiscard]] std::int32_t sat_signed(std::int64_t v, int n);
+/// Saturate to a signed n-bit range [-2^(n-1), 2^(n-1)-1].  Inline: the
+/// codec and MLP datapaths clamp every output through it.
+[[nodiscard]] inline std::int32_t sat_signed(std::int64_t v, int n) {
+  assert(n >= 2 && n <= 32);
+  const std::int64_t hi = (std::int64_t{1} << (n - 1)) - 1;
+  const std::int64_t lo = -(std::int64_t{1} << (n - 1));
+  if (v > hi) return static_cast<std::int32_t>(hi);
+  if (v < lo) return static_cast<std::int32_t>(lo);
+  return static_cast<std::int32_t>(v);
+}
 
 }  // namespace realm::num

@@ -50,9 +50,16 @@ constexpr int kAcSymbols = 256;
 constexpr int kEob = 0x00;
 constexpr int kZrl = 0xF0;
 
-struct BlockCodes {
-  std::vector<std::pair<int, std::pair<std::uint32_t, int>>> tokens;  // (symbol, (extra, bits))
+// One entropy token: a Huffman symbol (sym >= 0 is a DC category, sym < 0
+// the AC symbol -sym - 1) followed by the low `bits` bits of `extra`.
+struct Token {
+  int sym;
+  std::uint32_t extra;
+  int bits;
 };
+
+// Every token covers at least one of its block's 64 positions.
+constexpr std::size_t kMaxTokensPerBlock = 64;
 
 // Fixed shard granularity for the batched engine's parallel block passes.
 // The shard grid depends only on the block count — never the thread count —
@@ -79,6 +86,22 @@ const Multiplier& engine_mul(const CodecOptions& opts) {
   }
   static const mult::AccurateMultiplier exact{16};
   return exact;
+}
+
+// Offset of block `bi`'s top-left pixel in a plane `width` pixels wide with
+// `bw` blocks per block row.
+std::size_t block_offset(std::size_t bi, std::size_t bw, std::size_t width) {
+  return (bi / bw) * 8 * width + (bi % bw) * 8;
+}
+
+// The one bounds check of a shard's row copies: blocks are in raster order,
+// so the shard stays inside the plane when the last row of its last block
+// does.
+void check_shard_bounds(const Image& img, std::size_t bw, std::size_t last_block) {
+  const auto width = static_cast<std::size_t>(img.width());
+  if (block_offset(last_block, bw, width) + 7 * width + 8 > img.pixels().size()) {
+    throw std::out_of_range("jpeg codec: block outside the plane");
+  }
 }
 
 num::UMulFn effective_mul(const CodecOptions& opts) {
@@ -114,8 +137,8 @@ Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& lev
   const auto& zz = zigzag_order();
   const std::size_t n_blocks = levels.size() / 64;
 
-  std::vector<BlockCodes> blocks;
-  blocks.reserve(n_blocks);
+  std::vector<Token> tokens;
+  tokens.reserve(n_blocks * kMaxTokensPerBlock);
   std::vector<std::uint64_t> dc_freq(kDcSymbols, 0);
   std::vector<std::uint64_t> ac_freq(kAcSymbols, 0);
   int prev_dc = 0;
@@ -123,12 +146,11 @@ Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& lev
     REALM_TRACE_SCOPE("jpeg/encode/tokenize");
     for (std::size_t bi = 0; bi < n_blocks; ++bi) {
       const std::int16_t* lv = levels.data() + bi * 64;
-      BlockCodes bc;
       const int dc = lv[0];
       const int diff = dc - prev_dc;
       prev_dc = dc;
       const int dcat = category(diff);
-      bc.tokens.push_back({dcat, {vli_bits(diff, dcat), dcat}});
+      tokens.push_back({dcat, vli_bits(diff, dcat), dcat});
       ++dc_freq[static_cast<std::size_t>(dcat)];
 
       int run = 0;
@@ -139,24 +161,23 @@ Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& lev
           continue;
         }
         while (run >= 16) {
-          bc.tokens.push_back({-kZrl - 1, {0, 0}});  // negative marks AC symbol
+          tokens.push_back({-kZrl - 1, 0, 0});  // negative marks AC symbol
           ++ac_freq[kZrl];
           run -= 16;
         }
         const int cat = category(v);
         const int sym = (run << 4) | cat;
-        bc.tokens.push_back({-sym - 1, {vli_bits(v, cat), cat}});
+        tokens.push_back({-sym - 1, vli_bits(v, cat), cat});
         ++ac_freq[static_cast<std::size_t>(sym)];
         run = 0;
       }
       if (run > 0) {
-        bc.tokens.push_back({-kEob - 1, {0, 0}});
+        tokens.push_back({-kEob - 1, 0, 0});
         ++ac_freq[kEob];
       }
-      blocks.push_back(std::move(bc));
     }
   }
-  obs::counter_add(obs::Counter::kJpegBlocksEncoded, blocks.size());
+  obs::counter_add(obs::Counter::kJpegBlocksEncoded, n_blocks);
 
   // Huffman table derivation from the gathered statistics.
   std::optional<HuffmanCode> dc_built, ac_built;
@@ -171,15 +192,13 @@ Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& lev
   BitWriter w;
   {
     REALM_TRACE_SCOPE("jpeg/encode/emit");
-    for (const auto& bc : blocks) {
-      for (const auto& [sym, extra] : bc.tokens) {
-        if (sym >= 0) {
-          dc_code.encode(w, sym);
-        } else {
-          ac_code.encode(w, -sym - 1);
-        }
-        if (extra.second > 0) w.put(extra.first, extra.second);
+    for (const Token& t : tokens) {
+      if (t.sym >= 0) {
+        dc_code.encode(w, t.sym);
+      } else {
+        ac_code.encode(w, -t.sym - 1);
       }
+      if (t.bits > 0) w.put(t.extra, t.bits);
     }
   }
 
@@ -299,9 +318,9 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
     throw std::invalid_argument("encode: dimensions must be multiples of 8");
   }
   REALM_TRACE_SCOPE("jpeg/encode");
-  const int bw = img.width() / 8;
-  const std::size_t n_blocks =
-      static_cast<std::size_t>(bw) * static_cast<std::size_t>(img.height() / 8);
+  const auto width = static_cast<std::size_t>(img.width());
+  const std::size_t bw = width / 8;
+  const std::size_t n_blocks = bw * static_cast<std::size_t>(img.height() / 8);
   std::vector<std::int16_t> levels(n_blocks * 64);
   {
     REALM_TRACE_SCOPE("jpeg/encode/transform_batched");
@@ -313,14 +332,13 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
           const std::size_t nb = std::min(kCodecShardBlocks, n_blocks - b0);
           std::int16_t panel[kCodecShardBlocks * 64];
           std::int16_t coeffs[kCodecShardBlocks * 64];
+          check_shard_bounds(img, bw, b0 + nb - 1);
+          const std::uint8_t* px = img.pixels().data();
           for (std::size_t b = 0; b < nb; ++b) {
-            const std::size_t bi = b0 + b;
-            const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
-            const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
-            for (int y = 0; y < 8; ++y) {
-              for (int x = 0; x < 8; ++x) {
-                panel[b * 64 + static_cast<std::size_t>(y * 8 + x)] =
-                    static_cast<std::int16_t>(img.at(bx + x, by + y) - 128);
+            const std::uint8_t* src = px + block_offset(b0 + b, bw, width);
+            for (std::size_t y = 0; y < 8; ++y, src += width) {
+              for (std::size_t x = 0; x < 8; ++x) {
+                panel[b * 64 + y * 8 + x] = static_cast<std::int16_t>(src[x] - 128);
               }
             }
           }
@@ -367,7 +385,8 @@ Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qta
   const std::vector<std::int16_t> levels = parse_levels(c);
 
   Image img{c.width, c.height};
-  const int bw = c.width / 8;
+  const auto width = static_cast<std::size_t>(c.width);
+  const std::size_t bw = width / 8;
   const std::size_t n_blocks = levels.size() / 64;
   const Multiplier* dq_mul = opts.approximate_dequant ? &mul : nullptr;
   {
@@ -382,15 +401,14 @@ Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qta
           std::int16_t pixels[kCodecShardBlocks * 64];
           dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb, dq_mul);
           idct_panel(coeffs, pixels, nb, mul);
+          check_shard_bounds(img, bw, b0 + nb - 1);
+          std::uint8_t* px = img.pixels().data();
           for (std::size_t b = 0; b < nb; ++b) {
-            const std::size_t bi = b0 + b;
-            const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
-            const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
-            for (int y = 0; y < 8; ++y) {
-              for (int x = 0; x < 8; ++x) {
-                const int v = pixels[b * 64 + static_cast<std::size_t>(y * 8 + x)] + 128;
-                img.set(bx + x, by + y,
-                        static_cast<std::uint8_t>(std::clamp(v, 0, 255)));
+            std::uint8_t* dst = px + block_offset(b0 + b, bw, width);
+            for (std::size_t y = 0; y < 8; ++y, dst += width) {
+              for (std::size_t x = 0; x < 8; ++x) {
+                const int v = pixels[b * 64 + y * 8 + x] + 128;
+                dst[x] = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
               }
             }
           }

@@ -4,6 +4,7 @@
 
 #include "realm/multiplier.hpp"
 #include "realm/numeric/fixed_point.hpp"
+#include "realm/numeric/simd.hpp"
 #include "realm/obs/counters.hpp"
 
 namespace realm::jpeg {
@@ -76,59 +77,99 @@ void transform(const std::array<std::int16_t, 64>& in, std::array<std::int16_t, 
 // result stored *transposed*.  Feeding the first call's output back in gives
 // (M·(M·X)ᵀ)ᵀ = M·X·Mᵀ in natural orientation.  Per (output row u, tap k)
 // the coefficient is fixed across every block and every intra-block column,
-// so the panel pass issues one signed_row_batch over a W·8-wide lane per
-// (u, k) — 64 row-kernel calls instead of W·8·64 virtual multiplies — while
-// reproducing the scalar pass's per-output accumulation order (k ascending)
-// exactly.
+// so a product is one row batch over a W·8-wide lane.  Within one tap the
+// eight outputs share few coefficient *magnitudes* — the Q12 matrix holds
+// only 7 distinct ones — and a product is a pure function of (|c|, |x|), so
+// the pass issues one row batch per distinct |c| per tap and re-applies each
+// output's sign while accumulating.
 
 constexpr std::size_t kPanelBlocks = 32;  // blocks per panel: lanes stay L1-resident
 constexpr std::size_t kLane = kPanelBlocks * 8;
 
+// Reuse plan of one tap k: the distinct |m(u, k)| over the eight outputs u,
+// and per output the magnitude it takes and the sign mask (-1 where
+// m(u, k) < 0) that restores its coefficient.
+struct TapPlan {
+  std::size_t n_mags = 0;
+  std::uint64_t mags[8] = {};
+  std::uint8_t slot[8] = {};
+  std::int64_t sign[8] = {};
+};
+using PassPlan = std::array<TapPlan, 8>;
+
+PassPlan make_plan(bool transpose_m) {
+  const auto& c = dct_matrix_q12();
+  PassPlan plan{};
+  for (std::size_t k = 0; k < 8; ++k) {
+    TapPlan& t = plan[k];
+    for (std::size_t u = 0; u < 8; ++u) {
+      const std::int64_t coeff = c[transpose_m ? k * 8 + u : u * 8 + k];
+      const auto mag = static_cast<std::uint64_t>(coeff < 0 ? -coeff : coeff);
+      std::size_t d = 0;
+      while (d < t.n_mags && t.mags[d] != mag) ++d;
+      if (d == t.n_mags) t.mags[t.n_mags++] = mag;
+      t.slot[u] = static_cast<std::uint8_t>(d);
+      t.sign[u] = coeff < 0 ? -1 : 0;
+    }
+  }
+  return plan;
+}
+
+const PassPlan& pass_plan(bool transpose_m) {
+  static const PassPlan forward = make_plan(false);
+  static const PassPlan inverse = make_plan(true);
+  return transpose_m ? inverse : forward;
+}
+
 // One batched pass over `nb <= kPanelBlocks` blocks: out[b][j*8+u] =
 // rescale_sat(Σ_k m(u,k) · in[b][k*8+j]).
 //
-// Each tap lane is gathered *pre-split* into sign/magnitude form — the form
-// every (u, k) row batch consumes — so the decomposition num::signed_mul
-// derives per product (and signed_row_batch would re-derive 8 times per
-// lane, once per output u) happens exactly once per panel.  The row batches
-// then hit mul.multiply_row_batch directly and the sign is re-applied
-// branchlessly inside the accumulation: identical products, identical signs,
-// identical k-ascending order — bit-identity with the scalar pass holds.
-void pass_panel(const std::int16_t* in, std::int16_t* out, std::size_t nb,
-                bool transpose_m, const Multiplier& mul) {
-  const auto& c = dct_matrix_q12();
+// Tap by tap: lane k is split once into sign/magnitude form, the row batches
+// land the plan's distinct magnitudes in prod[d], and each output u adds its
+// slot's products with the sign num::signed_mul would give them —
+// identical products, identical signs, exact int64 sums, so the result is
+// bit-identical to the scalar pass.  The working set (prod, acc, one split
+// lane) is about 36 KB; the loops around the kernels are compiled per ISA.
+REALM_MULTIVERSION
+void pass_panel(const std::int16_t* __restrict in, std::int16_t* __restrict out,
+                std::size_t nb, const PassPlan& plan, const Multiplier& mul) {
   const std::size_t lane_len = nb * 8;
-  std::uint64_t mag[8][kLane];  // |in|, the unsigned multiplier operand
-  std::int64_t neg[8][kLane];   // sign mask: -1 where in < 0, else 0
+  std::uint64_t mag[kLane];      // |in| of lane k, the unsigned kernel operand
+  std::int64_t neg[kLane];       // sign mask of lane k: -1 where in < 0, else 0
+  std::uint64_t prod[8][kLane];  // products per distinct |c| of tap k
+  std::int64_t acc[8][kLane];    // per output u
+  for (std::size_t u = 0; u < 8; ++u) {
+    for (std::size_t i = 0; i < lane_len; ++i) acc[u][i] = 0;
+  }
   for (std::size_t k = 0; k < 8; ++k) {
     for (std::size_t b = 0; b < nb; ++b) {
       const std::int16_t* row = in + b * 64 + k * 8;
       for (std::size_t j = 0; j < 8; ++j) {
         const std::int64_t v = row[j];
-        mag[k][b * 8 + j] = static_cast<std::uint64_t>(v < 0 ? -v : v);
-        neg[k][b * 8 + j] = v < 0 ? -1 : 0;
+        mag[b * 8 + j] = static_cast<std::uint64_t>(v < 0 ? -v : v);
+        neg[b * 8 + j] = v < 0 ? -1 : 0;
+      }
+    }
+    const TapPlan& t = plan[k];
+    for (std::size_t d = 0; d < t.n_mags; ++d) {
+      mul.multiply_row_batch(t.mags[d], mag, prod[d], lane_len);
+    }
+    for (std::size_t u = 0; u < 8; ++u) {
+      const std::uint64_t* p = prod[t.slot[u]];
+      const std::int64_t amask = t.sign[u];
+      std::int64_t* a = acc[u];
+      for (std::size_t i = 0; i < lane_len; ++i) {
+        // (p ^ m) - m negates p where m == -1 — signed_mul's sign rule.
+        const std::int64_t m = neg[i] ^ amask;
+        a[i] += (static_cast<std::int64_t>(p[i]) ^ m) - m;
       }
     }
   }
-  std::int64_t acc[kLane];
-  std::uint64_t prod[kLane];
-  for (std::size_t u = 0; u < 8; ++u) {
-    for (std::size_t i = 0; i < lane_len; ++i) acc[i] = 0;
-    for (std::size_t k = 0; k < 8; ++k) {
-      const std::int32_t coeff = c[transpose_m ? k * 8 + u : u * 8 + k];
-      const auto ua = static_cast<std::uint64_t>(coeff < 0 ? -coeff : coeff);
-      const std::int64_t amask = coeff < 0 ? -1 : 0;
-      mul.multiply_row_batch(ua, mag[k], prod, lane_len);
-      for (std::size_t i = 0; i < lane_len; ++i) {
-        // (p ^ m) - m negates p where m == -1 — signed_mul's sign rule.
-        const std::int64_t m = neg[k][i] ^ amask;
-        acc[i] += (static_cast<std::int64_t>(prod[i]) ^ m) - m;
-      }
-    }
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t j = 0; j < 8; ++j) {
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      for (std::size_t u = 0; u < 8; ++u) {
         out[b * 64 + j * 8 + u] =
-            static_cast<std::int16_t>(rescale_sat(acc[b * 8 + j]));
+            static_cast<std::int16_t>(rescale_sat(acc[u][b * 8 + j]));
       }
     }
   }
@@ -136,12 +177,13 @@ void pass_panel(const std::int16_t* in, std::int16_t* out, std::size_t nb,
 
 void transform_panel(const std::int16_t* in, std::int16_t* out, std::size_t n_blocks,
                      bool inverse, const Multiplier& mul) {
+  const PassPlan& plan = pass_plan(inverse);
   std::int16_t mid[kPanelBlocks * 64];
   for (std::size_t b0 = 0; b0 < n_blocks; b0 += kPanelBlocks) {
     const std::size_t nb =
         n_blocks - b0 < kPanelBlocks ? n_blocks - b0 : kPanelBlocks;
-    pass_panel(in + b0 * 64, mid, nb, inverse, mul);
-    pass_panel(mid, out + b0 * 64, nb, inverse, mul);
+    pass_panel(in + b0 * 64, mid, nb, plan, mul);
+    pass_panel(mid, out + b0 * 64, nb, plan, mul);
   }
   obs::counter_add(obs::Counter::kDctBlocksBatched, n_blocks);
 }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "realm/multiplier.hpp"
+#include "realm/numeric/simd.hpp"
 
 namespace realm::num {
 
@@ -15,6 +16,28 @@ namespace {
 // kernels amortize their per-call setup, small enough that both blocks
 // (magnitudes + products) stay L1-resident alongside the caller's lanes.
 constexpr std::size_t kBlock = 512;
+
+// The two per-element halves of the row batch, compiled per ISA: the
+// magnitude split before the unsigned kernel and the sign re-application
+// after it.
+REALM_MULTIVERSION
+void split_magnitudes(const std::int64_t* __restrict b, std::uint64_t* __restrict ub,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t bv = b[i];
+    assert(bv != INT64_MIN && "signed_row_batch: |INT64_MIN| overflows");
+    ub[i] = static_cast<std::uint64_t>(bv < 0 ? -bv : bv);
+  }
+}
+
+REALM_MULTIVERSION
+void apply_signs(const std::uint64_t* __restrict prod, const std::int64_t* __restrict b,
+                 bool a_neg, std::int64_t* __restrict out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto p = static_cast<std::int64_t>(prod[i]);
+    out[i] = (b[i] < 0) != a_neg ? -p : p;
+  }
+}
 
 }  // namespace
 
@@ -35,16 +58,9 @@ void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t*
   std::uint64_t ub[kBlock], prod[kBlock];
   for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
     const std::size_t len = n - i0 < kBlock ? n - i0 : kBlock;
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::int64_t bv = b[i0 + i];
-      assert(bv != INT64_MIN && "signed_row_batch: |INT64_MIN| overflows");
-      ub[i] = static_cast<std::uint64_t>(bv < 0 ? -bv : bv);
-    }
+    split_magnitudes(b + i0, ub, len);
     mul.multiply_row_batch(ua, ub, prod, len);
-    for (std::size_t i = 0; i < len; ++i) {
-      const auto p = static_cast<std::int64_t>(prod[i]);
-      out[i0 + i] = (b[i0 + i] < 0) != a_neg ? -p : p;
-    }
+    apply_signs(prod, b + i0, a_neg, out + i0, len);
   }
 }
 
@@ -54,15 +70,6 @@ std::int32_t to_fx(double v, int frac_bits) {
 
 double from_fx(std::int32_t v, int frac_bits) {
   return static_cast<double>(v) * std::ldexp(1.0, -frac_bits);
-}
-
-std::int32_t sat_signed(std::int64_t v, int n) {
-  assert(n >= 2 && n <= 32);
-  const std::int64_t hi = (std::int64_t{1} << (n - 1)) - 1;
-  const std::int64_t lo = -(std::int64_t{1} << (n - 1));
-  if (v > hi) return static_cast<std::int32_t>(hi);
-  if (v < lo) return static_cast<std::int32_t>(lo);
-  return static_cast<std::int32_t>(v);
 }
 
 }  // namespace realm::num

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iterator>
@@ -42,12 +43,60 @@ std::vector<std::int16_t> random_blocks(std::size_t n_blocks, std::uint64_t seed
   return v;
 }
 
+// kSpecs plus every Table II design: the panel passes must match the scalar
+// oracle for each design the codec is evaluated with.
+std::vector<std::string> panel_specs() {
+  std::vector<std::string> specs = kSpecs;
+  for (const std::string& s : mult::table2_specs()) {
+    if (std::find(specs.begin(), specs.end(), s) == specs.end()) specs.push_back(s);
+  }
+  return specs;
+}
+
+// Blocks over the whole int16 range but -32768: constant +-32767 blocks, a
+// +-32767 checkerboard, then uniform values — enough to drive rescale_sat
+// into both rails of the 16-bit datapath in either direction.
+std::vector<std::int16_t> full_range_blocks(std::size_t n_blocks, std::uint64_t seed) {
+  num::Xoshiro256 rng{seed};
+  std::vector<std::int16_t> v(n_blocks * 64);
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::int16_t checker = (i / 8 + i % 8) % 2 == 0 ? 32767 : -32767;
+      const auto uniform =
+          static_cast<std::int16_t>(static_cast<int>(rng.below(65535)) - 32767);
+      v[b * 64 + i] = b == 0 ? 32767 : b == 1 ? -32767 : b == 2 ? checker : uniform;
+    }
+  }
+  return v;
+}
+
+// Forwarding Multiplier that counts the row batches an engine issues.
+class RowBatchCounter final : public Multiplier {
+ public:
+  explicit RowBatchCounter(const Multiplier& inner) : inner_{&inner} {}
+  std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
+    return inner_->multiply(a, b);
+  }
+  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
+                          std::uint64_t* out, std::size_t n) const override {
+    ++calls;
+    inner_->multiply_row_batch(a_fixed, b, out, n);
+  }
+  std::string name() const override { return inner_->name(); }
+  int width() const override { return inner_->width(); }
+
+  mutable std::size_t calls = 0;
+
+ private:
+  const Multiplier* inner_;
+};
+
 }  // namespace
 
 TEST(AppBatch, PanelFdctMatchesScalarReference) {
   // 67 blocks crosses the 32-block panel boundary with a ragged tail.
   const auto blocks = random_blocks(67, 0x5EED);
-  for (const auto& spec : kSpecs) {
+  for (const auto& spec : panel_specs()) {
     const auto mul = mult::make_multiplier(spec, 16);
     const auto f = mul->as_function();
     std::vector<std::int16_t> panel_out(blocks.size());
@@ -71,7 +120,7 @@ TEST(AppBatch, PanelIdctMatchesScalarReference) {
   std::vector<std::int16_t> coeffs(pixels.size());
   jpeg::fdct_panel(pixels.data(), coeffs.data(), 33, *mul);
 
-  for (const auto& spec : kSpecs) {
+  for (const auto& spec : panel_specs()) {
     const auto m = mult::make_multiplier(spec, 16);
     const auto mf = m->as_function();
     std::vector<std::int16_t> panel_out(coeffs.size());
@@ -84,6 +133,66 @@ TEST(AppBatch, PanelIdctMatchesScalarReference) {
         ASSERT_EQ(panel_out[b * 64 + i], ref[i]) << spec << " block=" << b << " i=" << i;
       }
     }
+  }
+}
+
+TEST(AppBatch, PanelTransformsSaturateLikeTheScalarReference) {
+  // Full-range inputs push the 64-bit sums past the 16-bit datapath: both
+  // transforms must clamp to the same rails as the scalar pass, per design.
+  constexpr std::size_t kBlocks = 40;
+  const auto blocks = full_range_blocks(kBlocks, 0xF011);
+  for (const auto& spec : panel_specs()) {
+    const auto mul = mult::make_multiplier(spec, 16);
+    const auto f = mul->as_function();
+    for (const bool inverse : {false, true}) {
+      std::vector<std::int16_t> panel_out(blocks.size());
+      if (inverse) {
+        jpeg::idct_panel(blocks.data(), panel_out.data(), kBlocks, *mul);
+      } else {
+        jpeg::fdct_panel(blocks.data(), panel_out.data(), kBlocks, *mul);
+      }
+      bool hit_hi = false, hit_lo = false;
+      for (std::size_t b = 0; b < kBlocks; ++b) {
+        std::array<std::int16_t, 64> in{}, ref{};
+        for (std::size_t i = 0; i < 64; ++i) in[i] = blocks[b * 64 + i];
+        if (inverse) {
+          jpeg::idct8x8(in, ref, f);
+        } else {
+          jpeg::fdct8x8(in, ref, f);
+        }
+        for (std::size_t i = 0; i < 64; ++i) {
+          ASSERT_EQ(panel_out[b * 64 + i], ref[i])
+              << spec << " inverse=" << inverse << " block=" << b << " i=" << i;
+          hit_hi = hit_hi || ref[i] == 32767;
+          hit_lo = hit_lo || ref[i] == -32768;
+        }
+      }
+      EXPECT_TRUE(hit_hi && hit_lo) << spec << " inverse=" << inverse
+                                    << ": the inputs must saturate both rails";
+    }
+  }
+}
+
+TEST(AppBatch, PanelIssuesOneRowBatchPerDistinctMagnitudePerTap) {
+  // A full 32-block panel runs two 1-D passes of 8 taps.  The Q12 matrix
+  // gives each forward tap 7 distinct |c| over its 8 outputs (2 x 56 = 112);
+  // in the inverse orientation the taps hold 1,4,2,4,1,4,2,4 (2 x 22 = 44).
+  const auto blocks = random_blocks(64, 0xCA11);
+  const auto inner = mult::make_multiplier("realm:m=16,t=8", 16);
+  std::vector<std::int16_t> out(blocks.size()), ref(blocks.size());
+  for (const std::size_t panels : {std::size_t{1}, std::size_t{2}}) {
+    const std::size_t n = panels * 32;
+    RowBatchCounter fwd{*inner};
+    jpeg::fdct_panel(blocks.data(), out.data(), n, fwd);
+    EXPECT_EQ(fwd.calls, panels * 112);
+    jpeg::fdct_panel(blocks.data(), ref.data(), n, *inner);
+    EXPECT_EQ(out, ref);
+
+    RowBatchCounter inv{*inner};
+    jpeg::idct_panel(blocks.data(), out.data(), n, inv);
+    EXPECT_EQ(inv.calls, panels * 44);
+    jpeg::idct_panel(blocks.data(), ref.data(), n, *inner);
+    EXPECT_EQ(out, ref);
   }
 }
 
