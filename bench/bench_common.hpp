@@ -4,7 +4,6 @@
 
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +17,7 @@
 #include "realm/obs/metrics_sink.hpp"
 #include "realm/obs/sampler.hpp"
 #include "realm/obs/trace.hpp"
+#include "../tools/parse_u64.hpp"
 
 namespace realm::bench {
 
@@ -39,38 +39,6 @@ struct Args {
   std::string store_path;  ///< --store=PATH: attach a campaign result store
   bool resume = false;     ///< --resume: replay completed units from the store
   double sample_hz = 0.0;  ///< --sample-hz=N / REALM_SAMPLE_HZ: timeline sampler
-
-  /// Strict decimal parse: the whole value must be digits (strtoull's
-  /// default of accepting "12abc" as 12 — or "abc" as 0 — hid typos).
-  static std::uint64_t parse_u64(const char* flag, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (s[0] == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-        s[0] == '-') {
-      std::fprintf(stderr, "bad value for %s: '%s' (expected a decimal integer)\n",
-                   flag, s);
-      std::exit(2);
-    }
-    return v;
-  }
-
-  /// parse_u64 plus an inclusive range check — zero or absurd values abort
-  /// with exit 2 instead of running a degenerate experiment (e.g. a
-  /// zero-cycle power sweep or 2^40 threads).
-  static std::uint64_t parse_ranged(const char* flag, const char* s, std::uint64_t lo,
-                                    std::uint64_t hi) {
-    const std::uint64_t v = parse_u64(flag, s);
-    if (v < lo || v > hi) {
-      std::fprintf(stderr,
-                   "bad value for %s: %llu (expected %llu..%llu)\n", flag,
-                   static_cast<unsigned long long>(v),
-                   static_cast<unsigned long long>(lo),
-                   static_cast<unsigned long long>(hi));
-      std::exit(2);
-    }
-    return v;
-  }
 
   /// Strict --store validation (the PR 2 convention: bad input exits 2, it
   /// never silently runs without the store): the path must not name a
@@ -110,26 +78,26 @@ struct Args {
         return arg.c_str() + std::strlen(prefix);
       };
       if (arg.rfind("--samples=", 0) == 0) {
-        a.samples = parse_ranged("--samples", val("--samples="), 1,
-                                 std::uint64_t{1} << 40);
+        a.samples = cli::parse_u64_flag("--samples", val("--samples="), 1,
+                                        std::uint64_t{1} << 40);
       } else if (arg.rfind("--cycles=", 0) == 0) {
         a.cycles = static_cast<std::uint32_t>(
-            parse_ranged("--cycles", val("--cycles="), 1, 1u << 30));
+            cli::parse_u64_flag("--cycles", val("--cycles="), 1, 1u << 30));
       } else if (arg.rfind("--vectors=", 0) == 0) {
         a.vectors = static_cast<std::uint32_t>(
-            parse_ranged("--vectors", val("--vectors="), 1, 1u << 30));
+            cli::parse_u64_flag("--vectors", val("--vectors="), 1, 1u << 30));
       } else if (arg.rfind("--image-size=", 0) == 0) {
         a.image_size = static_cast<int>(
-            parse_ranged("--image-size", val("--image-size="), 8, 1u << 14));
+            cli::parse_u64_flag("--image-size", val("--image-size="), 8, 1u << 14));
       } else if (arg.rfind("--threads=", 0) == 0) {
         a.threads = static_cast<int>(
-            parse_ranged("--threads", val("--threads="), 0, 1u << 16));
+            cli::parse_u64_flag("--threads", val("--threads="), 0, 1u << 16));
       } else if (arg.rfind("--width=", 0) == 0) {
         a.width = static_cast<int>(
-            parse_ranged("--width", val("--width="), 2, 31));
+            cli::parse_u64_flag("--width", val("--width="), 2, 31));
       } else if (arg.rfind("--rows=", 0) == 0) {
-        a.rows = parse_ranged("--rows", val("--rows="), 1,
-                              std::uint64_t{1} << 31);
+        a.rows = cli::parse_u64_flag("--rows", val("--rows="), 1,
+                                     std::uint64_t{1} << 31);
       } else if (arg == "--exact") {
         a.exact = true;
       } else if (arg.rfind("--trace=", 0) == 0) {
@@ -154,7 +122,7 @@ struct Args {
         a.resume = true;
       } else if (arg.rfind("--sample-hz=", 0) == 0) {
         a.sample_hz = static_cast<double>(
-            parse_ranged("--sample-hz", val("--sample-hz="), 1, 1000));
+            cli::parse_u64_flag("--sample-hz", val("--sample-hz="), 1, 1000));
       } else if (arg == "--full") {
         a.full = true;
         a.samples = std::uint64_t{1} << 24;  // the paper's budget

@@ -78,18 +78,18 @@ ServeArgs parse_serve_args(int& argc, char** argv) {
     };
     if (arg.rfind("--connect=", 0) == 0) {
       s.connect_port = static_cast<int>(
-          bench::Args::parse_ranged("--connect", val("--connect="), 1, 65535));
+          cli::parse_u64_flag("--connect", val("--connect="), 1, 65535));
     } else if (arg.rfind("--requests=", 0) == 0) {
-      s.requests = bench::Args::parse_ranged("--requests", val("--requests="), 1,
-                                             std::uint64_t{1} << 24);
+      s.requests = cli::parse_u64_flag("--requests", val("--requests="), 1,
+                                       std::uint64_t{1} << 24);
     } else if (arg.rfind("--connections=", 0) == 0) {
-      s.connections = static_cast<int>(bench::Args::parse_ranged(
+      s.connections = static_cast<int>(cli::parse_u64_flag(
           "--connections", val("--connections="), 1, 1024));
     } else if (arg.rfind("--rate=", 0) == 0) {
       s.rate = static_cast<double>(
-          bench::Args::parse_ranged("--rate", val("--rate="), 1, 10'000'000));
+          cli::parse_u64_flag("--rate", val("--rate="), 1, 10'000'000));
     } else if (arg.rfind("--serve-samples=", 0) == 0) {
-      s.serve_samples = bench::Args::parse_ranged(
+      s.serve_samples = cli::parse_u64_flag(
           "--serve-samples", val("--serve-samples="), 1, std::uint64_t{1} << 26);
     } else {
       rest.push_back(argv[i]);

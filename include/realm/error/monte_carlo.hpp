@@ -49,7 +49,7 @@ namespace realm::err {
 struct MonteCarloOptions {
   std::uint64_t samples = std::uint64_t{1} << 24;  ///< paper default
   std::uint64_t seed = 0x5eed5eed5eed5eedULL;
-  int threads = 0;  ///< parallelism cap; 0 = hardware concurrency.  Never
+  int threads = 0;  ///< parallelism cap; 0 or negative = all cores.  Never
                     ///< affects results, only how many pool workers run.
 };
 

@@ -47,17 +47,18 @@ inline constexpr std::size_t kFaultLanesPerSweep = 63;
 /// Runs on the 64-lane packed engine: sites are processed in groups of
 /// kFaultLanesPerSweep against a shared broadcast stimulus, so the campaign
 /// costs O(sites/63 x vectors) netlist sweeps instead of O(sites x vectors).
-/// Groups are sharded over the persistent pool; `threads` (0 = all cores)
-/// never changes the report — per-site statistics are accumulated in
-/// stimulus order and reduced in site order, bit-identical to the scalar
-/// reference below.
+/// Groups are sharded over the persistent pool; `threads` (0 or negative =
+/// all cores) never changes the report — per-site statistics are
+/// accumulated in stimulus order and reduced in site order, bit-identical
+/// to the scalar reference below.
 [[nodiscard]] FaultReport analyze_fault_impact(const Module& module, int vectors = 200,
                                                std::uint64_t seed = 0xFA017,
                                                std::size_t max_sites = 2000,
                                                int threads = 0);
 
-/// The scalar single-lane implementation (one full netlist sweep per
-/// (site, vector) pair), kept as the bit-exact cross-check reference.
+/// The scalar single-lane implementation (one Simulator sweep per
+/// (site, vector) pair, the site applied with Simulator::force_gate), kept
+/// as the bit-exact cross-check reference.
 [[nodiscard]] FaultReport analyze_fault_impact_reference(const Module& module,
                                                          int vectors = 200,
                                                          std::uint64_t seed = 0xFA017,

@@ -1,10 +1,11 @@
 // Gate-level netlist with construction-time constant folding.
 //
-// A Module is a combinational netlist over the cell set of cell_library.hpp.
-// Nets are dense integer ids; net 0 and net 1 are the constant rails.  Gates
-// may only reference already-existing nets, so the creation order is a valid
-// topological order and the simulator can evaluate in one pass without
-// levelization — structural builders cannot express a combinational loop.
+// A Module is a netlist over the cell set of cell_library.hpp, optionally
+// with D flip-flops.  Nets are dense integer ids; net 0 and net 1 are the
+// constant rails.  Gates may only reference already-existing nets, so the
+// creation order is a valid topological order and the simulator can
+// evaluate in one pass without levelization — structural builders cannot
+// express a combinational loop (feedback goes through registers).
 //
 // gate() folds constants aggressively (and(a,0) = 0, xor(a,1) = ~a,
 // mux(s,d,d) = d, ...).  This matters for fidelity, not just speed: the
@@ -36,6 +37,28 @@ struct Gate {
   std::array<NetId, 3> in;  // unused pins = kConst0
   NetId out;
 };
+
+/// The logic function of each cell: the one truth table every bitwise
+/// evaluator shares (scalar, unit-delay and 64-lane simulators, the fault
+/// reference).  Lane-wise over the bits of W, so a 64-bit word evaluates 64
+/// independent input vectors at once; scalar callers hold each net in bit 0
+/// and mask the result to it.  Inputs are the gate's pins in order, with
+/// mux pins ordered (d0, d1, sel); unused pins are ignored.
+template <typename W>
+[[nodiscard]] constexpr W gate_value(GateKind kind, W a, W b, W c) noexcept {
+  switch (kind) {
+    case GateKind::kInv: return static_cast<W>(~a);
+    case GateKind::kBuf: return a;
+    case GateKind::kAnd2: return static_cast<W>(a & b);
+    case GateKind::kOr2: return static_cast<W>(a | b);
+    case GateKind::kNand2: return static_cast<W>(~(a & b));
+    case GateKind::kNor2: return static_cast<W>(~(a | b));
+    case GateKind::kXor2: return static_cast<W>(a ^ b);
+    case GateKind::kXnor2: return static_cast<W>(~(a ^ b));
+    case GateKind::kMux2: return static_cast<W>((c & b) | (~c & a));
+  }
+  return 0;
+}
 
 struct PortInfo {
   std::string name;

@@ -134,7 +134,7 @@ struct ModelEquivalence {
 
 /// Sweeps the full cross product of both operand ranges (2^(na+nb) pairs —
 /// rejected above 2^26 pairs; an 8x8 design is 2^16 = 16 sweeps).
-/// `threads` = gate-simulation parallelism (0 = all cores).
+/// `threads` = gate-simulation parallelism (0 or negative = all cores).
 [[nodiscard]] ModelEquivalence check_exhaustive_vs_model(const Module& module,
                                                           const Multiplier& model,
                                                           int threads = 0);

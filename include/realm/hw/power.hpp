@@ -26,9 +26,10 @@ struct StimulusProfile {
   double probability = 0.5;    ///< stationary P(bit = 1)
   std::uint32_t cycles = 2000; ///< simulated vector pairs (must be > 0)
   std::uint64_t seed = 0x9a7e5eedULL;
-  /// Gate-simulation parallelism of the packed engine (0 = all cores).  The
-  /// cycle stream is sharded into fixed-size blocks whose partition never
-  /// depends on this value, so the report is bit-identical for any setting.
+  /// Gate-simulation parallelism of the packed engine (0 or negative = all
+  /// cores).  The cycle stream is sharded into fixed-size blocks whose
+  /// partition never depends on this value, so the report is bit-identical
+  /// for any setting.
   int threads = 0;
   /// Count glitch transitions with the unit-delay TimedSimulator instead of
   /// functional toggles.  Off by default: our netlists keep ripple-carry

@@ -46,10 +46,10 @@ struct CodecOptions {
   /// the persistent thread pool per `threads`.  nullptr = exact products.
   /// Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
-  /// Parallelism of the panel engine's block shards (1 = serial, 0 = all
-  /// hardware threads).  Encoded bytes and decoded pixels are invariant to
-  /// this by construction: the shard grid is a fixed function of the block
-  /// count and shards write disjoint block-index ranges.
+  /// Parallelism of the panel engine's block shards (1 = serial, 0 or
+  /// negative = all hardware threads).  Encoded bytes and decoded pixels are
+  /// invariant to this by construction: the shard grid is a fixed function
+  /// of the block count and shards write disjoint block-index ranges.
   int threads = 1;
 };
 

@@ -31,14 +31,18 @@ class ThreadPool {
 
   [[nodiscard]] unsigned workers() const noexcept;
 
+  /// The library's one reading of an `int threads` option: a positive value
+  /// is the parallelism; 0 or a negative value means every core
+  /// (workers()+1).
+  [[nodiscard]] unsigned parallelism(int threads) const noexcept;
+
   /// Runs task(0) ... task(count-1), blocking until all complete.  At most
-  /// `parallelism` tasks execute concurrently (0 = workers()+1); the calling
-  /// thread participates.  Concurrent run() calls from different threads are
+  /// parallelism(threads) tasks execute concurrently; the calling thread
+  /// participates.  Concurrent run() calls from different threads are
   /// safe: a caller that cannot acquire the pool executes its tasks inline,
   /// which also makes nested run() calls deadlock-free.  The first exception
   /// thrown by a task is rethrown on the caller after the region completes.
-  void run(std::size_t count, unsigned parallelism,
-           const std::function<void(std::size_t)>& task);
+  void run(std::size_t count, int threads, const std::function<void(std::size_t)>& task);
 
   /// The process-wide pool, lazily constructed with hardware_concurrency-1
   /// workers (so a fully parallel region matches the core count).

@@ -14,8 +14,9 @@
 // bounded by construction, never by backpressure.
 //
 // Export targets the Chrome trace-event format (chrome://tracing and
-// ui.perfetto.dev load it directly); span *aggregates* (count/total/min/max
-// per name) feed MetricsSink for the schema-stable BENCH_*.json files.
+// ui.perfetto.dev load it directly); per-name span histograms
+// (count/total/min/max and log2 buckets, see span_histograms()) feed
+// MetricsSink for the schema-stable BENCH_*.json files.
 // Exporting while threads are still recording is safe (slot fields are
 // relaxed atomics) but a concurrently overwritten slot may mix fields from
 // two spans; quiesce the workload first for exact output.
@@ -119,13 +120,6 @@ class ScopedSpan {
 #define REALM_TRACE_SCOPE(name) \
   ::realm::obs::ScopedSpan REALM_OBS_CONCAT(realm_trace_scope_, __LINE__) { name }
 
-struct SpanAggregate {
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = ~std::uint64_t{0};
-  std::uint64_t max_ns = 0;
-};
-
 /// Spans recorded since the last trace_reset() (includes spans later
 /// overwritten by a wrapping ring).
 [[nodiscard]] std::size_t trace_events_recorded();
@@ -133,12 +127,9 @@ struct SpanAggregate {
 /// Spans lost to ring wrap-around (recorded - still exportable).
 [[nodiscard]] std::size_t trace_events_dropped();
 
-/// Per-name aggregates over every span still held in the rings.
-[[nodiscard]] std::map<std::string, SpanAggregate> span_aggregates();
-
 /// Per-name duration histograms (nanoseconds), merged across every thread's
-/// table at call time.  Unlike the ring-backed span_aggregates(), these are
-/// fed on every record_span and never lose spans to ring wrap-around, so
+/// table at call time.  Unlike the export rings, these are fed on every
+/// record_span and never lose spans to ring wrap-around, so
 /// count/total/min/max here are exact over the whole run and the log2
 /// buckets supply p50/p95/p99 for the realm-bench-v3 spans section.
 [[nodiscard]] std::map<std::string, HistogramSnapshot> span_histograms();

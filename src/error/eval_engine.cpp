@@ -18,12 +18,6 @@
 namespace realm::err {
 namespace {
 
-unsigned resolve_threads(int requested) {
-  if (requested > 0) return static_cast<unsigned>(requested);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 // Per-thread scratch: operand, product and error blocks.  thread_local so the
 // persistent pool workers allocate once and reuse across shards and calls.
 struct Scratch {
@@ -281,7 +275,7 @@ ShardOut run_shards(std::uint64_t shards, int threads, Histogram* hist,
   }
 
   num::ThreadPool::global().run(
-      static_cast<std::size_t>(shards), resolve_threads(threads),
+      static_cast<std::size_t>(shards), threads,
       [&](std::size_t si) {
         outs[si] = shard(si, hist != nullptr ? &shard_hists[si] : nullptr);
       });
@@ -523,7 +517,7 @@ ErrorMetrics monte_carlo_scalar_reference(const Multiplier& design,
     return acc;
   };
 
-  const unsigned threads = resolve_threads(opts.threads);
+  const unsigned threads = num::ThreadPool::global().parallelism(opts.threads);
   if (threads <= 1) {
     std::uint64_t st = opts.seed;
     return scalar_shard(opts.samples, num::splitmix64(st)).metrics();

@@ -7,6 +7,7 @@
 
 #include "realm/hw/bdd.hpp"
 #include "realm/hw/packed_simulator.hpp"
+#include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/numeric/thread_pool.hpp"
 #include "realm/obs/counters.hpp"
@@ -15,42 +16,12 @@
 namespace realm::hw {
 namespace {
 
-// Evaluate all gates with one gate output forced (gate_index == SIZE_MAX for
-// the golden run).  Returns the first output port's value.  This scalar
-// sweep is the bit-exact reference the packed engine is checked against.
-std::uint64_t eval_with_fault(const Module& module, std::vector<std::uint8_t>& values,
-                              std::size_t fault_gate, bool stuck_value) {
-  const auto& gates = module.gates();
-  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-    const Gate& g = gates[gi];
-    std::uint8_t out;
-    if (gi == fault_gate) {
-      out = stuck_value ? 1 : 0;
-    } else {
-      const std::uint8_t a = values[g.in[0]];
-      const std::uint8_t b = values[g.in[1]];
-      const std::uint8_t c = values[g.in[2]];
-      switch (g.kind) {
-        case GateKind::kInv: out = a ^ 1u; break;
-        case GateKind::kBuf: out = a; break;
-        case GateKind::kAnd2: out = a & b; break;
-        case GateKind::kOr2: out = a | b; break;
-        case GateKind::kNand2: out = (a & b) ^ 1u; break;
-        case GateKind::kNor2: out = (a | b) ^ 1u; break;
-        case GateKind::kXor2: out = a ^ b; break;
-        case GateKind::kXnor2: out = a ^ b ^ 1u; break;
-        case GateKind::kMux2: out = c ? b : a; break;
-        default: out = 0; break;
-      }
-    }
-    values[g.out] = out;
-  }
-  std::uint64_t v = 0;
-  const Bus& bus = module.outputs().front().bus;
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    v |= static_cast<std::uint64_t>(values[bus[i]] & 1u) << i;
-  }
-  return v;
+// Drives every input port from one vector and settles the scalar
+// simulator; returns the first output port's value.
+std::uint64_t eval_vector(Simulator& sim, const std::vector<std::uint64_t>& vec) {
+  for (std::size_t p = 0; p < vec.size(); ++p) sim.set_input(p, vec[p]);
+  sim.eval();
+  return sim.output(0);
 }
 
 void validate_campaign_args(const Module& module, int vectors, const char* who) {
@@ -154,7 +125,7 @@ FaultReport analyze_fault_impact(const Module& module, int vectors, std::uint64_
   std::vector<SiteStats> stats(campaign.sites.size());
 
   num::ThreadPool::global().run(
-      groups, threads < 0 ? 1u : static_cast<unsigned>(threads),
+      groups, threads,
       [&](std::size_t grp) {
         REALM_TRACE_SCOPE("faults/group");
         const std::size_t first = grp * group_size;
@@ -196,29 +167,18 @@ FaultReport analyze_fault_impact_reference(const Module& module, int vectors,
   validate_campaign_args(module, vectors, "analyze_fault_impact_reference");
   const Campaign campaign = plan_campaign(module, vectors, seed, max_sites);
 
-  std::vector<std::uint8_t> values(module.net_count(), 0);
-  values[kConst1] = 1;
-  const auto apply_inputs = [&](const std::vector<std::uint64_t>& vec) {
-    for (std::size_t p = 0; p < vec.size(); ++p) {
-      const Bus& bus = module.inputs()[p].bus;
-      for (std::size_t i = 0; i < bus.size(); ++i) {
-        values[bus[i]] = static_cast<std::uint8_t>((vec[p] >> i) & 1u);
-      }
-    }
-  };
+  Simulator sim{module};
   std::vector<std::uint64_t> golden(campaign.stimulus.size());
   for (std::size_t v = 0; v < campaign.stimulus.size(); ++v) {
-    apply_inputs(campaign.stimulus[v]);
-    golden[v] = eval_with_fault(module, values, static_cast<std::size_t>(-1), false);
+    golden[v] = eval_vector(sim, campaign.stimulus[v]);
   }
 
   std::vector<SiteStats> stats(campaign.sites.size());
   for (std::size_t s = 0; s < campaign.sites.size(); ++s) {
     const FaultSite& site = campaign.sites[s];
+    sim.force_gate(site.gate_index, site.stuck_value);
     for (std::size_t v = 0; v < campaign.stimulus.size(); ++v) {
-      apply_inputs(campaign.stimulus[v]);
-      const std::uint64_t faulty =
-          eval_with_fault(module, values, site.gate_index, site.stuck_value);
+      const std::uint64_t faulty = eval_vector(sim, campaign.stimulus[v]);
       if (faulty != golden[v]) ++stats[s].flips;
       const double denom = std::max<double>(1.0, static_cast<double>(golden[v]));
       const double rel =
@@ -344,20 +304,14 @@ bool is_fault_redundant(const Module& module, const FaultSite& site,
 
 bool fault_detected(const Module& module, const FaultSite& site,
                     const std::vector<std::vector<std::uint64_t>>& patterns) {
-  std::vector<std::uint8_t> values(module.net_count(), 0);
-  values[kConst1] = 1;
+  if (module.is_sequential()) {
+    throw std::invalid_argument("fault_detected: combinational modules only");
+  }
+  Simulator golden{module};
+  Simulator faulty{module};
+  faulty.force_gate(site.gate_index, site.stuck_value);
   for (const auto& vec : patterns) {
-    for (std::size_t p = 0; p < vec.size(); ++p) {
-      const Bus& bus = module.inputs()[p].bus;
-      for (std::size_t i = 0; i < bus.size(); ++i) {
-        values[bus[i]] = static_cast<std::uint8_t>((vec[p] >> i) & 1u);
-      }
-    }
-    const std::uint64_t golden =
-        eval_with_fault(module, values, static_cast<std::size_t>(-1), false);
-    const std::uint64_t faulty =
-        eval_with_fault(module, values, site.gate_index, site.stuck_value);
-    if (faulty != golden) return true;
+    if (eval_vector(faulty, vec) != eval_vector(golden, vec)) return true;
   }
   return false;
 }

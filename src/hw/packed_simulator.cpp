@@ -14,7 +14,7 @@ namespace realm::hw {
 PackedSimulator::PackedSimulator(const Module& module) : module_{&module} {
   if (module.is_sequential()) {
     throw std::invalid_argument(
-        "PackedSimulator is combinational-only; use SequentialSimulator");
+        "PackedSimulator is combinational-only; use Simulator");
   }
   values_.assign(module.net_count(), 0);
   values_[kConst1] = ~std::uint64_t{0};
@@ -76,21 +76,8 @@ void PackedSimulator::sweep(unsigned lanes) {
       lanes >= 2 ? (~std::uint64_t{0} >> (kLanes - (lanes - 1))) : 0;
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     const Gate& g = gates[gi];
-    const std::uint64_t a = values_[g.in[0]];
-    const std::uint64_t b = values_[g.in[1]];
-    const std::uint64_t c = values_[g.in[2]];
-    std::uint64_t out = 0;
-    switch (g.kind) {
-      case GateKind::kInv: out = ~a; break;
-      case GateKind::kBuf: out = a; break;
-      case GateKind::kAnd2: out = a & b; break;
-      case GateKind::kOr2: out = a | b; break;
-      case GateKind::kNand2: out = ~(a & b); break;
-      case GateKind::kNor2: out = ~(a | b); break;
-      case GateKind::kXor2: out = a ^ b; break;
-      case GateKind::kXnor2: out = ~(a ^ b); break;
-      case GateKind::kMux2: out = (c & b) | (~c & a); break;
-    }
+    std::uint64_t out =
+        gate_value(g.kind, values_[g.in[0]], values_[g.in[1]], values_[g.in[2]]);
     if (forcing) out = (out & force_and_[gi]) | force_or_[gi];
     if constexpr (kCountToggles) {
       std::uint64_t t =
@@ -220,8 +207,7 @@ ModelEquivalence check_vs_model(const Module& module, const Multiplier& model,
   std::vector<BlockResult> per_block(blocks);
 
   num::ThreadPool::global().run(
-      static_cast<std::size_t>(blocks),
-      threads < 0 ? 1u : static_cast<unsigned>(threads),
+      static_cast<std::size_t>(blocks), threads,
       [&](std::size_t blk) {
         REALM_TRACE_SCOPE("equiv/block");
         PackedSimulator sim{module};

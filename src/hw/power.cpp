@@ -109,7 +109,7 @@ PowerReport estimate_power_packed(const Module& module, const StimulusProfile& p
   const std::size_t blocks = (cycles + kPackedBlockCycles - 1) / kPackedBlockCycles;
   std::vector<std::vector<std::uint64_t>> block_toggles(blocks);
   num::ThreadPool::global().run(
-      blocks, profile.threads < 0 ? 1u : static_cast<unsigned>(profile.threads),
+      blocks, profile.threads,
       [&](std::size_t blk) {
         // Block blk covers transitions (t0, t1]; it loads state t0 as its
         // priming lane.

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "realm/jpeg/dct.hpp"
 #include "realm/jpeg/huffman.hpp"
@@ -67,12 +66,6 @@ constexpr std::size_t kMaxTokensPerBlock = 64;
 // decoded pixels are invariant to the parallelism actually achieved (the
 // MC / packed-sim sharding discipline).
 constexpr std::size_t kCodecShardBlocks = 32;
-
-unsigned resolve_threads(int requested) {
-  if (requested > 0) return static_cast<unsigned>(requested);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 // The design the panel engine runs: opts.mul, or the exact product when it
 // is unset.  `umul` drives only the *_reference paths, so a caller that set
@@ -326,7 +319,7 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
     REALM_TRACE_SCOPE("jpeg/encode/transform_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
     num::ThreadPool::global().run(
-        shards, resolve_threads(opts.threads), [&](std::size_t si) {
+        shards, opts.threads, [&](std::size_t si) {
           REALM_TRACE_SCOPE("jpeg/encode/shard");
           const std::size_t b0 = si * kCodecShardBlocks;
           const std::size_t nb = std::min(kCodecShardBlocks, n_blocks - b0);
@@ -393,7 +386,7 @@ Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qta
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
     num::ThreadPool::global().run(
-        shards, resolve_threads(opts.threads), [&](std::size_t si) {
+        shards, opts.threads, [&](std::size_t si) {
           REALM_TRACE_SCOPE("jpeg/decode/shard");
           const std::size_t b0 = si * kCodecShardBlocks;
           const std::size_t nb = std::min(kCodecShardBlocks, n_blocks - b0);

@@ -157,10 +157,14 @@ unsigned ThreadPool::workers() const noexcept {
   return static_cast<unsigned>(impl_->threads.size());
 }
 
-void ThreadPool::run(std::size_t count, unsigned parallelism,
+unsigned ThreadPool::parallelism(int threads) const noexcept {
+  return threads > 0 ? static_cast<unsigned>(threads) : workers() + 1;
+}
+
+void ThreadPool::run(std::size_t count, int threads,
                      const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
-  if (parallelism == 0) parallelism = workers() + 1;
+  const unsigned parallelism = this->parallelism(threads);
 
   // Inline paths: nothing to parallelize, or the pool is busy serving
   // another caller (including a task on this pool calling run() again —

@@ -203,18 +203,6 @@ std::size_t trace_events_dropped() {
   return dropped;
 }
 
-std::map<std::string, SpanAggregate> span_aggregates() {
-  std::map<std::string, SpanAggregate> agg;
-  for (const ExportEvent& e : collect_events()) {
-    SpanAggregate& a = agg[e.name];
-    ++a.count;
-    a.total_ns += e.dur_ns;
-    if (e.dur_ns < a.min_ns) a.min_ns = e.dur_ns;
-    if (e.dur_ns > a.max_ns) a.max_ns = e.dur_ns;
-  }
-  return agg;
-}
-
 std::map<std::string, HistogramSnapshot> span_histograms() {
   std::map<std::string, HistogramSnapshot> out;
   for (const auto& b : buffer_snapshot()) {

@@ -198,10 +198,10 @@ TEST(EvalEngine, OuterSpanNameFollowsHistogramArgument) {
   err::MonteCarloOptions opts;
   opts.samples = 1 << 12;
   (void)err::monte_carlo(*m, opts);
-  const auto plain = obs::span_aggregates();
+  const auto plain = obs::span_histograms();
   err::Histogram h{-12.0, 2.0, 14};
   (void)err::monte_carlo(*m, opts, &h);
-  const auto both = obs::span_aggregates();
+  const auto both = obs::span_histograms();
   obs::set_tracing(false);
   obs::trace_reset();
   EXPECT_EQ(plain.count("mc/total"), 1u);
@@ -256,6 +256,16 @@ TEST(ThreadPool, ParallelismOneRunsInline) {
     if (std::this_thread::get_id() != self) all_inline = false;
   });
   EXPECT_TRUE(all_inline.load());
+}
+
+// Every `int threads` option (MC, exhaustive, JPEG, power, faults,
+// equivalence) reaches the pool through this one rule.
+TEST(ThreadPool, ThreadsZeroOrNegativeMeansEveryCore) {
+  const num::ThreadPool pool{3};
+  EXPECT_EQ(pool.parallelism(0), 4u);
+  EXPECT_EQ(pool.parallelism(-1), 4u);
+  EXPECT_EQ(pool.parallelism(1), 1u);
+  EXPECT_EQ(pool.parallelism(7), 7u);
 }
 
 TEST(ThreadPool, NestedRunDoesNotDeadlock) {

@@ -374,6 +374,19 @@ class CheckBenchSchemaTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("bad value for 'm'", proc.stderr)
 
+    def test_realm_top_rejects_malformed_numbers(self):
+        # Rejected while parsing, before any connection: "80x" is not port
+        # 80, and an interval outside 50..60000 ms is not clamped into it.
+        realm_top = os.path.join(os.path.dirname(REALM_CLI), "realm_top")
+        for args in (["--port", "80x", "--once"], ["--port", "0", "--once"],
+                     ["--port", "65536", "--once"],
+                     ["--port", "9", "--interval-ms", "10"],
+                     ["--port", "9", "--interval-ms", "60001"]):
+            proc = subprocess.run([realm_top, *args], capture_output=True, text=True,
+                                  timeout=60)
+            self.assertEqual(proc.returncode, 2, f"{args}: {proc.stdout}{proc.stderr}")
+            self.assertIn("bad value for", proc.stderr, args)
+
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:

@@ -133,6 +133,8 @@ TEST(Faults, RejectsUnsupportedModules) {
   const Bus a = seq.add_input("a", 1);
   seq.add_output("o", {seq.add_register(a[0])});
   EXPECT_THROW((void)analyze_fault_impact(seq), std::invalid_argument);
+  // The scalar Simulator accepts registers; the fault re-check still does not.
+  EXPECT_THROW((void)fault_detected(seq, {0, true}, {{1}}), std::invalid_argument);
 
   Module empty{"empty"};
   const Bus b = empty.add_input("a", 1);

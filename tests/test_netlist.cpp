@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+
 #include "realm/hw/simulator.hpp"
 
 using namespace realm::hw;
@@ -12,6 +16,46 @@ TEST(Netlist, ConstantRailsAreReserved) {
   EXPECT_EQ(m.inv(kConst0), kConst1);
   EXPECT_EQ(m.inv(kConst1), kConst0);
   EXPECT_EQ(m.net_count(), 2u);  // folding created no gates
+}
+
+// The simulators (scalar, unit-delay, packed) and the fault reference all
+// evaluate through gate_value(), so only this table checks it independently.
+TEST(Netlist, GateValueTruthTable) {
+  // Bit i of each row is the output for pins (a, b, c) = bits 0, 1, 2 of i.
+  constexpr std::array<std::pair<GateKind, unsigned>, kGateKindCount> kTruth{{
+      {GateKind::kInv, 0x55},
+      {GateKind::kBuf, 0xAA},
+      {GateKind::kAnd2, 0x88},
+      {GateKind::kOr2, 0xEE},
+      {GateKind::kNand2, 0x77},
+      {GateKind::kNor2, 0x11},
+      {GateKind::kXor2, 0x66},
+      {GateKind::kXnor2, 0x99},
+      {GateKind::kMux2, 0xCA},  // (d0, d1, sel): sel ? d1 : d0
+  }};
+  static_assert((gate_value<std::uint8_t>(GateKind::kMux2, 0, 1, 1) & 1u) == 1u);
+
+  // 64-lane words: lane l carries input combination l % 8.
+  std::uint64_t wa = 0, wb = 0, wc = 0;
+  for (unsigned l = 0; l < 64; ++l) {
+    wa |= std::uint64_t{l & 1u} << l;
+    wb |= std::uint64_t{(l >> 1) & 1u} << l;
+    wc |= std::uint64_t{(l >> 2) & 1u} << l;
+  }
+  for (const auto& [kind, truth] : kTruth) {
+    for (unsigned i = 0; i < 8; ++i) {
+      const auto bit = [i](unsigned pin) {
+        return static_cast<std::uint8_t>((i >> pin) & 1u);
+      };
+      EXPECT_EQ(gate_value(kind, bit(0), bit(1), bit(2)) & 1u, (truth >> i) & 1u)
+          << cell_spec(kind).name << " inputs " << i;
+    }
+    const std::uint64_t word = gate_value(kind, wa, wb, wc);
+    for (unsigned l = 0; l < 64; ++l) {
+      EXPECT_EQ((word >> l) & 1u, (truth >> (l % 8)) & 1u)
+          << cell_spec(kind).name << " lane " << l;
+    }
+  }
 }
 
 TEST(Netlist, ConstantFoldingIdentities) {

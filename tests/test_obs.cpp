@@ -179,7 +179,7 @@ TEST(Trace, DisabledModeRecordsNothing) {
     REALM_TRACE_SCOPE("test/disabled");
   }
   EXPECT_EQ(obs::trace_events_recorded(), 0u);
-  EXPECT_TRUE(obs::span_aggregates().empty());
+  EXPECT_TRUE(obs::span_histograms().empty());
 }
 
 TEST(Trace, SpanInFlightWhenDisabledStillCompletes) {
@@ -189,7 +189,7 @@ TEST(Trace, SpanInFlightWhenDisabledStillCompletes) {
     REALM_TRACE_SCOPE("test/inflight");
     obs::set_tracing(false);  // disable mid-span: no half-open scope allowed
   }
-  EXPECT_EQ(obs::span_aggregates()["test/inflight"].count, 1u);
+  EXPECT_EQ(obs::span_histograms()["test/inflight"].count, 1u);
 }
 
 TEST(Trace, SpanNestingAggregates) {
@@ -204,15 +204,15 @@ TEST(Trace, SpanNestingAggregates) {
       REALM_TRACE_SCOPE("test/inner");
     }
   }
-  const auto agg = obs::span_aggregates();
+  const auto agg = obs::span_histograms();
   ASSERT_EQ(agg.count("test/outer"), 1u);
   ASSERT_EQ(agg.count("test/inner"), 1u);
   EXPECT_EQ(agg.at("test/outer").count, 1u);
   EXPECT_EQ(agg.at("test/inner").count, 2u);
   // Inner scopes are dynamically enclosed by the outer one, so on a
   // monotonic clock their summed duration cannot exceed the outer span's.
-  EXPECT_LE(agg.at("test/inner").total_ns, agg.at("test/outer").total_ns);
-  EXPECT_LE(agg.at("test/inner").min_ns, agg.at("test/inner").max_ns);
+  EXPECT_LE(agg.at("test/inner").total, agg.at("test/outer").total);
+  EXPECT_LE(agg.at("test/inner").min, agg.at("test/inner").max);
   EXPECT_EQ(obs::trace_events_recorded(), 3u);
   EXPECT_EQ(obs::trace_events_dropped(), 0u);
 }
@@ -232,7 +232,7 @@ TEST(Trace, ThreadInterleaving) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(obs::span_aggregates().at("test/interleave").count,
+  EXPECT_EQ(obs::span_histograms().at("test/interleave").count,
             static_cast<std::uint64_t>(kThreads) * kSpansPer);
 }
 
@@ -247,7 +247,9 @@ TEST(Trace, RingWrapDropsOldestAndCounts) {
   }
   EXPECT_EQ(obs::trace_events_recorded(), kSpans);
   EXPECT_EQ(obs::trace_events_dropped(), 1000u);
-  EXPECT_EQ(obs::span_aggregates().at("test/wrap").count, std::size_t{1} << 15);
+  EXPECT_EQ(obs::trace_events_recorded() - obs::trace_events_dropped(),
+            std::size_t{1} << 15);
+  EXPECT_EQ(obs::span_histograms().at("test/wrap").count, kSpans);
 }
 
 TEST(Trace, ChromeJsonWellFormed) {
@@ -520,13 +522,12 @@ TEST(Trace, SpanHistogramsMergeAcrossThreads) {
   const auto hists = obs::span_histograms();
   ASSERT_EQ(hists.count("test/hist_merge"), 1u);
   const obs::HistogramSnapshot& h = hists.at("test/hist_merge");
-  // Histograms never lose spans to ring wrap: the merged count is exact and
-  // matches the sum-based aggregates.
+  // Histograms never lose spans to ring wrap: the merged count is exact, and
+  // the merged total lies between count x min and count x max.
   EXPECT_EQ(h.count, static_cast<std::uint64_t>(kThreads) * kSpansPer);
-  const auto agg = obs::span_aggregates();
-  EXPECT_EQ(h.total, agg.at("test/hist_merge").total_ns);
-  EXPECT_EQ(h.min, agg.at("test/hist_merge").min_ns);
-  EXPECT_EQ(h.max, agg.at("test/hist_merge").max_ns);
+  EXPECT_LE(h.min, h.max);
+  EXPECT_GE(h.total, h.count * h.min);
+  EXPECT_LE(h.total, h.count * h.max);
   std::uint64_t bucket_sum = 0;
   for (const std::uint64_t b : h.buckets) bucket_sum += b;
   EXPECT_EQ(bucket_sum, h.count);

@@ -5,6 +5,7 @@
 
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
+#include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/power.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/hw/timing.hpp"
@@ -19,12 +20,12 @@ TEST(Sequential, RegisterDelaysByOneCycle) {
   Module m{"dff"};
   const Bus a = m.add_input("a", 4);
   m.add_output("o", m.add_register_bus(a));
-  SequentialSimulator sim{m};
+  Simulator sim{m};
   sim.set_input(0, 0x5);
   sim.step();
   EXPECT_EQ(sim.output(0), 0x5u);  // after the edge, Q holds the old D
   sim.set_input(0, 0xA);
-  sim.settle_combinational();
+  sim.eval();
   EXPECT_EQ(sim.output(0), 0x5u);  // before the next edge: still old value
   sim.step();
   EXPECT_EQ(sim.output(0), 0xAu);
@@ -34,11 +35,11 @@ TEST(Sequential, ResetClearsState) {
   Module m{"dff"};
   const Bus a = m.add_input("a", 4);
   m.add_output("o", m.add_register_bus(a));
-  SequentialSimulator sim{m};
+  Simulator sim{m};
   sim.set_input(0, 0xF);
   sim.step();
   EXPECT_EQ(sim.output(0), 0xFu);
-  sim.reset();
+  sim.reset_registers();
   EXPECT_EQ(sim.output(0), 0x0u);
   EXPECT_EQ(sim.cycles(), 0u);
 }
@@ -53,7 +54,7 @@ TEST(Sequential, AccumulatorFeedbackLoop) {
   for (std::size_t i = 0; i < acc_q.size(); ++i) m.connect_register(acc_q[i], next[i]);
   m.add_output("o", acc_q);
 
-  SequentialSimulator sim{m};
+  Simulator sim{m};
   std::uint64_t expect = 0;
   num::Xoshiro256 rng{3};
   for (int cycle = 0; cycle < 50; ++cycle) {
@@ -69,8 +70,8 @@ TEST(Sequential, CombinationalSimulatorsRejectRegisters) {
   Module m{"dff"};
   const Bus a = m.add_input("a", 1);
   m.add_output("o", {m.add_register(a[0])});
-  EXPECT_THROW(Simulator{m}, std::invalid_argument);
   EXPECT_THROW(TimedSimulator{m}, std::invalid_argument);
+  EXPECT_THROW(PackedSimulator{m}, std::invalid_argument);
   EXPECT_THROW((void)to_verilog_testbench(m), std::invalid_argument);
   EXPECT_THROW((void)estimate_power(m), std::invalid_argument);
 }
@@ -83,14 +84,14 @@ TEST(PipelinedRealm, OneCycleLatencyMatchesTheBehavioralModel) {
   Module mod = build_realm_pipelined(cfg);
   ASSERT_TRUE(mod.is_sequential());
 
-  SequentialSimulator sim{mod};
+  Simulator sim{mod};
   num::Xoshiro256 rng{11};
   for (int cycle = 0; cycle < 4000; ++cycle) {
     const std::uint64_t a = rng.below(65536), b = rng.below(65536);
     sim.set_input(0, a);
     sim.set_input(1, b);
     sim.step();                  // edge: stage-1 results of (a, b) latch
-    sim.settle_combinational();  // stage 2 evaluates the registered values
+    sim.eval();  // stage 2 evaluates the registered values
     ASSERT_EQ(sim.output(0), model->multiply(a, b))
         << "cycle " << cycle << " a=" << a << " b=" << b;
   }
@@ -130,7 +131,7 @@ TEST(Sequential, InstantiatePreservesRegisters) {
   top.add_output("o", outs[0]);
   EXPECT_TRUE(top.is_sequential());
 
-  SequentialSimulator sim{top};
+  Simulator sim{top};
   sim.set_input(0, 9);
   sim.step();
   EXPECT_EQ(sim.output(0), 9u);

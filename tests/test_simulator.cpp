@@ -88,7 +88,7 @@ TEST(Simulator, RejectsValuesWiderThanThePort) {
   Module s{"seq"};
   const Bus d = s.add_input("d", 2);
   s.add_output("q", {s.add_register(d[0])});
-  SequentialSimulator seq{s};
+  Simulator seq{s};
   EXPECT_THROW(seq.set_input(0, 4), std::invalid_argument);
   EXPECT_NO_THROW(seq.set_input(0, 3));
 }

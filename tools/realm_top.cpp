@@ -29,8 +29,11 @@
 #include "realm/campaign/record.hpp"
 #include "realm/net/client.hpp"
 #include "realm/obs/metrics_sink.hpp"
+#include "parse_u64.hpp"
 
 namespace {
+
+using realm::cli::parse_u64_flag;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -59,9 +62,10 @@ struct Args {
     if (arg == "--unix" && i + 1 < argc) {
       a.unix_path = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      a.port = std::atoi(argv[++i]);
+      a.port = static_cast<int>(parse_u64_flag("--port", argv[++i], 1, 65535));
     } else if (arg == "--interval-ms" && i + 1 < argc) {
-      a.interval_ms = std::atoi(argv[++i]);
+      a.interval_ms =
+          static_cast<int>(parse_u64_flag("--interval-ms", argv[++i], 50, 60000));
     } else if (arg == "--once") {
       a.once = true;
     } else if (arg == "--json") {
@@ -73,9 +77,7 @@ struct Args {
       return false;
     }
   }
-  if (a.unix_path.empty() && a.port == 0) return false;
-  if (a.interval_ms < 50) a.interval_ms = 50;
-  return true;
+  return !a.unix_path.empty() || a.port != 0;
 }
 
 /// "slo.ping.w10.count" -> "slo_ping_w10_count"; "counter.net_requests" ->
