@@ -87,13 +87,18 @@ struct AtpgResult {
   }
 };
 
+/// Throws std::invalid_argument, as analyze_fault_impact does, for a
+/// sequential module, one without gates or an output, or max_candidates <= 0;
+/// and for a target coverage outside (0, 1].
 [[nodiscard]] AtpgResult generate_tests(const Module& module,
                                         double target_coverage = 0.98,
                                         int max_candidates = 20000,
                                         std::uint64_t seed = 0xA79);
 
 /// True if any pattern in `patterns` makes `site` observable on the first
-/// output port — the independent re-check for ATPG results.
+/// output port — the independent re-check for ATPG results.  Each pattern
+/// holds one value per input port (Simulator::run's contract; any other
+/// length throws std::invalid_argument).
 [[nodiscard]] bool fault_detected(const Module& module, const FaultSite& site,
                                   const std::vector<std::vector<std::uint64_t>>& patterns);
 

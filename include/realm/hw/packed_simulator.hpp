@@ -7,18 +7,21 @@
 // Three workloads ride on the lanes:
 //
 //   * power estimation — lanes are 64 *consecutive cycles* of one stimulus
-//     stream; eval_cycles() counts per-gate toggles between adjacent lanes
-//     with popcount(w ^ (w >> 1)) plus one boundary bit against the previous
-//     word, reproducing the scalar simulator's toggle counts bit-for-bit
-//     (src/hw/power.cpp shards blocks of cycles over the persistent pool);
+//     stream, loaded per port with set_input_lanes(); eval_cycles() counts
+//     per-gate toggles between adjacent lanes with popcount(w ^ (w >> 1))
+//     plus one boundary bit against the previous word, reproducing the
+//     scalar simulator's toggle counts bit-for-bit (src/hw/power.cpp builds
+//     the stimulus once for every engine and shards blocks of cycles over
+//     the persistent pool);
 //   * fault simulation — lane 0 carries the fault-free circuit and lanes
 //     1..63 carry 63 stuck-at sites against a shared (broadcast) stimulus
 //     word, via per-gate force masks applied after each gate evaluates
 //     (src/hw/faults.cpp), collapsing a fault campaign from one netlist
 //     sweep per (site, vector) to one per (site group, vector);
-//   * equivalence checking — lanes are 64 operand pairs checked against a
-//     behavioral Multiplier through multiply_batch, fast enough to sweep the
-//     full 2^16 input space of an 8x8 design exhaustively (below).
+//   * equivalence checking — lanes are 64 operand pairs (set_input_lanes)
+//     checked against a behavioral Multiplier through multiply_batch, fast
+//     enough to sweep the full 2^16 input space of an 8x8 design
+//     exhaustively (below).
 //
 // The scalar Simulator stays as the reference back end; tests assert lane
 // outputs, toggle counts, and fault verdicts are bit-identical to it.
@@ -40,10 +43,13 @@ class PackedSimulator {
 
   explicit PackedSimulator(const Module& module);
 
-  /// Drives input port `port` with `value` in lane `lane` only.
-  /// Values with bits above the port width are rejected (see set_input of
-  /// the scalar Simulator — same contract).
-  void set_input_lane(std::size_t port, unsigned lane, std::uint64_t value);
+  /// Drives input port `port` with `values[l]` in lane `l` for every
+  /// `l < lanes`, and with 0 in the remaining lanes (`lanes` <= 64, else
+  /// std::invalid_argument).  The one lane transposition of the engine:
+  /// power sweeps feed consecutive stimulus cycles through it, equivalence
+  /// checks operand pairs.  Values with bits above the port width are
+  /// rejected (see set_input of the scalar Simulator — same contract).
+  void set_input_lanes(std::size_t port, const std::uint64_t* values, unsigned lanes);
 
   /// Drives input port `port` with `value` in all 64 lanes.
   void set_input_broadcast(std::size_t port, std::uint64_t value);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "contracts.hpp"
+
 namespace realm::hw {
 namespace {
 
@@ -106,9 +108,7 @@ std::optional<std::vector<bool>> BddManager::any_sat(Ref f, int num_vars) const 
 }
 
 ModuleBdds build_bdds(BddManager& mgr, const Module& module) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument("build_bdds: combinational modules only");
-  }
+  require_combinational(module, "build_bdds");
   ModuleBdds out;
   // Interleaved variable order across input ports.
   out.var_of_input.resize(module.inputs().size());

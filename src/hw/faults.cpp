@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "contracts.hpp"
 #include "realm/hw/bdd.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
@@ -16,18 +17,8 @@
 namespace realm::hw {
 namespace {
 
-// Drives every input port from one vector and settles the scalar
-// simulator; returns the first output port's value.
-std::uint64_t eval_vector(Simulator& sim, const std::vector<std::uint64_t>& vec) {
-  for (std::size_t p = 0; p < vec.size(); ++p) sim.set_input(p, vec[p]);
-  sim.eval();
-  return sim.output(0);
-}
-
 void validate_campaign_args(const Module& module, int vectors, const char* who) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument(std::string{who} + ": combinational modules only");
-  }
+  require_combinational(module, who);
   if (module.outputs().empty() || module.gates().empty()) {
     throw std::invalid_argument(std::string{who} + ": need gates and an output");
   }
@@ -36,22 +27,55 @@ void validate_campaign_args(const Module& module, int vectors, const char* who) 
   }
 }
 
+// Every stuck-at site: both polarities of each gate output, in gate order.
+std::vector<FaultSite> all_sites(const Module& module) {
+  std::vector<FaultSite> sites;
+  sites.reserve(2 * module.gates().size());
+  for (std::size_t gi = 0; gi < module.gates().size(); ++gi) {
+    sites.push_back({gi, false});
+    sites.push_back({gi, true});
+  }
+  return sites;
+}
+
+// One random input vector: each port uniform over its width.
+std::vector<std::uint64_t> draw_vector(const Module& module, num::Xoshiro256& rng) {
+  std::vector<std::uint64_t> vec(module.inputs().size());
+  for (std::size_t p = 0; p < vec.size(); ++p) {
+    vec[p] = rng.below(std::uint64_t{1} << module.inputs()[p].bus.size());
+  }
+  return vec;
+}
+
+// Replaces the simulator's forces with `count` (<= kFaultLanesPerSweep)
+// sites, site j in lane j + 1; lane 0 stays the fault-free golden circuit.
+void load_fault_lanes(PackedSimulator& sim, const FaultSite* sites, std::size_t count) {
+  sim.clear_forces();
+  for (std::size_t j = 0; j < count; ++j) {
+    sim.force_gate(sites[j].gate_index, std::uint64_t{1} << (j + 1), sites[j].stuck_value);
+  }
+}
+
+// Drives `vec` into every lane and sweeps; returns the golden (lane 0)
+// output.  Lane j + 1 then holds the output under the j-th loaded site.
+std::uint64_t eval_broadcast(PackedSimulator& sim, const std::vector<std::uint64_t>& vec) {
+  for (std::size_t p = 0; p < vec.size(); ++p) sim.set_input_broadcast(p, vec[p]);
+  sim.eval();
+  return sim.output(0, 0);
+}
+
 struct Campaign {
   std::vector<FaultSite> sites;
   std::vector<std::vector<std::uint64_t>> stimulus;
 };
 
-// Site enumeration/sampling and stimulus generation, shared by the packed
-// engine and the scalar reference so both consume the seed's RNG stream
-// identically (site sample first, then vectors).
+// Site sampling and stimulus generation, shared by the packed engine and
+// the scalar reference so both consume the seed's RNG stream identically
+// (site sample first, then vectors).
 Campaign plan_campaign(const Module& module, int vectors, std::uint64_t seed,
                        std::size_t max_sites) {
   Campaign c;
-  c.sites.reserve(2 * module.gates().size());
-  for (std::size_t gi = 0; gi < module.gates().size(); ++gi) {
-    c.sites.push_back({gi, false});
-    c.sites.push_back({gi, true});
-  }
+  c.sites = all_sites(module);
   num::Xoshiro256 rng{seed};
   if (c.sites.size() > max_sites) {
     // Seeded partial Fisher-Yates: the first max_sites entries are a sample.
@@ -60,14 +84,8 @@ Campaign plan_campaign(const Module& module, int vectors, std::uint64_t seed,
     }
     c.sites.resize(max_sites);
   }
-
   c.stimulus.resize(static_cast<std::size_t>(vectors));
-  for (auto& vec : c.stimulus) {
-    vec.resize(module.inputs().size());
-    for (std::size_t p = 0; p < vec.size(); ++p) {
-      vec[p] = rng.below(std::uint64_t{1} << module.inputs()[p].bus.size());
-    }
-  }
+  for (auto& vec : c.stimulus) vec = draw_vector(module, rng);
   return c;
 }
 
@@ -132,17 +150,9 @@ FaultReport analyze_fault_impact(const Module& module, int vectors, std::uint64_
         const std::size_t count =
             std::min(group_size, campaign.sites.size() - first);
         PackedSimulator sim{module};
-        for (std::size_t j = 0; j < count; ++j) {
-          const FaultSite& site = campaign.sites[first + j];
-          sim.force_gate(site.gate_index, std::uint64_t{1} << (j + 1),
-                         site.stuck_value);
-        }
+        load_fault_lanes(sim, campaign.sites.data() + first, count);
         for (const auto& vec : campaign.stimulus) {
-          for (std::size_t p = 0; p < vec.size(); ++p) {
-            sim.set_input_broadcast(p, vec[p]);
-          }
-          sim.eval();
-          const std::uint64_t golden = sim.output(0, 0);
+          const std::uint64_t golden = eval_broadcast(sim, vec);
           const double dgolden = static_cast<double>(golden);
           const double denom = std::max(1.0, dgolden);
           for (std::size_t j = 0; j < count; ++j) {
@@ -170,7 +180,7 @@ FaultReport analyze_fault_impact_reference(const Module& module, int vectors,
   Simulator sim{module};
   std::vector<std::uint64_t> golden(campaign.stimulus.size());
   for (std::size_t v = 0; v < campaign.stimulus.size(); ++v) {
-    golden[v] = eval_vector(sim, campaign.stimulus[v]);
+    golden[v] = sim.run(campaign.stimulus[v]);
   }
 
   std::vector<SiteStats> stats(campaign.sites.size());
@@ -178,7 +188,7 @@ FaultReport analyze_fault_impact_reference(const Module& module, int vectors,
     const FaultSite& site = campaign.sites[s];
     sim.force_gate(site.gate_index, site.stuck_value);
     for (std::size_t v = 0; v < campaign.stimulus.size(); ++v) {
-      const std::uint64_t faulty = eval_vector(sim, campaign.stimulus[v]);
+      const std::uint64_t faulty = sim.run(campaign.stimulus[v]);
       if (faulty != golden[v]) ++stats[s].flips;
       const double denom = std::max<double>(1.0, static_cast<double>(golden[v]));
       const double rel =
@@ -192,23 +202,12 @@ FaultReport analyze_fault_impact_reference(const Module& module, int vectors,
 
 AtpgResult generate_tests(const Module& module, double target_coverage,
                           int max_candidates, std::uint64_t seed) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument("generate_tests: combinational modules only");
-  }
-  if (module.outputs().empty() || module.gates().empty()) {
-    throw std::invalid_argument("generate_tests: need gates and an output");
-  }
+  validate_campaign_args(module, max_candidates, "generate_tests");
   if (target_coverage <= 0.0 || target_coverage > 1.0) {
     throw std::invalid_argument("generate_tests: coverage in (0, 1]");
   }
 
-  std::vector<FaultSite> undetected;
-  undetected.reserve(2 * module.gates().size());
-  for (std::size_t gi = 0; gi < module.gates().size(); ++gi) {
-    undetected.push_back({gi, false});
-    undetected.push_back({gi, true});
-  }
-
+  std::vector<FaultSite> undetected = all_sites(module);
   AtpgResult result;
   result.faults_total = undetected.size();
 
@@ -218,28 +217,18 @@ AtpgResult generate_tests(const Module& module, double target_coverage,
   PackedSimulator sim{module};
   std::vector<std::uint8_t> detected_now;  // scratch, per candidate
   for (int cand = 0; cand < max_candidates && result.faults_detected < target; ++cand) {
-    std::vector<std::uint64_t> vec(module.inputs().size());
-    for (std::size_t p = 0; p < vec.size(); ++p) {
-      vec[p] = rng.below(std::uint64_t{1} << module.inputs()[p].bus.size());
-    }
+    std::vector<std::uint64_t> vec = draw_vector(module, rng);
 
-    // Packed fault simulation with dropping: lane 0 is golden, lanes 1..63
-    // carry the next 63 still-undetected faults; one sweep decides 63 faults
-    // where the scalar loop needed 63 sweeps.
+    // Packed fault simulation with dropping: the next 63 still-undetected
+    // faults per sweep, where the scalar loop needed 63 sweeps.
     detected_now.assign(undetected.size(), 0);
     bool kept = false;
     for (std::size_t first = 0; first < undetected.size();
          first += kFaultLanesPerSweep) {
       const std::size_t count =
           std::min<std::size_t>(kFaultLanesPerSweep, undetected.size() - first);
-      sim.clear_forces();
-      for (std::size_t j = 0; j < count; ++j) {
-        sim.force_gate(undetected[first + j].gate_index, std::uint64_t{1} << (j + 1),
-                       undetected[first + j].stuck_value);
-      }
-      for (std::size_t p = 0; p < vec.size(); ++p) sim.set_input_broadcast(p, vec[p]);
-      sim.eval();
-      const std::uint64_t golden = sim.output(0, 0);
+      load_fault_lanes(sim, undetected.data() + first, count);
+      const std::uint64_t golden = eval_broadcast(sim, vec);
       for (std::size_t j = 0; j < count; ++j) {
         if (sim.output(0, static_cast<unsigned>(j + 1)) != golden) {
           detected_now[first + j] = 1;
@@ -304,14 +293,12 @@ bool is_fault_redundant(const Module& module, const FaultSite& site,
 
 bool fault_detected(const Module& module, const FaultSite& site,
                     const std::vector<std::vector<std::uint64_t>>& patterns) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument("fault_detected: combinational modules only");
-  }
+  require_combinational(module, "fault_detected");
   Simulator golden{module};
   Simulator faulty{module};
   faulty.force_gate(site.gate_index, site.stuck_value);
   for (const auto& vec : patterns) {
-    if (eval_vector(faulty, vec) != eval_vector(golden, vec)) return true;
+    if (faulty.run(vec) != golden.run(vec)) return true;
   }
   return false;
 }

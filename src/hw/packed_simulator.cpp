@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "contracts.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/numeric/thread_pool.hpp"
 #include "realm/obs/counters.hpp"
@@ -12,46 +13,31 @@
 namespace realm::hw {
 
 PackedSimulator::PackedSimulator(const Module& module) : module_{&module} {
-  if (module.is_sequential()) {
-    throw std::invalid_argument(
-        "PackedSimulator is combinational-only; use Simulator");
-  }
+  require_combinational(module, "PackedSimulator");
   values_.assign(module.net_count(), 0);
   values_[kConst1] = ~std::uint64_t{0};
   toggle_counts_.assign(module.gates().size(), 0);
   prev_last_lane_.assign(module.gates().size(), 0);
 }
 
-void PackedSimulator::set_input_lane(std::size_t port, unsigned lane,
-                                     std::uint64_t value) {
-  const auto& ports = module_->inputs();
-  if (port >= ports.size()) throw std::out_of_range("PackedSimulator::set_input_lane");
-  if (lane >= kLanes) throw std::out_of_range("PackedSimulator::set_input_lane: lane");
-  const Bus& bus = ports[port].bus;
-  if (bus.size() < 64 && (value >> bus.size()) != 0) {
-    throw std::invalid_argument(
-        "PackedSimulator::set_input_lane: value exceeds port width");
+void PackedSimulator::set_input_lanes(std::size_t port, const std::uint64_t* values,
+                                      unsigned lanes) {
+  if (lanes > kLanes) {
+    throw std::invalid_argument("PackedSimulator::set_input_lanes: lanes in [0, 64]");
   }
-  const std::uint64_t lane_bit = std::uint64_t{1} << lane;
+  std::uint64_t value_bits = 0;
+  for (unsigned l = 0; l < lanes; ++l) value_bits |= values[l];
+  const Bus& bus = input_bus(*module_, port, value_bits, "PackedSimulator::set_input_lanes");
+  // Transpose: bit i of values[l] becomes bit l of input bit i's word.
   for (std::size_t i = 0; i < bus.size(); ++i) {
-    if ((value >> i) & 1u) {
-      values_[bus[i]] |= lane_bit;
-    } else {
-      values_[bus[i]] &= ~lane_bit;
-    }
+    std::uint64_t word = 0;
+    for (unsigned l = 0; l < lanes; ++l) word |= ((values[l] >> i) & 1u) << l;
+    values_[bus[i]] = word;
   }
 }
 
 void PackedSimulator::set_input_broadcast(std::size_t port, std::uint64_t value) {
-  const auto& ports = module_->inputs();
-  if (port >= ports.size()) {
-    throw std::out_of_range("PackedSimulator::set_input_broadcast");
-  }
-  const Bus& bus = ports[port].bus;
-  if (bus.size() < 64 && (value >> bus.size()) != 0) {
-    throw std::invalid_argument(
-        "PackedSimulator::set_input_broadcast: value exceeds port width");
-  }
+  const Bus& bus = input_bus(*module_, port, value, "PackedSimulator::set_input_broadcast");
   for (std::size_t i = 0; i < bus.size(); ++i) {
     values_[bus[i]] = ((value >> i) & 1u) ? ~std::uint64_t{0} : 0;
   }
@@ -59,9 +45,7 @@ void PackedSimulator::set_input_broadcast(std::size_t port, std::uint64_t value)
 
 void PackedSimulator::set_input_word(std::size_t port, std::size_t bit,
                                      std::uint64_t word) {
-  const auto& ports = module_->inputs();
-  if (port >= ports.size()) throw std::out_of_range("PackedSimulator::set_input_word");
-  const Bus& bus = ports[port].bus;
+  const Bus& bus = input_bus(*module_, port, 0, "PackedSimulator::set_input_word");
   if (bit >= bus.size()) throw std::out_of_range("PackedSimulator::set_input_word: bit");
   values_[bus[bit]] = word;
 }
@@ -194,9 +178,6 @@ ModelEquivalence check_vs_model(const Module& module, const Multiplier& model,
   if (pairs == 0) {
     throw std::invalid_argument("equivalence check: need at least one pair");
   }
-  const Bus& bus_a = module.inputs()[0].bus;
-  const Bus& bus_b = module.inputs()[1].bus;
-
   const std::uint64_t words = (pairs + PackedSimulator::kLanes - 1) / PackedSimulator::kLanes;
   const std::uint64_t blocks = (words + kEquivBlockWords - 1) / kEquivBlockWords;
 
@@ -224,25 +205,8 @@ ModelEquivalence check_vs_model(const Module& module, const Multiplier& model,
               static_cast<unsigned>(std::min<std::uint64_t>(PackedSimulator::kLanes,
                                                             pairs - base));
           for (unsigned l = 0; l < lanes; ++l) src.operands(base + l, a_ops[l], b_ops[l]);
-          // Idle lanes replay lane 0 so the sweep never sees garbage.
-          for (unsigned l = lanes; l < PackedSimulator::kLanes; ++l) {
-            a_ops[l] = a_ops[0];
-            b_ops[l] = b_ops[0];
-          }
-          for (std::size_t i = 0; i < bus_a.size(); ++i) {
-            std::uint64_t word = 0;
-            for (unsigned l = 0; l < PackedSimulator::kLanes; ++l) {
-              word |= ((a_ops[l] >> i) & 1u) << l;
-            }
-            sim.set_input_word(0, i, word);
-          }
-          for (std::size_t i = 0; i < bus_b.size(); ++i) {
-            std::uint64_t word = 0;
-            for (unsigned l = 0; l < PackedSimulator::kLanes; ++l) {
-              word |= ((b_ops[l] >> i) & 1u) << l;
-            }
-            sim.set_input_word(1, i, word);
-          }
+          sim.set_input_lanes(0, a_ops, lanes);
+          sim.set_input_lanes(1, b_ops, lanes);
           sim.eval();
           model.multiply_batch(a_ops, b_ops, expect, lanes);
           pairs_in_block += lanes;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "contracts.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
@@ -17,9 +18,7 @@ namespace {
 
 void validate_profile(const Module& module, const StimulusProfile& profile,
                       const char* who) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument(std::string{who} + ": combinational modules only");
-  }
+  require_combinational(module, who);
   if (profile.cycles == 0) {
     // The report divides toggle counts by the cycle count; a zero-cycle
     // profile used to produce NaN power silently.
@@ -27,45 +26,78 @@ void validate_profile(const Module& module, const StimulusProfile& profile,
   }
 }
 
-// Shared stimulus loop over either scalar simulator back end.
-template <typename Sim, typename Step, typename Counts>
-PowerReport run_stimulus(const Module& module, const StimulusProfile& profile,
-                         Sim& sim, Step step, Counts counts) {
-  num::Xoshiro256 rng{profile.seed};
+/// Stimulus states 0..cycles, port-major: states[p][c] is input port p's
+/// value in cycle c.  State 0 primes (uncounted); each later state is one
+/// counted cycle.
+using Stimulus = std::vector<std::vector<std::uint64_t>>;
 
-  // Build the initial vector with P(1) = probability, then evolve each bit
-  // with the requested toggle rate (this keeps the stationary probability).
+// The one stimulus stream every engine consumes, so all of them simulate
+// identical inputs.  State 0 has P(1) = probability per bit; each later
+// state flips every bit with the toggle rate, which keeps the stationary
+// probability.  Draw order (per state, ports in order, bits LSB first) is
+// pinned by Power.StimulusStreamIsPinned.
+Stimulus stimulus_states(const Module& module, const StimulusProfile& profile) {
+  REALM_TRACE_SCOPE("power/stimulus");
   const auto& ports = module.inputs();
-  std::vector<std::uint64_t> state(ports.size(), 0);
+  Stimulus states(ports.size(), std::vector<std::uint64_t>(profile.cycles + 1, 0));
+  num::Xoshiro256 rng{profile.seed};
   for (std::size_t p = 0; p < ports.size(); ++p) {
     for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-      if (rng.uniform() < profile.probability) state[p] |= std::uint64_t{1} << b;
+      if (rng.uniform() < profile.probability) states[p][0] |= std::uint64_t{1} << b;
     }
-    sim.set_input(p, state[p]);
   }
-  step();  // primes previous-state without counting
-
-  for (std::uint32_t cycle = 0; cycle < profile.cycles; ++cycle) {
+  for (std::uint32_t c = 1; c <= profile.cycles; ++c) {
     for (std::size_t p = 0; p < ports.size(); ++p) {
       std::uint64_t flips = 0;
       for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
         if (rng.uniform() < profile.toggle_rate) flips |= std::uint64_t{1} << b;
       }
-      state[p] ^= flips;
-      sim.set_input(p, state[p]);
+      states[p][c] = states[p][c - 1] ^ flips;
     }
-    step();
   }
+  return states;
+}
 
+// Charges each counted toggle its cell's switching energy, averaged over the
+// profile's cycles, and adds per-instance leakage.
+PowerReport reduce_power(const Module& module, const StimulusProfile& profile,
+                         const std::vector<std::uint64_t>& toggles) {
   PowerReport report;
   const auto& gates = module.gates();
-  const double cycles = static_cast<double>(sim.cycles());
+  const double cycles = static_cast<double>(profile.cycles);
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     const CellSpec& spec = cell_spec(gates[gi].kind);
-    report.dynamic += spec.switch_energy_rel * static_cast<double>(counts(gi)) / cycles;
+    report.dynamic += spec.switch_energy_rel * static_cast<double>(toggles[gi]) / cycles;
     report.leakage += spec.leakage_rel;
   }
+  // Leakage is a small fraction of total power at 45 nm / 1 GHz; the
+  // relative weight here (~5 % for the accurate multiplier) is absorbed by
+  // the calibration either way.
+  report.leakage *= 0.01;
   return report;
+}
+
+// Replays the stimulus on a scalar back end, one settle per state, and
+// reduces its per-gate transition counts.
+template <typename Sim, typename Settle, typename Count>
+PowerReport scalar_power(const Module& module, const StimulusProfile& profile, Sim& sim,
+                         Settle settle, Count count) {
+  const Stimulus states = stimulus_states(module, profile);
+  for (std::uint32_t c = 0; c <= profile.cycles; ++c) {
+    for (std::size_t p = 0; p < states.size(); ++p) sim.set_input(p, states[p][c]);
+    settle();
+  }
+  std::vector<std::uint64_t> toggles(module.gates().size());
+  for (std::size_t gi = 0; gi < toggles.size(); ++gi) toggles[gi] = count(gi);
+  return reduce_power(module, profile, toggles);
+}
+
+// Glitch counting needs per-event wave propagation; it runs on the scalar
+// unit-delay simulator in both entry points.
+PowerReport glitch_power(const Module& module, const StimulusProfile& profile) {
+  TimedSimulator sim{module};
+  return scalar_power(module, profile, sim, [&] { sim.settle(); },
+                      [&](std::size_t gi) { return sim.transitions(gi); });
 }
 
 /// Cycle transitions per packed-engine shard.  Fixed (never derived from the
@@ -73,39 +105,15 @@ PowerReport run_stimulus(const Module& module, const StimulusProfile& profile,
 /// counts — is identical for any --threads value.
 constexpr std::uint32_t kPackedBlockCycles = 1024;
 
-// The packed path: regenerate the exact stimulus stream of run_stimulus
-// (same RNG consumption order), pack 64 consecutive cycle states per word,
-// and count per-gate toggles with popcount over adjacent lanes.  Blocks of
-// kPackedBlockCycles transitions are sharded over the persistent pool; each
-// block primes on the state preceding its first transition, so the summed
-// counts are bit-identical to one scalar sweep over the whole stream.
-PowerReport estimate_power_packed(const Module& module, const StimulusProfile& profile) {
-  REALM_TRACE_SCOPE("power/sweep");
-  const auto& ports = module.inputs();
+// The packed path: 64 consecutive stimulus states per word, per-gate toggles
+// counted with popcount over adjacent lanes.  Blocks of kPackedBlockCycles
+// transitions are sharded over the persistent pool; each block primes on the
+// state preceding its first transition, so the summed counts are
+// bit-identical to one scalar sweep over the whole stream.
+std::vector<std::uint64_t> packed_toggles(const Module& module,
+                                          const StimulusProfile& profile,
+                                          const Stimulus& states) {
   const std::uint32_t cycles = profile.cycles;
-
-  // States 0..cycles inclusive (state 0 is the scalar path's priming vector).
-  std::vector<std::vector<std::uint64_t>> states(
-      cycles + 1, std::vector<std::uint64_t>(ports.size(), 0));
-  {
-    REALM_TRACE_SCOPE("power/stimulus");
-    num::Xoshiro256 rng{profile.seed};
-    for (std::size_t p = 0; p < ports.size(); ++p) {
-      for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-        if (rng.uniform() < profile.probability) states[0][p] |= std::uint64_t{1} << b;
-      }
-    }
-    for (std::uint32_t c = 1; c <= cycles; ++c) {
-      for (std::size_t p = 0; p < ports.size(); ++p) {
-        std::uint64_t flips = 0;
-        for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-          if (rng.uniform() < profile.toggle_rate) flips |= std::uint64_t{1} << b;
-        }
-        states[c][p] = states[c - 1][p] ^ flips;
-      }
-    }
-  }
-
   const std::size_t blocks = (cycles + kPackedBlockCycles - 1) / kPackedBlockCycles;
   std::vector<std::vector<std::uint64_t>> block_toggles(blocks);
   num::ThreadPool::global().run(
@@ -118,21 +126,13 @@ PowerReport estimate_power_packed(const Module& module, const StimulusProfile& p
         const std::uint32_t t1 = std::min(cycles, t0 + kPackedBlockCycles);
         PackedSimulator sim{module};
         std::uint64_t sweeps = 0;
-        std::uint32_t s = t0;
-        while (s <= t1) {
+        for (std::uint32_t s = t0; s <= t1; ++sweeps) {
           const unsigned lanes = static_cast<unsigned>(
               std::min<std::uint32_t>(PackedSimulator::kLanes, t1 - s + 1));
-          for (std::size_t p = 0; p < ports.size(); ++p) {
-            for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-              std::uint64_t word = 0;
-              for (unsigned l = 0; l < lanes; ++l) {
-                word |= ((states[s + l][p] >> b) & 1u) << l;
-              }
-              sim.set_input_word(p, b, word);
-            }
+          for (std::size_t p = 0; p < states.size(); ++p) {
+            sim.set_input_lanes(p, states[p].data() + s, lanes);
           }
           sim.eval_cycles(lanes);
-          ++sweeps;
           s += lanes;
         }
         block_toggles[blk] = sim.toggle_counts();
@@ -140,55 +140,30 @@ PowerReport estimate_power_packed(const Module& module, const StimulusProfile& p
         obs::counter_add(obs::Counter::kPackedBlocks, 1);
       });
 
-  PowerReport report;
-  const auto& gates = module.gates();
-  const double dcycles = static_cast<double>(cycles);
-  for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-    std::uint64_t count = 0;
-    for (const auto& blk : block_toggles) count += blk[gi];
-    const CellSpec& spec = cell_spec(gates[gi].kind);
-    report.dynamic += spec.switch_energy_rel * static_cast<double>(count) / dcycles;
-    report.leakage += spec.leakage_rel;
+  std::vector<std::uint64_t> toggles(module.gates().size(), 0);
+  for (const auto& blk : block_toggles) {
+    for (std::size_t gi = 0; gi < toggles.size(); ++gi) toggles[gi] += blk[gi];
   }
-  return report;
+  return toggles;
 }
 
 }  // namespace
 
 PowerReport estimate_power(const Module& module, const StimulusProfile& profile) {
   validate_profile(module, profile, "estimate_power");
-  PowerReport report;
-  if (profile.count_glitches) {
-    // Glitch counting needs per-event wave propagation; it stays on the
-    // scalar unit-delay simulator.
-    TimedSimulator sim{module};
-    report = run_stimulus(module, profile, sim, [&] { sim.settle(); },
-                          [&](std::size_t gi) { return sim.transitions(gi); });
-  } else {
-    report = estimate_power_packed(module, profile);
-  }
-  // Leakage is a small fraction of total power at 45 nm / 1 GHz; the
-  // relative weight here (~5 % for the accurate multiplier) is absorbed by
-  // the calibration either way.
-  report.leakage *= 0.01;
-  return report;
+  if (profile.count_glitches) return glitch_power(module, profile);
+  REALM_TRACE_SCOPE("power/sweep");
+  return reduce_power(module, profile,
+                      packed_toggles(module, profile, stimulus_states(module, profile)));
 }
 
 PowerReport estimate_power_reference(const Module& module,
                                      const StimulusProfile& profile) {
   validate_profile(module, profile, "estimate_power_reference");
-  PowerReport report;
-  if (profile.count_glitches) {
-    TimedSimulator sim{module};
-    report = run_stimulus(module, profile, sim, [&] { sim.settle(); },
-                          [&](std::size_t gi) { return sim.transitions(gi); });
-  } else {
-    Simulator sim{module};
-    report = run_stimulus(module, profile, sim, [&] { sim.eval(); },
-                          [&](std::size_t gi) { return sim.toggles(gi); });
-  }
-  report.leakage *= 0.01;
-  return report;
+  if (profile.count_glitches) return glitch_power(module, profile);
+  Simulator sim{module};
+  return scalar_power(module, profile, sim, [&] { sim.eval(); },
+                      [&](std::size_t gi) { return sim.toggles(gi); });
 }
 
 }  // namespace realm::hw

@@ -1,26 +1,20 @@
 #include "realm/hw/simulator.hpp"
 
 #include <stdexcept>
-#include <string>
+
+#include "contracts.hpp"
 
 namespace realm::hw {
 
 namespace {
 
-// Drives input port `index` of `module` with `value`, calling on_change(net)
-// for every bit whose value changes.  A value with bits above the port width
-// is rejected, never truncated — truncation hides operand-generation bugs —
-// as in every simulator back end (scalar, timed, packed).
+// Drives input port `index` of `module` with `value` under input_bus()'s
+// contract, calling on_change(net) for every bit whose value changes.
 template <typename OnChange>
 void drive_port(const Module& module, std::vector<std::uint8_t>& values,
                 std::size_t index, std::uint64_t value, const char* who,
                 OnChange on_change) {
-  const auto& ports = module.inputs();
-  if (index >= ports.size()) throw std::out_of_range(who);
-  const Bus& bus = ports[index].bus;
-  if (bus.size() < 64 && (value >> bus.size()) != 0) {
-    throw std::invalid_argument(std::string{who} + ": value exceeds port width");
-  }
+  const Bus& bus = input_bus(module, index, value, who);
   for (std::size_t i = 0; i < bus.size(); ++i) {
     const auto bit = static_cast<std::uint8_t>((value >> i) & 1u);
     if (values[bus[i]] != bit) {
@@ -130,10 +124,7 @@ void Simulator::force_gate(std::size_t gate_index, bool stuck_value) {
 }
 
 TimedSimulator::TimedSimulator(const Module& module) : module_{&module} {
-  if (module.is_sequential()) {
-    throw std::invalid_argument(
-        "TimedSimulator is combinational-only; use Simulator");
-  }
+  require_combinational(module, "TimedSimulator");
   values_.assign(module.net_count(), 0);
   values_[kConst1] = 1;
   const auto& gates = module.gates();

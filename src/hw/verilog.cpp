@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "contracts.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
 
@@ -84,9 +85,7 @@ std::string to_verilog(const Module& module) {
 std::string to_verilog_testbench(const Module& module, int vectors,
                                  std::uint64_t seed) {
   if (vectors < 1) throw std::invalid_argument("to_verilog_testbench: vectors >= 1");
-  if (module.is_sequential()) {
-    throw std::invalid_argument("to_verilog_testbench: combinational modules only");
-  }
+  require_combinational(module, "to_verilog_testbench");
   Simulator sim{module};
   num::Xoshiro256 rng{seed};
   const auto& ins = module.inputs();

@@ -126,6 +126,28 @@ TEST(Atpg, ValidatesArguments) {
   const Module m = build_circuit("drum:k=4", 8);
   EXPECT_THROW((void)generate_tests(m, 0.0), std::invalid_argument);
   EXPECT_THROW((void)generate_tests(m, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)generate_tests(m, 0.9, 0), std::invalid_argument);
+
+  Module seq{"seq"};
+  const Bus a = seq.add_input("a", 1);
+  seq.add_output("o", {seq.add_register(a[0])});
+  EXPECT_THROW((void)generate_tests(seq), std::invalid_argument);
+
+  Module empty{"empty"};
+  const Bus b = empty.add_input("a", 1);
+  empty.add_output("o", b);
+  EXPECT_THROW((void)generate_tests(empty), std::invalid_argument);
+}
+
+TEST(Atpg, FaultDetectedRejectsPatternsOfTheWrongLength) {
+  Module m{"and"};
+  const Bus a = m.add_input("a", 1);
+  const Bus b = m.add_input("b", 1);
+  m.add_output("o", {m.and2(a[0], b[0])});
+  // One value for two ports used to drive port a only and leave b at 0.
+  EXPECT_THROW((void)fault_detected(m, {0, true}, {{1}}), std::invalid_argument);
+  EXPECT_THROW((void)fault_detected(m, {0, true}, {{1, 1, 0}}), std::invalid_argument);
+  EXPECT_TRUE(fault_detected(m, {0, false}, {{1, 1}}));
 }
 
 TEST(Faults, RejectsUnsupportedModules) {

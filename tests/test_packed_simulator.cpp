@@ -43,10 +43,8 @@ std::vector<std::uint64_t> netlist_products(const Module& mod,
   for (std::size_t base = 0; base < a.size(); base += PackedSimulator::kLanes) {
     const auto lanes = static_cast<unsigned>(
         std::min<std::size_t>(PackedSimulator::kLanes, a.size() - base));
-    for (unsigned l = 0; l < lanes; ++l) {
-      sim.set_input_lane(0, l, a[base + l]);
-      sim.set_input_lane(1, l, b[base + l]);
-    }
+    sim.set_input_lanes(0, a.data() + base, lanes);
+    sim.set_input_lanes(1, b.data() + base, lanes);
     sim.eval();
     for (unsigned l = 0; l < lanes; ++l) p[base + l] = sim.output(0, l);
   }
@@ -84,9 +82,9 @@ TEST(PackedSimulator, LanesMatchScalarOnEveryRegisteredCircuit) {
     for (unsigned l = 0; l < PackedSimulator::kLanes; ++l) {
       a[l] = rng.below(65536);
       b[l] = rng.below(65536);
-      packed.set_input_lane(0, l, a[l]);
-      packed.set_input_lane(1, l, b[l]);
     }
+    packed.set_input_lanes(0, a, PackedSimulator::kLanes);
+    packed.set_input_lanes(1, b, PackedSimulator::kLanes);
     packed.eval();
     for (unsigned l = 0; l < PackedSimulator::kLanes; ++l) {
       EXPECT_EQ(packed.output(0, l), scalar.run({a[l], b[l]}))
@@ -106,10 +104,9 @@ TEST(PackedSimulator, BroadcastAndWordSettersAgreeWithLaneSetter) {
   const Module mod = build_circuit("realm:m=4,t=0", 8);
   PackedSimulator by_lane{mod}, by_bcast{mod}, by_word{mod};
   const std::uint64_t a = 0xA5, b = 0x3C;
-  for (unsigned l = 0; l < PackedSimulator::kLanes; ++l) {
-    by_lane.set_input_lane(0, l, a);
-    by_lane.set_input_lane(1, l, b);
-  }
+  const std::vector<std::uint64_t> as(PackedSimulator::kLanes, a), bs(PackedSimulator::kLanes, b);
+  by_lane.set_input_lanes(0, as.data(), PackedSimulator::kLanes);
+  by_lane.set_input_lanes(1, bs.data(), PackedSimulator::kLanes);
   by_bcast.set_input_broadcast(0, a);
   by_bcast.set_input_broadcast(1, b);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -125,6 +122,20 @@ TEST(PackedSimulator, BroadcastAndWordSettersAgreeWithLaneSetter) {
   }
 }
 
+TEST(PackedSimulator, SetInputLanesZeroesLanesPastTheCount) {
+  const Module mod = build_circuit("accurate", 8);
+  PackedSimulator sim{mod};
+  const std::vector<std::uint64_t> full(PackedSimulator::kLanes, 0xFF);
+  sim.set_input_lanes(0, full.data(), PackedSimulator::kLanes);
+  const std::uint64_t three[] = {0x01, 0x80, 0x5A};
+  sim.set_input_lanes(0, three, 3);
+  const Bus& a = mod.inputs()[0].bus;
+  for (unsigned l = 0; l < 3; ++l) EXPECT_EQ(sim.read(a, l), three[l]) << "lane " << l;
+  for (unsigned l = 3; l < PackedSimulator::kLanes; ++l) {
+    EXPECT_EQ(sim.read(a, l), 0u) << "lane " << l;
+  }
+}
+
 TEST(PackedSimulator, RejectsBadArguments) {
   const Module seq = [] {
     Module m{"seq"};
@@ -136,10 +147,13 @@ TEST(PackedSimulator, RejectsBadArguments) {
 
   const Module mod = build_circuit("accurate", 8);
   PackedSimulator sim{mod};
-  EXPECT_THROW(sim.set_input_lane(2, 0, 0), std::out_of_range);
-  EXPECT_THROW(sim.set_input_lane(0, 64, 0), std::out_of_range);
+  const std::uint64_t zero = 0, wide = 0x100;
+  EXPECT_THROW(sim.set_input_lanes(2, &zero, 1), std::out_of_range);
   EXPECT_THROW(sim.set_input_broadcast(0, 0x100), std::invalid_argument);
-  EXPECT_THROW(sim.set_input_lane(0, 0, 0x100), std::invalid_argument);
+  EXPECT_THROW(sim.set_input_lanes(0, &wide, 1), std::invalid_argument);
+  const std::vector<std::uint64_t> too_many(PackedSimulator::kLanes + 1, 0);
+  EXPECT_THROW(sim.set_input_lanes(0, too_many.data(), PackedSimulator::kLanes + 1),
+               std::invalid_argument);
   EXPECT_THROW(sim.set_input_word(0, 8, 0), std::out_of_range);
   EXPECT_THROW(sim.eval_cycles(0), std::invalid_argument);
   EXPECT_THROW(sim.eval_cycles(65), std::invalid_argument);
@@ -169,10 +183,9 @@ TEST(PackedSimulator, TimePackedTogglesMatchScalarExactly) {
   const unsigned chunks[] = {64, 1, 30, 62};
   std::size_t at = 0;
   for (const unsigned lanes : chunks) {
-    for (unsigned l = 0; l < lanes; ++l, ++at) {
-      packed.set_input_lane(0, l, as[at]);
-      packed.set_input_lane(1, l, bs[at]);
-    }
+    packed.set_input_lanes(0, as.data() + at, lanes);
+    packed.set_input_lanes(1, bs.data() + at, lanes);
+    at += lanes;
     packed.eval_cycles(lanes);
   }
   ASSERT_EQ(at, as.size());
