@@ -46,10 +46,4 @@ struct CellSpec {
 /// All specs, indexed by static_cast<int>(GateKind).
 [[nodiscard]] const std::array<CellSpec, kGateKindCount>& cell_specs() noexcept;
 
-/// D flip-flop (sequential elements live outside the GateKind set).
-inline constexpr double kDffAreaUm2 = 4.522;
-inline constexpr double kDffSwitchEnergyRel = 4.522;
-inline constexpr double kDffClkToQPs = 85.0;
-inline constexpr double kDffSetupPs = 35.0;
-
 }  // namespace realm::hw

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "realm/core/realm_multiplier.hpp"
 #include "realm/hw/components.hpp"
@@ -50,19 +49,6 @@ struct LogMultOptions {
 
 /// REALM (paper Fig. 3), including the hardwired constant LUT.
 [[nodiscard]] Module build_realm(const core::RealmConfig& cfg);
-
-/// Runtime-configurable REALM (dynamic accuracy scaling): a full-width
-/// datapath plus a mode input selecting among `t_levels` truncation settings
-/// via a fraction-masking stage.  Matches core::RuntimeRealmMultiplier.
-[[nodiscard]] Module build_realm_runtime(int n, int m_segments, int q,
-                                         const std::vector<int>& t_levels);
-
-/// Two-stage pipelined REALM: stage 1 (LOD, normalization, fraction and
-/// characteristic adders) is separated from stage 2 (LUT, correction add,
-/// final scaling) by a register bank.  Latency one cycle, initiation
-/// interval one; the paper's designs are single-cycle, so this is the
-/// natural frequency-scaling extension.
-[[nodiscard]] Module build_realm_pipelined(const core::RealmConfig& cfg);
 
 /// ImpLM with nearest-one detector and exact adder.
 [[nodiscard]] Module build_implm(int n);

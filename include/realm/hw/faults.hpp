@@ -87,9 +87,9 @@ struct AtpgResult {
   }
 };
 
-/// Throws std::invalid_argument, as analyze_fault_impact does, for a
-/// sequential module, one without gates or an output, or max_candidates <= 0;
-/// and for a target coverage outside (0, 1].
+/// Throws std::invalid_argument, as analyze_fault_impact does, for a module
+/// without gates or an output, or max_candidates <= 0; and for a target
+/// coverage outside (0, 1].
 [[nodiscard]] AtpgResult generate_tests(const Module& module,
                                         double target_coverage = 0.98,
                                         int max_candidates = 20000,

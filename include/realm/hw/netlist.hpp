@@ -1,11 +1,11 @@
 // Gate-level netlist with construction-time constant folding.
 //
-// A Module is a netlist over the cell set of cell_library.hpp, optionally
-// with D flip-flops.  Nets are dense integer ids; net 0 and net 1 are the
+// A Module is a combinational netlist over the cell set of
+// cell_library.hpp.  Nets are dense integer ids; net 0 and net 1 are the
 // constant rails.  Gates may only reference already-existing nets, so the
 // creation order is a valid topological order and the simulator can
 // evaluate in one pass without levelization — structural builders cannot
-// express a combinational loop (feedback goes through registers).
+// express a combinational loop.
 //
 // gate() folds constants aggressively (and(a,0) = 0, xor(a,1) = ~a,
 // mux(s,d,d) = d, ...).  This matters for fidelity, not just speed: the
@@ -65,13 +65,6 @@ struct PortInfo {
   Bus bus;
 };
 
-/// A D flip-flop: `q` is its output net (a sequential source), `d` its data
-/// input (connected at creation or later, enabling feedback loops).
-struct RegisterInfo {
-  NetId q;
-  NetId d;
-};
-
 class Module {
  public:
   explicit Module(std::string name);
@@ -101,21 +94,6 @@ class Module {
   NetId xnor2(NetId a, NetId b) { return gate(GateKind::kXnor2, a, b); }
   /// out = sel ? d1 : d0.
   NetId mux(NetId sel, NetId d0, NetId d1) { return gate(GateKind::kMux2, d0, d1, sel); }
-
-  /// Creates a register; returns its output net q.  `d` may be kConst0 now
-  /// and connected later via connect_register() (feedback paths).
-  NetId add_register(NetId d = kConst0);
-
-  /// Rebinds register q's data input (q must come from add_register).
-  void connect_register(NetId q, NetId d);
-
-  /// Registers every bit of `d`; returns the q bus.
-  Bus add_register_bus(const Bus& d);
-
-  [[nodiscard]] const std::vector<RegisterInfo>& registers() const noexcept {
-    return registers_;
-  }
-  [[nodiscard]] bool is_sequential() const noexcept { return !registers_.empty(); }
 
   [[nodiscard]] const std::vector<Gate>& gates() const noexcept { return gates_; }
   [[nodiscard]] const std::vector<PortInfo>& inputs() const noexcept { return inputs_; }
@@ -154,7 +132,6 @@ class Module {
   std::vector<Gate> gates_;
   std::vector<PortInfo> inputs_;
   std::vector<PortInfo> outputs_;
-  std::vector<RegisterInfo> registers_;
   std::vector<std::uint8_t> net_is_input_;
   // Structural hashing: (kind, in0, in1, in2) -> existing output net, so
   // identical subexpressions share one gate as they would after synthesis.

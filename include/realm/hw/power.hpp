@@ -43,8 +43,8 @@ struct StimulusProfile {
 /// (uncalibrated) power estimate.  The functional (non-glitch) path runs on
 /// the 64-lane packed engine (hw/packed_simulator.hpp) with the cycle stream
 /// sharded over the persistent thread pool; glitch counting stays on the
-/// scalar unit-delay simulator.  Throws std::invalid_argument for sequential
-/// modules or a zero-cycle profile.
+/// scalar unit-delay simulator.  Throws std::invalid_argument for a
+/// zero-cycle profile.
 [[nodiscard]] PowerReport estimate_power(const Module& module,
                                          const StimulusProfile& profile = {});
 

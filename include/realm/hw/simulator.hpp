@@ -3,8 +3,6 @@
 // Because Module guarantees gates appear in topological order, evaluation is
 // one linear sweep.  The simulator keeps the previous net values and counts
 // output toggles per gate, which feeds the activity-based power model.
-// Modules with registers are clocked by step(); eval() alone settles the
-// combinational cloud against the current register state.
 //
 // This scalar sweep is the *reference* back end: bulk workloads (power
 // sweeps, fault campaigns, exhaustive equivalence) run on the 64-lane
@@ -23,7 +21,6 @@ namespace realm::hw {
 
 class Simulator {
  public:
-  /// Registers start at 0.
   explicit Simulator(const Module& module);
 
   /// Drives input port `index` (in declaration order) with `value`.  Values
@@ -32,17 +29,10 @@ class Simulator {
   /// contract applies to every simulator back end, including the packed one.
   void set_input(std::size_t index, std::uint64_t value);
 
-  /// Re-evaluates all gates against the current inputs and register state
-  /// (to observe Mealy outputs before a clock edge); updates toggle counters
-  /// (except on the very first evaluation, which has no predecessor state).
+  /// Re-evaluates all gates against the current inputs; updates toggle
+  /// counters (except on the very first evaluation, which has no
+  /// predecessor state).
   void eval();
-
-  /// One clock cycle: eval(), then every register latches its D input
-  /// simultaneously.
-  void step();
-
-  /// Clears register state back to 0.
-  void reset_registers();
 
   /// Value of output port `index` (declaration order), LSB first.
   [[nodiscard]] std::uint64_t output(std::size_t index) const;
@@ -82,8 +72,7 @@ class Simulator {
 /// Every gate has one unit of delay, so transient hazards (glitches)
 /// propagate and are counted — the dominant power term in deep structures
 /// like Wallace trees.  Used by the power model; the zero-delay Simulator
-/// above remains the tool for functional validation.  Combinational
-/// modules only.
+/// above remains the tool for functional validation.
 class TimedSimulator {
  public:
   explicit TimedSimulator(const Module& module);

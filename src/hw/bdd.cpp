@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "contracts.hpp"
-
 namespace realm::hw {
 namespace {
 
@@ -108,7 +106,6 @@ std::optional<std::vector<bool>> BddManager::any_sat(Ref f, int num_vars) const 
 }
 
 ModuleBdds build_bdds(BddManager& mgr, const Module& module) {
-  require_combinational(module, "build_bdds");
   ModuleBdds out;
   // Interleaved variable order across input ports.
   out.var_of_input.resize(module.inputs().size());

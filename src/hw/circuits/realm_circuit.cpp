@@ -11,11 +11,7 @@
 
 namespace realm::hw {
 
-namespace {
-
-// Shared datapath with an optional pipeline cut between the log-add stage
-// and the LUT/scaling stage.
-Module build_realm_impl(const core::RealmConfig& cfg, bool pipelined) {
+Module build_realm(const core::RealmConfig& cfg) {
   const int n = cfg.n;
   const int f = cfg.fraction_bits();
   // Shared cache: the cost model builds one circuit per sweep point, and
@@ -26,8 +22,8 @@ Module build_realm_impl(const core::RealmConfig& cfg, bool pipelined) {
     throw std::invalid_argument("build_realm: t too large for the LUT selects");
   }
 
-  Module m{std::string{pipelined ? "realm_pipe" : "realm"} + std::to_string(n) + "_m" +
-           std::to_string(cfg.m) + "_t" + std::to_string(cfg.t)};
+  Module m{"realm" + std::to_string(n) + "_m" + std::to_string(cfg.m) + "_t" +
+           std::to_string(cfg.t)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
 
@@ -35,27 +31,19 @@ Module build_realm_impl(const core::RealmConfig& cfg, bool pipelined) {
   const auto ob = detail::log_extract(m, b, cfg.t, /*forced_one=*/true);
 
   const auto add = ripple_add(m, oa.frac, ob.frac);
-  Bus frac = add.sum;
-  NetId c_of = add.carry;
+  const Bus& frac = add.sum;
+  const NetId c_of = add.carry;
 
   // LUT select lines: the log2(M) MSBs of each fraction; address = i·M + j
   // with i from operand a, so a's bits are the high select lines.
   const int sel_bits = lut.select_bits();
-  Bus sel = concat(slice(ob.frac, f - 1, f - sel_bits),
-                   slice(oa.frac, f - 1, f - sel_bits));
+  const Bus sel = concat(slice(ob.frac, f - 1, f - sel_bits),
+                         slice(oa.frac, f - 1, f - sel_bits));
 
   auto kadd1 = ripple_add(m, oa.k, ob.k);
-  Bus kraw = concat(kadd1.sum, Bus{kadd1.carry});
-  NetId valid = m.nor2(oa.zero, ob.zero);
+  const Bus kraw = concat(kadd1.sum, Bus{kadd1.carry});
+  const NetId valid = m.nor2(oa.zero, ob.zero);
 
-  if (pipelined) {
-    // Stage boundary: register everything stage 2 consumes.
-    frac = m.add_register_bus(frac);
-    c_of = m.add_register(c_of);
-    sel = m.add_register_bus(sel);
-    kraw = m.add_register_bus(kraw);
-    valid = m.add_register(valid);
-  }
   std::vector<std::uint64_t> entries(lut.all_units().begin(), lut.all_units().end());
   const Bus s_raw = constant_lut(m, sel, entries, lut.stored_bits());
 
@@ -81,18 +69,6 @@ Module build_realm_impl(const core::RealmConfig& cfg, bool pipelined) {
 
   Bus p = detail::final_scale(m, significand, kbus, f, 2 * n + 1);
   m.add_output("p", detail::gate_bus(m, p, valid));
-  return m;
-}
-
-}  // namespace
-
-Module build_realm(const core::RealmConfig& cfg) {
-  return build_realm_impl(cfg, /*pipelined=*/false);
-}
-
-Module build_realm_pipelined(const core::RealmConfig& cfg) {
-  Module m = build_realm_impl(cfg, /*pipelined=*/true);
-  m.prune();
   return m;
 }
 

@@ -11,15 +11,6 @@
 
 namespace realm::hw {
 
-/// Throws std::invalid_argument naming `who` when `module` has registers.
-/// Everything but the scalar Simulator evaluates the netlist as one
-/// combinational cloud.
-inline void require_combinational(const Module& module, const char* who) {
-  if (module.is_sequential()) {
-    throw std::invalid_argument(std::string{who} + ": combinational modules only");
-  }
-}
-
 /// The bus of input port `port`, after checking the input-drive contract of
 /// every simulator back end: a port out of range throws std::out_of_range,
 /// and `value_bits` (the OR of every value about to be driven) with a bit

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "contracts.hpp"
 #include "realm/hw/bdd.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
@@ -18,7 +17,6 @@ namespace realm::hw {
 namespace {
 
 void validate_campaign_args(const Module& module, int vectors, const char* who) {
-  require_combinational(module, who);
   if (module.outputs().empty() || module.gates().empty()) {
     throw std::invalid_argument(std::string{who} + ": need gates and an output");
   }
@@ -293,7 +291,6 @@ bool is_fault_redundant(const Module& module, const FaultSite& site,
 
 bool fault_detected(const Module& module, const FaultSite& site,
                     const std::vector<std::vector<std::uint64_t>>& patterns) {
-  require_combinational(module, "fault_detected");
   Simulator golden{module};
   Simulator faulty{module};
   faulty.force_gate(site.gate_index, site.stuck_value);

@@ -146,8 +146,6 @@ std::size_t Module::prune() {
   for (const auto& p : outputs_) {
     for (const NetId n : p.bus) live[n] = 1;
   }
-  // Register data inputs are sequential sinks: their cones stay.
-  for (const auto& reg : registers_) live[reg.d] = 1;
   // Gates are topologically ordered, so one reverse sweep marks the cone.
   for (auto it = gates_.rbegin(); it != gates_.rend(); ++it) {
     if (live[it->out]) {
@@ -162,34 +160,9 @@ std::size_t Module::prune() {
   return before - gates_.size();
 }
 
-NetId Module::add_register(NetId d) {
-  if (d >= next_net_) throw std::invalid_argument("add_register: unknown data net");
-  const NetId q = new_net();
-  registers_.push_back({q, d});
-  return q;
-}
-
-void Module::connect_register(NetId q, NetId d) {
-  if (d >= next_net_) throw std::invalid_argument("connect_register: unknown data net");
-  for (auto& reg : registers_) {
-    if (reg.q == q) {
-      reg.d = d;
-      return;
-    }
-  }
-  throw std::invalid_argument("connect_register: q is not a register output");
-}
-
-Bus Module::add_register_bus(const Bus& d) {
-  Bus q(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) q[i] = add_register(d[i]);
-  return q;
-}
-
 double Module::area_um2() const noexcept {
   double area = 0.0;
   for (const auto& g : gates_) area += cell_spec(g.kind).area_um2;
-  area += kDffAreaUm2 * static_cast<double>(registers_.size());
   return area;
 }
 
@@ -225,16 +198,8 @@ std::vector<Bus> Module::instantiate(const Module& sub,
       map[ports[p].bus[i]] = bound;
     }
   }
-  // Sub registers first: their q nets are sources for the gate sweep; data
-  // inputs (which may reference later nets — feedback) bind afterwards.
-  for (const auto& reg : sub.registers()) {
-    map[reg.q] = add_register();
-  }
   for (const Gate& g : sub.gates()) {
     map[g.out] = gate(g.kind, map[g.in[0]], map[g.in[1]], map[g.in[2]]);
-  }
-  for (const auto& reg : sub.registers()) {
-    connect_register(map[reg.q], map[reg.d]);
   }
   std::vector<Bus> outputs;
   outputs.reserve(sub.outputs().size());

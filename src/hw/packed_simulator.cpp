@@ -13,7 +13,6 @@
 namespace realm::hw {
 
 PackedSimulator::PackedSimulator(const Module& module) : module_{&module} {
-  require_combinational(module, "PackedSimulator");
   values_.assign(module.net_count(), 0);
   values_[kConst1] = ~std::uint64_t{0};
   toggle_counts_.assign(module.gates().size(), 0);

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "contracts.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
@@ -16,9 +15,7 @@ namespace realm::hw {
 
 namespace {
 
-void validate_profile(const Module& module, const StimulusProfile& profile,
-                      const char* who) {
-  require_combinational(module, who);
+void validate_profile(const StimulusProfile& profile, const char* who) {
   if (profile.cycles == 0) {
     // The report divides toggle counts by the cycle count; a zero-cycle
     // profile used to produce NaN power silently.
@@ -150,7 +147,7 @@ std::vector<std::uint64_t> packed_toggles(const Module& module,
 }  // namespace
 
 PowerReport estimate_power(const Module& module, const StimulusProfile& profile) {
-  validate_profile(module, profile, "estimate_power");
+  validate_profile(profile, "estimate_power");
   if (profile.count_glitches) return glitch_power(module, profile);
   REALM_TRACE_SCOPE("power/sweep");
   return reduce_power(module, profile,
@@ -159,7 +156,7 @@ PowerReport estimate_power(const Module& module, const StimulusProfile& profile)
 
 PowerReport estimate_power_reference(const Module& module,
                                      const StimulusProfile& profile) {
-  validate_profile(module, profile, "estimate_power_reference");
+  validate_profile(profile, "estimate_power_reference");
   if (profile.count_glitches) return glitch_power(module, profile);
   Simulator sim{module};
   return scalar_power(module, profile, sim, [&] { sim.eval(); },

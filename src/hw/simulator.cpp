@@ -76,19 +76,6 @@ void Simulator::eval() {
   primed_ = true;
 }
 
-void Simulator::step() {
-  eval();
-  // Simultaneous register update: sample all D inputs, then commit.
-  const auto& regs = module_->registers();
-  std::vector<std::uint8_t> next(regs.size());
-  for (std::size_t r = 0; r < regs.size(); ++r) next[r] = values_[regs[r].d];
-  for (std::size_t r = 0; r < regs.size(); ++r) values_[regs[r].q] = next[r];
-}
-
-void Simulator::reset_registers() {
-  for (const auto& reg : module_->registers()) values_[reg.q] = 0;
-}
-
 std::uint64_t Simulator::output(std::size_t index) const {
   return read_output(*module_, values_, index, "Simulator::output");
 }
@@ -124,7 +111,6 @@ void Simulator::force_gate(std::size_t gate_index, bool stuck_value) {
 }
 
 TimedSimulator::TimedSimulator(const Module& module) : module_{&module} {
-  require_combinational(module, "TimedSimulator");
   values_.assign(module.net_count(), 0);
   values_[kConst1] = 1;
   const auto& gates = module.gates();

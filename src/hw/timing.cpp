@@ -6,17 +6,14 @@ namespace realm::hw {
 
 TimingReport analyze_timing(const Module& module) {
   const auto& gates = module.gates();
-  // Arrival time and depth per net; inputs/constants arrive at t = 0,
-  // register outputs at their clk-to-Q delay.
+  // Arrival time and depth per net; inputs/constants arrive at t = 0.
   std::vector<double> arrival(module.net_count(), 0.0);
   std::vector<int> depth(module.net_count(), 0);
   std::vector<std::ptrdiff_t> pred(module.net_count(), -1);  // driving gate index
-  for (const auto& reg : module.registers()) arrival[reg.q] = kDffClkToQPs;
 
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     const Gate& g = gates[gi];
     double worst = 0.0;
-    NetId worst_in = g.in[0];
     int worst_depth = 0;
     const int fanin = cell_spec(g.kind).fanin;
     for (int pin = 0; pin < fanin; ++pin) {
@@ -24,29 +21,24 @@ TimingReport analyze_timing(const Module& module) {
       if (arrival[in] > worst || (arrival[in] == worst && depth[in] > worst_depth)) {
         worst = arrival[in];
         worst_depth = depth[in];
-        worst_in = in;
       }
     }
     arrival[g.out] = worst + cell_spec(g.kind).delay_ps;
     depth[g.out] = worst_depth + 1;
     pred[g.out] = static_cast<std::ptrdiff_t>(gi);
-    (void)worst_in;
   }
 
   TimingReport report;
   NetId endpoint = kConst0;
-  const auto consider = [&](NetId n, double extra) {
-    if (arrival[n] + extra > report.critical_path_ps) {
-      report.critical_path_ps = arrival[n] + extra;
-      report.logic_depth = depth[n];
-      endpoint = n;
-    }
-  };
   for (const auto& port : module.outputs()) {
-    for (const NetId n : port.bus) consider(n, 0.0);
+    for (const NetId n : port.bus) {
+      if (arrival[n] > report.critical_path_ps) {
+        report.critical_path_ps = arrival[n];
+        report.logic_depth = depth[n];
+        endpoint = n;
+      }
+    }
   }
-  // Register data pins are timing endpoints too (plus setup).
-  for (const auto& reg : module.registers()) consider(reg.d, kDffSetupPs);
 
   // Walk the path backwards through worst-arrival pins.
   NetId cur = endpoint;

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "contracts.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
 
@@ -26,10 +25,6 @@ std::string to_verilog(const Module& module) {
   os << "// Cells follow a generic 45nm-class library (see verilog_cell_models()).\n";
   os << "module " << module.name() << " (";
   bool first = true;
-  if (module.is_sequential()) {
-    os << "input clk";
-    first = false;
-  }
   for (const auto& p : module.inputs()) {
     os << (first ? "" : ", ") << "input [" << p.bus.size() - 1 << ":0] " << p.name;
     first = false;
@@ -46,14 +41,6 @@ std::string to_verilog(const Module& module) {
     for (std::size_t i = 0; i < p.bus.size(); ++i) {
       os << "  wire " << net_ref(p.bus[i]) << " = " << p.name << "[" << i << "];\n";
     }
-  }
-
-  // Register declarations and instances.
-  for (const auto& reg : module.registers()) os << "  wire " << net_ref(reg.q) << ";\n";
-  std::size_t dff = 0;
-  for (const auto& reg : module.registers()) {
-    os << "  DFF_X1 r" << dff++ << " (.D(" << net_ref(reg.d) << "), .CK(clk), .Q("
-       << net_ref(reg.q) << "));\n";
   }
 
   // Cell instances.
@@ -85,7 +72,6 @@ std::string to_verilog(const Module& module) {
 std::string to_verilog_testbench(const Module& module, int vectors,
                                  std::uint64_t seed) {
   if (vectors < 1) throw std::invalid_argument("to_verilog_testbench: vectors >= 1");
-  require_combinational(module, "to_verilog_testbench");
   Simulator sim{module};
   num::Xoshiro256 rng{seed};
   const auto& ins = module.inputs();
@@ -158,7 +144,6 @@ module NOR2_X1  (input A, input B, output Y); assign Y = ~(A | B); endmodule
 module XOR2_X1  (input A, input B, output Y); assign Y = A ^ B;    endmodule
 module XNOR2_X1 (input A, input B, output Y); assign Y = ~(A ^ B); endmodule
 module MUX2_X1  (input A, input B, input S, output Y); assign Y = S ? B : A; endmodule
-module DFF_X1   (input D, input CK, output reg Q); always @(posedge CK) Q <= D; endmodule
 )";
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "realm/campaign/result_store.hpp"
 #include "realm/hw/simulator.hpp"
+#include "realm/hw/timing.hpp"
+#include "realm/hw/verilog.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/rng.hpp"
 
@@ -125,4 +128,41 @@ TEST(Circuits, PortShapesAreUniform) {
 
 TEST(Circuits, DispatchRejectsUnknownSpec) {
   EXPECT_THROW((void)hw::build_circuit("nonsense", 16), std::invalid_argument);
+}
+
+// Structural fingerprints of representative netlists, captured from the
+// builders as they stand: any change to the gates a builder emits, to the
+// cell areas, to the timing model or to the Verilog text shows up here.
+// The signed wrapper covers Module::instantiate().
+TEST(Circuits, NetlistsArePinned) {
+  struct Pin {
+    const char* name;
+    hw::Module mod;
+    std::size_t gates;
+    hw::NetId nets;
+    double area_um2;
+    double critical_path_ps;
+    std::uint64_t verilog_fnv;
+  };
+  const Pin pins[] = {
+      {"accurate", hw::build_circuit("accurate", 16),
+       1452, 1487, 0x1.c300c49ba5e9ap+10, 0x1.56p+10, 0x788efd6990896afe},
+      {"realm", hw::build_circuit("realm:m=16,t=0", 16),
+       933, 990, 0x1.ea1ae147ae0f4p+9, 0x1.0acp+11, 0x058af79d2273ca11},
+      {"drum", hw::build_circuit("drum:k=6", 16),
+       590, 672, 0x1.3d9a9fbe76c82p+9, 0x1.9f8p+10, 0xc75ac908609c04b1},
+      {"am1", hw::build_circuit("am1:nb=9", 16),
+       728, 767, 0x1.d7e24dd2f1a82p+9, 0x1.c7p+9, 0xae5c938922962504},
+      {"calm", hw::build_circuit("calm", 16),
+       721, 776, 0x1.79522d0e56015p+9, 0x1.04p+11, 0x9464089f4be5602c},
+      {"signed", hw::build_signed_circuit("accurate", 8),
+       422, 442, 0x1.0e4189374bc78p+9, 0x1.1e8p+10, 0xe337063dbd3f8a0a},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.mod.gates().size(), p.gates) << p.name;
+    EXPECT_EQ(p.mod.net_count(), p.nets) << p.name;
+    EXPECT_EQ(p.mod.area_um2(), p.area_um2) << p.name;
+    EXPECT_EQ(hw::analyze_timing(p.mod).critical_path_ps, p.critical_path_ps) << p.name;
+    EXPECT_EQ(campaign::fnv1a64(hw::to_verilog(p.mod)), p.verilog_fnv) << p.name;
+  }
 }

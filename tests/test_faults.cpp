@@ -128,14 +128,9 @@ TEST(Atpg, ValidatesArguments) {
   EXPECT_THROW((void)generate_tests(m, 1.5), std::invalid_argument);
   EXPECT_THROW((void)generate_tests(m, 0.9, 0), std::invalid_argument);
 
-  Module seq{"seq"};
-  const Bus a = seq.add_input("a", 1);
-  seq.add_output("o", {seq.add_register(a[0])});
-  EXPECT_THROW((void)generate_tests(seq), std::invalid_argument);
-
   Module empty{"empty"};
-  const Bus b = empty.add_input("a", 1);
-  empty.add_output("o", b);
+  const Bus a = empty.add_input("a", 1);
+  empty.add_output("o", a);
   EXPECT_THROW((void)generate_tests(empty), std::invalid_argument);
 }
 
@@ -151,15 +146,8 @@ TEST(Atpg, FaultDetectedRejectsPatternsOfTheWrongLength) {
 }
 
 TEST(Faults, RejectsUnsupportedModules) {
-  Module seq{"seq"};
-  const Bus a = seq.add_input("a", 1);
-  seq.add_output("o", {seq.add_register(a[0])});
-  EXPECT_THROW((void)analyze_fault_impact(seq), std::invalid_argument);
-  // The scalar Simulator accepts registers; the fault re-check still does not.
-  EXPECT_THROW((void)fault_detected(seq, {0, true}, {{1}}), std::invalid_argument);
-
   Module empty{"empty"};
-  const Bus b = empty.add_input("a", 1);
-  empty.add_output("o", b);
+  const Bus a = empty.add_input("a", 1);
+  empty.add_output("o", a);
   EXPECT_THROW((void)analyze_fault_impact(empty), std::invalid_argument);
 }

@@ -137,14 +137,6 @@ TEST(PackedSimulator, SetInputLanesZeroesLanesPastTheCount) {
 }
 
 TEST(PackedSimulator, RejectsBadArguments) {
-  const Module seq = [] {
-    Module m{"seq"};
-    const Bus d = m.add_input("d", 1);
-    m.add_output("q", {m.add_register(d[0])});
-    return m;
-  }();
-  EXPECT_THROW((PackedSimulator{seq}), std::invalid_argument);
-
   const Module mod = build_circuit("accurate", 8);
   PackedSimulator sim{mod};
   const std::uint64_t zero = 0, wide = 0x100;

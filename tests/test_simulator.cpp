@@ -84,13 +84,6 @@ TEST(Simulator, RejectsValuesWiderThanThePort) {
   EXPECT_NO_THROW(sim.set_input(0, 0xF));
   TimedSimulator timed{m};
   EXPECT_THROW(timed.set_input(0, 0x10), std::invalid_argument);
-
-  Module s{"seq"};
-  const Bus d = s.add_input("d", 2);
-  s.add_output("q", {s.add_register(d[0])});
-  Simulator seq{s};
-  EXPECT_THROW(seq.set_input(0, 4), std::invalid_argument);
-  EXPECT_NO_THROW(seq.set_input(0, 3));
 }
 
 TEST(TimedSimulator, SettlesToSameOutputsAsZeroDelay) {
