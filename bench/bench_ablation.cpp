@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %12s %12s %10s\n", "adder", "area um^2", "delay ps", "depth");
   for (const auto& [label, spec] :
        std::initializer_list<std::pair<const char*, const char*>>{
-           {"ripple", "calm"}, {"kogge-stone", "calm:adder=1"},
-           {"carry-select", "calm:adder=2"}}) {
+           {"ripple", "calm"}, {"kogge-stone", "calm:adder=1"}}) {
     const hw::Module mod = hw::build_circuit(spec, 16);
     const auto t = hw::analyze_timing(mod);
     std::printf("%-14s %12.1f %12.0f %10d\n", label, mod.area_um2(),

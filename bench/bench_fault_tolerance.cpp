@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
   }
   bench::print_rule(72);
   std::printf("reading: 'undetected' sites never flip an output on the sampled\n"
-              "vectors (structural redundancy); mean/worst are relative product\n"
-              "errors over detected faults.  Log-based datapaths concentrate\n"
-              "catastrophic sites in the LOD/characteristic logic, while the\n"
-              "Wallace tree spreads impact across many mid-weight sites.\n");
+              "vectors (a sampling result, not a proof that no test exists);\n"
+              "mean/worst are relative product errors over detected faults.\n"
+              "Log-based datapaths concentrate catastrophic sites in the\n"
+              "LOD/characteristic logic, while the Wallace tree spreads impact\n"
+              "across many mid-weight sites.\n");
   return 0;
 }

@@ -31,13 +31,8 @@ struct AddResult {
 /// 1 GHz synthesis run would pick for wide additions (at ~2× ripple area).
 [[nodiscard]] AddResult kogge_stone_add(Module& m, Bus a, Bus b, NetId cin = kConst0);
 
-/// Carry-select adder with `block`-bit blocks: each block computes both
-/// carry assumptions and muxes — the classic area/delay middle ground.
-[[nodiscard]] AddResult carry_select_add(Module& m, Bus a, Bus b, int block,
-                                         NetId cin = kConst0);
-
 /// Adder architecture selector for parameterized datapaths.
-enum class AdderArch { kRipple, kKoggeStone, kCarrySelect };
+enum class AdderArch { kRipple, kKoggeStone };
 [[nodiscard]] AddResult add_with_arch(Module& m, const Bus& a, const Bus& b,
                                       AdderArch arch, NetId cin = kConst0);
 

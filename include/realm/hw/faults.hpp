@@ -1,10 +1,9 @@
-// Stuck-at fault injection and impact analysis.
+// Stuck-at fault impact analysis.
 //
-// Classic manufacturing-test machinery turned into an experiment: force a
-// gate output stuck-at-0/1, re-simulate, and measure how far the arithmetic
-// result moves.  Beyond test coverage, this quantifies a folk claim about
-// approximate arithmetic — that its outputs degrade gracefully under
-// defects compared to exact datapaths.
+// Force a gate output stuck-at-0/1, re-simulate, and measure how far the
+// arithmetic result moves.  This quantifies a folk claim about approximate
+// arithmetic — that its outputs degrade gracefully under defects compared
+// to exact datapaths.
 
 #pragma once
 
@@ -63,53 +62,5 @@ inline constexpr std::size_t kFaultLanesPerSweep = 63;
                                                          int vectors = 200,
                                                          std::uint64_t seed = 0xFA017,
                                                          std::size_t max_sites = 2000);
-
-/// Random-pattern ATPG with fault dropping: draws random input vectors,
-/// keeps only those that detect at least one not-yet-detected stuck-at
-/// fault, and stops at the coverage target or the pattern budget.  Each
-/// candidate is fault-simulated on the packed engine (63 undetected sites
-/// per sweep).  The
-/// result is a compact production test set for the netlist.  Run
-/// Module::prune() first — faults on dead gates are untestable by
-/// construction and only depress the coverage number.
-struct AtpgResult {
-  /// Kept patterns; each entry holds one value per input port.
-  std::vector<std::vector<std::uint64_t>> patterns;
-  /// Faults no pattern reached — candidates for formal redundancy proofs
-  /// (see is_fault_redundant()).
-  std::vector<FaultSite> undetected;
-  std::size_t faults_total = 0;
-  std::size_t faults_detected = 0;
-  [[nodiscard]] double coverage() const noexcept {
-    return faults_total == 0
-               ? 0.0
-               : static_cast<double>(faults_detected) / static_cast<double>(faults_total);
-  }
-};
-
-/// Throws std::invalid_argument, as analyze_fault_impact does, for a module
-/// without gates or an output, or max_candidates <= 0; and for a target
-/// coverage outside (0, 1].
-[[nodiscard]] AtpgResult generate_tests(const Module& module,
-                                        double target_coverage = 0.98,
-                                        int max_candidates = 20000,
-                                        std::uint64_t seed = 0xA79);
-
-/// True if any pattern in `patterns` makes `site` observable on the first
-/// output port — the independent re-check for ATPG results.  Each pattern
-/// holds one value per input port (Simulator::run's contract; any other
-/// length throws std::invalid_argument).
-[[nodiscard]] bool fault_detected(const Module& module, const FaultSite& site,
-                                  const std::vector<std::vector<std::uint64_t>>& patterns);
-
-/// The faulty circuit as its own module (gate output tied to the stuck
-/// value), for formal analysis of a fault.
-[[nodiscard]] Module inject_fault(const Module& module, const FaultSite& site);
-
-/// Formal untestability proof: true iff the faulty circuit is equivalent to
-/// the fault-free one on every input (BDD-based), i.e. the fault is
-/// redundant and *no* test can ever detect it.
-[[nodiscard]] bool is_fault_redundant(const Module& module, const FaultSite& site,
-                                      std::size_t node_limit = 2'000'000);
 
 }  // namespace realm::hw

@@ -84,21 +84,12 @@ struct Compressed {
 void write_compressed(const Compressed& c, const std::string& path);
 [[nodiscard]] Compressed read_compressed(const std::string& path);
 
-/// Plane-level API (used by the color extension): same pipeline with an
-/// explicit quantization table instead of the quality-scaled luminance one.
-/// Runs the panel engine on opts.mul (exact when it is null).
-[[nodiscard]] Compressed encode_plane(const Image& img,
-                                      const std::array<std::uint16_t, 64>& qtable,
-                                      const CodecOptions& opts);
-[[nodiscard]] Image decode_plane(const Compressed& c,
-                                 const std::array<std::uint16_t, 64>& qtable,
-                                 const CodecOptions& opts);
-
 /// The scalar reference paths — one virtual multiply per product through
 /// opts.umul, single-threaded — kept as the bit-identity oracle for the
-/// panel engine (opts.mul and opts.threads are ignored here).  With
-/// umul = mul.as_function() their bytes and pixels equal encode_plane /
-/// decode_plane on mul.
+/// panel engine (opts.mul and opts.threads are ignored here).  They take
+/// an explicit quantization table; with qtable = scaled_table(quality) and
+/// umul = mul.as_function() their bytes and pixels equal encode / decode on
+/// mul.
 [[nodiscard]] Compressed encode_plane_reference(const Image& img,
                                                 const std::array<std::uint16_t, 64>& qtable,
                                                 const CodecOptions& opts);

@@ -19,7 +19,6 @@
 //   kGateEvals          packed gate-word evaluations (one gate x 64 lanes)
 //   kPackedBlocks       packed-simulator work blocks (power/fault/equiv)
 //   kEquivPairs         circuit-vs-model operand pairs compared
-//   kFaultSitesDropped  fault sites dropped (detected) during ATPG
 //   kPoolRegions        ThreadPool::run calls dispatched to workers
 //   kPoolTasksExecuted  tasks completed through ThreadPool::run (any path)
 //   kPoolTasksInline    tasks run inline because the pool was busy (the
@@ -84,7 +83,6 @@ enum class Counter : unsigned {
   kGateEvals,
   kPackedBlocks,
   kEquivPairs,
-  kFaultSitesDropped,
   kPoolRegions,
   kPoolTasksExecuted,
   kPoolTasksInline,

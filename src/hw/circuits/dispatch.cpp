@@ -25,7 +25,11 @@ Module build_circuit_unpruned(const std::string& spec, int n) {
     LogMultOptions o;
     o.n = n;
     o.t = s.get("t", 0);
-    o.fraction_adder = static_cast<AdderArch>(s.get("adder", 0));
+    const int adder = s.get("adder", 0);
+    if (adder != 0 && adder != 1) {
+      throw std::invalid_argument("spec: adder must be 0 (ripple) or 1 (kogge-stone)");
+    }
+    o.fraction_adder = static_cast<AdderArch>(adder);
     return build_log_multiplier(o);
   }
   if (s.design == "mbm") {

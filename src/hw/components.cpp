@@ -69,41 +69,10 @@ AddResult kogge_stone_add(Module& m, Bus a, Bus b, NetId cin) {
   return {std::move(sum), carry_in};
 }
 
-AddResult carry_select_add(Module& m, Bus a, Bus b, int block, NetId cin) {
-  if (block < 1) throw std::invalid_argument("carry_select_add: block >= 1");
-  const int width = static_cast<int>(std::max(a.size(), b.size()));
-  a = resize(a, width);
-  b = resize(b, width);
-  Bus sum(static_cast<std::size_t>(width));
-  NetId carry = cin;
-  for (int lo = 0; lo < width; lo += block) {
-    const int hi = std::min(lo + block, width) - 1;
-    const Bus sa = slice(a, hi, lo);
-    const Bus sb = slice(b, hi, lo);
-    if (lo == 0) {
-      // First block uses the real cin directly.
-      const auto r = ripple_add(m, sa, sb, carry);
-      for (int i = lo; i <= hi; ++i) sum[static_cast<std::size_t>(i)] =
-          r.sum[static_cast<std::size_t>(i - lo)];
-      carry = r.carry;
-      continue;
-    }
-    const auto r0 = ripple_add(m, sa, sb, kConst0);
-    const auto r1 = ripple_add(m, sa, sb, kConst1);
-    for (int i = lo; i <= hi; ++i) {
-      sum[static_cast<std::size_t>(i)] = m.mux(carry, r0.sum[static_cast<std::size_t>(i - lo)],
-                                               r1.sum[static_cast<std::size_t>(i - lo)]);
-    }
-    carry = m.mux(carry, r0.carry, r1.carry);
-  }
-  return {std::move(sum), carry};
-}
-
 AddResult add_with_arch(Module& m, const Bus& a, const Bus& b, AdderArch arch,
                         NetId cin) {
   switch (arch) {
     case AdderArch::kKoggeStone: return kogge_stone_add(m, a, b, cin);
-    case AdderArch::kCarrySelect: return carry_select_add(m, a, b, 4, cin);
     case AdderArch::kRipple: break;
   }
   return ripple_add(m, a, b, cin);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
-#include "realm/hw/bdd.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/numeric/rng.hpp"
@@ -196,108 +194,6 @@ FaultReport analyze_fault_impact_reference(const Module& module, int vectors,
     }
   }
   return reduce_report(campaign, stats, vectors);
-}
-
-AtpgResult generate_tests(const Module& module, double target_coverage,
-                          int max_candidates, std::uint64_t seed) {
-  validate_campaign_args(module, max_candidates, "generate_tests");
-  if (target_coverage <= 0.0 || target_coverage > 1.0) {
-    throw std::invalid_argument("generate_tests: coverage in (0, 1]");
-  }
-
-  std::vector<FaultSite> undetected = all_sites(module);
-  AtpgResult result;
-  result.faults_total = undetected.size();
-
-  num::Xoshiro256 rng{seed};
-  const auto target =
-      static_cast<std::size_t>(target_coverage * static_cast<double>(result.faults_total));
-  PackedSimulator sim{module};
-  std::vector<std::uint8_t> detected_now;  // scratch, per candidate
-  for (int cand = 0; cand < max_candidates && result.faults_detected < target; ++cand) {
-    std::vector<std::uint64_t> vec = draw_vector(module, rng);
-
-    // Packed fault simulation with dropping: the next 63 still-undetected
-    // faults per sweep, where the scalar loop needed 63 sweeps.
-    detected_now.assign(undetected.size(), 0);
-    bool kept = false;
-    for (std::size_t first = 0; first < undetected.size();
-         first += kFaultLanesPerSweep) {
-      const std::size_t count =
-          std::min<std::size_t>(kFaultLanesPerSweep, undetected.size() - first);
-      load_fault_lanes(sim, undetected.data() + first, count);
-      const std::uint64_t golden = eval_broadcast(sim, vec);
-      for (std::size_t j = 0; j < count; ++j) {
-        if (sim.output(0, static_cast<unsigned>(j + 1)) != golden) {
-          detected_now[first + j] = 1;
-          kept = true;
-        }
-      }
-    }
-
-    if (kept) {
-      // Stable compaction of the survivors (detection is per-fault
-      // independent, so the surviving *set* matches the scalar algorithm).
-      std::size_t w = 0;
-      for (std::size_t f = 0; f < undetected.size(); ++f) {
-        if (detected_now[f]) {
-          ++result.faults_detected;
-        } else {
-          undetected[w++] = undetected[f];
-        }
-      }
-      obs::counter_add(obs::Counter::kFaultSitesDropped, undetected.size() - w);
-      undetected.resize(w);
-      result.patterns.push_back(std::move(vec));
-    }
-  }
-  result.undetected = std::move(undetected);
-  return result;
-}
-
-Module inject_fault(const Module& module, const FaultSite& site) {
-  if (site.gate_index >= module.gates().size()) {
-    throw std::invalid_argument("inject_fault: gate index out of range");
-  }
-  Module faulty{module.name() + "_fault"};
-  // Replay the netlist, substituting the faulted gate's output with the
-  // stuck rail.  Inputs are recreated port-for-port.
-  std::vector<NetId> map(module.net_count(), kConst0);
-  map[kConst1] = kConst1;
-  for (const auto& port : module.inputs()) {
-    const Bus bus = faulty.add_input(port.name, static_cast<int>(port.bus.size()));
-    for (std::size_t i = 0; i < bus.size(); ++i) map[port.bus[i]] = bus[i];
-  }
-  for (std::size_t gi = 0; gi < module.gates().size(); ++gi) {
-    const Gate& g = module.gates()[gi];
-    if (gi == site.gate_index) {
-      map[g.out] = site.stuck_value ? kConst1 : kConst0;
-    } else {
-      map[g.out] = faulty.gate(g.kind, map[g.in[0]], map[g.in[1]], map[g.in[2]]);
-    }
-  }
-  for (const auto& port : module.outputs()) {
-    Bus bus(port.bus.size());
-    for (std::size_t i = 0; i < bus.size(); ++i) bus[i] = map[port.bus[i]];
-    faulty.add_output(port.name, bus);
-  }
-  return faulty;
-}
-
-bool is_fault_redundant(const Module& module, const FaultSite& site,
-                        std::size_t node_limit) {
-  return check_equivalence(module, inject_fault(module, site), node_limit).equivalent;
-}
-
-bool fault_detected(const Module& module, const FaultSite& site,
-                    const std::vector<std::vector<std::uint64_t>>& patterns) {
-  Simulator golden{module};
-  Simulator faulty{module};
-  faulty.force_gate(site.gate_index, site.stuck_value);
-  for (const auto& vec : patterns) {
-    if (faulty.run(vec) != golden.run(vec)) return true;
-  }
-  return false;
 }
 
 }  // namespace realm::hw

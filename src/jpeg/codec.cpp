@@ -275,10 +275,6 @@ std::size_t Compressed::size_bytes() const noexcept {
   return payload.size() + dc_code_lengths.size() + ac_code_lengths.size() + 16;
 }
 
-Compressed encode(const Image& img, const CodecOptions& opts) {
-  return encode_plane(img, scaled_table(opts.quality), opts);
-}
-
 Compressed encode_plane_reference(const Image& img,
                                   const std::array<std::uint16_t, 64>& qtable,
                                   const CodecOptions& opts) {
@@ -304,8 +300,8 @@ Compressed encode_plane_reference(const Image& img,
   return out;
 }
 
-Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& qtable,
-                        const CodecOptions& opts) {
+Compressed encode(const Image& img, const CodecOptions& opts) {
+  const std::array<std::uint16_t, 64> qtable = scaled_table(opts.quality);
   const Multiplier& mul = engine_mul(opts);
   if (img.width() % 8 != 0 || img.height() % 8 != 0) {
     throw std::invalid_argument("encode: dimensions must be multiples of 8");
@@ -344,10 +340,6 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
   return out;
 }
 
-Image decode(const Compressed& c, const CodecOptions& opts) {
-  return decode_plane(c, scaled_table(c.quality), opts);
-}
-
 Image decode_plane_reference(const Compressed& c,
                              const std::array<std::uint16_t, 64>& qtable,
                              const CodecOptions& opts) {
@@ -371,8 +363,8 @@ Image decode_plane_reference(const Compressed& c,
   return img;
 }
 
-Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qtable,
-                   const CodecOptions& opts) {
+Image decode(const Compressed& c, const CodecOptions& opts) {
+  const std::array<std::uint16_t, 64> qtable = scaled_table(c.quality);
   const Multiplier& mul = engine_mul(opts);
   REALM_TRACE_SCOPE("jpeg/decode");
   const std::vector<std::int16_t> levels = parse_levels(c);

@@ -53,8 +53,10 @@ struct ThreadPool::Impl {
 
   std::mutex region_mutex;  // serializes concurrent run() callers
 
-  // Current region, valid while generation is odd-ended... simply guarded
-  // by m; workers re-check generation to detect new regions.
+  // Current region.  run() writes these fields under m before it bumps
+  // generation, and a worker reads them only after it has seen the new
+  // generation under m.  drain() then reads count and task without m: run()
+  // rewrites them only after every helper has left the region (active == 0).
   std::uint64_t generation = 0;
   std::size_t count = 0;
   unsigned helpers_wanted = 0;

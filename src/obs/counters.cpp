@@ -22,7 +22,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kGateEvals: return "gate_evals";
     case Counter::kPackedBlocks: return "packed_blocks";
     case Counter::kEquivPairs: return "equiv_pairs";
-    case Counter::kFaultSitesDropped: return "fault_sites_dropped";
     case Counter::kPoolRegions: return "pool_regions";
     case Counter::kPoolTasksExecuted: return "pool_tasks_executed";
     case Counter::kPoolTasksInline: return "pool_tasks_inline";

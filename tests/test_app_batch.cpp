@@ -17,7 +17,6 @@
 #include "app_oracles.hpp"
 #include "realm/dsp/filter.hpp"
 #include "realm/jpeg/codec.hpp"
-#include "realm/jpeg/color.hpp"
 #include "realm/jpeg/dct.hpp"
 #include "realm/jpeg/quality.hpp"
 #include "realm/jpeg/quant.hpp"
@@ -327,33 +326,6 @@ TEST(AppBatch, JpegDefaultOptionsRunTheEngineExactly) {
   }
 }
 
-TEST(AppBatch, ColorCodecMatchesPerPlaneReferences) {
-  const auto img = jpeg::synthetic_color_scene(64);
-  const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
-  jpeg::CodecOptions opts;
-  opts.mul = mul.get();
-  opts.threads = 2;
-  jpeg::CodecOptions ref_opts;
-  ref_opts.umul = mul->as_function();
-
-  const auto c = jpeg::encode_color(img, opts);
-  const auto planes = jpeg::rgb_to_ycbcr420(img);
-  const auto luma_q = jpeg::scaled_table(opts.quality);
-  const auto chroma_q = jpeg::scaled_chroma_table(opts.quality);
-  const auto y_ref = jpeg::encode_plane_reference(planes.y, luma_q, ref_opts);
-  const auto cb_ref = jpeg::encode_plane_reference(planes.cb, chroma_q, ref_opts);
-  const auto cr_ref = jpeg::encode_plane_reference(planes.cr, chroma_q, ref_opts);
-  EXPECT_EQ(jpeg::serialize(c.y), jpeg::serialize(y_ref));
-  EXPECT_EQ(jpeg::serialize(c.cb), jpeg::serialize(cb_ref));
-  EXPECT_EQ(jpeg::serialize(c.cr), jpeg::serialize(cr_ref));
-
-  jpeg::YCbCrPlanes rec;
-  rec.y = jpeg::decode_plane_reference(y_ref, luma_q, ref_opts);
-  rec.cb = jpeg::decode_plane_reference(cb_ref, chroma_q, ref_opts);
-  rec.cr = jpeg::decode_plane_reference(cr_ref, chroma_q, ref_opts);
-  EXPECT_EQ(jpeg::decode_color(c, opts).pixels(), jpeg::ycbcr420_to_rgb(rec).pixels());
-}
-
 TEST(AppBatch, JpegRejectsUmulWithoutMul) {
   // umul feeds only the *_reference paths; the engine refuses to ignore it.
   const auto img = jpeg::synthetic_cameraman(32);
@@ -364,8 +336,6 @@ TEST(AppBatch, JpegRejectsUmulWithoutMul) {
   const auto c = jpeg::encode(img, jpeg::CodecOptions{});
   EXPECT_THROW((void)jpeg::decode(c, umul_only), std::invalid_argument);
   EXPECT_THROW((void)jpeg::roundtrip(img, umul_only), std::invalid_argument);
-  EXPECT_THROW((void)jpeg::encode_color(jpeg::synthetic_color_scene(32), umul_only),
-               std::invalid_argument);
 }
 
 TEST(AppBatch, MlpBatchMatchesScalarPredictions) {

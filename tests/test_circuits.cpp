@@ -66,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "realm:m=4,t=9", "implm", "drum:k=8", "drum:k=4", "ssm:m=10",
                       "ssm:m=8", "essm:m=8", "am1:nb=13", "am1:nb=5", "am2:nb=9",
                       "intalp:l=1", "intalp:l=2", "udm", "trunc:drop=12",
-                      "calm:adder=1", "calm:adder=2"));
+                      "calm:adder=1"));
 
 TEST(Circuits, EquivalenceAtOtherWidths) {
   num::Xoshiro256 rng{0xD00Du};
