@@ -17,7 +17,6 @@
 //     extraction (Sobel), neural inference (MLP on two-moons), and FP
 //     multiplication with an approximate mantissa core — per design.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,27 +37,9 @@
 #include "realm/obs/metrics_sink.hpp"
 
 using namespace realm;
+using bench::best_seconds;
 
 namespace {
-
-// Best-of-N wall-clock seconds for one invocation of fn (see bench_exhaustive).
-template <typename Fn>
-double measure_seconds(Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  double best = 1e300;
-  double elapsed = 0.0;
-  int reps = 0;
-  do {
-    const auto t0 = clock::now();
-    fn();
-    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
-    best = std::min(best, dt);
-    elapsed += dt;
-    ++reps;
-  } while ((elapsed < 0.5 || reps < 3) && reps < 64);
-  return best;
-}
 
 void require(bool ok, const char* what) {
   if (!ok) {
@@ -107,13 +88,13 @@ int main(int argc, char** argv) {
   require(d_ref.pixels() == d_bt.pixels(), "JPEG pixels: threaded != single-thread batch");
 
   const double t_enc_ref =
-      measure_seconds([&] { (void)jpeg::encode_plane_reference(limg, qtable, ref_opts); });
-  const double t_enc_b1 = measure_seconds([&] { (void)jpeg::encode(limg, b1_opts); });
-  const double t_enc_bt = measure_seconds([&] { (void)jpeg::encode(limg, bt_opts); });
+      best_seconds([&] { (void)jpeg::encode_plane_reference(limg, qtable, ref_opts); });
+  const double t_enc_b1 = best_seconds([&] { (void)jpeg::encode(limg, b1_opts); });
+  const double t_enc_bt = best_seconds([&] { (void)jpeg::encode(limg, bt_opts); });
   const double t_dec_ref =
-      measure_seconds([&] { (void)jpeg::decode_plane_reference(c_ref, qtable, ref_opts); });
-  const double t_dec_b1 = measure_seconds([&] { (void)jpeg::decode(c_ref, b1_opts); });
-  const double t_dec_bt = measure_seconds([&] { (void)jpeg::decode(c_ref, bt_opts); });
+      best_seconds([&] { (void)jpeg::decode_plane_reference(c_ref, qtable, ref_opts); });
+  const double t_dec_b1 = best_seconds([&] { (void)jpeg::decode(c_ref, b1_opts); });
+  const double t_dec_bt = best_seconds([&] { (void)jpeg::decode(c_ref, bt_opts); });
   const double mpix = 1e-6 * limg.width() * limg.height();
 
   std::printf("batched application engine ladder — %s, %dx%d, --threads=%d\n",
@@ -149,8 +130,9 @@ int main(int argc, char** argv) {
             "MLP predictions: batched != scalar reference");
   }
   const double t_nn_ref =
-      measure_seconds([&] { (void)nn::accuracy_fixed_reference(qnet, test, lf); });
-  const double t_nn_b = measure_seconds([&] { (void)nn::accuracy_fixed_batch(qnet, test, *lmul); });
+      best_seconds([&] { (void)nn::accuracy_fixed_reference(qnet, test, lf); });
+  const double t_nn_b =
+      best_seconds([&] { (void)nn::accuracy_fixed_batch(qnet, test, *lmul); });
   row("mlp inference batched", t_nn_ref, t_nn_b);
   sink.metric("nn_speedup_batched_vs_scalar", t_nn_ref / t_nn_b);
 
@@ -163,11 +145,11 @@ int main(int argc, char** argv) {
   const auto sob_b = dsp::sobel_batch(dimg, *lmul);
   require(sob_s.pixels() == sob_b.pixels(), "sobel pixels: batched != scalar reference");
   const double t_blur_ref =
-      measure_seconds([&] { (void)dsp::gaussian_blur_reference(dimg, 1.5, lf); });
+      best_seconds([&] { (void)dsp::gaussian_blur_reference(dimg, 1.5, lf); });
   const double t_blur_b =
-      measure_seconds([&] { (void)dsp::gaussian_blur_batch(dimg, 1.5, *lmul); });
-  const double t_sob_ref = measure_seconds([&] { (void)dsp::sobel_reference(dimg, lf); });
-  const double t_sob_b = measure_seconds([&] { (void)dsp::sobel_batch(dimg, *lmul); });
+      best_seconds([&] { (void)dsp::gaussian_blur_batch(dimg, 1.5, *lmul); });
+  const double t_sob_ref = best_seconds([&] { (void)dsp::sobel_reference(dimg, lf); });
+  const double t_sob_b = best_seconds([&] { (void)dsp::sobel_batch(dimg, *lmul); });
   row("gaussian blur batched", t_blur_ref, t_blur_b);
   row("sobel batched", t_sob_ref, t_sob_b);
   sink.metric("dsp_blur_speedup_batched_vs_scalar", t_blur_ref / t_blur_b);

@@ -4,6 +4,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -221,6 +223,28 @@ inline void write_outputs(const Args& args, const obs::MetricsSink& sink,
     std::printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n",
                 args.trace_path.c_str());
   }
+}
+
+/// Best-of wall-clock seconds for one call of fn: a warm-up call (pages in
+/// code, spins up pool workers, fills caches), then repetitions until 0.5 s
+/// and 3 repetitions have passed or `max_reps` have run.  The minimum rather
+/// than the mean: external noise on a shared machine only ever slows a run.
+template <typename Fn>
+double best_seconds(Fn&& fn, int max_reps = 64) {
+  using clock = std::chrono::steady_clock;
+  fn();
+  double best = 1e300;
+  double elapsed = 0.0;
+  int reps = 0;
+  do {
+    const auto t0 = clock::now();
+    fn();
+    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
+    best = std::min(best, dt);
+    elapsed += dt;
+    ++reps;
+  } while ((elapsed < 0.5 || reps < 3) && reps < max_reps);
+  return best;
 }
 
 inline void print_rule(int width = 118) {

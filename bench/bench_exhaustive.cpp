@@ -24,7 +24,6 @@
 // [0, N-1], default min(2^width, 4096)), --threads=N, --json/--store/--resume.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,27 +37,9 @@
 #include "realm/obs/metrics_sink.hpp"
 
 using namespace realm;
+using bench::best_seconds;
 
 namespace {
-
-// Best-of-N wall-clock throughput (pairs/second); see bench_table1_errors.
-template <typename Fn>
-double measure_pps(std::uint64_t pairs, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up
-  double best = 1e300;
-  double elapsed = 0.0;
-  int reps = 0;
-  do {
-    const auto t0 = clock::now();
-    fn();
-    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
-    best = std::min(best, dt);
-    elapsed += dt;
-    ++reps;
-  } while ((elapsed < 0.5 || reps < 3) && reps < 64);
-  return static_cast<double>(pairs) / best;
-}
 
 bool metrics_identical(const err::ErrorMetrics& x, const err::ErrorMetrics& y) {
   return x.bias == y.bias && x.mean == y.mean && x.variance == y.variance &&
@@ -141,7 +122,7 @@ int main(int argc, char** argv) {
       b_iota(err::kBatchPairs);
   volatile std::uint64_t guard = 0;  // keep the product live
 
-  const double scalar_pps = measure_pps(ladder_pairs, [&] {
+  const double scalar_pps = static_cast<double>(ladder_pairs) / best_seconds([&] {
     std::uint64_t acc = 0;
     for (const std::uint64_t a : rows) {
       for (std::uint64_t b = 0; b < cols; ++b) acc ^= model->multiply(a, b);
@@ -149,7 +130,7 @@ int main(int argc, char** argv) {
     guard = acc;
   });
 
-  const double generic_pps = measure_pps(ladder_pairs, [&] {
+  const double generic_pps = static_cast<double>(ladder_pairs) / best_seconds([&] {
     for (const std::uint64_t a : rows) {
       std::uint64_t b = 0;
       while (b < cols) {
@@ -166,7 +147,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  const double row_pps = measure_pps(ladder_pairs, [&] {
+  const double row_pps = static_cast<double>(ladder_pairs) / best_seconds([&] {
     for (const std::uint64_t a : rows) {
       model->multiply_row_range(a, 0, out.data(), cols);
       guard = out[cols - 1];
@@ -184,10 +165,10 @@ int main(int argc, char** argv) {
 
   // --- engine level: tiled vs generic-batched reference --------------------
   const std::uint64_t engine_pairs = rows_cap * rows_cap;
-  const double engine_generic_pps = measure_pps(engine_pairs, [&] {
+  const double engine_generic_pps = static_cast<double>(engine_pairs) / best_seconds([&] {
     (void)err::exhaustive_generic_reference(*model, 0, sq_hi, args.threads);
   });
-  const double engine_tiled_pps = measure_pps(engine_pairs, [&] {
+  const double engine_tiled_pps = static_cast<double>(engine_pairs) / best_seconds([&] {
     (void)err::exhaustive_report(*model, nullptr, 0, sq_hi, args.threads);
   });
 

@@ -5,8 +5,6 @@
 // reference, and writes bench_out/BENCH_gate_sim.json so CI tracks the perf
 // trajectory next to BENCH_eval_engine.json.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -19,28 +17,12 @@
 #include "realm/obs/metrics_sink.hpp"
 
 using namespace realm;
+using bench::best_seconds;
 
 namespace {
 
-// Best-of-N wall time of fn in seconds (minimum over repetitions: external
-// noise only ever slows a run down).
-template <typename Fn>
-double measure_seconds(Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up: page in code, spin up pool workers
-  double best = 1e300;
-  double elapsed = 0.0;
-  int reps = 0;
-  do {
-    const auto t0 = clock::now();
-    fn();
-    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
-    best = std::min(best, dt);
-    elapsed += dt;
-    ++reps;
-  } while ((elapsed < 0.5 || reps < 3) && reps < 32);
-  return best;
-}
+// Repetition cap for best_seconds (the other benches keep its default).
+constexpr int kMaxReps = 32;
 
 bool reports_identical(const hw::PowerReport& a, const hw::PowerReport& b) {
   return a.dynamic == b.dynamic && a.leakage == b.leakage;
@@ -78,11 +60,11 @@ int main(int argc, char** argv) {
 
   const double cyc = static_cast<double>(args.cycles);
   const double power_scalar =
-      cyc / measure_seconds([&] { (void)hw::estimate_power_reference(mod, p1); });
+      cyc / best_seconds([&] { (void)hw::estimate_power_reference(mod, p1); }, kMaxReps);
   const double power_packed_1t =
-      cyc / measure_seconds([&] { (void)hw::estimate_power(mod, p1); });
+      cyc / best_seconds([&] { (void)hw::estimate_power(mod, p1); }, kMaxReps);
   const double power_packed_nt =
-      cyc / measure_seconds([&] { (void)hw::estimate_power(mod, pn); });
+      cyc / best_seconds([&] { (void)hw::estimate_power(mod, pn); }, kMaxReps);
 
   std::printf("\npower sweep (%u cycles):\n", args.cycles);
   std::printf("  scalar reference: %10.0f cycles/s\n", power_scalar);
@@ -102,15 +84,15 @@ int main(int argc, char** argv) {
   const bool fault_identical = reports_identical(fault_scalar_report, fault_packed_report);
 
   const double sites = static_cast<double>(fault_scalar_report.sites_analyzed);
-  const double fault_scalar = sites / measure_seconds([&] {
+  const double fault_scalar = sites / best_seconds([&] {
     (void)hw::analyze_fault_impact_reference(mod, vectors, 0xFA, max_sites);
-  });
-  const double fault_packed_1t = sites / measure_seconds([&] {
+  }, kMaxReps);
+  const double fault_packed_1t = sites / best_seconds([&] {
     (void)hw::analyze_fault_impact(mod, vectors, 0xFA, max_sites, 1);
-  });
-  const double fault_packed_nt = sites / measure_seconds([&] {
+  }, kMaxReps);
+  const double fault_packed_nt = sites / best_seconds([&] {
     (void)hw::analyze_fault_impact(mod, vectors, 0xFA, max_sites, nt);
-  });
+  }, kMaxReps);
 
   std::printf("\nfault campaign (%zu sites, %d vectors/site):\n",
               fault_scalar_report.sites_analyzed, vectors);
@@ -126,9 +108,9 @@ int main(int argc, char** argv) {
   const auto model8 = mult::make_multiplier("realm:m=4,t=0", 8);
   const auto equiv = hw::check_exhaustive_vs_model(mod8, *model8, nt);
   const double equiv_pairs = static_cast<double>(equiv.pairs_checked);
-  const double equiv_pps = equiv_pairs / measure_seconds([&] {
+  const double equiv_pps = equiv_pairs / best_seconds([&] {
     (void)hw::check_exhaustive_vs_model(mod8, *model8, nt);
-  });
+  }, kMaxReps);
   std::printf("\nexhaustive 8x8 equivalence (realm:m=4,t=0): %llu pairs, %s, %.1f Mpairs/s\n",
               static_cast<unsigned long long>(equiv.pairs_checked),
               equiv.equivalent() ? "equivalent" : "MISMATCH", equiv_pps / 1e6);

@@ -7,8 +7,6 @@
 // multi-threaded) and writes the measurements to
 // bench_out/BENCH_eval_engine.json so CI tracks the perf trajectory.
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -22,31 +20,9 @@
 #include "realm/obs/metrics_sink.hpp"
 
 using namespace realm;
+using bench::best_seconds;
 
 namespace {
-
-// Times fn (which evaluates `samples` pairs per call), repeating until the
-// measurement window is long enough to be stable; returns samples/second of
-// the best repetition.  Best-of (peak throughput) rather than mean: external
-// noise on a shared machine only ever slows a run down, so the minimum rep
-// time is the stable estimator.
-template <typename Fn>
-double measure_sps(std::uint64_t samples, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warm-up: page in code, spin up pool workers, fill the LUT cache
-  double best = 1e300;
-  double elapsed = 0.0;
-  int reps = 0;
-  do {
-    const auto t0 = clock::now();
-    fn();
-    const double dt = std::chrono::duration<double>(clock::now() - t0).count();
-    best = std::min(best, dt);
-    elapsed += dt;
-    ++reps;
-  } while ((elapsed < 0.5 || reps < 3) && reps < 64);
-  return static_cast<double>(samples) / best;
-}
 
 void bench_eval_engine(std::uint64_t samples, int threads, obs::MetricsSink& sink) {
   const char* spec = "realm:m=16,t=0";  // REALM16, the paper's headline config
@@ -61,12 +37,13 @@ void bench_eval_engine(std::uint64_t samples, int threads, obs::MetricsSink& sin
   err::MonteCarloOptions on = o1;
   on.threads = nt;
 
+  const double s = static_cast<double>(samples);
   const double scalar_1t =
-      measure_sps(samples, [&] { (void)err::monte_carlo_scalar_reference(*model, o1); });
+      s / best_seconds([&] { (void)err::monte_carlo_scalar_reference(*model, o1); });
   const double scalar_nt =
-      measure_sps(samples, [&] { (void)err::monte_carlo_scalar_reference(*model, on); });
-  const double batched_1t = measure_sps(samples, [&] { (void)err::monte_carlo(*model, o1); });
-  const double batched_nt = measure_sps(samples, [&] { (void)err::monte_carlo(*model, on); });
+      s / best_seconds([&] { (void)err::monte_carlo_scalar_reference(*model, on); });
+  const double batched_1t = s / best_seconds([&] { (void)err::monte_carlo(*model, o1); });
+  const double batched_nt = s / best_seconds([&] { (void)err::monte_carlo(*model, on); });
 
   std::printf("\nevaluation engine, %s, %llu samples:\n", spec,
               static_cast<unsigned long long>(samples));

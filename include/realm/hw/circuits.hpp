@@ -72,9 +72,9 @@ struct LogMultOptions {
 /// Constant-correction truncated multiplier.
 [[nodiscard]] Module build_truncated(int n, int drop);
 
-/// Spec-string dispatch mirroring mult::make_multiplier(), so error and
-/// synthesis benches iterate the same design set.  The returned module is
-/// pruned (dead gates removed).
+/// Spec-string dispatch over the design table of mult::parse_spec(), which
+/// mult::make_multiplier() reads too, so a spec names one configuration for
+/// model and netlist.  The returned module is pruned (dead gates removed).
 [[nodiscard]] Module build_circuit(const std::string& spec, int n = 16);
 
 /// Same dispatch without the final prune (for netlist-construction tests).

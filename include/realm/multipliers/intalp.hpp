@@ -10,9 +10,10 @@
 // a +12.5 % peak — the IntALP (L=1) row of Table I.
 //
 // Level 2 adds a least-squares plane correction of the level-1 residual per
-// (x, y) MSB quadrant; the coefficients are derived at construction by the
-// numeric substrate and quantized, making the error double-sided and small
-// at the cost of wider selection/mux logic (why its resource gain is poor).
+// (x, y) MSB quadrant, making the error double-sided and small at the cost
+// of wider selection/mux logic (why its resource gain is poor).
+// residual_planes() derives and quantizes the coefficients once per process;
+// the model and hw::build_intalp both read that one table.
 
 #pragma once
 
@@ -40,12 +41,18 @@ class IntAlpMultiplier final : public Multiplier {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
- private:
-  struct Policy;
+  /// Fraction bits of the residual-plane coefficients.
+  static constexpr int kCoeffBits = 10;
+  /// One plane ax·x + ay·y + c over the Q(w) fractions x, y of the operands.
   struct Plane {
     std::int64_t ax, ay, c;  // Q(kCoeffBits) fixed-point coefficients
   };
-  static constexpr int kCoeffBits = 10;
+  /// The level-2 residual planes, indexed by quadrant qx*2 + qy (the MSBs
+  /// of x and y).  They do not depend on the operand width.
+  [[nodiscard]] static const std::array<Plane, 4>& residual_planes();
+
+ private:
+  struct Policy;
 
   int n_;
   int level_;

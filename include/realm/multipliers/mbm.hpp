@@ -33,8 +33,9 @@ class MbmMultiplier final : public Multiplier {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
-  /// Quantized correction in units of 2^-q (round-to-nearest of 1/12).
-  [[nodiscard]] std::uint32_t correction_units() const noexcept { return corr_units_; }
+  /// The correction quantized to q fraction bits, in units of 2^-q
+  /// (round-to-nearest of 1/12); hw::build_log_multiplier reads it too.
+  [[nodiscard]] static std::uint32_t correction_units(int q);
 
  private:
   struct Policy;

@@ -28,20 +28,17 @@
 
 namespace realm::mult {
 
-/// A parsed spec: lower-cased design name plus integer parameters.
+/// A parsed spec: lower-cased design name plus every parameter of that
+/// design, with the defaults filled in for the keys the spec omits.
 struct SpecParams {
   std::string design;
   std::map<std::string, int> params;
-
-  /// Parameter value or `fallback` when absent.
-  [[nodiscard]] int get(const std::string& key, int fallback) const;
-  /// Parameter value; throws std::invalid_argument when absent.
-  [[nodiscard]] int require(const std::string& key) const;
 };
 
-/// Parses "design:key=value,key=value" (shared by the behavioral factory and
-/// the circuit builders, so both sides agree on the design set).  Each value
-/// must be a whole decimal int; throws std::invalid_argument otherwise.
+/// Parses "design:key=value,key=value" against the one table of designs, keys
+/// and defaults shared by the behavioral factory and the circuit builders.
+/// Throws std::invalid_argument for an unknown design, an unknown, repeated or
+/// missing key, or a value that is not one whole decimal int in range.
 [[nodiscard]] SpecParams parse_spec(const std::string& spec);
 
 /// Parses a spec string and constructs the design for n-bit operands.

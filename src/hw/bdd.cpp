@@ -13,6 +13,24 @@ std::uint64_t pack3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   return (a << 42) | (b << 21) | c;
 }
 
+// The function of gate g as a Shannon expansion over its first `pins_left`
+// pins, the last of them outermost, with the cell's truth table at the
+// leaves; bit i of `assigned` is the value chosen for pin i.  For the mux
+// this is ite(sel, d1, d0).
+BddManager::Ref cell_bdd(BddManager& mgr, const Gate& g,
+                         const std::vector<BddManager::Ref>& net_fn, int pins_left,
+                         unsigned assigned) {
+  if (pins_left == 0) {
+    const unsigned v = gate_value(g.kind, assigned & 1u, (assigned >> 1) & 1u,
+                                  (assigned >> 2) & 1u);
+    return (v & 1u) != 0 ? BddManager::kTrue : BddManager::kFalse;
+  }
+  const int p = pins_left - 1;
+  const BddManager::Ref hi = cell_bdd(mgr, g, net_fn, p, assigned | (1u << p));
+  const BddManager::Ref lo = cell_bdd(mgr, g, net_fn, p, assigned);
+  return mgr.ite(net_fn[g.in[static_cast<std::size_t>(p)]], hi, lo);
+}
+
 }  // namespace
 
 BddManager::BddManager(std::size_t node_limit) : node_limit_{node_limit} {
@@ -129,22 +147,7 @@ ModuleBdds build_bdds(BddManager& mgr, const Module& module) {
   out.num_vars = next_var;
 
   for (const Gate& g : module.gates()) {
-    const BddManager::Ref a = net_fn[g.in[0]];
-    const BddManager::Ref b = net_fn[g.in[1]];
-    const BddManager::Ref c = net_fn[g.in[2]];
-    BddManager::Ref r = BddManager::kFalse;
-    switch (g.kind) {
-      case GateKind::kInv: r = mgr.bdd_not(a); break;
-      case GateKind::kBuf: r = a; break;
-      case GateKind::kAnd2: r = mgr.bdd_and(a, b); break;
-      case GateKind::kOr2: r = mgr.bdd_or(a, b); break;
-      case GateKind::kNand2: r = mgr.bdd_not(mgr.bdd_and(a, b)); break;
-      case GateKind::kNor2: r = mgr.bdd_not(mgr.bdd_or(a, b)); break;
-      case GateKind::kXor2: r = mgr.bdd_xor(a, b); break;
-      case GateKind::kXnor2: r = mgr.bdd_not(mgr.bdd_xor(a, b)); break;
-      case GateKind::kMux2: r = mgr.ite(c, b, a); break;
-    }
-    net_fn[g.out] = r;
+    net_fn[g.out] = cell_bdd(mgr, g, net_fn, cell_spec(g.kind).fanin, 0);
   }
 
   for (const auto& port : module.outputs()) {

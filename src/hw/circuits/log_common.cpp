@@ -51,6 +51,24 @@ Bus final_scale(Module& m, const Bus& significand, const Bus& ksum, int f,
   return mux_bus(m, use_right, shifted_left, shifted_right);
 }
 
+Bus add_correction(Module& m, const Bus& frac, const Bus& s_units, NetId c_of, int q) {
+  const int f = static_cast<int>(frac.size());
+  // In 2^-(q+1) units s is s_units shifted left by one, so the s vs s>>1
+  // mux is pure wiring plus per-bit 2:1 muxes.
+  const int q1 = q + 1;
+  const Bus s_full = resize(concat(Bus{kConst0}, s_units), q1);  // units << 1
+  const Bus s_half = resize(s_units, q1);                          // units
+  const Bus s_sel = mux_bus(m, c_of, s_full, s_half);
+  Bus s_aligned;
+  if (f >= q1) {
+    s_aligned = concat(Bus(static_cast<std::size_t>(f - q1), kConst0), s_sel);
+  } else {
+    s_aligned = slice(s_sel, q1 - 1, q1 - f);
+  }
+  return ripple_add(m, resize(concat(frac, Bus{kConst1}), f + 2),
+                    resize(s_aligned, f + 2)).sum;
+}
+
 Bus gate_bus(Module& m, const Bus& bus, NetId enable) {
   Bus out(bus.size());
   for (std::size_t i = 0; i < bus.size(); ++i) out[i] = m.and2(bus[i], enable);

@@ -23,6 +23,13 @@ struct LogOperand {
 [[nodiscard]] Bus final_scale(Module& m, const Bus& significand, const Bus& ksum,
                               int f, int out_width);
 
+/// REALM's correction stage (Eq. 13), and MBM's as its one-segment case:
+/// the significand 1.frac plus s = s_units · 2^-q when the fraction sum did
+/// not carry (c_of = 0) and s/2 when it did, aligned to the f = |frac|
+/// fraction bits.  Returns the f+2-bit significand.
+[[nodiscard]] Bus add_correction(Module& m, const Bus& frac, const Bus& s_units,
+                                 NetId c_of, int q);
+
 /// AND-mask every bit of `bus` with `enable` (zero-operand bypass).
 [[nodiscard]] Bus gate_bus(Module& m, const Bus& bus, NetId enable);
 

@@ -1,10 +1,9 @@
-#include <cmath>
 #include <stdexcept>
 
 #include "log_common.hpp"
-#include "realm/core/segment_factors.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
+#include "realm/multipliers/mbm.hpp"
 #include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
@@ -64,30 +63,13 @@ Module build_log_multiplier(const LogMultOptions& opts) {
   }
 
   // Significand = (1.frac), plus MBM's quantized 1/12 correction when
-  // enabled (s or s>>1 selected by the fraction carry, Eq. 13 with M = 1).
-  Bus significand = concat(frac, Bus{kConst1});  // f+1 bits
+  // enabled: REALM's correction stage with one segment (Eq. 13, M = 1),
+  // whose constant mux folds to wires and inverters of c_of.
+  Bus significand = resize(concat(frac, Bus{kConst1}), f + 2);
   if (opts.mbm_correction) {
-    const auto units = static_cast<std::uint64_t>(
-        std::lround(core::mbm_correction() * std::ldexp(1.0, opts.q)));
-    const int q1 = opts.q + 1;
-    // Value in 2^-(q+1) units: 2·units when no carry, units when carry —
-    // a constant 2:1 mux that folds to wires/inverters of c_of.
-    Bus s_sel(static_cast<std::size_t>(q1));
-    for (int i = 0; i < q1; ++i) {
-      const NetId hi = ((units << 1 >> i) & 1u) ? kConst1 : kConst0;
-      const NetId lo = ((units >> i) & 1u) ? kConst1 : kConst0;
-      s_sel[static_cast<std::size_t>(i)] = m.mux(c_of, hi, lo);
-    }
-    Bus s_aligned;
-    if (f >= q1) {
-      s_aligned = concat(Bus(static_cast<std::size_t>(f - q1), kConst0), s_sel);
-    } else {
-      s_aligned = slice(s_sel, q1 - 1, q1 - f);
-    }
-    significand = ripple_add(m, resize(significand, f + 2),
-                             resize(s_aligned, f + 2)).sum;
-  } else {
-    significand = resize(significand, f + 2);
+    const Bus units =
+        m.constant(mult::MbmMultiplier::correction_units(opts.q), opts.q + 1);
+    significand = detail::add_correction(m, frac, units, c_of, opts.q);
   }
 
   // Characteristic sum (+ fraction carry).

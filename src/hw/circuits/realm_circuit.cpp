@@ -46,24 +46,7 @@ Module build_realm(const core::RealmConfig& cfg) {
 
   std::vector<std::uint64_t> entries(lut.all_units().begin(), lut.all_units().end());
   const Bus s_raw = constant_lut(m, sel, entries, lut.stored_bits());
-
-  // s vs s>>1 (Eq. 13): in 2^-(q+1) units, s is the raw value shifted left
-  // by one — the mux is pure wiring plus per-bit 2:1 muxes.
-  const int q1 = cfg.q + 1;
-  Bus s_full = resize(concat(Bus{kConst0}, s_raw), q1);   // units << 1
-  Bus s_half = resize(s_raw, q1);                         // units
-  const Bus s_sel = mux_bus(m, c_of, s_full, s_half);
-
-  Bus s_aligned;
-  if (f >= q1) {
-    s_aligned = concat(Bus(static_cast<std::size_t>(f - q1), kConst0), s_sel);
-  } else {
-    s_aligned = slice(s_sel, q1 - 1, q1 - f);
-  }
-
-  const Bus significand =
-      ripple_add(m, resize(concat(frac, Bus{kConst1}), f + 2),
-                 resize(s_aligned, f + 2)).sum;
+  const Bus significand = detail::add_correction(m, frac, s_raw, c_of, cfg.q);
 
   const Bus kbus = ripple_add(m, kraw, Bus{c_of}).sum;
 

@@ -2,11 +2,11 @@
 // constant-correction truncated multiplier.
 
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
+#include "realm/multipliers/udm.hpp"
 #include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
@@ -63,21 +63,11 @@ Module build_udm(int n) {
 }
 
 Module build_truncated(int n, int drop) {
-  if (n < 2 || n > 31) throw std::invalid_argument("build_truncated: N in [2, 31]");
-  if (drop < 0 || drop >= 2 * n) throw std::invalid_argument("build_truncated: drop");
+  // The model checks n and drop and owns the correction constant.
+  const std::uint64_t corr = mult::TruncatedMultiplier{n, drop}.correction();
   Module m{"trunc" + std::to_string(n) + "_d" + std::to_string(drop)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
-
-  // Correction constant must match the behavioral model exactly.
-  double expected = 0.0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i + j < drop) expected += 0.25 * std::ldexp(1.0, i + j);
-    }
-  }
-  const auto corr =
-      static_cast<std::uint64_t>(std::llround(expected / std::ldexp(1.0, drop)));
 
   std::vector<std::vector<NetId>> columns(static_cast<std::size_t>(2 * n));
   for (int i = 0; i < n; ++i) {

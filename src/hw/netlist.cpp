@@ -8,7 +8,11 @@ namespace realm::hw {
 namespace {
 
 bool is_const(NetId n) { return n == kConst0 || n == kConst1; }
-bool cval(NetId n) { return n == kConst1; }
+
+// Output of a 1- or 2-input cell for one-bit pin values, from its truth table.
+unsigned cell_bit(GateKind kind, unsigned a, unsigned b) {
+  return gate_value(kind, a, b, 0u) & 1u;
+}
 
 }  // namespace
 
@@ -55,79 +59,35 @@ NetId Module::gate(GateKind kind, NetId a, NetId b, NetId c) {
 
   // Constant folding / algebraic simplification.  Only identities that a
   // synthesis tool applies unconditionally; no sharing analysis.
-  switch (kind) {
-    case GateKind::kInv:
-      if (is_const(a)) return cval(a) ? kConst0 : kConst1;
-      break;
-    case GateKind::kBuf:
-      if (is_const(a)) return a;
-      break;
-    case GateKind::kAnd2:
-      if (a == kConst0 || b == kConst0) return kConst0;
-      if (a == kConst1) return b;
-      if (b == kConst1) return a;
-      if (a == b) return a;
-      break;
-    case GateKind::kOr2:
-      if (a == kConst1 || b == kConst1) return kConst1;
-      if (a == kConst0) return b;
-      if (b == kConst0) return a;
-      if (a == b) return a;
-      break;
-    case GateKind::kNand2:
-      if (a == kConst0 || b == kConst0) return kConst1;
-      if (a == kConst1) return inv(b);
-      if (b == kConst1) return inv(a);
-      if (a == b) return inv(a);
-      break;
-    case GateKind::kNor2:
-      if (a == kConst1 || b == kConst1) return kConst0;
-      if (a == kConst0) return inv(b);
-      if (b == kConst0) return inv(a);
-      if (a == b) return inv(a);
-      break;
-    case GateKind::kXor2:
-      if (a == b) return kConst0;
-      if (a == kConst0) return b;
-      if (b == kConst0) return a;
-      if (a == kConst1) return inv(b);
-      if (b == kConst1) return inv(a);
-      break;
-    case GateKind::kXnor2:
-      if (a == b) return kConst1;
-      if (a == kConst0) return inv(b);
-      if (b == kConst0) return inv(a);
-      if (a == kConst1) return b;
-      if (b == kConst1) return a;
-      break;
-    case GateKind::kMux2:
-      // (d0=a, d1=b, sel=c)
-      if (c == kConst0) return a;
-      if (c == kConst1) return b;
-      if (a == b) return a;
-      if (a == kConst0 && b == kConst1) return c;
-      if (a == kConst1 && b == kConst0) return inv(c);
-      // mux(s, 0, d1) = and(s, d1); mux(s, d0, 1) = or(~s ? ... ) etc.
-      if (a == kConst0) return and2(c, b);
-      if (b == kConst0) return and2(inv(c), a);
-      if (a == kConst1) return or2(inv(c), b);
-      if (b == kConst1) return or2(c, a);
-      break;
+  const int fanin = cell_spec(kind).fanin;
+  if (kind == GateKind::kMux2) {
+    // (d0=a, d1=b, sel=c)
+    if (c == kConst0) return a;
+    if (c == kConst1) return b;
+    if (a == b) return a;
+    if (a == kConst0 && b == kConst1) return c;
+    if (a == kConst1 && b == kConst0) return inv(c);
+    // mux(s, 0, d1) = and(s, d1), mux(s, d0, 1) = or(s, d0), and mirrors.
+    if (a == kConst0) return and2(c, b);
+    if (b == kConst0) return and2(inv(c), a);
+    if (a == kConst1) return or2(inv(c), b);
+    if (b == kConst1) return or2(c, a);
+  } else if (fanin == 1 ? is_const(a)
+                        : fanin == 2 && (is_const(a) || is_const(b) || a == b)) {
+    // The pins carry at most one non-constant net x, so the cell's truth
+    // table restricted to x is a rail, x, or ~x.  Wider cells are not folded.
+    const NetId x = is_const(a) ? b : a;
+    const auto f = [&](unsigned xv) {
+      const auto pin = [&](NetId n) { return is_const(n) ? unsigned{n == kConst1} : xv; };
+      return cell_bit(kind, pin(a), pin(b));
+    };
+    if (f(0) == f(1)) return f(0) != 0 ? kConst1 : kConst0;
+    return f(1) != 0 ? x : inv(x);
   }
 
   // Canonicalize commutative operand order so strash catches both forms.
-  switch (kind) {
-    case GateKind::kAnd2:
-    case GateKind::kOr2:
-    case GateKind::kNand2:
-    case GateKind::kNor2:
-    case GateKind::kXor2:
-    case GateKind::kXnor2:
-      if (a > b) std::swap(a, b);
-      break;
-    default:
-      break;
-  }
+  const bool commutative = fanin == 2 && cell_bit(kind, 0, 1) == cell_bit(kind, 1, 0);
+  if (commutative && a > b) std::swap(a, b);
   const std::uint64_t key = (static_cast<std::uint64_t>(kind) << 60) |
                             (static_cast<std::uint64_t>(a) << 40) |
                             (static_cast<std::uint64_t>(b) << 20) |

@@ -89,16 +89,15 @@ struct IntAlpMultiplier::Policy {
   }
 };
 
-IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
-  if (n < 3 || n > 24) throw std::invalid_argument("IntAlpMultiplier: N in [3, 24]");
-  if (level != 1 && level != 2) throw std::invalid_argument("IntAlpMultiplier: level 1 or 2");
-  if (level_ == 2) {
-    // Residual of level 1, fitted per (x, y) MSB quadrant and quantized.
-    // The residual is symmetric in (x, y), so the off-diagonal quadrant
-    // reuses the mirrored coefficients — this keeps the quantized design
-    // commutative (independent rounding could differ by an LSB).
+const std::array<IntAlpMultiplier::Plane, 4>& IntAlpMultiplier::residual_planes() {
+  // Residual of level 1, fitted per (x, y) MSB quadrant and quantized.  The
+  // residual is symmetric in (x, y), so the off-diagonal quadrant reuses the
+  // mirrored coefficients — this keeps the quantized design commutative
+  // (independent rounding could differ by an LSB).
+  static const std::array<Plane, 4> planes = [] {
     const auto residual = [](double x, double y) { return x * y - level1_plane(x, y); };
     const double scale = std::ldexp(1.0, kCoeffBits);
+    std::array<Plane, 4> out{};
     for (int qx = 0; qx < 2; ++qx) {
       for (int qy = 0; qy <= qx; ++qy) {
         const auto p = fit_plane(residual, 0.5 * qx, 0.5 * (qx + 1), 0.5 * qy,
@@ -106,12 +105,19 @@ IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
         const Plane plane{static_cast<std::int64_t>(std::lround(p[0] * scale)),
                           static_cast<std::int64_t>(std::lround(p[1] * scale)),
                           static_cast<std::int64_t>(std::lround(p[2] * scale))};
-        quadrant_planes_[static_cast<std::size_t>(qx * 2 + qy)] = plane;
-        quadrant_planes_[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax,
-                                                                   plane.c};
+        out[static_cast<std::size_t>(qx * 2 + qy)] = plane;
+        out[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax, plane.c};
       }
     }
-  }
+    return out;
+  }();
+  return planes;
+}
+
+IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
+  if (n < 3 || n > 24) throw std::invalid_argument("IntAlpMultiplier: N in [3, 24]");
+  if (level != 1 && level != 2) throw std::invalid_argument("IntAlpMultiplier: level 1 or 2");
+  if (level_ == 2) quadrant_planes_ = residual_planes();
 }
 
 REALM_DATAPATH_ENTRY_POINTS(IntAlpMultiplier)

@@ -40,12 +40,16 @@ struct MbmMultiplier::Policy {
   }
 };
 
-MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_units_{0} {
+std::uint32_t MbmMultiplier::correction_units(int q) {
+  return static_cast<std::uint32_t>(
+      std::lround(core::mbm_correction() * std::ldexp(1.0, q)));
+}
+
+MbmMultiplier::MbmMultiplier(int n, int t, int q)
+    : n_{n}, t_{t}, q_{q}, corr_units_{correction_units(q)} {
   if (n < 2 || n > 31) throw std::invalid_argument("MbmMultiplier: N in [2, 31]");
   if (t < 0 || t > n - 2) throw std::invalid_argument("MbmMultiplier: t in [0, N-2]");
   if (q < 3) throw std::invalid_argument("MbmMultiplier: q >= 3");
-  corr_units_ =
-      static_cast<std::uint32_t>(std::lround(core::mbm_correction() * std::ldexp(1.0, q_)));
 }
 
 REALM_DATAPATH_ENTRY_POINTS(MbmMultiplier)

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "realm/core/realm_multiplier.hpp"
 #include "realm/multipliers/accurate.hpp"
@@ -20,30 +23,59 @@
 
 namespace realm::mult {
 
-int SpecParams::get(const std::string& key, int fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
+namespace {
+
+struct Param {
+  std::string_view key;
+  std::optional<int> fallback = std::nullopt;  // default; none: key required
+  // Values outside [lo, hi] are rejected here; the constructors check the
+  // ranges that depend on the operand width.
+  int lo = std::numeric_limits<int>::min();
+  int hi = std::numeric_limits<int>::max();
+};
+
+// Every design's parameters and their defaults, for make_multiplier and
+// hw::build_circuit alike; neither keeps a default of its own.
+const std::map<std::string, std::vector<Param>, std::less<>>& design_params() {
+  static const std::map<std::string, std::vector<Param>, std::less<>> table{
+      {"accurate", {}},
+      {"calm", {{"t", 0}, {"adder", 0, 0, 1}}},  // adder: 0 ripple, 1 Kogge-Stone
+      {"mitchell", {{"t", 0}, {"adder", 0, 0, 1}}},
+      {"realm", {{"m", 16}, {"t", 0}, {"q", 6}, {"mse", 0}}},
+      {"mbm", {{"t", 0}, {"q", 6}}},
+      {"alm-soa", {{"m"}}},
+      {"alm-maa", {{"m"}}},
+      {"implm", {}},
+      {"drum", {{"k"}}},
+      {"ssm", {{"m"}}},
+      {"essm", {{"m"}}},
+      {"am1", {{"nb"}}},
+      {"am2", {{"nb"}}},
+      {"intalp", {{"l", 2}}},
+      {"udm", {}},
+      {"trunc", {{"drop"}}},
+  };
+  return table;
 }
 
-int SpecParams::require(const std::string& key) const {
-  const auto it = params.find(key);
-  if (it == params.end()) {
-    throw std::invalid_argument("spec: design '" + design + "' requires parameter '" +
-                                key + "'");
-  }
-  return it->second;
-}
+}  // namespace
 
 SpecParams parse_spec(const std::string& spec) {
-  SpecParams out;
-  const auto colon = spec.find(':');
-  out.design = spec.substr(0, colon);
-  std::transform(out.design.begin(), out.design.end(), out.design.begin(),
+  // Design names and keys are case-insensitive; values are digits.
+  std::string text = spec;
+  std::transform(text.begin(), text.end(), text.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (colon == std::string::npos) return out;
+  SpecParams out;
+  const auto colon = text.find(':');
+  out.design = text.substr(0, colon);
+  const auto design = design_params().find(out.design);
+  if (design == design_params().end()) {
+    throw std::invalid_argument("spec: unknown design '" + out.design + "'");
+  }
+  const std::vector<Param>& params = design->second;
 
-  std::string rest = spec.substr(colon + 1);
   // ';' is accepted as a parameter separator so CSV-safe specs round-trip.
+  std::string rest = colon == std::string::npos ? "" : text.substr(colon + 1);
   std::replace(rest.begin(), rest.end(), ';', ',');
   std::size_t pos = 0;
   while (pos < rest.size()) {
@@ -52,69 +84,78 @@ SpecParams parse_spec(const std::string& spec) {
         rest.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("make_multiplier: malformed parameter in '" + spec + "'");
+      throw std::invalid_argument("spec: malformed parameter in '" + spec + "'");
     }
-    std::string key = kv.substr(0, eq);
-    std::transform(key.begin(), key.end(), key.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+    const std::string key = kv.substr(0, eq);
+    const auto param = std::find_if(params.begin(), params.end(),
+                                    [&](const Param& p) { return p.key == key; });
+    if (param == params.end()) {
+      throw std::invalid_argument("spec: design '" + out.design + "' has no parameter '" +
+                                  key + "'");
+    }
     // The whole value must be one in-range int ("16x" is not 16); any other
     // value is a malformed spec, so callers see std::invalid_argument.
     const char* first = kv.data() + eq + 1;
     const char* last = kv.data() + kv.size();
     int value = 0;
     const auto [end, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || end != last) {
-      throw std::invalid_argument("make_multiplier: bad value for '" + key + "' in '" +
-                                  spec + "'");
+    if (ec != std::errc{} || end != last || value < param->lo || value > param->hi) {
+      throw std::invalid_argument("spec: bad value for '" + key + "' in '" + spec + "'");
     }
-    out.params[key] = value;
+    if (!out.params.emplace(key, value).second) {
+      throw std::invalid_argument("spec: '" + key + "' repeated in '" + spec + "'");
+    }
     pos = comma == std::string::npos ? rest.size() : comma + 1;
+  }
+  for (const Param& p : params) {
+    const std::string key{p.key};
+    if (out.params.contains(key)) continue;
+    if (!p.fallback) {
+      throw std::invalid_argument("spec: design '" + out.design +
+                                  "' requires parameter '" + key + "'");
+    }
+    out.params.emplace(key, *p.fallback);
   }
   return out;
 }
 
 std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
   const SpecParams s = parse_spec(spec);
+  const auto& p = s.params;
   if (s.design == "accurate") return std::make_unique<AccurateMultiplier>(n);
   if (s.design == "calm" || s.design == "mitchell") {
-    return std::make_unique<MitchellMultiplier>(n, s.get("t", 0));
+    return std::make_unique<MitchellMultiplier>(n, p.at("t"));
   }
   if (s.design == "realm") {
     core::RealmConfig cfg;
     cfg.n = n;
-    cfg.m = s.get("m", 16);
-    cfg.t = s.get("t", 0);
-    cfg.q = s.get("q", 6);
-    cfg.formulation = s.get("mse", 0) != 0 ? core::Formulation::kMeanSquareError
-                                           : core::Formulation::kMeanRelativeError;
+    cfg.m = p.at("m");
+    cfg.t = p.at("t");
+    cfg.q = p.at("q");
+    cfg.formulation = p.at("mse") != 0 ? core::Formulation::kMeanSquareError
+                                       : core::Formulation::kMeanRelativeError;
     return std::make_unique<core::RealmMultiplier>(cfg);
   }
-  if (s.design == "mbm") {
-    return std::make_unique<MbmMultiplier>(n, s.get("t", 0), s.get("q", 6));
-  }
+  if (s.design == "mbm") return std::make_unique<MbmMultiplier>(n, p.at("t"), p.at("q"));
   if (s.design == "alm-soa") {
-    return std::make_unique<AlmMultiplier>(n, s.require("m"), AlmAdder::kSetOne);
+    return std::make_unique<AlmMultiplier>(n, p.at("m"), AlmAdder::kSetOne);
   }
   if (s.design == "alm-maa") {
-    return std::make_unique<AlmMultiplier>(n, s.require("m"), AlmAdder::kLowerOr);
+    return std::make_unique<AlmMultiplier>(n, p.at("m"), AlmAdder::kLowerOr);
   }
   if (s.design == "implm") return std::make_unique<ImplmMultiplier>(n);
-  if (s.design == "drum") return std::make_unique<DrumMultiplier>(n, s.require("k"));
-  if (s.design == "ssm") return std::make_unique<SsmMultiplier>(n, s.require("m"));
-  if (s.design == "essm") return std::make_unique<EssmMultiplier>(n, s.require("m"));
+  if (s.design == "drum") return std::make_unique<DrumMultiplier>(n, p.at("k"));
+  if (s.design == "ssm") return std::make_unique<SsmMultiplier>(n, p.at("m"));
+  if (s.design == "essm") return std::make_unique<EssmMultiplier>(n, p.at("m"));
   if (s.design == "am1") {
-    return std::make_unique<AmMultiplier>(n, s.require("nb"), AmVariant::kAm1);
+    return std::make_unique<AmMultiplier>(n, p.at("nb"), AmVariant::kAm1);
   }
   if (s.design == "am2") {
-    return std::make_unique<AmMultiplier>(n, s.require("nb"), AmVariant::kAm2);
+    return std::make_unique<AmMultiplier>(n, p.at("nb"), AmVariant::kAm2);
   }
-  if (s.design == "intalp") {
-    return std::make_unique<IntAlpMultiplier>(n, s.get("l", 2));
-  }
+  if (s.design == "intalp") return std::make_unique<IntAlpMultiplier>(n, p.at("l"));
   if (s.design == "udm") return std::make_unique<UdmMultiplier>(n);
-  if (s.design == "trunc") {
-    return std::make_unique<TruncatedMultiplier>(n, s.require("drop"));
-  }
+  if (s.design == "trunc") return std::make_unique<TruncatedMultiplier>(n, p.at("drop"));
   throw std::invalid_argument("make_multiplier: unknown design '" + s.design + "'");
 }
 

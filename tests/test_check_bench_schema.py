@@ -99,6 +99,20 @@ class CheckBenchSchemaTest(unittest.TestCase):
             out = self.assert_exit(1, f"--catalog={self.catalog_path}", path)
             self.assertIn(f"counters missing {name!r}", out)
 
+    def test_extra_catalog_name_fails_and_names_it(self):
+        def edit(d):
+            d["counters"]["no_such_counter"] = 0
+            d["gauges"]["no_such_gauge"] = 1
+            d["value_histograms"]["no_such_histogram"] = (
+                d["value_histograms"][self.catalog["value_histograms"][0]])
+
+        out = self.assert_exit(1, f"--catalog={self.catalog_path}",
+                               self.variant("extra_names.json", edit))
+        for section, name in (("counters", "no_such_counter"),
+                              ("gauges", "no_such_gauge"),
+                              ("value_histograms", "no_such_histogram")):
+            self.assertIn(f"{section} has {name!r}, which the catalog lacks", out)
+
     def test_missing_gauge_and_value_histogram_fail(self):
         gauge = self.catalog["gauges"][0]
         vhist = self.catalog["value_histograms"][0]

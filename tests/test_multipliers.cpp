@@ -1,12 +1,15 @@
 #include "realm/multipliers/registry.hpp"
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "realm/error/monte_carlo.hpp"
+#include "realm/hw/circuits.hpp"
 #include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/drum.hpp"
 #include "realm/multipliers/mitchell.hpp"
@@ -278,8 +281,21 @@ TEST(Registry, ParameterValuesParseStrictly) {
   EXPECT_THROW((void)mult::parse_spec("realm:m=99999999999"), std::invalid_argument);
   EXPECT_THROW((void)mult::parse_spec("realm:m="), std::invalid_argument);
   EXPECT_THROW((void)mult::parse_spec("realm:m= 16"), std::invalid_argument);
-  EXPECT_EQ(mult::parse_spec("realm:m=16,t=-1").get("t", 0), -1);
-  EXPECT_EQ(mult::parse_spec("realm:m=2147483647").get("m", 0), 2147483647);
+  EXPECT_EQ(mult::parse_spec("realm:m=16,t=-1").params.at("t"), -1);
+  EXPECT_EQ(mult::parse_spec("realm:m=2147483647").params.at("m"), 2147483647);
+  // Omitted keys take the design's defaults.
+  EXPECT_EQ(mult::parse_spec("realm:t=3").params,
+            (std::map<std::string, int>{{"m", 16}, {"mse", 0}, {"q", 6}, {"t", 3}}));
+  // An unknown, repeated, missing or out-of-range key is rejected by the
+  // model factory and the circuit builder alike, so no typo silently builds
+  // another configuration.
+  for (const char* spec :
+       {"realm:mm=8", "drum:k=6,bogus=1", "accurate:t=3", "calm:adder=7", "calm:adder=-1",
+        "realm:t=1,t=2", "realm:m=8,M=4", "drum", "nosuch:k=1"}) {
+    EXPECT_THROW((void)mult::parse_spec(spec), std::invalid_argument) << spec;
+    EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
+    EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
+  }
 }
 
 TEST(Registry, Table1CoversThePaperRowCount) {

@@ -566,7 +566,11 @@ TEST(NetServer, MalformedSpecParameterIsBadRequest) {
                    multiply_body("realm:m=99999999999", 16, {5}, {5}));
   ASSERT_EQ(r.type, MsgType::kReplyError);
   EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
-  r = c.call(MsgType::kMultiplyBatch, 2, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
+  // A misspelt key is rejected too, not answered with the default design.
+  r = c.call(MsgType::kMultiplyBatch, 2, multiply_body("realm:mm=8", 16, {5}, {5}));
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  r = c.call(MsgType::kMultiplyBatch, 3, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
   EXPECT_EQ(r.type, MsgType::kReplyOk);
 }
 

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "realm/hw/simulator.hpp"
@@ -58,17 +59,52 @@ TEST(Netlist, GateValueTruthTable) {
   }
 }
 
+// Every 1- and 2-input cell folds once its pins carry at most one distinct
+// non-constant net x (none for a 1-input cell).  Each string holds the
+// expected result per pin pattern: '0'/'1' a rail, 'x' the net itself, '~'
+// one new inverter of x, 'g' one new gate of the kind on x.
 TEST(Netlist, ConstantFoldingIdentities) {
+  enum Pin { k0, k1, kX };
+  constexpr std::array<std::pair<Pin, Pin>, 9> kPatterns{{{k0, kX}, {kX, k0}, {k1, kX},
+                                                          {kX, k1}, {kX, kX}, {k0, k0},
+                                                          {k0, k1}, {k1, k0}, {k1, k1}}};
+  constexpr std::array<std::pair<GateKind, const char*>, 8> kFolds{{
+      {GateKind::kInv, "10g"},  // one pin: 0, 1, x
+      {GateKind::kBuf, "01g"},
+      {GateKind::kAnd2, "00xxx0001"},
+      {GateKind::kOr2, "xx11x0111"},
+      {GateKind::kNand2, "11~~~1110"},
+      {GateKind::kNor2, "~~00~1000"},
+      {GateKind::kXor2, "xx~~00110"},
+      {GateKind::kXnor2, "~~xx11001"},
+  }};
+  for (const auto& [kind, expect] : kFolds) {
+    const bool unary = cell_spec(kind).fanin == 1;
+    for (std::size_t i = 0; expect[i] != '\0'; ++i) {
+      Module m{"t"};
+      const NetId x = m.add_input("x", 1)[0];
+      const auto net = [x](Pin p) { return p == k0 ? kConst0 : p == k1 ? kConst1 : x; };
+      const auto [pa, pb] = kPatterns[i];
+      const NetId out = unary ? m.gate(kind, net(static_cast<Pin>(i)))
+                              : m.gate(kind, net(pa), net(pb));
+      const std::string where = std::string{cell_spec(kind).name} + " pattern " +
+                                std::to_string(i);
+      const char e = expect[i];
+      if (e == '~' || e == 'g') {
+        ASSERT_EQ(m.gates().size(), 1u) << where;
+        const Gate& g = m.gates()[0];
+        EXPECT_EQ(g.out, out) << where;
+        EXPECT_EQ(g.kind, e == '~' ? GateKind::kInv : kind) << where;
+        EXPECT_EQ(g.in[0], x) << where;
+      } else {
+        EXPECT_EQ(out, e == '0' ? kConst0 : e == '1' ? kConst1 : x) << where;
+        EXPECT_EQ(m.gates().size(), 0u) << where;
+      }
+    }
+  }
+
   Module m{"t"};
   const auto a = m.add_input("a", 1)[0];
-  EXPECT_EQ(m.and2(a, kConst0), kConst0);
-  EXPECT_EQ(m.and2(a, kConst1), a);
-  EXPECT_EQ(m.and2(a, a), a);
-  EXPECT_EQ(m.or2(a, kConst1), kConst1);
-  EXPECT_EQ(m.or2(a, kConst0), a);
-  EXPECT_EQ(m.xor2(a, a), kConst0);
-  EXPECT_EQ(m.xor2(a, kConst0), a);
-  EXPECT_EQ(m.xnor2(a, a), kConst1);
   EXPECT_EQ(m.mux(kConst0, a, kConst1), a);
   EXPECT_EQ(m.mux(kConst1, a, kConst1), kConst1);
   EXPECT_EQ(m.mux(a, kConst0, kConst1), a);  // mux(s,0,1) = s

@@ -15,8 +15,9 @@ Schema mode accepts two file kinds:
     (host/commit/hw_threads), `metrics`, `counters`, `gauges`, `spans`
     (per-span count/total/mean/min/max/p50/p95/p99 in µs plus a bucket
     array), `value_histograms` and a `timeline` list of sampler snapshots.
-    Every counter, gauge and value-histogram name of the metric catalog must
-    be present.  Any `slo_*_w<N>_count` metric that is nonzero must come with
+    The counter, gauge and value-histogram names must be exactly those of
+    the metric catalog: none missing, none the catalog lacks.  Any
+    `slo_*_w<N>_count` metric that is nonzero must come with
     its `slo_*_w<N>_p99_us` metric (realm_top snapshots carry these).
   * trace_*.json: Chrome trace-event exports; must hold a non-empty
     `traceEvents` list whose complete ("X") events carry name/ts/dur/pid/tid.
@@ -132,7 +133,7 @@ def check_histogram(name, entry, fields, buckets_expected, problems):
 
 
 def check_catalog_section(doc, section, catalog, problems):
-    """The `section` object must exist and hold every catalog name."""
+    """The `section` object must exist and hold exactly the catalog names."""
     entries = doc.get(section)
     if not isinstance(entries, dict):
         problems.append(f"missing {section!r} object")
@@ -140,6 +141,9 @@ def check_catalog_section(doc, section, catalog, problems):
     for name in catalog[section]:
         if name not in entries:
             problems.append(f"{section} missing {name!r}")
+    for name in entries:
+        if name not in catalog[section]:
+            problems.append(f"{section} has {name!r}, which the catalog lacks")
     return entries
 
 
