@@ -26,6 +26,10 @@
 
 #include "realm/multiplier.hpp"
 
+namespace realm::core {
+struct RealmConfig;
+}  // namespace realm::core
+
 namespace realm::mult {
 
 /// A parsed spec: lower-cased design name plus every parameter of that
@@ -40,6 +44,10 @@ struct SpecParams {
 /// Throws std::invalid_argument for an unknown design, an unknown, repeated or
 /// missing key, or a value that is not one whole decimal int in range.
 [[nodiscard]] SpecParams parse_spec(const std::string& spec);
+
+/// The REALM configuration of a parsed "realm" spec for n-bit operands,
+/// shared by make_multiplier and hw::build_circuit.
+[[nodiscard]] core::RealmConfig realm_config(const SpecParams& spec, int n);
 
 /// Parses a spec string and constructs the design for n-bit operands.
 /// Throws std::invalid_argument on unknown designs, malformed specs, or

@@ -42,16 +42,7 @@ Module build_circuit_unpruned(const std::string& spec, int n) {
                                            : mult::AlmAdder::kLowerOr;
     return build_log_multiplier(o);
   }
-  if (s.design == "realm") {
-    core::RealmConfig cfg;
-    cfg.n = n;
-    cfg.m = p.at("m");
-    cfg.t = p.at("t");
-    cfg.q = p.at("q");
-    cfg.formulation = p.at("mse") != 0 ? core::Formulation::kMeanSquareError
-                                       : core::Formulation::kMeanRelativeError;
-    return build_realm(cfg);
-  }
+  if (s.design == "realm") return build_realm(mult::realm_config(s, n));
   if (s.design == "implm") return build_implm(n);
   if (s.design == "drum") return build_drum(n, p.at("k"));
   if (s.design == "ssm") return build_ssm(n, p.at("m"));

@@ -11,6 +11,7 @@ namespace realm::hw {
 Module build_log_multiplier(const LogMultOptions& opts) {
   const int n = opts.n;
   if (n < 2 || n > 31) throw std::invalid_argument("build_log_multiplier: N in [2, 31]");
+  if (opts.t < 0) throw std::invalid_argument("build_log_multiplier: t must be >= 0");
   const int f = n - 1 - opts.t;
   if (f < 1) throw std::invalid_argument("build_log_multiplier: t too large");
   if (opts.approx_adder_bits < 0 || opts.approx_adder_bits > f) {

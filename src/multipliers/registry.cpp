@@ -28,32 +28,39 @@ namespace {
 struct Param {
   std::string_view key;
   std::optional<int> fallback = std::nullopt;  // default; none: key required
-  // Values outside [lo, hi] are rejected here; the constructors check the
-  // ranges that depend on the operand width.
+  // Values outside [lo, hi] are rejected here, so the model factory and the
+  // circuit builders see the same width-independent ranges; the
+  // constructors check the ranges that depend on the operand width.
   int lo = std::numeric_limits<int>::min();
   int hi = std::numeric_limits<int>::max();
 };
 
-// Every design's parameters and their defaults, for make_multiplier and
-// hw::build_circuit alike; neither keeps a default of its own.
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+// Every design's parameters, their defaults and their width-independent
+// ranges, for make_multiplier and hw::build_circuit alike; neither keeps a
+// default of its own.  q, the select width of the REALM LUT and of MBM's
+// correction table, is at least 3 bits.  The truncation t is checked where
+// its width-dependent upper bound is: in the constructors and the builders.
 const std::map<std::string, std::vector<Param>, std::less<>>& design_params() {
   static const std::map<std::string, std::vector<Param>, std::less<>> table{
       {"accurate", {}},
       {"calm", {{"t", 0}, {"adder", 0, 0, 1}}},  // adder: 0 ripple, 1 Kogge-Stone
       {"mitchell", {{"t", 0}, {"adder", 0, 0, 1}}},
-      {"realm", {{"m", 16}, {"t", 0}, {"q", 6}, {"mse", 0}}},
-      {"mbm", {{"t", 0}, {"q", 6}}},
-      {"alm-soa", {{"m"}}},
-      {"alm-maa", {{"m"}}},
+      {"realm",
+       {{"m", 16, 2, kIntMax}, {"t", 0}, {"q", 6, 3, kIntMax}, {"mse", 0, 0, 1}}},
+      {"mbm", {{"t", 0}, {"q", 6, 3, kIntMax}}},
+      {"alm-soa", {{"m", std::nullopt, 0, kIntMax}}},
+      {"alm-maa", {{"m", std::nullopt, 0, kIntMax}}},
       {"implm", {}},
-      {"drum", {{"k"}}},
-      {"ssm", {{"m"}}},
-      {"essm", {{"m"}}},
-      {"am1", {{"nb"}}},
-      {"am2", {{"nb"}}},
-      {"intalp", {{"l", 2}}},
+      {"drum", {{"k", std::nullopt, 3, kIntMax}}},
+      {"ssm", {{"m", std::nullopt, 1, kIntMax}}},
+      {"essm", {{"m", std::nullopt, 1, kIntMax}}},
+      {"am1", {{"nb", std::nullopt, 0, kIntMax}}},
+      {"am2", {{"nb", std::nullopt, 0, kIntMax}}},
+      {"intalp", {{"l", 2, 1, 2}}},
       {"udm", {}},
-      {"trunc", {{"drop"}}},
+      {"trunc", {{"drop", std::nullopt, 0, kIntMax}}},
   };
   return table;
 }
@@ -119,6 +126,18 @@ SpecParams parse_spec(const std::string& spec) {
   return out;
 }
 
+core::RealmConfig realm_config(const SpecParams& spec, int n) {
+  const auto& p = spec.params;
+  core::RealmConfig cfg;
+  cfg.n = n;
+  cfg.m = p.at("m");
+  cfg.t = p.at("t");
+  cfg.q = p.at("q");
+  cfg.formulation = p.at("mse") != 0 ? core::Formulation::kMeanSquareError
+                                     : core::Formulation::kMeanRelativeError;
+  return cfg;
+}
+
 std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
   const SpecParams s = parse_spec(spec);
   const auto& p = s.params;
@@ -127,14 +146,7 @@ std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
     return std::make_unique<MitchellMultiplier>(n, p.at("t"));
   }
   if (s.design == "realm") {
-    core::RealmConfig cfg;
-    cfg.n = n;
-    cfg.m = p.at("m");
-    cfg.t = p.at("t");
-    cfg.q = p.at("q");
-    cfg.formulation = p.at("mse") != 0 ? core::Formulation::kMeanSquareError
-                                       : core::Formulation::kMeanRelativeError;
-    return std::make_unique<core::RealmMultiplier>(cfg);
+    return std::make_unique<core::RealmMultiplier>(realm_config(s, n));
   }
   if (s.design == "mbm") return std::make_unique<MbmMultiplier>(n, p.at("t"), p.at("q"));
   if (s.design == "alm-soa") {
