@@ -41,10 +41,12 @@ struct CodecOptions {
   bool approximate_dequant = false;
   /// The design under test for the DCT, the IDCT and (with
   /// approximate_dequant) the dequantizer.  Every codec entry point runs the
-  /// batched panel engine on it: W blocks per multiply_row_batch call instead
-  /// of one virtual multiply per product, with the block passes sharded over
-  /// the persistent thread pool per `threads`.  nullptr = exact products.
-  /// Not owned; must outlive the call.
+  /// panel engine on it: encode() and decode() each build one DctProducts
+  /// table of the design (7 multiply_row_range calls) and the transforms read
+  /// every product from it, with the block passes sharded over the
+  /// persistent thread pool per `threads`.  Its width must be at least 16
+  /// (std::invalid_argument otherwise).  nullptr = exact products.  Not
+  /// owned; must outlive the call.
   const Multiplier* mul = nullptr;
   /// Parallelism of the panel engine's block shards (1 = serial, 0 or
   /// negative = all hardware threads).  Encoded bytes and decoded pixels are

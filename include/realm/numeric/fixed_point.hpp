@@ -13,9 +13,10 @@
 //   * num::signed_mul — one product per call through a UMulFn; the scalar
 //     reference that the bit-identity oracles (the JPEG reference codec and
 //     the test-support DSP/MLP oracles) are written against.
-//   * num::signed_row_batch — the engine every application runs: one fixed
-//     operand times a span, lowered onto a Multiplier's devirtualized
-//     multiply_row_batch kernel.  Bit-identical to a signed_mul loop by
+//   * num::signed_row_batch — the engine of the MLP, the FIR/Sobel filters
+//     and the approximate dequantizer: one fixed operand times a span,
+//     lowered onto a Multiplier's devirtualized multiply_row_batch
+//     kernel.  Bit-identical to a signed_mul loop by
 //     construction: same magnitude decomposition, same unsigned products
 //     (the Multiplier batch contract), same sign re-application.
 
@@ -50,9 +51,11 @@ using UMulFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 /// Fixed-operand signed row product: out[i] = signed_mul(a_fixed, b[i]) for
 /// i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
 /// data-dependent work (LOD, log fraction, segment row) is hoisted out of
-/// the loop once.  This is the application datapath's dominant shape: one
-/// DCT coefficient times a lane of pixels, one weight times a lane of
-/// activations, one FIR tap times an image row.  `out` must not alias `b`.
+/// the loop once.  This is the shape of the fixed-operand applications:
+/// one weight times a lane of activations, one FIR tap times an image row,
+/// one quantizer constant times a lane of levels.  (The DCT panels read
+/// their products from a jpeg::DctProducts table instead.)  `out` must not
+/// alias `b`.
 void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul);
 

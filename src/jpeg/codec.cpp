@@ -311,6 +311,10 @@ Compressed encode(const Image& img, const CodecOptions& opts) {
   const std::size_t bw = width / 8;
   const std::size_t n_blocks = bw * static_cast<std::size_t>(img.height() / 8);
   std::vector<std::int16_t> levels(n_blocks * 64);
+  const DctProducts products = [&] {
+    REALM_TRACE_SCOPE("jpeg/encode/products");
+    return DctProducts{mul};
+  }();
   {
     REALM_TRACE_SCOPE("jpeg/encode/transform_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -331,7 +335,7 @@ Compressed encode(const Image& img, const CodecOptions& opts) {
               }
             }
           }
-          fdct_panel(panel, coeffs, nb, mul);
+          fdct_panel(panel, coeffs, nb, products);
           quantize_panel(coeffs, qtable, levels.data() + b0 * 64, nb);
         });
   }
@@ -374,6 +378,10 @@ Image decode(const Compressed& c, const CodecOptions& opts) {
   const std::size_t bw = width / 8;
   const std::size_t n_blocks = levels.size() / 64;
   const Multiplier* dq_mul = opts.approximate_dequant ? &mul : nullptr;
+  const DctProducts products = [&] {
+    REALM_TRACE_SCOPE("jpeg/decode/products");
+    return DctProducts{mul};
+  }();
   {
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -385,7 +393,7 @@ Image decode(const Compressed& c, const CodecOptions& opts) {
           std::int16_t coeffs[kCodecShardBlocks * 64];
           std::int16_t pixels[kCodecShardBlocks * 64];
           dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb, dq_mul);
-          idct_panel(coeffs, pixels, nb, mul);
+          idct_panel(coeffs, pixels, nb, products);
           check_shard_bounds(img, bw, b0 + nb - 1);
           std::uint8_t* px = img.pixels().data();
           for (std::size_t b = 0; b < nb; ++b) {

@@ -7,8 +7,8 @@
 namespace realm::mult {
 
 // Eq. 3: both branches collapse to (1.frac) · 2^(ka+kb+carry) because
-// x + y >= 1 means x + y = 1 + frac.  With f = 0 (t = N-1) the fractions are
-// 0, so the mask and the carry are 0 too.
+// x + y >= 1 means x + y = 1 + frac.  t <= N-2 leaves f >= 1 fraction bits,
+// as the netlist builder requires.
 struct MitchellMultiplier::Policy {
   static constexpr dp::Shape kShape = dp::Shape::kLog;
   std::uint64_t w, t, f, fmask;
@@ -30,7 +30,7 @@ struct MitchellMultiplier::Policy {
 
 MitchellMultiplier::MitchellMultiplier(int n, int t) : n_{n}, t_{t} {
   if (n < 2 || n > 31) throw std::invalid_argument("MitchellMultiplier: N in [2, 31]");
-  if (t < 0 || t > n - 1) throw std::invalid_argument("MitchellMultiplier: t in [0, N-1]");
+  if (t < 0 || t > n - 2) throw std::invalid_argument("MitchellMultiplier: t in [0, N-2]");
 }
 
 REALM_DATAPATH_ENTRY_POINTS(MitchellMultiplier)

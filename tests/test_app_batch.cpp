@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,22 +72,44 @@ std::vector<std::int16_t> full_range_blocks(std::size_t n_blocks, std::uint64_t 
   return v;
 }
 
-// Forwarding Multiplier that counts the row batches an engine issues.
-class RowBatchCounter final : public Multiplier {
+// Forwarding Multiplier that counts the kernel calls an engine issues and
+// records the operands of each row range.
+class KernelCallCounter final : public Multiplier {
  public:
-  explicit RowBatchCounter(const Multiplier& inner) : inner_{&inner} {}
+  struct RowRange {
+    std::uint64_t a_fixed, b0;
+    std::size_t n;
+  };
+
+  explicit KernelCallCounter(const Multiplier& inner) : inner_{&inner} {}
   std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
     return inner_->multiply(a, b);
   }
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
+                      std::size_t n) const override {
+    ++batch_calls;
+    inner_->multiply_batch(a, b, out, n);
+  }
   void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                           std::uint64_t* out, std::size_t n) const override {
-    ++calls;
+    ++row_batch_calls;
     inner_->multiply_row_batch(a_fixed, b, out, n);
+  }
+  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0, std::uint64_t* out,
+                          std::size_t n) const override {
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      row_ranges.push_back({a_fixed, b0, n});
+    }
+    inner_->multiply_row_range(a_fixed, b0, out, n);
   }
   std::string name() const override { return inner_->name(); }
   int width() const override { return inner_->width(); }
 
-  mutable std::size_t calls = 0;
+  mutable std::atomic<std::size_t> batch_calls{0};
+  mutable std::atomic<std::size_t> row_batch_calls{0};
+  mutable std::mutex mu_;  // guards row_ranges
+  mutable std::vector<RowRange> row_ranges;
 
  private:
   const Multiplier* inner_;
@@ -93,13 +118,15 @@ class RowBatchCounter final : public Multiplier {
 }  // namespace
 
 TEST(AppBatch, PanelFdctMatchesScalarReference) {
-  // 67 blocks crosses the 32-block panel boundary with a ragged tail.
-  const auto blocks = random_blocks(67, 0x5EED);
+  // 67 blocks crosses the 32-block panel boundary with a ragged tail.  One
+  // -32768 input makes the first pass read the table's last column, 2^15.
+  auto blocks = random_blocks(67, 0x5EED);
+  blocks[70] = -32768;
   for (const auto& spec : panel_specs()) {
     const auto mul = mult::make_multiplier(spec, 16);
     const auto f = mul->as_function();
     std::vector<std::int16_t> panel_out(blocks.size());
-    jpeg::fdct_panel(blocks.data(), panel_out.data(), 67, *mul);
+    jpeg::fdct_panel(blocks.data(), panel_out.data(), 67, jpeg::DctProducts{*mul});
     for (std::size_t b = 0; b < 67; ++b) {
       std::array<std::int16_t, 64> in{}, ref{};
       for (std::size_t i = 0; i < 64; ++i) in[i] = blocks[b * 64 + i];
@@ -117,13 +144,15 @@ TEST(AppBatch, PanelIdctMatchesScalarReference) {
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   const auto f = mul->as_function();
   std::vector<std::int16_t> coeffs(pixels.size());
-  jpeg::fdct_panel(pixels.data(), coeffs.data(), 33, *mul);
+  jpeg::fdct_panel(pixels.data(), coeffs.data(), 33, jpeg::DctProducts{*mul});
+  // A -32768 coefficient makes the first pass read the table's last column.
+  coeffs[64 + 9] = -32768;
 
   for (const auto& spec : panel_specs()) {
     const auto m = mult::make_multiplier(spec, 16);
     const auto mf = m->as_function();
     std::vector<std::int16_t> panel_out(coeffs.size());
-    jpeg::idct_panel(coeffs.data(), panel_out.data(), 33, *m);
+    jpeg::idct_panel(coeffs.data(), panel_out.data(), 33, jpeg::DctProducts{*m});
     for (std::size_t b = 0; b < 33; ++b) {
       std::array<std::int16_t, 64> in{}, ref{};
       for (std::size_t i = 0; i < 64; ++i) in[i] = coeffs[b * 64 + i];
@@ -143,12 +172,13 @@ TEST(AppBatch, PanelTransformsSaturateLikeTheScalarReference) {
   for (const auto& spec : panel_specs()) {
     const auto mul = mult::make_multiplier(spec, 16);
     const auto f = mul->as_function();
+    const jpeg::DctProducts products{*mul};
     for (const bool inverse : {false, true}) {
       std::vector<std::int16_t> panel_out(blocks.size());
       if (inverse) {
-        jpeg::idct_panel(blocks.data(), panel_out.data(), kBlocks, *mul);
+        jpeg::idct_panel(blocks.data(), panel_out.data(), kBlocks, products);
       } else {
-        jpeg::fdct_panel(blocks.data(), panel_out.data(), kBlocks, *mul);
+        jpeg::fdct_panel(blocks.data(), panel_out.data(), kBlocks, products);
       }
       bool hit_hi = false, hit_lo = false;
       for (std::size_t b = 0; b < kBlocks; ++b) {
@@ -172,27 +202,52 @@ TEST(AppBatch, PanelTransformsSaturateLikeTheScalarReference) {
   }
 }
 
-TEST(AppBatch, PanelIssuesOneRowBatchPerDistinctMagnitudePerTap) {
-  // A full 32-block panel runs two 1-D passes of 8 taps.  The Q12 matrix
-  // gives each forward tap 7 distinct |c| over its 8 outputs (2 x 56 = 112);
-  // in the inverse orientation the taps hold 1,4,2,4,1,4,2,4 (2 x 22 = 44).
-  const auto blocks = random_blocks(64, 0xCA11);
+TEST(AppBatch, DctProductsIssueOneRowRangePerMagnitude) {
+  // The table holds one row per distinct |c| of the Q12 matrix, each one
+  // row range over every 16-bit magnitude, and nothing else reaches the
+  // kernels.
   const auto inner = mult::make_multiplier("realm:m=16,t=8", 16);
-  std::vector<std::int16_t> out(blocks.size()), ref(blocks.size());
-  for (const std::size_t panels : {std::size_t{1}, std::size_t{2}}) {
-    const std::size_t n = panels * 32;
-    RowBatchCounter fwd{*inner};
-    jpeg::fdct_panel(blocks.data(), out.data(), n, fwd);
-    EXPECT_EQ(fwd.calls, panels * 112);
-    jpeg::fdct_panel(blocks.data(), ref.data(), n, *inner);
-    EXPECT_EQ(out, ref);
-
-    RowBatchCounter inv{*inner};
-    jpeg::idct_panel(blocks.data(), out.data(), n, inv);
-    EXPECT_EQ(inv.calls, panels * 44);
-    jpeg::idct_panel(blocks.data(), ref.data(), n, *inner);
-    EXPECT_EQ(out, ref);
+  KernelCallCounter counter{*inner};
+  const jpeg::DctProducts products{counter};
+  ASSERT_EQ(counter.row_ranges.size(), jpeg::DctProducts::kRows);
+  const std::array<std::uint64_t, 7> mags = {400, 784, 1138, 1448, 1703, 1892, 2009};
+  for (std::size_t r = 0; r < jpeg::DctProducts::kRows; ++r) {
+    EXPECT_EQ(jpeg::DctProducts::magnitude(r), mags[r]);
+    EXPECT_EQ(counter.row_ranges[r].a_fixed, mags[r]);
+    EXPECT_EQ(counter.row_ranges[r].b0, 0u);
+    EXPECT_EQ(counter.row_ranges[r].n, (std::size_t{1} << 15) + 1);
+    for (const std::uint64_t x : {0u, 1u, 255u, 32767u, 32768u}) {
+      EXPECT_EQ(products.row(r)[x], inner->multiply(mags[r], x)) << r << " x=" << x;
+    }
   }
+  EXPECT_EQ(counter.row_batch_calls, 0u);
+  EXPECT_EQ(counter.batch_calls, 0u);
+
+  // One encode() and one decode() build one table each, at any thread count.
+  const auto img = jpeg::synthetic_cameraman(64);
+  for (const int threads : {1, 4}) {
+    KernelCallCounter c{*inner};
+    jpeg::CodecOptions opts;
+    opts.mul = &c;
+    opts.threads = threads;
+    const auto compressed = jpeg::encode(img, opts);
+    EXPECT_EQ(c.row_ranges.size(), jpeg::DctProducts::kRows) << "threads=" << threads;
+    (void)jpeg::decode(compressed, opts);
+    EXPECT_EQ(c.row_ranges.size(), 2 * jpeg::DctProducts::kRows) << "threads=" << threads;
+    EXPECT_EQ(c.row_batch_calls, 0u) << "threads=" << threads;
+    EXPECT_EQ(c.batch_calls, 0u) << "threads=" << threads;
+  }
+}
+
+TEST(AppBatch, DctProductsRejectNarrowDesigns) {
+  // |x| reaches 2^15, so a 12-bit design cannot fill the table.
+  const auto narrow = mult::make_multiplier("realm:m=16,t=4", 12);
+  EXPECT_THROW(jpeg::DctProducts{*narrow}, std::invalid_argument);
+  const auto img = jpeg::synthetic_cameraman(32);
+  jpeg::CodecOptions opts;
+  opts.mul = narrow.get();
+  EXPECT_THROW((void)jpeg::encode(img, opts), std::invalid_argument);
+  EXPECT_THROW((void)jpeg::decode(jpeg::encode(img, {}), opts), std::invalid_argument);
 }
 
 TEST(AppBatch, QuantizePanelMatchesScalarForEveryDivisor) {

@@ -304,8 +304,10 @@ TEST(Registry, CircuitBuilderRejectsWhatTheModelRejects) {
   // q = 3 itself builds both.
   EXPECT_NO_THROW((void)mult::make_multiplier("mbm:q=3", 16));
   EXPECT_NO_THROW((void)hw::build_circuit("mbm:q=3", 8));
-  // A negative truncation parses; the constructors and builders reject it.
-  for (const char* spec : {"calm:t=-1", "mbm:t=-1", "realm:t=-1"}) {
+  // A truncation outside [0, N-2] parses; the constructors and builders
+  // reject it.
+  for (const char* spec :
+       {"calm:t=-1", "mbm:t=-1", "realm:t=-1", "calm:t=15", "mitchell:t=15"}) {
     EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
     EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
   }
