@@ -11,14 +11,14 @@
 //
 // The signed product exists twice, once per role:
 //   * num::signed_mul — one product per call through a UMulFn; the scalar
-//     reference that the bit-identity oracles (the JPEG reference codec and
-//     the test-support DSP/MLP oracles) are written against.
-//   * num::signed_row_batch — the engine of the MLP, the FIR/Sobel filters
-//     and the approximate dequantizer: one fixed operand times a span,
-//     lowered onto a Multiplier's devirtualized multiply_row_batch
-//     kernel.  Bit-identical to a signed_mul loop by
-//     construction: same magnitude decomposition, same unsigned products
-//     (the Multiplier batch contract), same sign re-application.
+//     reference that the JPEG reference codec is written against and that
+//     build_signed_circuit's netlist is checked against.
+//   * num::signed_row_batch — the engine of the approximate dequantizer:
+//     one fixed operand times a span, lowered onto a Multiplier's
+//     devirtualized multiply_row_batch kernel.  Bit-identical to a
+//     signed_mul loop by construction: same magnitude decomposition, same
+//     unsigned products (the Multiplier batch contract), same sign
+//     re-application.
 
 #pragma once
 
@@ -51,22 +51,15 @@ using UMulFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 /// Fixed-operand signed row product: out[i] = signed_mul(a_fixed, b[i]) for
 /// i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
 /// data-dependent work (LOD, log fraction, segment row) is hoisted out of
-/// the loop once.  This is the shape of the fixed-operand applications:
-/// one weight times a lane of activations, one FIR tap times an image row,
-/// one quantizer constant times a lane of levels.  (The DCT panels read
-/// their products from a jpeg::DctProducts table instead.)  `out` must not
+/// the loop once.  This is the shape of the approximate dequantizer: one
+/// quantizer constant times a lane of levels.  (The DCT panels read their
+/// products from a jpeg::DctProducts table instead.)  `out` must not
 /// alias `b`.
 void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul);
 
-/// Convert a double to Q(frac_bits) with round-to-nearest.
-[[nodiscard]] std::int32_t to_fx(double v, int frac_bits);
-
-/// Convert Q(frac_bits) back to double.
-[[nodiscard]] double from_fx(std::int32_t v, int frac_bits);
-
 /// Saturate to a signed n-bit range [-2^(n-1), 2^(n-1)-1].  Inline: the
-/// codec and MLP datapaths clamp every output through it.
+/// codec datapaths clamp every output through it.
 [[nodiscard]] inline std::int32_t sat_signed(std::int64_t v, int n) {
   assert(n >= 2 && n <= 32);
   const std::int64_t hi = (std::int64_t{1} << (n - 1)) - 1;

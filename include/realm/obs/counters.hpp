@@ -48,10 +48,6 @@
 //                       without a row-hoisted kernel)
 //   kDctBlocksBatched   8x8 blocks transformed by the panel DCT/IDCT engine
 //                       (forward + inverse; counted once per panel call)
-//   kNnMacsBatched      fixed-point MLP MACs issued through the batched
-//                       matvec path (products, counted once per forward)
-//   kDspTapsBatched     tap x pixel products issued through the batched
-//                       FIR/Sobel row engine (counted once per image)
 //   kNetAccepts         connections accepted by the serving event loop
 //   kNetRequests        request frames decoded and answered (any reply type)
 //   kNetBytesIn         bytes read from client sockets
@@ -101,8 +97,6 @@ enum class Counter : unsigned {
   kExhaustiveTiles,
   kRowFallbackBatches,
   kDctBlocksBatched,
-  kNnMacsBatched,
-  kDspTapsBatched,
   kNetAccepts,
   kNetRequests,
   kNetBytesIn,

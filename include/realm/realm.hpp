@@ -24,16 +24,13 @@
 #include "realm/campaign/record.hpp"
 #include "realm/campaign/result_store.hpp"
 #include "realm/campaign/runner.hpp"
-#include "realm/core/divider.hpp"
 #include "realm/core/lut.hpp"
 #include "realm/core/realm_multiplier.hpp"
 #include "realm/core/segment_factors.hpp"
 #include "realm/dse/pareto.hpp"
 #include "realm/dse/sweep.hpp"
-#include "realm/dsp/filter.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/error/profile.hpp"
-#include "realm/fp/float_multiplier.hpp"
 #include "realm/hw/bdd.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/cost_model.hpp"
@@ -45,4 +42,3 @@
 #include "realm/jpeg/synthetic.hpp"
 #include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
-#include "realm/nn/mlp.hpp"

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <climits>
-#include <cmath>
 #include <cstdlib>
 
 #include "realm/multiplier.hpp"
@@ -62,14 +61,6 @@ void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t*
     mul.multiply_row_batch(ua, ub, prod, len);
     apply_signs(prod, b + i0, a_neg, out + i0, len);
   }
-}
-
-std::int32_t to_fx(double v, int frac_bits) {
-  return static_cast<std::int32_t>(std::lround(v * std::ldexp(1.0, frac_bits)));
-}
-
-double from_fx(std::int32_t v, int frac_bits) {
-  return static_cast<double>(v) * std::ldexp(1.0, -frac_bits);
 }
 
 }  // namespace realm::num

@@ -40,8 +40,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kExhaustiveTiles: return "exhaustive_tiles";
     case Counter::kRowFallbackBatches: return "row_fallback_batches";
     case Counter::kDctBlocksBatched: return "dct_blocks_batched";
-    case Counter::kNnMacsBatched: return "nn_macs_batched";
-    case Counter::kDspTapsBatched: return "dsp_taps_batched";
     case Counter::kNetAccepts: return "net_accepts";
     case Counter::kNetRequests: return "net_requests";
     case Counter::kNetBytesIn: return "net_bytes_in";

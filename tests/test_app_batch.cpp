@@ -1,9 +1,7 @@
-// Bit-identity contract of the batched application engine (DESIGN.md §12):
-// the panel DCT/IDCT, the codec, the batched MLP matvec and the batched
-// FIR/Sobel filters must reproduce their scalar oracles exactly — same
-// bytes, same pixels, same predictions — for every multiplier design and
-// every thread count.  The JPEG oracles are the library's *_reference
-// paths; the DSP and MLP oracles come from the realm_test_support target.
+// Bit-identity contract of the batched JPEG engine (DESIGN.md §12): the
+// panel DCT/IDCT, the quantizer panels and the codec must reproduce the
+// library's scalar *_reference paths exactly — same bytes, same pixels —
+// for every multiplier design and every thread count.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "app_oracles.hpp"
-#include "realm/dsp/filter.hpp"
 #include "realm/jpeg/codec.hpp"
 #include "realm/jpeg/dct.hpp"
 #include "realm/jpeg/quality.hpp"
@@ -26,7 +22,6 @@
 #include "realm/jpeg/synthetic.hpp"
 #include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
-#include "realm/nn/mlp.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/obs/counters.hpp"
 
@@ -393,44 +388,6 @@ TEST(AppBatch, JpegRejectsUmulWithoutMul) {
   EXPECT_THROW((void)jpeg::roundtrip(img, umul_only), std::invalid_argument);
 }
 
-TEST(AppBatch, MlpBatchMatchesScalarPredictions) {
-  nn::Mlp net{{2, 8, 2}, 0xBEEF};
-  const auto train = nn::make_two_moons(200, 0.25, 0x11);
-  const auto test = nn::make_two_moons(300, 0.25, 0x22);
-  net.train(train, 20, 0.05);
-  const auto qnet = net.quantize(8);
-  for (const auto& spec : kSpecs) {
-    const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    const auto pred = nn::predict_fixed_batch(qnet, test.x, *mul);
-    ASSERT_EQ(pred.size(), test.x.size());
-    for (std::size_t i = 0; i < test.x.size(); ++i) {
-      ASSERT_EQ(pred[i], nn::predict_fixed_reference(qnet, test.x[i], f))
-          << spec << " i=" << i;
-    }
-    EXPECT_DOUBLE_EQ(nn::accuracy_fixed_batch(qnet, test, *mul),
-                     nn::accuracy_fixed_reference(qnet, test, f))
-        << spec;
-  }
-  // Empty batch is a no-op.
-  const auto mul = mult::make_multiplier("accurate", 16);
-  EXPECT_TRUE(nn::predict_fixed_batch(qnet, {}, *mul).empty());
-}
-
-TEST(AppBatch, FilterBatchMatchesScalarPixels) {
-  const auto img = jpeg::synthetic_cameraman(48);
-  for (const auto& spec : kSpecs) {
-    const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    const auto blur_s = dsp::gaussian_blur_reference(img, 1.5, f);
-    const auto blur_b = dsp::gaussian_blur_batch(img, 1.5, *mul);
-    EXPECT_EQ(blur_b.pixels(), blur_s.pixels()) << spec;
-    const auto sob_s = dsp::sobel_reference(img, f);
-    const auto sob_b = dsp::sobel_batch(img, *mul);
-    EXPECT_EQ(sob_b.pixels(), sob_s.pixels()) << spec;
-  }
-}
-
 TEST(AppBatch, BatchedPathsIncrementTheirCounters) {
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
 
@@ -443,17 +400,4 @@ TEST(AppBatch, BatchedPathsIncrementTheirCounters) {
   EXPECT_EQ(obs::counter_value(obs::Counter::kDctBlocksBatched), dct0 + 16);
   (void)jpeg::decode(c, opts);
   EXPECT_EQ(obs::counter_value(obs::Counter::kDctBlocksBatched), dct0 + 32);
-
-  nn::Mlp net{{2, 4, 2}, 0x77};
-  const auto qnet = net.quantize(8);
-  const auto xs = nn::make_two_moons(10, 0.25, 0x33).x;
-  const auto nn0 = obs::counter_value(obs::Counter::kNnMacsBatched);
-  (void)nn::predict_fixed_batch(qnet, xs, *mul);
-  // (2*4 + 4*2) MACs per sample, 10 samples.
-  EXPECT_EQ(obs::counter_value(obs::Counter::kNnMacsBatched), nn0 + 160);
-
-  const auto dsp0 = obs::counter_value(obs::Counter::kDspTapsBatched);
-  (void)dsp::sobel_batch(img, *mul);
-  // 12 nonzero Sobel taps (6 per gradient) x 32 pixels/row x 32 rows.
-  EXPECT_EQ(obs::counter_value(obs::Counter::kDspTapsBatched), dsp0 + 12 * 32 * 32);
 }

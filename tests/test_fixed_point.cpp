@@ -43,12 +43,6 @@ TEST(FixedPoint, SignedMulRoutesThroughProvidedMultiplier) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(FixedPoint, ToFromFxRoundTrip) {
-  for (const double v : {0.0, 0.25, -0.25, 1.999, -3.125}) {
-    EXPECT_NEAR(num::from_fx(num::to_fx(v, 12), 12), v, 1.0 / (1 << 12));
-  }
-}
-
 TEST(FixedPoint, SatSignedClampsToRange) {
   EXPECT_EQ(num::sat_signed(40000, 16), 32767);
   EXPECT_EQ(num::sat_signed(-40000, 16), -32768);

@@ -1,13 +1,11 @@
 // Cross-cutting odds and ends: behaviors that matter to users but belong to
 // no single module suite.
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
-#include "realm/core/divider.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/error/render.hpp"
 #include "realm/jpeg/codec.hpp"
@@ -56,29 +54,6 @@ TEST(Misc, JpegQualityKnobIsMonotoneInPsnrAndSize) {
     prev_psnr = p;
     prev_size = c.size_bytes();
   }
-}
-
-TEST(Misc, DividerQuantizedLutMatchesTheExactTable) {
-  const core::RealmDivider div{{.n = 16, .m = 4, .q = 6}};
-  const auto exact = core::division_factor_table(4);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(div.lut_units()[static_cast<std::size_t>(i * 4 + j)],
-                static_cast<std::uint32_t>(
-                    std::lround(exact[static_cast<std::size_t>(i * 4 + j)] * 64.0)));
-    }
-  }
-}
-
-TEST(Misc, MitchellDividerHandComputedBranches) {
-  const core::MitchellDivider div{16};
-  // x >= y: 12/5 -> ka=3 x=0.5, kb=2 y=0.25: 2^1(1+0.25) = 2.5 -> 2.
-  EXPECT_EQ(div.divide(12, 5), 2u);
-  // x < y branch: 8/6 -> ka=3 x=0, kb=2 y=0.5: 2^(3-2-1)·(2+0-0.5) = 1.5 -> 1
-  // (exact 1.33; the overestimate then floors back to the true quotient).
-  EXPECT_EQ(div.divide(8, 6), 1u);
-  // Large same-fraction quotient is exact: 49152/192 = 256.
-  EXPECT_EQ(div.divide(49152, 192), 256u);
 }
 
 TEST(Misc, ProfilePpmEncodesSignInColor) {

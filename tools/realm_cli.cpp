@@ -12,7 +12,6 @@
 #include <string>
 
 #include "realm/campaign/record.hpp"
-#include "realm/core/divider.hpp"
 #include "realm/core/error_analysis.hpp"
 #include "realm/error/render.hpp"
 #include "realm/net/client.hpp"
@@ -127,21 +126,6 @@ int cmd_jpeg(int argc, char** argv) {
   const auto rec = jpeg::decode(c, opts);
   std::printf("%s: PSNR %.2f dB, %zu bytes\n", model->name().c_str(),
               jpeg::psnr(img, rec), c.size_bytes());
-  return 0;
-}
-
-int cmd_divide(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const std::uint64_t a = cli::parse_u64_flag("a", argv[2], 0, 65535);
-  const std::uint64_t b = cli::parse_u64_flag("b", argv[3], 0, 65535);
-  const int m = int_arg(argc, argv, 4, "M", 8, 2, 1024);
-  const core::MitchellDivider mitchell{16};
-  const core::RealmDivider rdiv{{.n = 16, .m = m, .q = 6}};
-  const double exact = b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-  std::printf("exact:    %.4f\nMitchell: %llu\n%s: %llu\n", exact,
-              static_cast<unsigned long long>(mitchell.divide(a, b)),
-              rdiv.name().c_str(),
-              static_cast<unsigned long long>(rdiv.divide(a, b)));
   return 0;
 }
 
@@ -286,7 +270,6 @@ int main(int argc, char** argv) {
     if (cmd == "sij") return cmd_sij(argc, argv);
     if (cmd == "profile") return cmd_profile(argc, argv);
     if (cmd == "jpeg") return cmd_jpeg(argc, argv);
-    if (cmd == "divide") return cmd_divide(argc, argv);
     if (cmd == "list") return cmd_list();
     if (cmd == "recommend") return cmd_recommend(argc, argv);
     if (cmd == "stats") return cmd_stats(argc, argv);

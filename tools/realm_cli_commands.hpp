@@ -29,7 +29,6 @@ inline constexpr CommandSpec kCommands[] = {
     {"sij", "<M> [q]", "error-reduction factor table"},
     {"profile", "<spec> <out.ppm>", "Fig.1-style error heat map"},
     {"jpeg", "<spec> [in.pgm]", "JPEG PSNR evaluation"},
-    {"divide", "<a> <b> [M]", "approximate division demo"},
     {"list", "", "all Table I design specs"},
     {"recommend", "[max_mean%] [max_peak%]", "cheapest design in budget"},
     {"stats", "(--unix PATH | --port N) [--stats-format=raw|prom]",
