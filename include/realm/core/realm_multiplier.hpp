@@ -52,16 +52,14 @@ class RealmMultiplier final : public Multiplier {
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
 
-  /// Batch, row and range kernels generated from the datapath policy
-  /// (src/multipliers/datapath.hpp); bit-identical to multiply().  The row
+  /// Batch and range kernels generated from the datapath policy
+  /// (src/multipliers/datapath.hpp); bit-identical to multiply().  The range
   /// kernel decodes the fixed operand (leading one, truncated log fraction,
-  /// LUT segment row) once; the range kernel splits ascending columns at the
-  /// powers of two and the LUT column boundaries, so k_b and the LUT entry
-  /// are constants and the final barrel shift is two constant shift pairs.
+  /// LUT segment row) once and splits ascending columns at the powers of two
+  /// and the LUT column boundaries, so k_b and the LUT entry are constants
+  /// and the final barrel shift is two constant shift pairs.
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
 

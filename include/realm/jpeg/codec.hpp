@@ -2,8 +2,9 @@
 // (paper §IV-D: JPEG at quality 50 in 16-bit fixed point).
 //
 // Pipeline per 8×8 block: level shift → fixed-point FDCT → quantize →
-// zigzag + RLE → canonical Huffman.  Decoding mirrors it; dequantization and
-// the IDCT go through the same multiplier.  The bitstream is this library's
+// zigzag + RLE → canonical Huffman.  Decoding mirrors it; the IDCT goes
+// through the same multiplier, and so does dequantization when
+// CodecOptions::approximate_dequant is set.  The bitstream is this library's
 // own compact format (header with dimensions, quality, and Huffman code
 // lengths), not JFIF — the paper's metric (PSNR vs the uncompressed image)
 // only needs a faithful lossy pipeline.
@@ -40,13 +41,14 @@ struct CodecOptions {
   /// log-multipliers' x = 0 ridge coherently across stages.)
   bool approximate_dequant = false;
   /// The design under test for the DCT, the IDCT and (with
-  /// approximate_dequant) the dequantizer.  Every codec entry point runs the
-  /// panel engine on it: encode() and decode() each build one DctProducts
-  /// table of the design (7 multiply_row_range calls) and the transforms read
-  /// every product from it, with the block passes sharded over the
-  /// persistent thread pool per `threads`.  Its width must be at least 16
-  /// (std::invalid_argument otherwise).  nullptr = exact products.  Not
-  /// owned; must outlive the call.
+  /// approximate_dequant, one multiply_batch per decode panel) the
+  /// dequantizer.  Every codec entry point runs the panel engine on it:
+  /// encode() and decode() each build one DctProducts table of the design
+  /// (7 multiply_row_range calls), roundtrip() one for both, and the
+  /// transforms read every product from it, with the block passes sharded
+  /// over the persistent thread pool per `threads`.  Its width must be at
+  /// least 16 (std::invalid_argument otherwise).  nullptr = exact products.
+  /// Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
   /// Parallelism of the panel engine's block shards (1 = serial, 0 or
   /// negative = all hardware threads).  Encoded bytes and decoded pixels are
@@ -63,7 +65,8 @@ struct Compressed {
   std::vector<std::uint8_t> dc_code_lengths;  ///< canonical Huffman header
   std::vector<std::uint8_t> ac_code_lengths;
 
-  /// Total compressed size in bytes (payload + header tables).
+  /// Total compressed size in bytes: the length of serialize(*this), the
+  /// blob write_compressed() writes.
   [[nodiscard]] std::size_t size_bytes() const noexcept;
 };
 
@@ -73,7 +76,9 @@ struct Compressed {
 /// Reconstructs an image; uses the same multiplier options for the IDCT.
 [[nodiscard]] Image decode(const Compressed& c, const CodecOptions& opts);
 
-/// encode + decode in one call — what the Table II evaluation runs.
+/// encode + decode in one call — what the Table II evaluation runs.  Equal
+/// to decode(encode(img, opts), opts), with one DctProducts table built for
+/// both halves.
 [[nodiscard]] Image roundtrip(const Image& img, const CodecOptions& opts);
 
 /// Single-blob bitstream: magic + dimensions + quality + Huffman code

@@ -40,15 +40,16 @@ void quantize_panel(const std::int16_t* coeffs,
                     std::size_t n_blocks) noexcept;
 
 /// Dequantize through the (possibly approximate) multiplier.  The quantizer
-/// constant is the first (hardware-resident) operand — the same side the
-/// batched panel holds fixed — so the scalar reference and dequantize_panel
-/// issue identical products even for non-commutative approximate designs.
+/// constant is the first (hardware-resident) operand — operand a of
+/// dequantize_panel's batch as well — so the scalar reference and
+/// dequantize_panel issue identical products even for non-commutative
+/// approximate designs.
 [[nodiscard]] std::int32_t dequantize(std::int16_t level, std::uint16_t q,
                                       const num::UMulFn& umul);
 
 /// Dequantize `n_blocks` consecutive 64-level blocks into 16-bit-saturated
-/// coefficients, one multiply_row_batch per coefficient position (the table
-/// entry is fixed across blocks).  `mul == nullptr` multiplies exactly —
+/// coefficients, one multiply_batch over the whole panel (magnitudes, with
+/// the sign re-applied after).  `mul == nullptr` multiplies exactly —
 /// the codec default, where the constant dequantizer is not the design under
 /// test.  Bit-identical to the scalar dequantize + sat_signed(·, 16) path.
 /// `out` may not alias `levels`.

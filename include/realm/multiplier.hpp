@@ -52,18 +52,12 @@ class Multiplier {
   }
 
   /// Fixed-operand row product: out[i] = multiply(a_fixed, b[i]) for i in
-  /// [0, n), bit-identical to n scalar calls.  This is the exhaustive
-  /// characterization engine's shape — a full-space sweep holds one operand
-  /// constant per row — and every Table I design overrides it with a kernel
-  /// that decodes the fixed operand (leading-one position, truncated log
-  /// fraction, segment row) once per call and keeps it in registers, removing
-  /// half the datapath (including the data-dependent LOD on the fixed side)
-  /// from the inner loop.
-  ///
-  /// The base implementation, left to UDM and the truncated multiplier,
-  /// broadcasts a_fixed into a stack block and forwards to multiply_batch;
-  /// each forwarded block is counted in obs::Counter::kRowFallbackBatches.
-  /// `out` may not alias `b`.
+  /// [0, n), bit-identical to n scalar calls.  It broadcasts a_fixed into a
+  /// stack block and forwards to multiply_batch; each forwarded block is
+  /// counted in obs::Counter::kRowFallbackBatches.  No library design
+  /// overrides it: the fixed-operand kernels are multiply_row_range's.  It
+  /// stays virtual so that a wrapper can observe every call.  `out` may not
+  /// alias `b`.
   virtual void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                                   std::uint64_t* out, std::size_t n) const {
     constexpr std::size_t kChunk = 1024;
@@ -79,13 +73,20 @@ class Multiplier {
   }
 
   /// Contiguous-column row product: out[i] = multiply(a_fixed, b0 + i) for
-  /// i in [0, n), bit-identical to the scalar loop.  Exhaustive sweeps walk
-  /// ascending column ranges, so the variable operand's leading-one position
-  /// is monotone over the range; overriding designs split [b0, b0+n) at the
-  /// powers of two and run a constant-shift kernel per segment, which removes
-  /// the remaining LOD and turns the final barrel shift into two fixed
-  /// shifts.  The base implementation materializes the range in stack chunks
-  /// and forwards to multiply_row_batch.  `out` must not overlap the range.
+  /// i in [0, n), bit-identical to the scalar loop.  This is the shape of
+  /// the exhaustive characterization engine — a full-space sweep holds one
+  /// operand constant per row — and of the JPEG DctProducts table.  Every
+  /// Table I design overrides it with a kernel that decodes the fixed operand
+  /// (leading-one position, truncated log fraction, segment row) once per
+  /// call and keeps it in registers.  The column range is ascending, so the
+  /// variable operand's leading-one position is monotone over it: the
+  /// datapath families split [b0, b0+n) at the powers of two and run a
+  /// constant-shift kernel per segment, which removes the remaining LOD and
+  /// turns the final barrel shift into two fixed shifts; AM1/AM2 run their
+  /// lane kernel with the fixed operand broadcast.  The base implementation,
+  /// left to UDM and the truncated multiplier, materializes the range in
+  /// stack chunks and forwards to multiply_row_batch.  `out` must not overlap
+  /// the range.
   virtual void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                                   std::uint64_t* out, std::size_t n) const {
     constexpr std::size_t kChunk = 1024;

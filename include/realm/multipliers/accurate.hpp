@@ -15,9 +15,7 @@ class AccurateMultiplier final : public Multiplier {
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  /// Row kernels: one multiply per element, fixed operand in a register.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
+  /// Range kernel: one multiply per element, fixed operand in a register.
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override { return "Accurate"; }

@@ -28,12 +28,10 @@ class AlmMultiplier final : public Multiplier {
   AlmMultiplier(int n, int m, AlmAdder adder);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Batch, row and range kernels generated from the datapath policy
+  /// Batch and range kernels generated from the datapath policy
   /// (src/multipliers/datapath.hpp); bit-identical to multiply().
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;

@@ -16,7 +16,7 @@
 //
 // The reduction tree is defined once, as a template over a lane count
 // (src/multipliers/am.cpp): multiply() is its 1-lane instantiation and
-// multiply_batch()/multiply_row_batch() its 8-lane, vectorized one, so the
+// multiply_batch()/multiply_row_range() its 8-lane, vectorized one, so the
 // paths cannot drift apart.
 
 #pragma once
@@ -38,10 +38,9 @@ class AmMultiplier final : public Multiplier {
   /// with the variant chosen once per call.
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  /// The batch kernel with the fixed operand broadcast into its a block.
-  /// multiply_row_range keeps the base class's materialized range, which
-  /// lands here.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
+  /// The batch kernel over the materialized column range, with the fixed
+  /// operand broadcast into its a block.
+  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }

@@ -21,12 +21,10 @@ class SsmMultiplier final : public Multiplier {
   SsmMultiplier(int n, int m);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Batch, row and range kernels generated from the datapath policy
+  /// Batch and range kernels generated from the datapath policy
   /// (src/multipliers/datapath.hpp); bit-identical to multiply().
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
@@ -45,12 +43,10 @@ class EssmMultiplier final : public Multiplier {
   EssmMultiplier(int n, int m);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Batch, row and range kernels generated from the datapath policy
+  /// Batch and range kernels generated from the datapath policy
   /// (src/multipliers/datapath.hpp); bit-identical to multiply().
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
   void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                           std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;

@@ -9,27 +9,16 @@
 // unsigned integer multiplier for handling signed numbers"): take magnitudes,
 // multiply unsigned, re-apply the XOR of the signs.
 //
-// The signed product exists twice, once per role:
-//   * num::signed_mul — one product per call through a UMulFn; the scalar
-//     reference that the JPEG reference codec is written against and that
-//     build_signed_circuit's netlist is checked against.
-//   * num::signed_row_batch — the engine of the approximate dequantizer:
-//     one fixed operand times a span, lowered onto a Multiplier's
-//     devirtualized multiply_row_batch kernel.  Bit-identical to a
-//     signed_mul loop by construction: same magnitude decomposition, same
-//     unsigned products (the Multiplier batch contract), same sign
-//     re-application.
+// num::signed_mul is one product per call through a UMulFn: the scalar
+// reference that the JPEG reference codec is written against and that
+// build_signed_circuit's netlist is checked against.  The codec's panel
+// engine applies the same scheme inline, over whole panels.
 
 #pragma once
 
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-
-namespace realm {
-class Multiplier;
-}  // namespace realm
 
 namespace realm::num {
 
@@ -47,16 +36,6 @@ using UMulFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
 /// assert; release builds treat it as the usual precondition violation
 /// (values anywhere near the 16-bit application datapath can never hit it).
 [[nodiscard]] std::int64_t signed_mul(std::int64_t a, std::int64_t b, const UMulFn& umul);
-
-/// Fixed-operand signed row product: out[i] = signed_mul(a_fixed, b[i]) for
-/// i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
-/// data-dependent work (LOD, log fraction, segment row) is hoisted out of
-/// the loop once.  This is the shape of the approximate dequantizer: one
-/// quantizer constant times a lane of levels.  (The DCT panels read their
-/// products from a jpeg::DctProducts table instead.)  `out` must not
-/// alias `b`.
-void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
-                      std::size_t n, const Multiplier& mul);
 
 /// Saturate to a signed n-bit range [-2^(n-1), 2^(n-1)-1].  Inline: the
 /// codec datapaths clamp every output through it.

@@ -43,9 +43,10 @@
 //   kExhaustiveRows     rows with fixed-operand work hoisted by the tiled
 //                       exhaustive engine (one per multiply_row_range row)
 //   kExhaustiveTiles    row×column tiles executed by the exhaustive engine
-//   kRowFallbackBatches multiply_row_batch blocks served by the generic
-//                       broadcast-into-multiply_batch fallback (designs
-//                       without a row-hoisted kernel)
+//   kRowFallbackBatches blocks of the base multiply_row_batch's
+//                       broadcast into multiply_batch: every row-batch call,
+//                       and the ranges of designs without a range kernel
+//                       (UDM, truncated)
 //   kDctBlocksBatched   8x8 blocks transformed by the panel DCT/IDCT engine
 //                       (forward + inverse; counted once per panel call)
 //   kNetAccepts         connections accepted by the serving event loop

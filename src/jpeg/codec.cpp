@@ -81,6 +81,12 @@ const Multiplier& engine_mul(const CodecOptions& opts) {
   return exact;
 }
 
+void check_dimensions(const Image& img) {
+  if (img.width() % 8 != 0 || img.height() % 8 != 0) {
+    throw std::invalid_argument("encode: dimensions must be multiples of 8");
+  }
+}
+
 // Offset of block `bi`'s top-left pixel in a plane `width` pixels wide with
 // `bw` blocks per block row.
 std::size_t block_offset(std::size_t bi, std::size_t bw, std::size_t width) {
@@ -269,52 +275,15 @@ void inverse_block(const std::int16_t* levels, const std::array<std::uint16_t, 6
   }
 }
 
-}  // namespace
-
-std::size_t Compressed::size_bytes() const noexcept {
-  return payload.size() + dc_code_lengths.size() + ac_code_lengths.size() + 16;
-}
-
-Compressed encode_plane_reference(const Image& img,
-                                  const std::array<std::uint16_t, 64>& qtable,
-                                  const CodecOptions& opts) {
-  if (img.width() % 8 != 0 || img.height() % 8 != 0) {
-    throw std::invalid_argument("encode: dimensions must be multiples of 8");
-  }
-  REALM_TRACE_SCOPE("jpeg/encode");
-  const num::UMulFn mul = effective_mul(opts);
-  const std::size_t n_blocks = static_cast<std::size_t>(img.width() / 8) *
-                               static_cast<std::size_t>(img.height() / 8);
-  std::vector<std::int16_t> levels(n_blocks * 64);
-  {
-    REALM_TRACE_SCOPE("jpeg/encode/transform");
-    std::size_t bi = 0;
-    for (int by = 0; by < img.height(); by += 8) {
-      for (int bx = 0; bx < img.width(); bx += 8, ++bi) {
-        forward_block(img, bx, by, mul, qtable, levels.data() + bi * 64);
-      }
-    }
-  }
-  Compressed out = entropy_encode(img, levels);
-  out.quality = opts.quality;
-  return out;
-}
-
-Compressed encode(const Image& img, const CodecOptions& opts) {
-  const std::array<std::uint16_t, 64> qtable = scaled_table(opts.quality);
-  const Multiplier& mul = engine_mul(opts);
-  if (img.width() % 8 != 0 || img.height() % 8 != 0) {
-    throw std::invalid_argument("encode: dimensions must be multiples of 8");
-  }
-  REALM_TRACE_SCOPE("jpeg/encode");
+// The bodies of encode() and decode() over a products table the caller
+// built, so that roundtrip() builds one table for both.  The caller has
+// checked `img`'s dimensions and opened the jpeg/encode or jpeg/decode span.
+Compressed encode_with(const Image& img, const std::array<std::uint16_t, 64>& qtable,
+                       const CodecOptions& opts, const DctProducts& products) {
   const auto width = static_cast<std::size_t>(img.width());
   const std::size_t bw = width / 8;
   const std::size_t n_blocks = bw * static_cast<std::size_t>(img.height() / 8);
   std::vector<std::int16_t> levels(n_blocks * 64);
-  const DctProducts products = [&] {
-    REALM_TRACE_SCOPE("jpeg/encode/products");
-    return DctProducts{mul};
-  }();
   {
     REALM_TRACE_SCOPE("jpeg/encode/transform_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -344,44 +313,16 @@ Compressed encode(const Image& img, const CodecOptions& opts) {
   return out;
 }
 
-Image decode_plane_reference(const Compressed& c,
-                             const std::array<std::uint16_t, 64>& qtable,
-                             const CodecOptions& opts) {
-  REALM_TRACE_SCOPE("jpeg/decode");
-  const num::UMulFn mul = effective_mul(opts);
-  const num::UMulFn dq = dequant_mul(opts);
-  const std::vector<std::int16_t> levels = parse_levels(c);
-
-  Image img{c.width, c.height};
-  const int bw = c.width / 8;
-  const std::size_t n_blocks = levels.size() / 64;
-  {
-    REALM_TRACE_SCOPE("jpeg/decode/inverse");
-    for (std::size_t bi = 0; bi < n_blocks; ++bi) {
-      const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
-      const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
-      inverse_block(levels.data() + bi * 64, qtable, mul, dq, img, bx, by);
-    }
-  }
-  obs::counter_add(obs::Counter::kJpegBlocksDecoded, n_blocks);
-  return img;
-}
-
-Image decode(const Compressed& c, const CodecOptions& opts) {
+Image decode_with(const Compressed& c, const CodecOptions& opts,
+                  const DctProducts& products) {
   const std::array<std::uint16_t, 64> qtable = scaled_table(c.quality);
-  const Multiplier& mul = engine_mul(opts);
-  REALM_TRACE_SCOPE("jpeg/decode");
   const std::vector<std::int16_t> levels = parse_levels(c);
 
   Image img{c.width, c.height};
   const auto width = static_cast<std::size_t>(c.width);
   const std::size_t bw = width / 8;
   const std::size_t n_blocks = levels.size() / 64;
-  const Multiplier* dq_mul = opts.approximate_dequant ? &mul : nullptr;
-  const DctProducts products = [&] {
-    REALM_TRACE_SCOPE("jpeg/decode/products");
-    return DctProducts{mul};
-  }();
+  const Multiplier* dq_mul = opts.approximate_dequant ? &engine_mul(opts) : nullptr;
   {
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -411,8 +352,96 @@ Image decode(const Compressed& c, const CodecOptions& opts) {
   return img;
 }
 
+}  // namespace
+
+std::size_t Compressed::size_bytes() const noexcept {
+  // serialize()'s layout: magic, width, height and quality, then each of
+  // the three byte strings behind its u32 length.
+  return 4 * 4 + 3 * 4 + dc_code_lengths.size() + ac_code_lengths.size() + payload.size();
+}
+
+Compressed encode_plane_reference(const Image& img,
+                                  const std::array<std::uint16_t, 64>& qtable,
+                                  const CodecOptions& opts) {
+  check_dimensions(img);
+  REALM_TRACE_SCOPE("jpeg/encode");
+  const num::UMulFn mul = effective_mul(opts);
+  const std::size_t n_blocks = static_cast<std::size_t>(img.width() / 8) *
+                               static_cast<std::size_t>(img.height() / 8);
+  std::vector<std::int16_t> levels(n_blocks * 64);
+  {
+    REALM_TRACE_SCOPE("jpeg/encode/transform");
+    std::size_t bi = 0;
+    for (int by = 0; by < img.height(); by += 8) {
+      for (int bx = 0; bx < img.width(); bx += 8, ++bi) {
+        forward_block(img, bx, by, mul, qtable, levels.data() + bi * 64);
+      }
+    }
+  }
+  Compressed out = entropy_encode(img, levels);
+  out.quality = opts.quality;
+  return out;
+}
+
+Image decode_plane_reference(const Compressed& c,
+                             const std::array<std::uint16_t, 64>& qtable,
+                             const CodecOptions& opts) {
+  REALM_TRACE_SCOPE("jpeg/decode");
+  const num::UMulFn mul = effective_mul(opts);
+  const num::UMulFn dq = dequant_mul(opts);
+  const std::vector<std::int16_t> levels = parse_levels(c);
+
+  Image img{c.width, c.height};
+  const int bw = c.width / 8;
+  const std::size_t n_blocks = levels.size() / 64;
+  {
+    REALM_TRACE_SCOPE("jpeg/decode/inverse");
+    for (std::size_t bi = 0; bi < n_blocks; ++bi) {
+      const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
+      const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
+      inverse_block(levels.data() + bi * 64, qtable, mul, dq, img, bx, by);
+    }
+  }
+  obs::counter_add(obs::Counter::kJpegBlocksDecoded, n_blocks);
+  return img;
+}
+
+Compressed encode(const Image& img, const CodecOptions& opts) {
+  const std::array<std::uint16_t, 64> qtable = scaled_table(opts.quality);
+  const Multiplier& mul = engine_mul(opts);
+  check_dimensions(img);
+  REALM_TRACE_SCOPE("jpeg/encode");
+  const DctProducts products = [&] {
+    REALM_TRACE_SCOPE("jpeg/encode/products");
+    return DctProducts{mul};
+  }();
+  return encode_with(img, qtable, opts, products);
+}
+
+Image decode(const Compressed& c, const CodecOptions& opts) {
+  const Multiplier& mul = engine_mul(opts);
+  REALM_TRACE_SCOPE("jpeg/decode");
+  const DctProducts products = [&] {
+    REALM_TRACE_SCOPE("jpeg/decode/products");
+    return DctProducts{mul};
+  }();
+  return decode_with(c, opts, products);
+}
+
 Image roundtrip(const Image& img, const CodecOptions& opts) {
-  return decode(encode(img, opts), opts);
+  const std::array<std::uint16_t, 64> qtable = scaled_table(opts.quality);
+  const Multiplier& mul = engine_mul(opts);
+  check_dimensions(img);
+  const DctProducts products = [&] {
+    REALM_TRACE_SCOPE("jpeg/roundtrip/products");
+    return DctProducts{mul};
+  }();
+  const Compressed c = [&] {
+    REALM_TRACE_SCOPE("jpeg/encode");
+    return encode_with(img, qtable, opts, products);
+  }();
+  REALM_TRACE_SCOPE("jpeg/decode");
+  return decode_with(c, opts, products);
 }
 
 namespace {

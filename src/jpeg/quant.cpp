@@ -76,16 +76,21 @@ void dequantize_panel(const std::int16_t* levels,
     }
     return;
   }
-  // Approximate dequantizer: per coefficient position the table entry is
-  // fixed, so gather the position's levels across blocks into one lane and
-  // issue a single row batch.
-  std::vector<std::int64_t> lane(n_blocks), prod(n_blocks);
-  for (std::size_t i = 0; i < 64; ++i) {
-    for (std::size_t b = 0; b < n_blocks; ++b) lane[b] = levels[b * 64 + i];
-    num::signed_row_batch(qtable[i], lane.data(), prod.data(), n_blocks, *mul);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      out[b * 64 + i] = static_cast<std::int16_t>(num::sat_signed(prod[b], 16));
-    }
+  // Approximate dequantizer: one batch over the whole panel in
+  // sign-magnitude form, the quantizer constant as operand a (as in
+  // dequantize).  The constant is positive, so the level's sign is the
+  // product's.
+  const std::size_t n = n_blocks * 64;
+  std::vector<std::uint64_t> q(n), mag(n), prod(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::int32_t level = levels[k];
+    q[k] = qtable[k % 64];
+    mag[k] = static_cast<std::uint64_t>(level < 0 ? -level : level);
+  }
+  mul->multiply_batch(q.data(), mag.data(), prod.data(), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto p = static_cast<std::int64_t>(prod[k]);
+    out[k] = static_cast<std::int16_t>(num::sat_signed(levels[k] < 0 ? -p : p, 16));
   }
 }
 

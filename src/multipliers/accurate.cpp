@@ -17,13 +17,6 @@ void accurate_batch_kernel(const std::uint64_t* __restrict a,
 }
 
 REALM_MULTIVERSION
-void accurate_row_batch_kernel(std::uint64_t a_fixed,
-                               const std::uint64_t* __restrict b,
-                               std::uint64_t* __restrict out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a_fixed * b[i];
-}
-
-REALM_MULTIVERSION
 void accurate_row_range_kernel(std::uint64_t a_fixed, std::uint64_t b0,
                                std::uint64_t* __restrict out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a_fixed * (b0 + i);
@@ -43,13 +36,6 @@ std::uint64_t AccurateMultiplier::multiply(std::uint64_t a, std::uint64_t b) con
 void AccurateMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                                         std::uint64_t* out, std::size_t n) const {
   accurate_batch_kernel(a, b, out, n);
-}
-
-void AccurateMultiplier::multiply_row_batch(std::uint64_t a_fixed,
-                                            const std::uint64_t* b,
-                                            std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  accurate_row_batch_kernel(a_fixed, b, out, n);
 }
 
 void AccurateMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,

@@ -66,8 +66,8 @@ template <std::size_t Lanes, bool Am1>
 constexpr std::size_t kBatchLanes = 8;
 
 // Blocks of kBatchLanes pairs.  The a block advances by a_step per block:
-// kBatchLanes for the batch kernel, 0 for the row kernel, whose a block holds
-// the fixed operand in every lane.
+// kBatchLanes for the batch kernel, 0 for the range kernel, whose a block
+// holds the fixed operand in every lane.
 template <bool Am1>
 [[gnu::always_inline]] inline void am_batch_blocks(const std::uint64_t* __restrict a,
                                                    std::size_t a_step,
@@ -93,7 +93,7 @@ template <bool Am1>
   for (std::size_t l = 0; l < tail; ++l) out[main_n + l] = tp[l];
 }
 
-// Lane-blocked batch and row kernel: the variant is chosen once per call,
+// Lane-blocked batch and range kernel: the variant is chosen once per call,
 // then every block of kBatchLanes pairs runs the same tree as multiply().
 REALM_MULTIVERSION
 void am_batch_kernel(const std::uint64_t* __restrict a, std::size_t a_step,
@@ -134,13 +134,19 @@ void AmMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b
                   variant_ == AmVariant::kAm1);
 }
 
-void AmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
+void AmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
+  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
   std::uint64_t a_block[kBatchLanes];
   for (auto& v : a_block) v = a_fixed;
-  am_batch_kernel(a_block, 0, b, out, n, n_, recov_mask_, num::mask(2 * n_),
-                  variant_ == AmVariant::kAm1);
+  constexpr std::size_t kChunk = 1024;
+  std::uint64_t b_iota[kChunk];
+  for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::size_t len = n - i0 < kChunk ? n - i0 : kChunk;
+    for (std::size_t i = 0; i < len; ++i) b_iota[i] = b0 + i0 + i;
+    am_batch_kernel(a_block, 0, b_iota, out + i0, len, n_, recov_mask_, num::mask(2 * n_),
+                    variant_ == AmVariant::kAm1);
+  }
 }
 
 std::string AmMultiplier::name() const {

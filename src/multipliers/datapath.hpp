@@ -2,10 +2,11 @@
 // it.
 //
 // A family writes a small policy — how one operand decodes and how two
-// decoded operands combine — and the templates here generate all four
-// Multiplier entry points from it: scalar multiply(), the batch kernel, the
-// row kernel (the fixed operand decoded once) and the range kernel
-// (ascending contiguous columns).  Scalar and vector paths cannot drift
+// decoded operands combine — and the templates here generate all three
+// Multiplier entry points from it: scalar multiply(), the batch kernel and
+// the range kernel (the fixed operand decoded once, ascending contiguous
+// columns).  A fixed operand over arbitrary columns takes the base class's
+// broadcast into the batch kernel.  Scalar and vector paths cannot drift
 // apart because there is only one datapath; the gate-level netlists are the
 // independent oracle (AmOracle/DatapathOracle in test_packed_simulator).
 //
@@ -146,16 +147,6 @@ REALM_MULTIVERSION void batch(const P p, const std::uint64_t* __restrict a,
   }
 }
 
-template <class P>
-REALM_MULTIVERSION void row_kernel(const P p, const Operand da,
-                                   const std::uint64_t* __restrict b,
-                                   std::uint64_t* __restrict out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t b0 = b[i];
-    out[i] = live<P>(product(p, da, decode(p, b0)), b0 != 0);
-  }
-}
-
 // Columns [b_first, b_first + n), all with leading one kb and (per the
 // piece_last contract) the first column's exponent and segment.
 template <class P>
@@ -188,20 +179,10 @@ REALM_MULTIVERSION void piece_kernel(const P p, const Operand da, std::uint64_t 
 }
 
 template <class P>
-void row(const P& p, std::uint64_t a_fixed, const std::uint64_t* b, std::uint64_t* out,
-         std::size_t n) {
-  if (a_fixed == 0) {  // zero-detect bypass: the whole row is zero
-    std::fill_n(out, n, std::uint64_t{0});
-    return;
-  }
-  row_kernel(p, p.decode(a_fixed, lod(a_fixed)), b, out, n);
-}
-
-template <class P>
 void range(const P& p, std::uint64_t a_fixed, std::uint64_t b0, std::uint64_t* out,
            std::size_t n) {
   if (n == 0) return;
-  if (a_fixed == 0) {
+  if (a_fixed == 0) {  // zero-detect bypass: the whole row is zero
     std::fill_n(out, n, std::uint64_t{0});
     return;
   }
@@ -225,7 +206,7 @@ void range(const P& p, std::uint64_t a_fixed, std::uint64_t b0, std::uint64_t* o
 
 }  // namespace realm::mult::dp
 
-/// Defines Class's four Multiplier entry points from its nested datapath
+/// Defines Class's three Multiplier entry points from its nested datapath
 /// policy `Class::Policy`, constructed from the multiplier.
 #define REALM_DATAPATH_ENTRY_POINTS(Class)                                              \
   std::uint64_t Class::multiply(std::uint64_t a, std::uint64_t b) const {              \
@@ -235,11 +216,6 @@ void range(const P& p, std::uint64_t a_fixed, std::uint64_t b0, std::uint64_t* o
   void Class::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,           \
                              std::uint64_t* out, std::size_t n) const {                \
     ::realm::mult::dp::batch(Policy{*this}, a, b, out, n);                             \
-  }                                                                                     \
-  void Class::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,        \
-                                 std::uint64_t* out, std::size_t n) const {            \
-    assert(::realm::num::fits(a_fixed, width()));                                      \
-    ::realm::mult::dp::row(Policy{*this}, a_fixed, b, out, n);                         \
   }                                                                                     \
   void Class::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,              \
                                  std::uint64_t* out, std::size_t n) const {            \

@@ -110,6 +110,17 @@ class KernelCallCounter final : public Multiplier {
   const Multiplier* inner_;
 };
 
+// Exact product plus the first operand: a*b + a differs from b*a + b
+// whenever a != b.
+class NonCommutative final : public Multiplier {
+ public:
+  std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
+    return a * b + a;
+  }
+  std::string name() const override { return "a*b+a"; }
+  int width() const override { return 16; }
+};
+
 }  // namespace
 
 TEST(AppBatch, PanelFdctMatchesScalarReference) {
@@ -218,7 +229,8 @@ TEST(AppBatch, DctProductsIssueOneRowRangePerMagnitude) {
   EXPECT_EQ(counter.row_batch_calls, 0u);
   EXPECT_EQ(counter.batch_calls, 0u);
 
-  // One encode() and one decode() build one table each, at any thread count.
+  // One encode() and one decode() build one table each, and one roundtrip()
+  // one table for both halves, at any thread count.
   const auto img = jpeg::synthetic_cameraman(64);
   for (const int threads : {1, 4}) {
     KernelCallCounter c{*inner};
@@ -227,8 +239,11 @@ TEST(AppBatch, DctProductsIssueOneRowRangePerMagnitude) {
     opts.threads = threads;
     const auto compressed = jpeg::encode(img, opts);
     EXPECT_EQ(c.row_ranges.size(), jpeg::DctProducts::kRows) << "threads=" << threads;
-    (void)jpeg::decode(compressed, opts);
+    const auto decoded = jpeg::decode(compressed, opts);
     EXPECT_EQ(c.row_ranges.size(), 2 * jpeg::DctProducts::kRows) << "threads=" << threads;
+    EXPECT_EQ(jpeg::roundtrip(img, opts).pixels(), decoded.pixels())
+        << "threads=" << threads;
+    EXPECT_EQ(c.row_ranges.size(), 3 * jpeg::DctProducts::kRows) << "threads=" << threads;
     EXPECT_EQ(c.row_batch_calls, 0u) << "threads=" << threads;
     EXPECT_EQ(c.batch_calls, 0u) << "threads=" << threads;
   }
@@ -278,31 +293,70 @@ TEST(AppBatch, QuantizePanelMatchesScalarForEveryDivisor) {
 }
 
 TEST(AppBatch, DequantizePanelMatchesScalar) {
+  // Levels over the whole int16 range, its edges included, so the products
+  // saturate both rails; 1 block and 33 blocks (past one 32-block shard).
   const auto qtable = jpeg::scaled_table(50);
   num::Xoshiro256 rng{0xDE0};
-  std::vector<std::int16_t> levels(9 * 64);
-  for (auto& l : levels) l = static_cast<std::int16_t>(rng.below(201)) - 100;
-
-  // Exact path (mul == nullptr): the plain saturated product.
-  std::vector<std::int16_t> out(levels.size());
-  jpeg::dequantize_panel(levels.data(), qtable, out.data(), 9, nullptr);
-  for (std::size_t b = 0; b < 9; ++b) {
-    for (std::size_t i = 0; i < 64; ++i) {
-      const std::int64_t p = std::int64_t{levels[b * 64 + i]} * qtable[i];
-      ASSERT_EQ(out[b * 64 + i], num::sat_signed(p, 16));
+  for (const std::size_t n_blocks : {std::size_t{1}, std::size_t{33}}) {
+    std::vector<std::int16_t> levels(n_blocks * 64);
+    for (auto& l : levels) {
+      l = static_cast<std::int16_t>(static_cast<int>(rng.below(65536)) - 32768);
     }
-  }
-  // Approximate path: scalar dequantize with the same design, q first.
-  for (const auto& spec : kSpecs) {
-    const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    jpeg::dequantize_panel(levels.data(), qtable, out.data(), 9, mul.get());
-    for (std::size_t b = 0; b < 9; ++b) {
-      for (std::size_t i = 0; i < 64; ++i) {
-        const std::int32_t ref = jpeg::dequantize(levels[b * 64 + i], qtable[i], f);
-        ASSERT_EQ(out[b * 64 + i], num::sat_signed(ref, 16)) << spec;
+    const std::int16_t edge[] = {-32768, -32767, 32767, 0, 1, -1, 100, -100};
+    std::copy(std::begin(edge), std::end(edge), levels.begin());
+
+    // Exact path (mul == nullptr): the plain saturated product.
+    std::vector<std::int16_t> out(levels.size());
+    jpeg::dequantize_panel(levels.data(), qtable, out.data(), n_blocks, nullptr);
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      const std::int64_t p = std::int64_t{levels[k]} * qtable[k % 64];
+      ASSERT_EQ(out[k], num::sat_signed(p, 16)) << "k=" << k;
+    }
+    // Approximate path: scalar dequantize with the same design, q first.
+    for (const auto& spec : panel_specs()) {
+      const auto mul = mult::make_multiplier(spec, 16);
+      const auto f = mul->as_function();
+      jpeg::dequantize_panel(levels.data(), qtable, out.data(), n_blocks, mul.get());
+      for (std::size_t k = 0; k < levels.size(); ++k) {
+        const std::int32_t ref = jpeg::dequantize(levels[k], qtable[k % 64], f);
+        ASSERT_EQ(out[k], num::sat_signed(ref, 16))
+            << spec << " blocks=" << n_blocks << " level=" << levels[k];
       }
     }
+  }
+}
+
+TEST(AppBatch, DequantizerKeepsTheQuantizerConstantAsOperandA) {
+  // Every in-repo design is commutative, so only a design that is not can
+  // tell the operands apart: the panel and the codec must put q first, as
+  // dequantize() does.
+  const NonCommutative mul;
+  const auto f = mul.as_function();
+  ASSERT_NE(mul.multiply(3, 5), mul.multiply(5, 3));
+  const auto qtable = jpeg::scaled_table(50);
+  num::Xoshiro256 rng{0xA5B};
+  std::vector<std::int16_t> levels(5 * 64), out(levels.size());
+  for (auto& l : levels) l = static_cast<std::int16_t>(rng.below(401)) - 200;
+  jpeg::dequantize_panel(levels.data(), qtable, out.data(), 5, &mul);
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    ASSERT_EQ(out[k], num::sat_signed(jpeg::dequantize(levels[k], qtable[k % 64], f), 16))
+        << "k=" << k;
+  }
+
+  const auto img = jpeg::synthetic_cameraman(64);
+  jpeg::CodecOptions ref_opts;
+  ref_opts.umul = f;
+  ref_opts.approximate_dequant = true;
+  const auto c = jpeg::encode_plane_reference(img, qtable, ref_opts);
+  const auto d_ref = jpeg::decode_plane_reference(c, qtable, ref_opts);
+  for (const int threads : {1, 2}) {
+    jpeg::CodecOptions opts;
+    opts.mul = &mul;
+    opts.approximate_dequant = true;
+    opts.threads = threads;
+    EXPECT_EQ(jpeg::serialize(jpeg::encode(img, opts)), jpeg::serialize(c))
+        << "threads=" << threads;
+    EXPECT_EQ(jpeg::decode(c, opts).pixels(), d_ref.pixels()) << "threads=" << threads;
   }
 }
 

@@ -2,8 +2,9 @@
 // kernels.
 //
 // The load-bearing contracts:
-//   * multiply_row_batch / multiply_row_range are bit-identical to scalar
-//     multiply() for every design (exhaustively at 8 bits, randomized at 16);
+//   * multiply_row_range (and the base multiply_row_batch) are bit-identical
+//     to scalar multiply() for every design (exhaustively at 8 bits,
+//     randomized at 16);
 //   * the tiled engine reproduces exhaustive_generic_reference bit-for-bit
 //     (identical fold order and IEEE ops) at any thread count;
 //   * the row loop's FMA-corrected quotient equals IEEE division;
@@ -43,14 +44,17 @@ using namespace realm;
 
 namespace {
 
-// Designs with dedicated row kernels plus a sample of fallback-path designs
-// (no override: the base class broadcasts into multiply_batch blocks).
+// Designs with dedicated range kernels (the datapath families, AM1/AM2 and
+// the exact reference) plus UDM, whose ranges take the base class's
+// broadcast into multiply_batch blocks.  multiply_row_batch takes that
+// broadcast for every design.
 const std::vector<std::string>& kernel_specs() {
   static const std::vector<std::string> specs = {
       "accurate",      "realm:m=16,t=0", "realm:m=16,t=4", "realm:m=8,t=2",
       "realm:m=4,t=9", "calm",           "mbm:t=4",        "mbm:t=0",
       "drum:k=6",      "ssm:m=10",       "essm:m=8",       "implm",
-      "intalp:l=1",    "alm-soa:m=11",
+      "intalp:l=1",    "intalp:l=2",     "alm-soa:m=11",   "am1:nb=9",
+      "am2:nb=9",      "udm",
   };
   return specs;
 }
@@ -181,19 +185,28 @@ TEST(RowKernels, RangeCoversFullSpaceEdges) {
 }
 
 TEST(RowKernels, FallbackPathCountsForwardedBatches) {
-  // A design without a row override (UDM keeps the base-class path) goes
-  // through the broadcast fallback, which tallies each forwarded block.
-  obs::counters_reset();
-  const auto m = mult::make_multiplier("udm", 16);
+  // multiply_row_batch is the base class's broadcast into multiply_batch for
+  // every design, and so is multiply_row_range for a design without a range
+  // kernel (UDM); each forwarded block is tallied.
   std::vector<std::uint64_t> b(100), out(100);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = i;
-  m->multiply_row_batch(3, b.data(), out.data(), b.size());
-  EXPECT_GE(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u);
-  // A design with a dedicated kernel never touches the fallback.
+  for (const char* spec : {"udm", "realm:m=16,t=0", "am1:nb=9", "accurate"}) {
+    obs::counters_reset();
+    const auto m = mult::make_multiplier(spec, 16);
+    m->multiply_row_batch(3, b.data(), out.data(), b.size());
+    EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u) << spec;
+  }
   obs::counters_reset();
-  const auto r = mult::make_multiplier("realm:m=16,t=0", 16);
-  r->multiply_row_batch(3, b.data(), out.data(), b.size());
-  r->multiply_row_range(3, 0, out.data(), out.size());
+  mult::make_multiplier("udm", 16)->multiply_row_range(3, 0, out.data(), out.size());
+  EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u);
+  // Every Table I design and the exact reference has a range kernel, which
+  // never touches the fallback.
+  std::vector<std::string> specs = mult::table1_specs();
+  specs.emplace_back("accurate");
+  obs::counters_reset();
+  for (const auto& spec : specs) {
+    mult::make_multiplier(spec, 16)->multiply_row_range(3, 0, out.data(), out.size());
+  }
   EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 0u);
 }
 

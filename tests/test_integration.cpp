@@ -9,7 +9,6 @@
 
 #include "realm/core/error_analysis.hpp"
 #include "realm/error/render.hpp"
-#include "realm/numeric/rng.hpp"
 #include "realm/realm.hpp"
 
 using namespace realm;
@@ -103,24 +102,6 @@ TEST(Integration, CostModelAndTimingAgreeOnWhoIsSmallAndFast) {
   EXPECT_LT(cm.cost("ssm:m=8").power_uw, cm.accurate().power_uw);
   EXPECT_LT(hw::analyze_timing(hw::build_circuit("ssm:m=8", 16)).critical_path_ps,
             hw::analyze_timing(hw::build_circuit("accurate", 16)).critical_path_ps);
-}
-
-TEST(Integration, SignedFlowFixedPointDctMatchesAdapterSemantics) {
-  // The application engine's sign handling (num::signed_row_batch, one fixed
-  // operand per lane) must agree with the scalar reference num::signed_mul
-  // on the same core, over the JPEG datapath's operand range.
-  const auto core_mul = mult::make_multiplier("realm:m=8,t=4", 16);
-  const auto f = core_mul->as_function();
-  num::Xoshiro256 rng{0x516};
-  std::vector<std::int64_t> lane(200), out(lane.size());
-  for (int it = 0; it < 100; ++it) {
-    const auto a = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    for (auto& b : lane) b = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    num::signed_row_batch(a, lane.data(), out.data(), lane.size(), *core_mul);
-    for (std::size_t i = 0; i < lane.size(); ++i) {
-      ASSERT_EQ(out[i], num::signed_mul(a, lane[i], f)) << "a=" << a << " b=" << lane[i];
-    }
-  }
 }
 
 TEST(Integration, PredictCharacterizeAndPaperAgreeForRealm16) {

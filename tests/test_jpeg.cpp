@@ -284,6 +284,18 @@ TEST(Bitstream, SerializeRoundTrips) {
   EXPECT_EQ(jp::decode(back, {}).pixels(), jp::decode(c, {}).pixels());
 }
 
+TEST(Bitstream, SizeBytesIsTheSerializedLength) {
+  // size_bytes() is the length of the blob write_compressed() writes,
+  // header and length prefixes included.
+  EXPECT_EQ(jp::Compressed{}.size_bytes(), jp::serialize(jp::Compressed{}).size());
+  for (const int quality : {10, 50, 90}) {
+    jp::CodecOptions opts;
+    opts.quality = quality;
+    const auto c = jp::encode(jp::synthetic_livingroom(64), opts);
+    EXPECT_EQ(c.size_bytes(), jp::serialize(c).size()) << "quality=" << quality;
+  }
+}
+
 TEST(Bitstream, FileRoundTripAndValidation) {
   const jp::Image img = jp::synthetic_lena(64);
   const auto c = jp::encode(img, {});

@@ -1,12 +1,11 @@
 // Signed multiplication on an unsigned core (paper §III-C, DRUM's
-// sign-magnitude scheme): the scalar reference num::signed_mul, the engine
-// num::signed_row_batch, and the gate-level wrapper build_signed_circuit
-// must all compute the same signed product.
+// sign-magnitude scheme): the scalar reference num::signed_mul and the
+// gate-level wrapper build_signed_circuit must compute the same signed
+// product.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/simulator.hpp"
@@ -19,14 +18,8 @@ using namespace realm;
 
 namespace {
 
-// The signed product through both library paths; fails the test if the
-// engine and the reference disagree.
 std::int64_t signed_product(const Multiplier& mul, std::int64_t a, std::int64_t b) {
-  const std::int64_t ref = num::signed_mul(a, b, mul.as_function());
-  std::int64_t row = 0;
-  num::signed_row_batch(a, &b, &row, 1, mul);
-  EXPECT_EQ(row, ref) << mul.name() << " a=" << a << " b=" << b;
-  return ref;
+  return num::signed_mul(a, b, mul.as_function());
 }
 
 }  // namespace
