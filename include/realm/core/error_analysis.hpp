@@ -28,9 +28,9 @@ struct PredictedErrors {
   double max_pct = 0.0;
 };
 
-/// Predicts the REALM error metrics for a LUT (M, q, formulation) from the
-/// residual surface alone.  `grid` controls the extreme-value search
-/// density per segment edge.
+/// Predicts the REALM error metrics for a LUT (M, q) from the residual
+/// surface alone.  `grid` controls the extreme-value search density per
+/// segment edge.
 [[nodiscard]] PredictedErrors predict_realm_errors(const SegmentLut& lut,
                                                    int grid = 64);
 

@@ -17,36 +17,37 @@
 
 namespace realm::core {
 
-/// Which analytic formulation generated the factors.
-enum class Formulation {
-  kMeanRelativeError,  ///< Eq. 8 of the paper (the REALM formulation).
-  kMeanSquareError,    ///< the future-work variant (minimize MSE of E~rel).
-};
+/// Largest segment count M and quantization q a table may have: the bounds
+/// of every spec key, wire request and CLI argument that names a table, so
+/// one request cannot ask for 2^30 factors.  M = 256 is 65536 factors; q = 30
+/// keeps every quantized value, MBM's correction included, inside the
+/// uint32_t units.
+inline constexpr int kMaxLutM = 256;
+inline constexpr int kMaxLutQ = 30;
 
 class SegmentLut {
  public:
   /// Builds the table for an M×M partitioning quantized to q fraction bits.
-  /// M must be a power of two >= 2 (its log2 selects fraction MSBs); q must
-  /// be >= 3.  Throws std::invalid_argument otherwise.
-  SegmentLut(int m, int q, Formulation f = Formulation::kMeanRelativeError);
+  /// M must be a power of two in [2, kMaxLutM] (its log2 selects fraction
+  /// MSBs); q must be in [3, kMaxLutQ].  Throws std::invalid_argument
+  /// otherwise, before deriving any factor.
+  SegmentLut(int m, int q);
 
-  /// Process-wide cache of derived tables, keyed by (m, q, formulation).
+  /// Process-wide cache of derived tables, keyed by (m, q).
   /// Deriving the factors integrates Eq. 11 (dilogarithms + adaptive
   /// quadrature cross-checks), which is far more expensive than the table
   /// itself — design-space sweeps construct the same handful of tables
   /// hundreds of times, so identical configurations share one immutable
   /// instance.  Entries are held weakly: once every user releases a table it
   /// is freed, and the next request re-derives it.  Thread-safe.
-  [[nodiscard]] static std::shared_ptr<const SegmentLut> shared(
-      int m, int q, Formulation f = Formulation::kMeanRelativeError);
+  [[nodiscard]] static std::shared_ptr<const SegmentLut> shared(int m, int q);
 
   [[nodiscard]] int m() const noexcept { return m_; }
   [[nodiscard]] int q() const noexcept { return q_; }
   [[nodiscard]] int select_bits() const noexcept { return log2m_; }
-  [[nodiscard]] Formulation formulation() const noexcept { return formulation_; }
 
   /// Physical storage width per entry; the 2^-1 and 2^-2 bits are implicit
-  /// zeros for every formulation/M this class accepts.
+  /// zeros for every M this class accepts.
   [[nodiscard]] int stored_bits() const noexcept { return q_ - 2; }
 
   /// Exact (unquantized) factor for segment (i, j).
@@ -71,7 +72,6 @@ class SegmentLut {
   int m_;
   int q_;
   int log2m_;
-  Formulation formulation_;
   std::vector<double> exact_;
   std::vector<std::uint32_t> units_;
 };

@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,13 +35,18 @@ namespace realm::core {
 
 struct RealmConfig {
   int n = 16;  ///< operand width N (2..31)
-  int m = 16;  ///< segments per power-of-two-interval, power of two >= 2
+  int m = 16;  ///< segments per power-of-two-interval, power of two in [2, kMaxLutM]
   int t = 0;   ///< truncated fraction LSBs (0 .. N-2-log2(M))
-  int q = 6;   ///< LUT quantization bits (>= 3)
-  Formulation formulation = Formulation::kMeanRelativeError;
+  int q = 6;   ///< LUT quantization bits (3 .. kMaxLutQ)
 
   /// Fraction width actually carried by the datapath: N-1-t bits.
   [[nodiscard]] int fraction_bits() const noexcept { return n - 1 - t; }
+
+  /// LUT select lines per operand: log2(M) for the power-of-two M a table
+  /// accepts, known before the table is derived.
+  [[nodiscard]] int select_bits() const noexcept {
+    return static_cast<int>(std::bit_width(static_cast<unsigned>(m))) - 1;
+  }
 };
 
 class RealmMultiplier final : public Multiplier {

@@ -46,14 +46,6 @@ struct Segment {
 /// These are the values the original authors publish for M = {4, 8, 16}.
 [[nodiscard]] std::vector<double> segment_factor_table(int m);
 
-/// Mean-square-error formulation (the extension the paper lists as future
-/// work): choose s to minimize ∫∫ (E~rel + s/((1+x)(1+y)))² dx dy, i.e.
-/// s = -∫∫ E~rel·g / ∫∫ g² with g = 1/((1+x)(1+y)).  Evaluated by quadrature.
-[[nodiscard]] double segment_factor_mse(const Segment& s, double tol = 1e-11);
-
-/// M×M table for the MSE formulation.
-[[nodiscard]] std::vector<double> segment_factor_table_mse(int m);
-
 /// MBM's single error-correction constant [4]: the average of Mitchell's
 /// *absolute* error over a whole power-of-two-interval, normalized by
 /// 2^(ka+kb).  Analytically this is exactly 1/12 (the average of xy over

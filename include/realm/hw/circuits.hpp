@@ -38,9 +38,6 @@ struct LogMultOptions {
   int q = 6;            ///< correction quantization bits
   int approx_adder_bits = 0;    ///< m — approximate low bits of the fraction adder
   mult::AlmAdder approx_adder = mult::AlmAdder::kSetOne;  ///< when m > 0
-  /// Architecture of the exact fraction adder (ablation: ripple is what the
-  /// area numbers assume; Kogge-Stone is what a 1 GHz flow would infer).
-  AdderArch fraction_adder = AdderArch::kRipple;
 };
 
 /// cALM (defaults), MBM (mbm_correction + forced_one), ALM-SOA/ALM-MAA
@@ -65,12 +62,6 @@ struct LogMultOptions {
 
 /// IntALP level 1 or 2.
 [[nodiscard]] Module build_intalp(int n, int level);
-
-/// UDM (recursive Kulkarni 2×2 blocks) — N a power of two.
-[[nodiscard]] Module build_udm(int n);
-
-/// Constant-correction truncated multiplier.
-[[nodiscard]] Module build_truncated(int n, int drop);
 
 /// Spec-string dispatch over the design table of mult::parse_spec(), which
 /// mult::make_multiplier() reads too, so a spec names one configuration for

@@ -39,7 +39,7 @@ struct Gate {
 };
 
 /// The logic function of each cell: the one truth table every bitwise
-/// evaluator shares (scalar, unit-delay and 64-lane simulators, the fault
+/// evaluator shares (the scalar and 64-lane simulators, the fault
 /// reference).  Lane-wise over the bits of W, so a 64-bit word evaluates 64
 /// independent input vectors at once; scalar callers hold each net in bit 0
 /// and mask the result to it.  Inputs are the gate's pins in order, with

@@ -31,20 +31,13 @@ struct StimulusProfile {
   /// partition never depends on this value, so the report is bit-identical
   /// for any setting.
   int threads = 0;
-  /// Count glitch transitions with the unit-delay TimedSimulator instead of
-  /// functional toggles.  Off by default: our netlists keep ripple-carry
-  /// adders (synthesis at 1 GHz would restructure them into log-depth
-  /// trees), so unit-delay hazard counts over-penalize carry chains.  The
-  /// ablation bench exercises both models.
-  bool count_glitches = false;
 };
 
 /// Simulates `module` under the stimulus profile and returns its
-/// (uncalibrated) power estimate.  The functional (non-glitch) path runs on
-/// the 64-lane packed engine (hw/packed_simulator.hpp) with the cycle stream
-/// sharded over the persistent thread pool; glitch counting stays on the
-/// scalar unit-delay simulator.  Throws std::invalid_argument for a
-/// zero-cycle profile.
+/// (uncalibrated) power estimate from functional (zero-delay) toggles.  It
+/// runs on the 64-lane packed engine (hw/packed_simulator.hpp) with the
+/// cycle stream sharded over the persistent thread pool.  Throws
+/// std::invalid_argument for a zero-cycle profile.
 [[nodiscard]] PowerReport estimate_power(const Module& module,
                                          const StimulusProfile& profile = {});
 

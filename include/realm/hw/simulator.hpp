@@ -7,7 +7,7 @@
 // This scalar sweep is the *reference* back end: bulk workloads (power
 // sweeps, fault campaigns, exhaustive equivalence) run on the 64-lane
 // bit-parallel engine in packed_simulator.hpp, which is checked bit-for-bit
-// against the simulators here.  Every back end evaluates gates through the
+// against the simulator here.  Every back end evaluates gates through the
 // one truth table, gate_value() in netlist.hpp.
 
 #pragma once
@@ -64,41 +64,6 @@ class Simulator {
   static constexpr std::size_t kNoForce = ~std::size_t{0};
   std::size_t forced_gate_ = kNoForce;
   std::uint8_t forced_value_ = 0;
-  bool primed_ = false;
-};
-
-/// Unit-delay event-driven simulator.
-///
-/// Every gate has one unit of delay, so transient hazards (glitches)
-/// propagate and are counted — the dominant power term in deep structures
-/// like Wallace trees.  Used by the power model; the zero-delay Simulator
-/// above remains the tool for functional validation.
-class TimedSimulator {
- public:
-  explicit TimedSimulator(const Module& module);
-
-  void set_input(std::size_t index, std::uint64_t value);
-
-  /// Propagates to quiescence, counting every output transition of every
-  /// gate (glitches included).  The first call primes state silently.
-  void settle();
-
-  [[nodiscard]] std::uint64_t output(std::size_t index) const;
-
-  /// Total counted transitions of gate g's output.
-  [[nodiscard]] std::uint64_t transitions(std::size_t gate_index) const;
-
-  /// Number of settle() calls that contributed to the counts.
-  [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }
-
- private:
-  const Module* module_;
-  std::vector<std::uint8_t> values_;
-  std::vector<std::uint64_t> transition_counts_;
-  std::vector<std::vector<std::uint32_t>> fanout_;  // net -> gate indices
-  std::vector<std::uint32_t> dirty_gates_;          // scratch
-  std::vector<std::uint8_t> gate_marked_;           // scratch
-  std::uint64_t cycles_ = 0;
   bool primed_ = false;
 };
 

@@ -3,8 +3,8 @@
 //
 // Pipeline per 8×8 block: level shift → fixed-point FDCT → quantize →
 // zigzag + RLE → canonical Huffman.  Decoding mirrors it; the IDCT goes
-// through the same multiplier, and so does dequantization when
-// CodecOptions::approximate_dequant is set.  The bitstream is this library's
+// through the same multiplier, while dequantization multiplies exactly by
+// the known quantizer constants.  The bitstream is this library's
 // own compact format (header with dimensions, quality, and Huffman code
 // lengths), not JFIF — the paper's metric (PSNR vs the uncompressed image)
 // only needs a faithful lossy pipeline.
@@ -32,17 +32,11 @@ struct CodecOptions {
   /// options that set `umul` without `mul` with std::invalid_argument, since
   /// it would otherwise ignore the multiplier the caller asked for.
   num::UMulFn umul;
-  /// Route dequantization through the multiplier under test as well.  Off by
-  /// default: the dequantizer multiplies by one of 64 *known constants*,
-  /// which hardware implements as shift-add constant multipliers — the
-  /// design under test replaces the general-purpose MAC multipliers of the
-  /// transform.  (The JPEG ablation bench exercises both settings; the
-  /// frequent power-of-two quantizer constants otherwise excite the
-  /// log-multipliers' x = 0 ridge coherently across stages.)
-  bool approximate_dequant = false;
-  /// The design under test for the DCT, the IDCT and (with
-  /// approximate_dequant, one multiply_batch per decode panel) the
-  /// dequantizer.  Every codec entry point runs the panel engine on it:
+  /// The design under test for the DCT and the IDCT.  The dequantizer is not
+  /// one of its uses: it multiplies by one of 64 *known constants*, which
+  /// hardware implements as shift-add constant multipliers, so the design
+  /// under test replaces only the general-purpose MAC multipliers of the
+  /// transform.  Every codec entry point runs the panel engine on it:
   /// encode() and decode() each build one DctProducts table of the design
   /// (7 multiply_row_range calls), roundtrip() one for both, and the
   /// transforms read every product from it, with the block passes sharded

@@ -4,7 +4,8 @@
 //
 // Quantization divides by the table entry (exact integer division with
 // rounding — a constant divider in hardware); *de*quantization multiplies by
-// the entry and is routed through the multiplier under test.
+// the entry exactly — a constant (shift-add) multiplier in hardware, not the
+// design under test.
 
 #pragma once
 
@@ -12,11 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "realm/numeric/fixed_point.hpp"
-
-namespace realm {
-class Multiplier;
-}  // namespace realm
 
 namespace realm::jpeg {
 
@@ -39,23 +35,15 @@ void quantize_panel(const std::int16_t* coeffs,
                     const std::array<std::uint16_t, 64>& qtable, std::int16_t* levels,
                     std::size_t n_blocks) noexcept;
 
-/// Dequantize through the (possibly approximate) multiplier.  The quantizer
-/// constant is the first (hardware-resident) operand — operand a of
-/// dequantize_panel's batch as well — so the scalar reference and
-/// dequantize_panel issue identical products even for non-commutative
-/// approximate designs.
-[[nodiscard]] std::int32_t dequantize(std::int16_t level, std::uint16_t q,
-                                      const num::UMulFn& umul);
+/// Exact dequantizer: level · q saturated to 16 signed bits, the
+/// coefficient width the IDCT takes.
+[[nodiscard]] std::int16_t dequantize(std::int16_t level, std::uint16_t q) noexcept;
 
-/// Dequantize `n_blocks` consecutive 64-level blocks into 16-bit-saturated
-/// coefficients, one multiply_batch over the whole panel (magnitudes, with
-/// the sign re-applied after).  `mul == nullptr` multiplies exactly —
-/// the codec default, where the constant dequantizer is not the design under
-/// test.  Bit-identical to the scalar dequantize + sat_signed(·, 16) path.
-/// `out` may not alias `levels`.
+/// Dequantize `n_blocks` consecutive 64-level blocks, bit-identical to
+/// per-level dequantize().  `out` may not alias `levels`.
 void dequantize_panel(const std::int16_t* levels,
                       const std::array<std::uint16_t, 64>& qtable, std::int16_t* out,
-                      std::size_t n_blocks, const Multiplier* mul);
+                      std::size_t n_blocks) noexcept;
 
 /// Zigzag scan order: zigzag_order()[i] is the row-major index of the i-th
 /// zigzag position.

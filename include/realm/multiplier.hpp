@@ -43,9 +43,9 @@ class Multiplier {
   /// cheap: REALM, cALM, MBM, ALM-SOA/MAA, ImpLM, IntALP, DRUM, SSM and ESSM
   /// generate theirs from one datapath policy per family
   /// (src/multipliers/datapath.hpp), AM1/AM2 from their lane-blocked
-  /// reduction tree, and the exact reference is a plain product loop.  Only
-  /// UDM and the truncated multiplier keep this loop.  `out` may alias
-  /// neither `a` nor `b`.
+  /// reduction tree, and the exact reference is a plain product loop.  This
+  /// loop is the default for a design that overrides only multiply(), such
+  /// as a wrapper or a test double.  `out` may alias neither `a` nor `b`.
   virtual void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                               std::uint64_t* out, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a[i], b[i]);
@@ -84,9 +84,8 @@ class Multiplier {
   /// constant-shift kernel per segment, which removes the remaining LOD and
   /// turns the final barrel shift into two fixed shifts; AM1/AM2 run their
   /// lane kernel with the fixed operand broadcast.  The base implementation,
-  /// left to UDM and the truncated multiplier, materializes the range in
-  /// stack chunks and forwards to multiply_row_batch.  `out` must not overlap
-  /// the range.
+  /// which no library design keeps, materializes the range in stack chunks
+  /// and forwards to multiply_row_batch.  `out` must not overlap the range.
   virtual void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                                   std::uint64_t* out, std::size_t n) const {
     constexpr std::size_t kChunk = 1024;

@@ -1,9 +1,8 @@
 // Adaptive numerical integration, 1-D and 2-D.
 //
 // Used to cross-validate the closed-form segment-factor integrals of
-// src/core/segment_factors.cpp and to evaluate formulations (e.g. the
-// mean-square-error variant the paper lists as future work) that have no
-// convenient elementary antiderivative.
+// src/core/segment_factors.cpp against an independent numerical
+// evaluation.
 
 #pragma once
 

@@ -45,8 +45,8 @@
 //   kExhaustiveTiles    row×column tiles executed by the exhaustive engine
 //   kRowFallbackBatches blocks of the base multiply_row_batch's
 //                       broadcast into multiply_batch: every row-batch call,
-//                       and the ranges of designs without a range kernel
-//                       (UDM, truncated)
+//                       and the ranges of a design without a range kernel
+//                       (no library design; the base multiply_row_range)
 //   kDctBlocksBatched   8x8 blocks transformed by the panel DCT/IDCT engine
 //                       (forward + inverse; counted once per panel call)
 //   kNetAccepts         connections accepted by the serving event loop

@@ -44,7 +44,6 @@ std::string synthesis_key(const std::string& spec, int n,
       .field_hex("seed", profile.seed)
       .field("toggle_rate", profile.toggle_rate)
       .field("probability", profile.probability)
-      .field("glitches", static_cast<std::int64_t>(profile.count_glitches ? 1 : 0))
       .str();
 }
 

@@ -5,25 +5,26 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
+#include <string>
+#include <utility>
 
 #include "realm/numeric/bits.hpp"
 #include "realm/obs/counters.hpp"
 
 namespace realm::core {
 
-std::shared_ptr<const SegmentLut> SegmentLut::shared(int m, int q, Formulation f) {
-  using Key = std::tuple<int, int, int>;
+std::shared_ptr<const SegmentLut> SegmentLut::shared(int m, int q) {
+  using Key = std::pair<int, int>;
   static std::mutex mu;
   // Strong cache: a derived table lives for the process.  Each table is a
-  // few KB and the key space is the handful of (M, q, formulation) combos a
-  // run touches, while re-derivation costs a dilog quadrature per segment —
+  // few KB and the key space is the handful of (M, q) pairs a run touches,
+  // while re-derivation costs a dilog quadrature per segment —
   // the weak_ptr cache this replaces expired between the sequential
   // construct-use-destroy iterations of every sweep (Table I, DSE) and so
   // never actually served a hit.
   static std::map<Key, std::shared_ptr<const SegmentLut>> cache;
 
-  const Key key{m, q, static_cast<int>(f)};
+  const Key key{m, q};
   std::lock_guard lock{mu};
   const auto it = cache.find(key);
   if (it != cache.end()) {
@@ -32,30 +33,31 @@ std::shared_ptr<const SegmentLut> SegmentLut::shared(int m, int q, Formulation f
   }
   // Construct outside the map so a throwing constructor (invalid m/q) leaves
   // the cache untouched.
-  auto fresh = std::make_shared<const SegmentLut>(m, q, f);
+  auto fresh = std::make_shared<const SegmentLut>(m, q);
   obs::counter_add(obs::Counter::kLutCacheMisses, 1);
   cache[key] = fresh;
   return fresh;
 }
 
-SegmentLut::SegmentLut(int m, int q, Formulation f)
-    : m_{m}, q_{q}, log2m_{0}, formulation_{f} {
-  if (m < 2 || !std::has_single_bit(static_cast<unsigned>(m))) {
-    throw std::invalid_argument("SegmentLut: M must be a power of two >= 2");
+SegmentLut::SegmentLut(int m, int q) : m_{m}, q_{q}, log2m_{0} {
+  if (m < 2 || m > kMaxLutM || !std::has_single_bit(static_cast<unsigned>(m))) {
+    throw std::invalid_argument("SegmentLut: M must be a power of two in [2, " +
+                                std::to_string(kMaxLutM) + "]");
   }
-  if (q < 3) throw std::invalid_argument("SegmentLut: q must be >= 3");
+  if (q < 3 || q > kMaxLutQ) {
+    throw std::invalid_argument("SegmentLut: q must be in [3, " +
+                                std::to_string(kMaxLutQ) + "]");
+  }
   log2m_ = num::clog2(static_cast<std::uint64_t>(m));
 
-  exact_ = (f == Formulation::kMeanRelativeError) ? segment_factor_table(m)
-                                                  : segment_factor_table_mse(m);
+  exact_ = segment_factor_table(m);
   units_.resize(exact_.size());
   const double scale = std::ldexp(1.0, q_);
   for (std::size_t k = 0; k < exact_.size(); ++k) {
     const auto u = static_cast<long>(std::lround(exact_[k] * scale));
     if (u < 0 || u >= (1L << (q_ - 2))) {
-      // The (0, 0.25) bound is a theorem for the formulations above; failing
-      // it means the caller picked a formulation/M this hardware layout
-      // cannot store.
+      // The (0, 0.25) bound is a theorem for Eq. 8's factors; failing it
+      // means q rounds a factor up to 0.25, which this layout cannot store.
       throw std::domain_error("SegmentLut: factor outside [0, 0.25) after quantization");
     }
     units_[k] = static_cast<std::uint32_t>(u);

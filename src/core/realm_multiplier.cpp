@@ -66,12 +66,14 @@ RealmMultiplier::RealmMultiplier(RealmConfig cfg) : cfg_{cfg} {
     throw std::invalid_argument("RealmMultiplier: N must be in [2, 31]");
   }
   if (cfg_.t < 0) throw std::invalid_argument("RealmMultiplier: t must be >= 0");
-  lut_ = SegmentLut::shared(cfg_.m, cfg_.q, cfg_.formulation);
   // The kept fraction must still contain the log2(M) segment-select MSBs.
-  if (cfg_.fraction_bits() < lut_->select_bits()) {
+  // Checked before the table is derived, so a rejected configuration costs
+  // no derivation and leaves no cache entry.
+  if (cfg_.fraction_bits() < cfg_.select_bits()) {
     throw std::invalid_argument(
         "RealmMultiplier: t too large — fraction no longer addresses the LUT");
   }
+  lut_ = SegmentLut::shared(cfg_.m, cfg_.q);
 
   // Pre-align the LUT for the batch kernel: entry = (s_ij << 1) shifted to
   // the f-bit fraction (the c_of = 0 addend); the c_of = 1 addend is
@@ -93,9 +95,7 @@ std::uint64_t RealmMultiplier::multiply_saturated(std::uint64_t a, std::uint64_t
 }
 
 std::string RealmMultiplier::name() const {
-  std::string s = "REALM" + std::to_string(cfg_.m) + " (t=" + std::to_string(cfg_.t) + ")";
-  if (cfg_.formulation == Formulation::kMeanSquareError) s += " [MSE]";
-  return s;
+  return "REALM" + std::to_string(cfg_.m) + " (t=" + std::to_string(cfg_.t) + ")";
 }
 
 }  // namespace realm::core

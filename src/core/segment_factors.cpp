@@ -124,29 +124,4 @@ std::vector<double> segment_factor_table(int m) {
   return table;
 }
 
-double segment_factor_mse(const Segment& s, double tol) {
-  validate(s);
-  const auto g = [](double x, double y) { return 1.0 / ((1.0 + x) * (1.0 + y)); };
-  const double num = num::integrate2d(
-      [&](double x, double y) { return mitchell_relative_error(x, y) * g(x, y); },
-      s.x0, s.x1, s.y0, s.y1, tol);
-  const double den = num::integrate2d(
-      [&](double x, double y) { return g(x, y) * g(x, y); }, s.x0, s.x1, s.y0,
-      s.y1, tol);
-  return -num / den;
-}
-
-std::vector<double> segment_factor_table_mse(int m) {
-  if (m < 1) throw std::invalid_argument("M must be >= 1");
-  std::vector<double> table(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
-  const double w = 1.0 / m;
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < m; ++j) {
-      const Segment seg{i * w, (i + 1) * w, j * w, (j + 1) * w};
-      table[static_cast<std::size_t>(i * m + j)] = segment_factor_mse(seg);
-    }
-  }
-  return table;
-}
-
 }  // namespace realm::core

@@ -143,10 +143,11 @@ struct Lanes {
 // One vector of the general loop.  Zero pairs are skipped exactly as in the
 // scalar reference: the max() divisor keeps the (unconditional) division
 // safe, and the mask blend forces e to exactly 0 so the pair drops out of
-// the sums even for designs whose product is nonzero for a zero operand
-// (e.g. TRUNC's correction constant); min/max and the count blend the pair
-// away.  All comparisons are on doubles — integer vector compares lower to
-// scalar extract sequences on GCC 12, FP compares to vcmppd + blends.  A
+// the sums even for a design whose product is nonzero for a zero operand
+// (the Multiplier interface allows one; no library design is one); min/max
+// and the count blend the pair away.  All comparisons are on doubles —
+// integer vector compares lower to scalar extract sequences on GCC 12, FP
+// compares to vcmppd + blends.  A
 // pair is valid iff exact > 0 (operands are < 2^31, so the product converts
 // without losing the zero/nonzero distinction).
 template <bool kStoreErrors>

@@ -24,9 +24,8 @@ Module build_circuit_unpruned(const std::string& spec, int n) {
   if (s.design == "accurate") return build_accurate(n);
   LogMultOptions o;
   o.n = n;
-  if (s.design == "calm" || s.design == "mitchell") {
+  if (s.design == "calm") {
     o.t = p.at("t");
-    o.fraction_adder = static_cast<AdderArch>(p.at("adder"));
     return build_log_multiplier(o);
   }
   if (s.design == "mbm") {
@@ -50,8 +49,6 @@ Module build_circuit_unpruned(const std::string& spec, int n) {
   if (s.design == "am1") return build_am(n, p.at("nb"), mult::AmVariant::kAm1);
   if (s.design == "am2") return build_am(n, p.at("nb"), mult::AmVariant::kAm2);
   if (s.design == "intalp") return build_intalp(n, p.at("l"));
-  if (s.design == "udm") return build_udm(n);
-  if (s.design == "trunc") return build_truncated(n, p.at("drop"));
   throw std::invalid_argument("build_circuit: unknown design '" + s.design + "'");
 }
 

@@ -36,7 +36,7 @@ Module build_log_multiplier(const LogMultOptions& opts) {
   NetId c_of = kConst0;
   const int am = opts.approx_adder_bits;
   if (am == 0) {
-    const auto add = add_with_arch(m, oa.frac, ob.frac, opts.fraction_adder);
+    const auto add = ripple_add(m, oa.frac, ob.frac);
     frac = add.sum;
     c_of = add.carry;
   } else {

@@ -14,13 +14,13 @@ namespace realm::hw {
 Module build_realm(const core::RealmConfig& cfg) {
   const int n = cfg.n;
   const int f = cfg.fraction_bits();
-  // Shared cache: the cost model builds one circuit per sweep point, and
-  // re-integrating Eq. 11 per point dwarfed the netlist construction itself.
-  const auto lut_ptr = core::SegmentLut::shared(cfg.m, cfg.q, cfg.formulation);
-  const core::SegmentLut& lut = *lut_ptr;
-  if (f < lut.select_bits()) {
+  if (f < cfg.select_bits()) {
     throw std::invalid_argument("build_realm: t too large for the LUT selects");
   }
+  // Shared cache: the cost model builds one circuit per sweep point, and
+  // re-integrating Eq. 11 per point dwarfed the netlist construction itself.
+  const auto lut_ptr = core::SegmentLut::shared(cfg.m, cfg.q);
+  const core::SegmentLut& lut = *lut_ptr;
 
   Module m{"realm" + std::to_string(n) + "_m" + std::to_string(cfg.m) + "_t" +
            std::to_string(cfg.t)};

@@ -74,29 +74,6 @@ PowerReport reduce_power(const Module& module, const StimulusProfile& profile,
   return report;
 }
 
-// Replays the stimulus on a scalar back end, one settle per state, and
-// reduces its per-gate transition counts.
-template <typename Sim, typename Settle, typename Count>
-PowerReport scalar_power(const Module& module, const StimulusProfile& profile, Sim& sim,
-                         Settle settle, Count count) {
-  const Stimulus states = stimulus_states(module, profile);
-  for (std::uint32_t c = 0; c <= profile.cycles; ++c) {
-    for (std::size_t p = 0; p < states.size(); ++p) sim.set_input(p, states[p][c]);
-    settle();
-  }
-  std::vector<std::uint64_t> toggles(module.gates().size());
-  for (std::size_t gi = 0; gi < toggles.size(); ++gi) toggles[gi] = count(gi);
-  return reduce_power(module, profile, toggles);
-}
-
-// Glitch counting needs per-event wave propagation; it runs on the scalar
-// unit-delay simulator in both entry points.
-PowerReport glitch_power(const Module& module, const StimulusProfile& profile) {
-  TimedSimulator sim{module};
-  return scalar_power(module, profile, sim, [&] { sim.settle(); },
-                      [&](std::size_t gi) { return sim.transitions(gi); });
-}
-
 /// Cycle transitions per packed-engine shard.  Fixed (never derived from the
 /// thread count) so the block partition — and therefore the merged toggle
 /// counts — is identical for any --threads value.
@@ -148,7 +125,6 @@ std::vector<std::uint64_t> packed_toggles(const Module& module,
 
 PowerReport estimate_power(const Module& module, const StimulusProfile& profile) {
   validate_profile(profile, "estimate_power");
-  if (profile.count_glitches) return glitch_power(module, profile);
   REALM_TRACE_SCOPE("power/sweep");
   return reduce_power(module, profile,
                       packed_toggles(module, profile, stimulus_states(module, profile)));
@@ -157,10 +133,15 @@ PowerReport estimate_power(const Module& module, const StimulusProfile& profile)
 PowerReport estimate_power_reference(const Module& module,
                                      const StimulusProfile& profile) {
   validate_profile(profile, "estimate_power_reference");
-  if (profile.count_glitches) return glitch_power(module, profile);
+  const Stimulus states = stimulus_states(module, profile);
   Simulator sim{module};
-  return scalar_power(module, profile, sim, [&] { sim.eval(); },
-                      [&](std::size_t gi) { return sim.toggles(gi); });
+  for (std::uint32_t c = 0; c <= profile.cycles; ++c) {
+    for (std::size_t p = 0; p < states.size(); ++p) sim.set_input(p, states[p][c]);
+    sim.eval();
+  }
+  std::vector<std::uint64_t> toggles(module.gates().size());
+  for (std::size_t gi = 0; gi < toggles.size(); ++gi) toggles[gi] = sim.toggles(gi);
+  return reduce_power(module, profile, toggles);
 }
 
 }  // namespace realm::hw

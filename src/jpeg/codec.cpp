@@ -108,11 +108,6 @@ num::UMulFn effective_mul(const CodecOptions& opts) {
   return [](std::uint64_t a, std::uint64_t b) { return a * b; };
 }
 
-num::UMulFn dequant_mul(const CodecOptions& opts) {
-  if (opts.approximate_dequant) return effective_mul(opts);
-  return [](std::uint64_t a, std::uint64_t b) { return a * b; };
-}
-
 void forward_block(const Image& img, int bx, int by, const num::UMulFn& mul,
                    const std::array<std::uint16_t, 64>& qtable, std::int16_t* levels) {
   std::array<std::int16_t, 64> block{};
@@ -258,13 +253,9 @@ std::vector<std::int16_t> parse_levels(const Compressed& c) {
 }
 
 void inverse_block(const std::int16_t* levels, const std::array<std::uint16_t, 64>& qtable,
-                   const num::UMulFn& mul, const num::UMulFn& dq_mul, Image& img, int bx,
-                   int by) {
+                   const num::UMulFn& mul, Image& img, int bx, int by) {
   std::array<std::int16_t, 64> coeffs{};
-  for (std::size_t i = 0; i < 64; ++i) {
-    coeffs[i] = static_cast<std::int16_t>(
-        num::sat_signed(dequantize(levels[i], qtable[i], dq_mul), 16));
-  }
+  for (std::size_t i = 0; i < 64; ++i) coeffs[i] = dequantize(levels[i], qtable[i]);
   std::array<std::int16_t, 64> pixels{};
   idct8x8(coeffs, pixels, mul);
   for (int y = 0; y < 8; ++y) {
@@ -322,7 +313,6 @@ Image decode_with(const Compressed& c, const CodecOptions& opts,
   const auto width = static_cast<std::size_t>(c.width);
   const std::size_t bw = width / 8;
   const std::size_t n_blocks = levels.size() / 64;
-  const Multiplier* dq_mul = opts.approximate_dequant ? &engine_mul(opts) : nullptr;
   {
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -333,7 +323,7 @@ Image decode_with(const Compressed& c, const CodecOptions& opts,
           const std::size_t nb = std::min(kCodecShardBlocks, n_blocks - b0);
           std::int16_t coeffs[kCodecShardBlocks * 64];
           std::int16_t pixels[kCodecShardBlocks * 64];
-          dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb, dq_mul);
+          dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb);
           idct_panel(coeffs, pixels, nb, products);
           check_shard_bounds(img, bw, b0 + nb - 1);
           std::uint8_t* px = img.pixels().data();
@@ -388,7 +378,6 @@ Image decode_plane_reference(const Compressed& c,
                              const CodecOptions& opts) {
   REALM_TRACE_SCOPE("jpeg/decode");
   const num::UMulFn mul = effective_mul(opts);
-  const num::UMulFn dq = dequant_mul(opts);
   const std::vector<std::int16_t> levels = parse_levels(c);
 
   Image img{c.width, c.height};
@@ -399,7 +388,7 @@ Image decode_plane_reference(const Compressed& c,
     for (std::size_t bi = 0; bi < n_blocks; ++bi) {
       const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
       const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
-      inverse_block(levels.data() + bi * 64, qtable, mul, dq, img, bx, by);
+      inverse_block(levels.data() + bi * 64, qtable, mul, img, bx, by);
     }
   }
   obs::counter_add(obs::Counter::kJpegBlocksDecoded, n_blocks);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
-#include "realm/multiplier.hpp"
+#include "realm/numeric/fixed_point.hpp"
 
 namespace realm::jpeg {
 
@@ -58,39 +57,17 @@ void quantize_panel(const std::int16_t* coeffs,
   }
 }
 
-std::int32_t dequantize(std::int16_t level, std::uint16_t q, const num::UMulFn& umul) {
-  return static_cast<std::int32_t>(num::signed_mul(q, level, umul));
+std::int16_t dequantize(std::int16_t level, std::uint16_t q) noexcept {
+  return static_cast<std::int16_t>(num::sat_signed(std::int64_t{level} * q, 16));
 }
 
 void dequantize_panel(const std::int16_t* levels,
                       const std::array<std::uint16_t, 64>& qtable, std::int16_t* out,
-                      std::size_t n_blocks, const Multiplier* mul) {
-  if (mul == nullptr) {
-    // Exact constant multiplier (the codec default): a plain product, with
-    // the same 16-bit saturation the inverse path applies.
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      for (std::size_t i = 0; i < 64; ++i) {
-        const std::int64_t p = std::int64_t{levels[b * 64 + i]} * qtable[i];
-        out[b * 64 + i] = static_cast<std::int16_t>(num::sat_signed(p, 16));
-      }
+                      std::size_t n_blocks) noexcept {
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      out[b * 64 + i] = dequantize(levels[b * 64 + i], qtable[i]);
     }
-    return;
-  }
-  // Approximate dequantizer: one batch over the whole panel in
-  // sign-magnitude form, the quantizer constant as operand a (as in
-  // dequantize).  The constant is positive, so the level's sign is the
-  // product's.
-  const std::size_t n = n_blocks * 64;
-  std::vector<std::uint64_t> q(n), mag(n), prod(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::int32_t level = levels[k];
-    q[k] = qtable[k % 64];
-    mag[k] = static_cast<std::uint64_t>(level < 0 ? -level : level);
-  }
-  mul->multiply_batch(q.data(), mag.data(), prod.data(), n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto p = static_cast<std::int64_t>(prod[k]);
-    out[k] = static_cast<std::int16_t>(num::sat_signed(levels[k] < 0 ? -p : p, 16));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "datapath.hpp"
+#include "realm/core/lut.hpp"
 #include "realm/core/segment_factors.hpp"
 
 namespace realm::mult {
@@ -49,7 +50,11 @@ MbmMultiplier::MbmMultiplier(int n, int t, int q)
     : n_{n}, t_{t}, q_{q}, corr_units_{correction_units(q)} {
   if (n < 2 || n > 31) throw std::invalid_argument("MbmMultiplier: N in [2, 31]");
   if (t < 0 || t > n - 2) throw std::invalid_argument("MbmMultiplier: t in [0, N-2]");
-  if (q < 3) throw std::invalid_argument("MbmMultiplier: q >= 3");
+  // Past kMaxLutQ the quantized correction wraps in its uint32_t.
+  if (q < 3 || q > core::kMaxLutQ) {
+    throw std::invalid_argument("MbmMultiplier: q in [3, " +
+                                std::to_string(core::kMaxLutQ) + "]");
+  }
 }
 
 REALM_DATAPATH_ENTRY_POINTS(MbmMultiplier)

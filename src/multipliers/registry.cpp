@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "realm/core/lut.hpp"
 #include "realm/core/realm_multiplier.hpp"
 #include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/alm.hpp"
@@ -19,7 +20,6 @@
 #include "realm/multipliers/mbm.hpp"
 #include "realm/multipliers/mitchell.hpp"
 #include "realm/multipliers/ssm.hpp"
-#include "realm/multipliers/udm.hpp"
 
 namespace realm::mult {
 
@@ -39,17 +39,16 @@ constexpr int kIntMax = std::numeric_limits<int>::max();
 
 // Every design's parameters, their defaults and their width-independent
 // ranges, for make_multiplier and hw::build_circuit alike; neither keeps a
-// default of its own.  q, the select width of the REALM LUT and of MBM's
-// correction table, is at least 3 bits.  The truncation t is checked where
-// its width-dependent upper bound is: in the constructors and the builders.
+// default of its own.  q, the quantization of the REALM LUT and of MBM's
+// correction constant, and REALM's segment count M take the bounds of
+// core/lut.hpp.  The truncation t is checked where its width-dependent upper
+// bound is: in the constructors and the builders.
 const std::map<std::string, std::vector<Param>, std::less<>>& design_params() {
   static const std::map<std::string, std::vector<Param>, std::less<>> table{
       {"accurate", {}},
-      {"calm", {{"t", 0}, {"adder", 0, 0, 1}}},  // adder: 0 ripple, 1 Kogge-Stone
-      {"mitchell", {{"t", 0}, {"adder", 0, 0, 1}}},
-      {"realm",
-       {{"m", 16, 2, kIntMax}, {"t", 0}, {"q", 6, 3, kIntMax}, {"mse", 0, 0, 1}}},
-      {"mbm", {{"t", 0}, {"q", 6, 3, kIntMax}}},
+      {"calm", {{"t", 0}}},
+      {"realm", {{"m", 16, 2, core::kMaxLutM}, {"t", 0}, {"q", 6, 3, core::kMaxLutQ}}},
+      {"mbm", {{"t", 0}, {"q", 6, 3, core::kMaxLutQ}}},
       {"alm-soa", {{"m", std::nullopt, 0, kIntMax}}},
       {"alm-maa", {{"m", std::nullopt, 0, kIntMax}}},
       {"implm", {}},
@@ -59,8 +58,6 @@ const std::map<std::string, std::vector<Param>, std::less<>>& design_params() {
       {"am1", {{"nb", std::nullopt, 0, kIntMax}}},
       {"am2", {{"nb", std::nullopt, 0, kIntMax}}},
       {"intalp", {{"l", 2, 1, 2}}},
-      {"udm", {}},
-      {"trunc", {{"drop", std::nullopt, 0, kIntMax}}},
   };
   return table;
 }
@@ -133,8 +130,6 @@ core::RealmConfig realm_config(const SpecParams& spec, int n) {
   cfg.m = p.at("m");
   cfg.t = p.at("t");
   cfg.q = p.at("q");
-  cfg.formulation = p.at("mse") != 0 ? core::Formulation::kMeanSquareError
-                                     : core::Formulation::kMeanRelativeError;
   return cfg;
 }
 
@@ -142,7 +137,7 @@ std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
   const SpecParams s = parse_spec(spec);
   const auto& p = s.params;
   if (s.design == "accurate") return std::make_unique<AccurateMultiplier>(n);
-  if (s.design == "calm" || s.design == "mitchell") {
+  if (s.design == "calm") {
     return std::make_unique<MitchellMultiplier>(n, p.at("t"));
   }
   if (s.design == "realm") {
@@ -166,8 +161,6 @@ std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
     return std::make_unique<AmMultiplier>(n, p.at("nb"), AmVariant::kAm2);
   }
   if (s.design == "intalp") return std::make_unique<IntAlpMultiplier>(n, p.at("l"));
-  if (s.design == "udm") return std::make_unique<UdmMultiplier>(n);
-  if (s.design == "trunc") return std::make_unique<TruncatedMultiplier>(n, p.at("drop"));
   throw std::invalid_argument("make_multiplier: unknown design '" + s.design + "'");
 }
 

@@ -47,8 +47,6 @@ namespace {
 constexpr std::uint64_t kMaxMcSamplesPerRequest = std::uint64_t{1} << 26;
 constexpr std::uint64_t kMaxExhaustiveRangePerRequest = std::uint64_t{1} << 16;
 constexpr std::uint32_t kMaxSynthesisCycles = 1u << 20;
-constexpr int kMaxSijM = 256;
-constexpr int kMaxSijQ = 30;
 
 [[nodiscard]] std::string errno_message(const char* what) {
   return std::string{what} + ": " + std::strerror(errno);
@@ -196,7 +194,7 @@ struct Request {
     case MsgType::kSijLookup: {
       const std::int64_t m = r.get_i64("m");
       const std::int64_t q = r.get_i64("q");
-      if (m < 2 || m > kMaxSijM || q < 3 || q > kMaxSijQ) {
+      if (m < 2 || m > core::kMaxLutM || q < 3 || q > core::kMaxLutQ) {
         throw std::runtime_error("m/q out of range");
       }
       rq.m = static_cast<int>(m);

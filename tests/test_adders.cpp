@@ -1,6 +1,5 @@
 // Adder-architecture and multiplier-architecture substrate tests.
 
-#include <stdexcept>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -153,22 +152,4 @@ TEST(AccurateArch, ArrayIsSlowerThanWallace) {
   const auto dw = analyze_timing(build_accurate(16)).critical_path_ps;
   const auto da = analyze_timing(build_accurate_array(16)).critical_path_ps;
   EXPECT_GT(da, 1.5 * dw);
-}
-
-TEST(LogMultAdderArch, FunctionIsArchitectureIndependent) {
-  // The fraction-adder architecture changes cost, never function.
-  num::Xoshiro256 rng{9};
-  const Module ripple = build_circuit("calm", 16);
-  const Module ks = build_circuit("calm:adder=1", 16);
-  Simulator s0{ripple}, s1{ks};
-  for (int it = 0; it < 3000; ++it) {
-    const std::uint64_t a = rng.below(65536), b = rng.below(65536);
-    ASSERT_EQ(s1.run({a, b}), s0.run({a, b}));
-  }
-  // Kogge-Stone shortens the path at an area premium.
-  EXPECT_LT(analyze_timing(ks).critical_path_ps,
-            analyze_timing(ripple).critical_path_ps);
-  EXPECT_GT(ks.area_um2(), ripple.area_um2());
-  // Only those two architectures exist; any other selector is rejected.
-  EXPECT_THROW((void)build_circuit("calm:adder=2", 16), std::invalid_argument);
 }

@@ -305,54 +305,32 @@ TEST(AppBatch, DequantizePanelMatchesScalar) {
     const std::int16_t edge[] = {-32768, -32767, 32767, 0, 1, -1, 100, -100};
     std::copy(std::begin(edge), std::end(edge), levels.begin());
 
-    // Exact path (mul == nullptr): the plain saturated product.
+    // The plain saturated product, one level at a time and panel-wide.
     std::vector<std::int16_t> out(levels.size());
-    jpeg::dequantize_panel(levels.data(), qtable, out.data(), n_blocks, nullptr);
+    jpeg::dequantize_panel(levels.data(), qtable, out.data(), n_blocks);
     for (std::size_t k = 0; k < levels.size(); ++k) {
       const std::int64_t p = std::int64_t{levels[k]} * qtable[k % 64];
       ASSERT_EQ(out[k], num::sat_signed(p, 16)) << "k=" << k;
-    }
-    // Approximate path: scalar dequantize with the same design, q first.
-    for (const auto& spec : panel_specs()) {
-      const auto mul = mult::make_multiplier(spec, 16);
-      const auto f = mul->as_function();
-      jpeg::dequantize_panel(levels.data(), qtable, out.data(), n_blocks, mul.get());
-      for (std::size_t k = 0; k < levels.size(); ++k) {
-        const std::int32_t ref = jpeg::dequantize(levels[k], qtable[k % 64], f);
-        ASSERT_EQ(out[k], num::sat_signed(ref, 16))
-            << spec << " blocks=" << n_blocks << " level=" << levels[k];
-      }
+      ASSERT_EQ(out[k], jpeg::dequantize(levels[k], qtable[k % 64])) << "k=" << k;
     }
   }
 }
 
-TEST(AppBatch, DequantizerKeepsTheQuantizerConstantAsOperandA) {
+TEST(AppBatch, CodecMatchesTheReferenceForANonCommutativeDesign) {
   // Every in-repo design is commutative, so only a design that is not can
-  // tell the operands apart: the panel and the codec must put q first, as
-  // dequantize() does.
+  // tell the operands apart: the panel engine must issue each transform
+  // product with the operand order of the scalar reference.
   const NonCommutative mul;
-  const auto f = mul.as_function();
   ASSERT_NE(mul.multiply(3, 5), mul.multiply(5, 3));
   const auto qtable = jpeg::scaled_table(50);
-  num::Xoshiro256 rng{0xA5B};
-  std::vector<std::int16_t> levels(5 * 64), out(levels.size());
-  for (auto& l : levels) l = static_cast<std::int16_t>(rng.below(401)) - 200;
-  jpeg::dequantize_panel(levels.data(), qtable, out.data(), 5, &mul);
-  for (std::size_t k = 0; k < levels.size(); ++k) {
-    ASSERT_EQ(out[k], num::sat_signed(jpeg::dequantize(levels[k], qtable[k % 64], f), 16))
-        << "k=" << k;
-  }
-
   const auto img = jpeg::synthetic_cameraman(64);
   jpeg::CodecOptions ref_opts;
-  ref_opts.umul = f;
-  ref_opts.approximate_dequant = true;
+  ref_opts.umul = mul.as_function();
   const auto c = jpeg::encode_plane_reference(img, qtable, ref_opts);
   const auto d_ref = jpeg::decode_plane_reference(c, qtable, ref_opts);
   for (const int threads : {1, 2}) {
     jpeg::CodecOptions opts;
     opts.mul = &mul;
-    opts.approximate_dequant = true;
     opts.threads = threads;
     EXPECT_EQ(jpeg::serialize(jpeg::encode(img, opts)), jpeg::serialize(c))
         << "threads=" << threads;
@@ -387,25 +365,6 @@ TEST(AppBatch, JpegBatchedEngineBitIdenticalAcrossSpecsAndThreads) {
   }
 }
 
-TEST(AppBatch, JpegBatchedApproximateDequantMatchesReference) {
-  const auto img = jpeg::synthetic_cameraman(64);
-  const auto qtable = jpeg::scaled_table(50);
-  const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
-  jpeg::CodecOptions ref_opts;
-  ref_opts.quality = 50;
-  ref_opts.umul = mul->as_function();
-  ref_opts.approximate_dequant = true;
-  const auto c = jpeg::encode_plane_reference(img, qtable, ref_opts);
-  const auto d_ref = jpeg::decode_plane_reference(c, qtable, ref_opts);
-  for (const int threads : kThreadCounts) {
-    jpeg::CodecOptions opts = ref_opts;
-    opts.mul = mul.get();
-    opts.threads = threads;
-    const auto d = jpeg::decode(c, opts);
-    EXPECT_EQ(d.pixels(), d_ref.pixels()) << "threads=" << threads;
-  }
-}
-
 TEST(AppBatch, JpegDefaultOptionsRunTheEngineExactly) {
   // CodecOptions{} (no multiplier) is the exact product on the panel engine:
   // same bytes and pixels as the reference with an empty umul.
@@ -414,19 +373,16 @@ TEST(AppBatch, JpegDefaultOptionsRunTheEngineExactly) {
   const jpeg::CodecOptions exact;
   const auto c_ref = jpeg::encode_plane_reference(img, qtable, exact);
   const auto d_ref = jpeg::decode_plane_reference(c_ref, qtable, exact);
-  for (const bool approx_dequant : {false, true}) {
-    for (const int threads : {1, 2, 4}) {
-      jpeg::CodecOptions opts;
-      opts.approximate_dequant = approx_dequant;
-      opts.threads = threads;
-      const auto dct0 = obs::counter_value(obs::Counter::kDctBlocksBatched);
-      const auto c = jpeg::encode(img, opts);
-      EXPECT_EQ(obs::counter_value(obs::Counter::kDctBlocksBatched), dct0 + 64)
-          << "the default encode must run the panel engine";
-      EXPECT_EQ(jpeg::serialize(c), jpeg::serialize(c_ref)) << "threads=" << threads;
-      EXPECT_EQ(jpeg::decode(c_ref, opts).pixels(), d_ref.pixels())
-          << "threads=" << threads << " approximate_dequant=" << approx_dequant;
-    }
+  for (const int threads : {1, 2, 4}) {
+    jpeg::CodecOptions opts;
+    opts.threads = threads;
+    const auto dct0 = obs::counter_value(obs::Counter::kDctBlocksBatched);
+    const auto c = jpeg::encode(img, opts);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kDctBlocksBatched), dct0 + 64)
+        << "the default encode must run the panel engine";
+    EXPECT_EQ(jpeg::serialize(c), jpeg::serialize(c_ref)) << "threads=" << threads;
+    EXPECT_EQ(jpeg::decode(c_ref, opts).pixels(), d_ref.pixels())
+        << "threads=" << threads;
   }
 }
 

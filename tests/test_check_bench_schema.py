@@ -378,6 +378,8 @@ class CheckBenchSchemaTest(unittest.TestCase):
         for args in (["characterize", "calm", "abc"], ["characterize", "calm", "0"],
                      ["predict", "16x"], ["synth", "calm", "-4"], ["sij", "8", "q"],
                      ["predict", "8", ""],
+                     # M and q past the one bound every LUT takes (core/lut.hpp).
+                     ["predict", "512"], ["sij", "8", "31"],
                      ["stats", "--port", "abc"]):
             proc = subprocess.run([REALM_CLI, *args], capture_output=True, text=True)
             self.assertEqual(proc.returncode, 2, f"{args}: {proc.stdout}{proc.stderr}")

@@ -65,8 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "realm:m=16,t=0", "realm:m=16,t=8", "realm:m=8,t=4",
                       "realm:m=4,t=9", "implm", "drum:k=8", "drum:k=4", "ssm:m=10",
                       "ssm:m=8", "essm:m=8", "am1:nb=13", "am1:nb=5", "am2:nb=9",
-                      "intalp:l=1", "intalp:l=2", "udm", "trunc:drop=12",
-                      "calm:adder=1"));
+                      "intalp:l=1", "intalp:l=2"));
 
 TEST(Circuits, EquivalenceAtOtherWidths) {
   num::Xoshiro256 rng{0xD00Du};
@@ -158,13 +157,11 @@ TEST(Circuits, NetlistsArePinned) {
       {"signed", hw::build_signed_circuit("accurate", 8),
        422, 442, 0x1.0e4189374bc78p+9, 0x1.1e8p+10, 0xe337063dbd3f8a0a},
       // Builders whose constants come from the behavioral model: the IntALP
-      // residual planes, MBM's correction units, the truncation correction.
+      // residual planes and MBM's correction units.
       {"intalp", hw::build_circuit("intalp:l=2", 16),
        1485, 1602, 0x1.a3043958106afp+10, 0x1.5ccp+11, 0xab9e9c8630466b10},
       {"mbm", hw::build_circuit("mbm:t=0", 16),
        750, 807, 0x1.8a143958105ecp+9, 0x1.05p+11, 0x74243920cf9a8b63},
-      {"trunc", hw::build_circuit("trunc:drop=8", 16),
-       1266, 1301, 0x1.8925e353f7d2cp+10, 0x1.37p+10, 0x8e20fd09d4aac6ac},
   };
   for (const Pin& p : pins) {
     EXPECT_EQ(p.mod.gates().size(), p.gates) << p.name;

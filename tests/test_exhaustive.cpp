@@ -44,17 +44,38 @@ using namespace realm;
 
 namespace {
 
+// A design that overrides only multiply(): the exact product with bit 0
+// cleared, so it is not exact.  No library design keeps the base class's
+// multiply_batch loop or its multiply_row_range -> multiply_row_batch ->
+// multiply_batch chain; this one runs both.
+class BaseKernelDesign final : public Multiplier {
+ public:
+  explicit BaseKernelDesign(int n) : n_{n} {}
+  std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
+    return (a * b) & ~std::uint64_t{1};
+  }
+  std::string name() const override { return "a*b with bit 0 cleared"; }
+  int width() const override { return n_; }
+
+ private:
+  int n_;
+};
+
+// The name kernel_specs() and try_make() give BaseKernelDesign; the
+// registry does not know it.
+constexpr const char* kBaseKernelSpec = "base-kernels";
+
 // Designs with dedicated range kernels (the datapath families, AM1/AM2 and
-// the exact reference) plus UDM, whose ranges take the base class's
-// broadcast into multiply_batch blocks.  multiply_row_batch takes that
-// broadcast for every design.
+// the exact reference) plus BaseKernelDesign, whose ranges take the base
+// class's broadcast into multiply_batch blocks.  multiply_row_batch takes
+// that broadcast for every design.
 const std::vector<std::string>& kernel_specs() {
   static const std::vector<std::string> specs = {
       "accurate",      "realm:m=16,t=0", "realm:m=16,t=4", "realm:m=8,t=2",
       "realm:m=4,t=9", "calm",           "mbm:t=4",        "mbm:t=0",
       "drum:k=6",      "ssm:m=10",       "essm:m=8",       "implm",
       "intalp:l=1",    "intalp:l=2",     "alm-soa:m=11",   "am1:nb=9",
-      "am2:nb=9",      "udm",
+      "am2:nb=9",      kBaseKernelSpec,
   };
   return specs;
 }
@@ -63,6 +84,7 @@ const std::vector<std::string>& kernel_specs() {
 // whole fraction, or an SSM segment wider than the operand) — skip those,
 // matching the --exact bench's behavior.
 std::unique_ptr<Multiplier> try_make(const std::string& spec, int width) {
+  if (spec == kBaseKernelSpec) return std::make_unique<BaseKernelDesign>(width);
   try {
     return mult::make_multiplier(spec, width);
   } catch (const std::exception&) {
@@ -187,17 +209,17 @@ TEST(RowKernels, RangeCoversFullSpaceEdges) {
 TEST(RowKernels, FallbackPathCountsForwardedBatches) {
   // multiply_row_batch is the base class's broadcast into multiply_batch for
   // every design, and so is multiply_row_range for a design without a range
-  // kernel (UDM); each forwarded block is tallied.
+  // kernel (BaseKernelDesign); each forwarded block is tallied.
   std::vector<std::uint64_t> b(100), out(100);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = i;
-  for (const char* spec : {"udm", "realm:m=16,t=0", "am1:nb=9", "accurate"}) {
+  for (const char* spec : {kBaseKernelSpec, "realm:m=16,t=0", "am1:nb=9", "accurate"}) {
     obs::counters_reset();
-    const auto m = mult::make_multiplier(spec, 16);
+    const auto m = try_make(spec, 16);
     m->multiply_row_batch(3, b.data(), out.data(), b.size());
     EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u) << spec;
   }
   obs::counters_reset();
-  mult::make_multiplier("udm", 16)->multiply_row_range(3, 0, out.data(), out.size());
+  BaseKernelDesign{16}.multiply_row_range(3, 0, out.data(), out.size());
   EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u);
   // Every Table I design and the exact reference has a range kernel, which
   // never touches the fallback.
@@ -234,7 +256,8 @@ TEST(ExhaustiveEngine, TiledMatchesGenericReferenceBitForBit) {
         EXPECT_TRUE(metrics_identical(
             ref, err::exhaustive_report(*m, &hist, {}, {}, threads).metrics));
       }
-      const auto m16 = mult::make_multiplier(spec, 16);
+      const auto m16 = try_make(spec, 16);
+      ASSERT_NE(m16, nullptr);
       for (const auto& [lo, hi] : {std::pair<std::uint64_t, std::uint64_t>{0, 1500},
                                    {40000, 41500}}) {
         SCOPED_TRACE("band " + std::to_string(lo) + ".." + std::to_string(hi));

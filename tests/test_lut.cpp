@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "realm/multipliers/mbm.hpp"
+#include "realm/multipliers/registry.hpp"
 #include "realm/obs/counters.hpp"
 
 namespace core = realm::core;
+namespace mult = realm::mult;
 namespace obs = realm::obs;
 
 TEST(SegmentLut, QuantizationIsRoundToNearest) {
@@ -61,10 +65,22 @@ TEST(SegmentLut, RejectsInvalidConfigurations) {
   EXPECT_THROW((void)core::SegmentLut(8, 6).units(0, -1), std::out_of_range);
 }
 
-TEST(SegmentLut, MseFormulationAlsoFitsHardwareLayout) {
-  const core::SegmentLut lut{8, 6, core::Formulation::kMeanSquareError};
-  EXPECT_EQ(lut.formulation(), core::Formulation::kMeanSquareError);
-  for (const auto u : lut.all_units()) EXPECT_LT(u, 16u);
+TEST(SegmentLut, BoundsRejectBeforeAnyTableIsDerived) {
+  // One bound for every table: the constructor, the spec keys and the
+  // select-bits check all refuse before a factor is derived or cached.
+  EXPECT_THROW(core::SegmentLut(512, 6), std::invalid_argument);
+  EXPECT_THROW(core::SegmentLut(8, 31), std::invalid_argument);
+  const std::uint64_t misses = obs::counter_value(obs::Counter::kLutCacheMisses);
+  for (const char* spec : {"realm:m=512", "realm:m=32768", "realm:q=31", "mbm:q=36",
+                           "realm:m=256,t=10,q=20"}) {
+    EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
+  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kLutCacheMisses), misses);
+  EXPECT_THROW(mult::MbmMultiplier(16, 0, 36), std::invalid_argument);
+  // The bounds themselves still build; M = 256 needs q >= 10, or its largest
+  // factor rounds up to 0.25.
+  EXPECT_NO_THROW((void)core::SegmentLut::shared(core::kMaxLutM, 12));
+  EXPECT_NO_THROW((void)core::SegmentLut::shared(8, core::kMaxLutQ));
 }
 
 class LutQuantizationSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -87,13 +103,11 @@ INSTANTIATE_TEST_SUITE_P(AllPracticalConfigs, LutQuantizationSweep,
 TEST(SegmentLutCache, SharesOneTablePerConfiguration) {
   const auto a = core::SegmentLut::shared(8, 6);
   const auto b = core::SegmentLut::shared(8, 6);
-  EXPECT_EQ(a.get(), b.get());  // identical (m, q, formulation) => same object
+  EXPECT_EQ(a.get(), b.get());  // identical (m, q) => same object
 
   // Any differing key component yields a distinct table.
   EXPECT_NE(a.get(), core::SegmentLut::shared(16, 6).get());
   EXPECT_NE(a.get(), core::SegmentLut::shared(8, 7).get());
-  EXPECT_NE(a.get(),
-            core::SegmentLut::shared(8, 6, core::Formulation::kMeanSquareError).get());
 }
 
 TEST(SegmentLutCache, CachedTableMatchesFreshDerivation) {

@@ -282,17 +282,17 @@ TEST(Registry, ParameterValuesParseStrictly) {
   EXPECT_THROW((void)mult::parse_spec("realm:m="), std::invalid_argument);
   EXPECT_THROW((void)mult::parse_spec("realm:m= 16"), std::invalid_argument);
   EXPECT_EQ(mult::parse_spec("realm:m=16,t=-1").params.at("t"), -1);
-  EXPECT_EQ(mult::parse_spec("realm:m=2147483647").params.at("m"), 2147483647);
+  EXPECT_EQ(mult::parse_spec("realm:m=256").params.at("m"), 256);
   // Omitted keys take the design's defaults.
   EXPECT_EQ(mult::parse_spec("realm:t=3").params,
-            (std::map<std::string, int>{{"m", 16}, {"mse", 0}, {"q", 6}, {"t", 3}}));
+            (std::map<std::string, int>{{"m", 16}, {"q", 6}, {"t", 3}}));
   // An unknown, repeated, missing or out-of-range key is rejected by the
   // model factory and the circuit builder alike, so no typo silently builds
   // another configuration.
   for (const char* spec :
-       {"realm:mm=8", "drum:k=6,bogus=1", "accurate:t=3", "calm:adder=7", "calm:adder=-1",
-        "realm:t=1,t=2", "realm:m=8,M=4", "drum", "nosuch:k=1", "mbm:q=2", "realm:q=2",
-        "realm:mse=2", "drum:k=2", "ssm:m=0", "intalp:l=3", "trunc:drop=-1"}) {
+       {"realm:mm=8", "drum:k=6,bogus=1", "accurate:t=3", "realm:t=1,t=2",
+        "realm:m=8,M=4", "drum", "nosuch:k=1", "mbm:q=2", "realm:q=2", "drum:k=2",
+        "ssm:m=0", "intalp:l=3"}) {
     EXPECT_THROW((void)mult::parse_spec(spec), std::invalid_argument) << spec;
     EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
     EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
@@ -306,8 +306,14 @@ TEST(Registry, CircuitBuilderRejectsWhatTheModelRejects) {
   EXPECT_NO_THROW((void)hw::build_circuit("mbm:q=3", 8));
   // A truncation outside [0, N-2] parses; the constructors and builders
   // reject it.
+  for (const char* spec : {"calm:t=-1", "mbm:t=-1", "realm:t=-1", "calm:t=15"}) {
+    EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
+    EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
+  }
+  // Designs and keys the library no longer has are unknown to both, not
+  // mapped onto a design that still exists.
   for (const char* spec :
-       {"calm:t=-1", "mbm:t=-1", "realm:t=-1", "calm:t=15", "mitchell:t=15"}) {
+       {"udm", "trunc:drop=8", "mitchell", "realm:mse=1", "calm:adder=1"}) {
     EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
     EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
   }

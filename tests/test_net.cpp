@@ -570,7 +570,18 @@ TEST(NetServer, MalformedSpecParameterIsBadRequest) {
   r = c.call(MsgType::kMultiplyBatch, 2, multiply_body("realm:mm=8", 16, {5}, {5}));
   ASSERT_EQ(r.type, MsgType::kReplyError);
   EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
-  r = c.call(MsgType::kMultiplyBatch, 3, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
+  // A removed design name is unknown, not mapped onto another design.
+  r = c.call(MsgType::kMultiplyBatch, 3, multiply_body("mitchell", 16, {5}, {5}));
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  // A segment count past core::kMaxLutM is refused before any table is
+  // derived: one frame must not make the server build 2^30 factors.
+  const std::uint64_t misses = obs::counter_value(obs::Counter::kLutCacheMisses);
+  r = c.call(MsgType::kMultiplyBatch, 4, multiply_body("realm:m=32768", 16, {5}, {5}));
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kLutCacheMisses), misses);
+  r = c.call(MsgType::kMultiplyBatch, 5, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
   EXPECT_EQ(r.type, MsgType::kReplyOk);
 }
 

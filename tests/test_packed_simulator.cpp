@@ -30,7 +30,7 @@ const std::vector<const char*>& circuit_specs() {
   static const std::vector<const char*> specs = {
       "accurate",      "calm",     "mbm:t=0",  "realm:m=16,t=0",
       "realm:m=4,t=9", "drum:k=6", "ssm:m=8",  "essm:m=8",
-      "am1:nb=9",      "intalp:l=2", "udm",    "implm"};
+      "am1:nb=9",      "intalp:l=2", "implm"};
   return specs;
 }
 

@@ -156,10 +156,6 @@ TEST(RealmMultiplier, ConfigValidation) {
 TEST(RealmMultiplier, NameEncodesConfiguration) {
   EXPECT_EQ(make(16, 0).name(), "REALM16 (t=0)");
   EXPECT_EQ(make(4, 9).name(), "REALM4 (t=9)");
-  core::RealmConfig cfg;
-  cfg.m = 8;
-  cfg.formulation = core::Formulation::kMeanSquareError;
-  EXPECT_EQ(core::RealmMultiplier{cfg}.name(), "REALM8 (t=0) [MSE]");
 }
 
 TEST(RealmMultiplier, OtherWidthsBehave) {

@@ -158,16 +158,3 @@ TEST(SegmentFactors, MbmConstantIsOneTwelfth) {
   EXPECT_NEAR(-avg, core::mbm_correction(), 1e-9);
   EXPECT_DOUBLE_EQ(core::mbm_correction(), 1.0 / 12.0);
 }
-
-TEST(SegmentFactorsMse, BoundedAndDistinctFromMre) {
-  const auto mre = core::segment_factor_table(4);
-  const auto mse = core::segment_factor_table_mse(4);
-  double max_diff = 0.0;
-  for (std::size_t k = 0; k < mre.size(); ++k) {
-    EXPECT_GT(mse[k], 0.0);
-    EXPECT_LT(mse[k], 0.25);
-    max_diff = std::max(max_diff, std::fabs(mse[k] - mre[k]));
-  }
-  EXPECT_GT(max_diff, 1e-6);   // genuinely different formulation
-  EXPECT_LT(max_diff, 0.02);   // but close — both zero a weighted mean
-}

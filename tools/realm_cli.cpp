@@ -50,8 +50,8 @@ int cmd_characterize(int argc, char** argv) {
 }
 
 int cmd_predict(int argc, char** argv) {
-  const int m = int_arg(argc, argv, 2, "M", 16, 2, 1024);
-  const int q = int_arg(argc, argv, 3, "q", 6, 3, 30);
+  const int m = int_arg(argc, argv, 2, "M", 16, 2, core::kMaxLutM);
+  const int q = int_arg(argc, argv, 3, "q", 6, 3, core::kMaxLutQ);
   const core::SegmentLut lut{m, q};
   const auto p = core::predict_realm_errors(lut);
   std::printf("REALM%d (q=%d), analytic prediction at t=0:\n", m, q);
@@ -94,8 +94,8 @@ int cmd_verilog(int argc, char** argv) {
 }
 
 int cmd_sij(int argc, char** argv) {
-  const int m = int_arg(argc, argv, 2, "M", 8, 2, 1024);
-  const int q = int_arg(argc, argv, 3, "q", 6, 3, 30);
+  const int m = int_arg(argc, argv, 2, "M", 8, 2, core::kMaxLutM);
+  const int q = int_arg(argc, argv, 3, "q", 6, 3, core::kMaxLutQ);
   const core::SegmentLut lut{m, q};
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < m; ++j) std::printf(" %8.6f", lut.exact(i, j));
