@@ -30,7 +30,9 @@ class SegmentLut {
   /// Builds the table for an M×M partitioning quantized to q fraction bits.
   /// M must be a power of two in [2, kMaxLutM] (its log2 selects fraction
   /// MSBs); q must be in [3, kMaxLutQ].  Throws std::invalid_argument
-  /// otherwise, before deriving any factor.
+  /// otherwise, before deriving any factor, and also when a quantized factor
+  /// rounds up to 0.25, which q - 2 stored bits cannot hold (M >= 8 at
+  /// q <= 4, M = 256 at q = 6).
   SegmentLut(int m, int q);
 
   /// Process-wide cache of derived tables, keyed by (m, q).

@@ -38,10 +38,12 @@ struct CodecOptions {
   /// under test replaces only the general-purpose MAC multipliers of the
   /// transform.  Every codec entry point runs the panel engine on it:
   /// encode() and decode() each build one DctProducts table of the design
-  /// (7 multiply_row_range calls), roundtrip() one for both, and the
-  /// transforms read every product from it, with the block passes sharded
-  /// over the persistent thread pool per `threads`.  Its width must be at
-  /// least 16 (std::invalid_argument otherwise).  nullptr = exact products.
+  /// (multiply_row_range calls, 512 magnitudes each), roundtrip() one for
+  /// both, and the transforms read every product from it, with the block
+  /// passes sharded over the persistent thread pool per `threads`.  Its
+  /// width must be at least 16 and no product of a Q12 coefficient
+  /// magnitude and a 16-bit magnitude may exceed 2^28 − 1
+  /// (std::invalid_argument otherwise).  nullptr = exact products.
   /// Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
   /// Parallelism of the panel engine's block shards (1 = serial, 0 or

@@ -8,23 +8,27 @@
 // 16-bit multipliers under test).  Sign handling follows the
 // unsigned-multiplier sign-magnitude scheme of num::signed_mul.
 //
-// The codec runs the panel engine (fdct_panel / idct_panel): up to 32
-// blocks per panel.  Each 1-D pass has a *fixed* coefficient per (row u,
+// The codec runs the panel engine (fdct_panel / idct_panel) over its
+// shards of blocks.  Each 1-D pass has a *fixed* coefficient per (output u,
 // tap k), and a product depends only on (|c|, |x|).  The Q12 matrix holds
 // only 7 distinct |c|, and |x| takes 2^15 + 1 values, so every product the
-// transforms can issue is an entry of one 7 × (2^15 + 1) table per design:
-// DctProducts, filled by one multiply_row_range call per magnitude.  The
-// codec builds one table per encode() / decode() call and every panel reads
-// it: per tap k the pass splits the W·8-wide input lane into sign/magnitude
-// form once, looks up the tap's distinct magnitudes' products, and each
-// output adds its magnitude's products with its own sign.
+// transforms can issue is an entry of one table per design: DctProducts,
+// one 32-byte record of the 7 products per magnitude |x|, filled by
+// multiply_row_range calls.  The codec builds one table per encode() /
+// decode() call and every panel reads it.  Per (block, column) a pass keeps
+// the eight outputs u in one 8-lane accumulator; per tap k it loads the
+// record of |x|, permutes it into output order with the tap's fixed slot
+// pattern, applies the coefficient-sign ⊕ input-sign mask and adds.  A tap
+// whose eight inputs in a block are all zero is skipped: every accumulator
+// starts at the sum of the taps' products of x = 0, and a tap that runs adds
+// its products minus those.
 //
 // fdct8x8 / idct8x8 — one block per call, one virtual multiply per product
 // through a UMulFn — are the scalar oracle behind the codec's *_reference
 // paths.  The panel engine is bit-identical to them: the table holds the
-// products scalar multiply() returns (the row-range contract), summed per
-// output in the same order (k ascending), with the same rescale and
-// saturation.
+// products scalar multiply() returns (the row-range contract), and the
+// integer sums are exact, so the same rescale and saturation give the same
+// outputs.
 
 #pragma once
 
@@ -44,28 +48,40 @@ namespace realm::jpeg {
 /// Fraction bits of the DCT coefficient matrix.
 inline constexpr int kDctCoeffBits = 12;
 
-/// Every product the panel transforms can issue for one design:
-/// row(r)[x] = mul.multiply(magnitude(r), x) for the 7 distinct |c| of
-/// dct_matrix_q12() (ascending) and every 16-bit magnitude x in [0, 2^15].
-/// Each row is one mul.multiply_row_range call; the table is 1.8 MB.
-/// Read-only once built, so one table serves any number of threads.
+/// Every product the panel transforms can issue for one design, one
+/// 32-byte record per 16-bit magnitude x in [0, 2^15]:
+/// record(x)[r] = mul.multiply(magnitude(r), x) for the 7 distinct |c| of
+/// dct_matrix_q12() (ascending), and record(x)[7] = 0.  The table is 1.0 MB,
+/// filled tile by tile with mul.multiply_row_range.  Read-only once built,
+/// so one table serves any number of threads.
 class DctProducts {
  public:
   static constexpr std::size_t kRows = 7;
-  static constexpr std::size_t kColumns = (std::size_t{1} << 15) + 1;
+  static constexpr std::size_t kSlots = 8;
+  static constexpr std::size_t kRecords = (std::size_t{1} << 15) + 1;
+  /// The largest entry a record can hold: 8 signed entries then sum exactly
+  /// in 32 bits, since 8·(2^28 − 1) < 2^31.
+  static constexpr std::uint64_t kMaxEntry = (std::uint64_t{1} << 28) - 1;
 
-  /// Throws std::invalid_argument when mul.width() < 16: |x| reaches 2^15.
+  /// Throws std::invalid_argument when mul.width() < 16 (|x| reaches 2^15)
+  /// or when any product exceeds kMaxEntry.
   explicit DctProducts(const Multiplier& mul);
 
-  [[nodiscard]] const std::uint64_t* row(std::size_t r) const {
-    return products_.get() + r * kColumns;
+  /// The products of one magnitude, one 32-byte vector load.
+  struct alignas(32) Record {
+    std::uint32_t slot[kSlots];
+  };
+
+  /// The record of magnitude x <= 2^15.
+  [[nodiscard]] const std::uint32_t* record(std::size_t x) const {
+    return records_[x].slot;
   }
 
-  /// The coefficient magnitude of row r.
+  /// The coefficient magnitude of slot r < kRows.
   [[nodiscard]] static std::uint64_t magnitude(std::size_t r);
 
  private:
-  std::unique_ptr<std::uint64_t[]> products_;
+  std::unique_ptr<Record[]> records_;
 };
 
 /// Forward 2-D DCT of a level-shifted 8×8 block (inputs in [-128, 127]),

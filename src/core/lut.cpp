@@ -58,7 +58,10 @@ SegmentLut::SegmentLut(int m, int q) : m_{m}, q_{q}, log2m_{0} {
     if (u < 0 || u >= (1L << (q_ - 2))) {
       // The (0, 0.25) bound is a theorem for Eq. 8's factors; failing it
       // means q rounds a factor up to 0.25, which this layout cannot store.
-      throw std::domain_error("SegmentLut: factor outside [0, 0.25) after quantization");
+      // The (M, q) pair is the caller's configuration, so this is an invalid
+      // argument like the range checks above.
+      throw std::invalid_argument(
+          "SegmentLut: factor outside [0, 0.25) after quantization; raise q");
     }
     units_[k] = static_cast<std::uint32_t>(u);
   }

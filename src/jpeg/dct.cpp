@@ -1,10 +1,10 @@
 #include "realm/jpeg/dct.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <vector>
+#include <utility>
 
 #include "realm/multiplier.hpp"
 #include "realm/numeric/fixed_point.hpp"
@@ -14,22 +14,41 @@
 namespace realm::jpeg {
 namespace {
 
-std::array<std::int16_t, 64> make_matrix() {
-  std::array<std::int16_t, 64> c{};
-  const double pi = std::acos(-1.0);
-  for (int u = 0; u < 8; ++u) {
-    const double s = (u == 0) ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-    for (int k = 0; k < 8; ++k) {
-      const double v = s * std::cos((2 * k + 1) * u * pi / 16.0);
-      c[static_cast<std::size_t>(u * 8 + k)] =
-          static_cast<std::int16_t>(std::lround(v * (1 << kDctCoeffBits)));
-    }
-  }
-  return c;
+// The Q12 matrix row-major: c[u][k] = lround(s(u)·cos((2k+1)uπ/16)·2^12)
+// with s(0) = √(1/8) and s(u > 0) = √(2/8).  A literal, so that the panel
+// passes derive their slot patterns at compile time;
+// Dct.MatrixMatchesTheCosineFormula checks it against the formula.
+constexpr std::array<std::int16_t, 64> kMatrix = {
+    1448, 1448,  1448,  1448,  1448,  1448,  1448,  1448,   //
+    2009, 1703,  1138,  400,   -400,  -1138, -1703, -2009,  //
+    1892, 784,   -784,  -1892, -1892, -784,  784,   1892,   //
+    1703, -400,  -2009, -1138, 1138,  2009,  400,   -1703,  //
+    1448, -1448, -1448, 1448,  1448,  -1448, -1448, 1448,   //
+    1138, -2009, 400,   1703,  -1703, -400,  2009,  -1138,  //
+    784,  -1892, 1892,  -784,  -784,  1892,  -1892, 784,    //
+    400,  -1138, 1703,  -2009, 2009,  -1703, 1138,  -400};
+
+constexpr std::uint32_t magnitude_of(std::int16_t c) {
+  return static_cast<std::uint32_t>(c < 0 ? -c : c);
 }
 
-// Round-to-nearest rescale by 2^-12, then clamp to the 16-bit datapath —
-// the single post-accumulation step both engines share verbatim.
+// The distinct |c| of the Q12 matrix, ascending: the slots of a record.
+constexpr std::array<std::uint32_t, DctProducts::kRows> kMagnitudes = [] {
+  std::array<std::uint32_t, 64> m{};
+  for (std::size_t i = 0; i < 64; ++i) m[i] = magnitude_of(kMatrix[i]);
+  std::sort(m.begin(), m.end());
+  const auto end = std::unique(m.begin(), m.end());
+  if (end - m.begin() != DctProducts::kRows) {
+    throw std::logic_error("DctProducts: the Q12 matrix must hold 7 distinct |c|");
+  }
+  std::array<std::uint32_t, DctProducts::kRows> out{};
+  std::copy(m.begin(), end, out.begin());
+  return out;
+}();
+
+// Round-to-nearest rescale by 2^-12, then clamp to the 16-bit datapath: the
+// scalar pass's post-accumulation step.  The panel engine's rescale_store
+// computes the same on eight 32-bit lanes.
 inline std::int32_t rescale_sat(std::int64_t acc) {
   const std::int64_t rounded =
       (acc + (acc >= 0 ? (1 << (kDctCoeffBits - 1)) : -(1 << (kDctCoeffBits - 1)))) >>
@@ -79,150 +98,193 @@ void transform(const std::array<std::int16_t, 64>& in, std::array<std::int16_t, 
 //
 // The 2-D transform M·X·Mᵀ is one primitive applied twice: Y = M·A with the
 // result stored *transposed*.  Feeding the first call's output back in gives
-// (M·(M·X)ᵀ)ᵀ = M·X·Mᵀ in natural orientation.  Per (output row u, tap k)
-// the coefficient is fixed across every block and every intra-block column.
-// Within one tap the eight outputs share few coefficient *magnitudes* — the
-// Q12 matrix holds only 7 distinct ones — and a product is a pure function
-// of (|c|, |x|), so the pass looks up each distinct |c|'s products once per
-// tap in the design's DctProducts table and re-applies each output's sign
-// while accumulating.
-
-constexpr std::size_t kPanelBlocks = 32;  // blocks per panel: lanes stay L1-resident
-constexpr std::size_t kLane = kPanelBlocks * 8;
-
-// The distinct |c| of the Q12 matrix, ascending: the rows of DctProducts.
-const std::array<std::uint64_t, DctProducts::kRows>& magnitudes() {
-  static const std::array<std::uint64_t, DctProducts::kRows> mags = [] {
-    std::vector<std::uint64_t> m;
-    for (const std::int16_t c : dct_matrix_q12()) {
-      m.push_back(static_cast<std::uint64_t>(c < 0 ? -c : c));
-    }
-    std::sort(m.begin(), m.end());
-    m.erase(std::unique(m.begin(), m.end()), m.end());
-    if (m.size() != DctProducts::kRows) {
-      throw std::logic_error("DctProducts: the Q12 matrix must hold 7 distinct |c|");
-    }
-    std::array<std::uint64_t, DctProducts::kRows> out{};
-    std::copy(m.begin(), m.end(), out.begin());
-    return out;
-  }();
-  return mags;
-}
-
-// Reuse plan of one tap k: the table rows of the distinct |m(u, k)| over the
-// eight outputs u, and per output the slot of its magnitude and the sign
-// mask (-1 where m(u, k) < 0) that restores its coefficient.
-struct TapPlan {
-  std::size_t n_mags = 0;
-  std::size_t row[8] = {};
-  std::uint8_t slot[8] = {};
-  std::int64_t sign[8] = {};
-};
-using PassPlan = std::array<TapPlan, 8>;
-
-PassPlan make_plan(bool transpose_m) {
-  const auto& c = dct_matrix_q12();
-  const auto& mags = magnitudes();
-  PassPlan plan{};
-  for (std::size_t k = 0; k < 8; ++k) {
-    TapPlan& t = plan[k];
-    for (std::size_t u = 0; u < 8; ++u) {
-      const std::int64_t coeff = c[transpose_m ? k * 8 + u : u * 8 + k];
-      const auto mag = static_cast<std::uint64_t>(coeff < 0 ? -coeff : coeff);
-      const auto r = static_cast<std::size_t>(
-          std::find(mags.begin(), mags.end(), mag) - mags.begin());
-      std::size_t d = 0;
-      while (d < t.n_mags && t.row[d] != r) ++d;
-      if (d == t.n_mags) t.row[t.n_mags++] = r;
-      t.slot[u] = static_cast<std::uint8_t>(d);
-      t.sign[u] = coeff < 0 ? -1 : 0;
-    }
-  }
-  return plan;
-}
-
-const PassPlan& pass_plan(bool transpose_m) {
-  static const PassPlan forward = make_plan(false);
-  static const PassPlan inverse = make_plan(true);
-  return transpose_m ? inverse : forward;
-}
-
-// One pass over `nb <= kPanelBlocks` blocks: out[b][j*8+u] =
-// rescale_sat(Σ_k m(u,k) · in[b][k*8+j]).
+// (M·(M·X)ᵀ)ᵀ = M·X·Mᵀ in natural orientation.  Per (output u, tap k) the
+// coefficient m(u, k) is fixed, and a product is a pure function of
+// (|m(u, k)|, |x|), so tap k of column j reads the DctProducts record of
+// |x| once and permutes it into the order of the outputs u: the same
+// pattern for every block, fixed per (direction, k) at compile time.
 //
-// Tap by tap: lane k is split once into sign/magnitude form, the plan's
-// distinct magnitudes' products are read from the table into prod[d], and
-// each output u adds its slot's products with the sign num::signed_mul
-// would give them — identical products, identical signs, exact int64 sums,
-// so the result is bit-identical to the scalar pass.  The working set
-// (prod, acc, one split lane) is about 36 KB; the loops are compiled per
-// ISA.
-REALM_MULTIVERSION
-void pass_panel(const std::int16_t* __restrict in, std::int16_t* __restrict out,
-                std::size_t nb, const PassPlan& plan, const DctProducts& products) {
-  const std::size_t lane_len = nb * 8;
-  std::uint64_t mag[kLane];      // |in| of lane k, the table column
-  std::int64_t neg[kLane];       // sign mask of lane k: -1 where in < 0, else 0
-  std::uint64_t prod[8][kLane];  // products per distinct |c| of tap k
-  std::int64_t acc[8][kLane];    // per output u
-  for (std::size_t u = 0; u < 8; ++u) {
-    for (std::size_t i = 0; i < lane_len; ++i) acc[u][i] = 0;
-  }
-  for (std::size_t k = 0; k < 8; ++k) {
-    for (std::size_t b = 0; b < nb; ++b) {
-      const std::int16_t* row = in + b * 64 + k * 8;
-      for (std::size_t j = 0; j < 8; ++j) {
-        const std::int64_t v = row[j];
-        mag[b * 8 + j] = static_cast<std::uint64_t>(v < 0 ? -v : v);
-        neg[b * 8 + j] = v < 0 ? -1 : 0;
-      }
-    }
-    const TapPlan& t = plan[k];
-    for (std::size_t d = 0; d < t.n_mags; ++d) {
-      const std::uint64_t* r = products.row(t.row[d]);
-      std::uint64_t* p = prod[d];
-      for (std::size_t i = 0; i < lane_len; ++i) p[i] = r[mag[i]];
-    }
-    for (std::size_t u = 0; u < 8; ++u) {
-      const std::uint64_t* p = prod[t.slot[u]];
-      const std::int64_t amask = t.sign[u];
-      std::int64_t* a = acc[u];
-      for (std::size_t i = 0; i < lane_len; ++i) {
-        // (p ^ m) - m negates p where m == -1 — signed_mul's sign rule.
-        const std::int64_t m = neg[i] ^ amask;
-        a[i] += (static_cast<std::int64_t>(p[i]) ^ m) - m;
-      }
-    }
-  }
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      for (std::size_t u = 0; u < 8; ++u) {
-        out[b * 64 + j * 8 + u] =
-            static_cast<std::int16_t>(rescale_sat(acc[u][b * 8 + j]));
-      }
-    }
+// The eight outputs u of one (block, column j) are one 8-lane accumulator,
+// which is exactly the transposed store out[b*64 + j*8 + u].  Lanes are
+// wrapping uint32: with every entry at most DctProducts::kMaxEntry the true
+// sum of 8 signed products lies in int32, so the wrapped sum is exact.
+
+typedef std::uint32_t V32 __attribute__((vector_size(32)));
+typedef std::int32_t S32 __attribute__((vector_size(32)));
+typedef std::int16_t S16 __attribute__((vector_size(16)));
+
+constexpr std::int16_t coeff(bool inverse, std::size_t k, std::size_t u) {
+  return kMatrix[inverse ? k * 8 + u : u * 8 + k];
+}
+
+// The record slot of |m(u, k)|.
+constexpr int slot(bool inverse, std::size_t k, std::size_t u) {
+  const std::uint32_t mag = magnitude_of(coeff(inverse, k, u));
+  int r = 0;
+  while (kMagnitudes[static_cast<std::size_t>(r)] != mag) ++r;
+  return r;
+}
+
+// All ones where m(u, k) < 0.
+constexpr std::uint32_t sign_mask(bool inverse, std::size_t k, std::size_t u) {
+  return coeff(inverse, k, u) < 0 ? ~0u : 0u;
+}
+
+// The eight signed products m(u, k) · x of tap k, in output order u, from
+// the record of |x|; `neg` is all ones where x < 0.  (p ^ s) - s negates p
+// where s is all ones: num::signed_mul's sign rule.  Every vector helper is
+// inlined into the multiversioned transform, so no vector crosses a call.
+template <bool Inverse, std::size_t K>
+[[gnu::always_inline]] inline void signed_products(const std::uint32_t* record,
+                                                   std::uint32_t neg, V32& out) {
+  constexpr V32 csign = {sign_mask(Inverse, K, 0), sign_mask(Inverse, K, 1),
+                         sign_mask(Inverse, K, 2), sign_mask(Inverse, K, 3),
+                         sign_mask(Inverse, K, 4), sign_mask(Inverse, K, 5),
+                         sign_mask(Inverse, K, 6), sign_mask(Inverse, K, 7)};
+  const V32 rec = *reinterpret_cast<const V32*>(record);
+  const V32 p = __builtin_shufflevector(
+      rec, rec, slot(Inverse, K, 0), slot(Inverse, K, 1), slot(Inverse, K, 2),
+      slot(Inverse, K, 3), slot(Inverse, K, 4), slot(Inverse, K, 5), slot(Inverse, K, 6),
+      slot(Inverse, K, 7));
+  const V32 s = csign ^ neg;
+  out = (p ^ s) - s;
+}
+
+// Tap k of one block: acc[j] += (signed products of row[j]) - z, where z
+// is the tap's signed products of x = 0.  A tap whose eight inputs are all
+// zero would add exactly 0, so it is skipped.
+template <bool Inverse, std::size_t K>
+[[gnu::always_inline]] inline void add_tap(const std::int16_t* row,
+                                           const DctProducts& products, const V32& z,
+                                           V32* acc) {
+  std::uint64_t halves[2];
+  std::memcpy(halves, row, sizeof halves);
+  if ((halves[0] | halves[1]) == 0) return;
+  for (std::size_t j = 0; j < 8; ++j) {
+    const std::int32_t x = row[j];
+    V32 p;
+    signed_products<Inverse, K>(products.record(static_cast<std::size_t>(x < 0 ? -x : x)),
+                                x < 0 ? ~0u : 0u, p);
+    acc[j] += p - z;
   }
 }
 
+// rescale_sat on eight lanes without leaving 32 bits.  With q = a >> 12
+// (floor) and r = a mod 2^12, round-half-away-from-zero of a / 2^12 is
+// q + (r >= 2^11) for a >= 0 and q - (r < 2^11) for a < 0, i.e.
+// q + bit 11 of a + (a >> 31); |q| < 2^19, so nothing wraps.
+[[gnu::always_inline]] inline void rescale_store(const V32& acc, std::int16_t* out) {
+  const S32 a = reinterpret_cast<S32>(acc);
+  S32 r = (a >> kDctCoeffBits) + ((a >> (kDctCoeffBits - 1)) & 1) + (a >> 31);
+  const S32 hi = S32{} + 32767;
+  const S32 lo = S32{} - 32768;
+  r = r > hi ? hi : r;
+  r = r < lo ? lo : r;
+  const S16 v = __builtin_convertvector(r, S16);
+  std::memcpy(out, &v, sizeof v);
+}
+
+// One pass over `n_blocks` blocks: out[b][j*8+u] =
+// rescale_sat(Σ_k m(u,k) · in[b][k*8+j]), with the products of the table.
+// Each accumulator starts at z_sum, the sum of every tap's products of
+// x = 0, and each tap that runs adds its products minus its z[k], so a
+// skipped tap contributes exactly what its all-zero inputs would: the sums
+// are those of the scalar pass for any design, multiply(c, 0) != 0
+// included.
+template <bool Inverse, std::size_t... K>
+[[gnu::always_inline]] inline void pass_block(const std::int16_t* __restrict in,
+                                              std::int16_t* __restrict out,
+                                              const DctProducts& products, const V32* z,
+                                              const V32& z_sum, std::index_sequence<K...>) {
+  V32 acc[8];
+  for (V32& a : acc) a = z_sum;
+  (add_tap<Inverse, K>(in + K * 8, products, z[K], acc), ...);
+  for (std::size_t j = 0; j < 8; ++j) rescale_store(acc[j], out + j * 8);
+}
+
+template <bool Inverse, std::size_t... K>
+[[gnu::always_inline]] inline void transform_blocks(const std::int16_t* in,
+                                                    std::int16_t* out, std::size_t n_blocks,
+                                                    const DctProducts& products,
+                                                    std::index_sequence<K...> taps) {
+  V32 z[8];
+  (signed_products<Inverse, K>(products.record(0), 0u, z[K]), ...);
+  const V32 z_sum = (z[K] + ...);
+  std::int16_t mid[64];
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    pass_block<Inverse>(in + b * 64, mid, products, z, z_sum, taps);
+    pass_block<Inverse>(mid, out + b * 64, products, z, z_sum, taps);
+  }
+}
+
+REALM_MULTIVERSION
 void transform_panel(const std::int16_t* in, std::int16_t* out, std::size_t n_blocks,
                      bool inverse, const DctProducts& products) {
-  const PassPlan& plan = pass_plan(inverse);
-  std::int16_t mid[kPanelBlocks * 64];
-  for (std::size_t b0 = 0; b0 < n_blocks; b0 += kPanelBlocks) {
-    const std::size_t nb =
-        n_blocks - b0 < kPanelBlocks ? n_blocks - b0 : kPanelBlocks;
-    pass_panel(in + b0 * 64, mid, nb, plan, products);
-    pass_panel(mid, out + b0 * 64, nb, plan, products);
+  if (inverse) {
+    transform_blocks<true>(in, out, n_blocks, products, std::make_index_sequence<8>{});
+  } else {
+    transform_blocks<false>(in, out, n_blocks, products, std::make_index_sequence<8>{});
   }
   obs::counter_add(obs::Counter::kDctBlocksBatched, n_blocks);
 }
 
+// ---- table build ---------------------------------------------------------
+
+// Magnitudes per tile of the table build: 7 rows of 512 products are 28 KB.
+constexpr std::size_t kTableTile = 512;
+
+typedef std::uint64_t W64 __attribute__((vector_size(64)));
+
+// Writes the records of n magnitudes from their 7 row-range products,
+// slot 7 = 0, and returns the OR of every product: above
+// DctProducts::kMaxEntry iff one product is.  Eight magnitudes at a time:
+// rows 2k and 2k+1 pack into one qword per magnitude (row 2k in the low
+// half), and two rounds of two-source qword shuffles transpose the four
+// packed rows into records.  A product of 2^32 or more corrupts its
+// neighbour's half, but it also makes the constructor throw.
+REALM_MULTIVERSION
+std::uint64_t interleave(const std::uint64_t (*rows)[kTableTile],
+                         DctProducts::Record* out, std::size_t n) {
+  W64 any_v{};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    W64 r[DctProducts::kRows];
+    for (std::size_t k = 0; k < DctProducts::kRows; ++k) {
+      std::memcpy(&r[k], rows[k] + i, sizeof r[k]);
+      any_v |= r[k];
+    }
+    const W64 packed[4] = {r[0] | (r[1] << 32), r[2] | (r[3] << 32), r[4] | (r[5] << 32),
+                           r[6]};
+    // Per magnitude, rows 0-3 (lo) and rows 4-7 (hi) of magnitudes i..i+3
+    // and i+4..i+7; then each record joins its two halves.
+    const W64 lo[2] = {
+        __builtin_shufflevector(packed[0], packed[1], 0, 8, 1, 9, 2, 10, 3, 11),
+        __builtin_shufflevector(packed[0], packed[1], 4, 12, 5, 13, 6, 14, 7, 15)};
+    const W64 hi[2] = {
+        __builtin_shufflevector(packed[2], packed[3], 0, 8, 1, 9, 2, 10, 3, 11),
+        __builtin_shufflevector(packed[2], packed[3], 4, 12, 5, 13, 6, 14, 7, 15)};
+    for (std::size_t h = 0; h < 2; ++h) {
+      const W64 first = __builtin_shufflevector(lo[h], hi[h], 0, 1, 8, 9, 2, 3, 10, 11);
+      const W64 second = __builtin_shufflevector(lo[h], hi[h], 4, 5, 12, 13, 6, 7, 14, 15);
+      std::memcpy(out + i + 4 * h, &first, sizeof first);
+      std::memcpy(out + i + 4 * h + 2, &second, sizeof second);
+    }
+  }
+  std::uint64_t any = 0;
+  for (std::size_t l = 0; l < 8; ++l) any |= any_v[l];
+  for (; i < n; ++i) {
+    for (std::size_t k = 0; k < DctProducts::kRows; ++k) {
+      any |= rows[k][i];
+      out[i].slot[k] = static_cast<std::uint32_t>(rows[k][i]);
+    }
+    out[i].slot[DctProducts::kRows] = 0;
+  }
+  return any;
+}
+
 }  // namespace
 
-const std::array<std::int16_t, 64>& dct_matrix_q12() {
-  static const std::array<std::int16_t, 64> c = make_matrix();
-  return c;
-}
+const std::array<std::int16_t, 64>& dct_matrix_q12() { return kMatrix; }
 
 void fdct8x8(const std::array<std::int16_t, 64>& block, std::array<std::int16_t, 64>& out,
              const num::UMulFn& umul) {
@@ -239,14 +301,26 @@ DctProducts::DctProducts(const Multiplier& mul) {
     throw std::invalid_argument(
         "DctProducts: the 16-bit DCT datapath needs a multiplier of width >= 16");
   }
-  // Every entry is written by the row kernels, so the storage is not zeroed.
-  products_ = std::make_unique_for_overwrite<std::uint64_t[]>(kRows * kColumns);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    mul.multiply_row_range(magnitude(r), 0, products_.get() + r * kColumns, kColumns);
+  // Every slot is written below, so the storage is not zeroed.  The 7 row
+  // ranges of a tile of magnitudes land in an L1-resident buffer and are
+  // interleaved into the tile's records from there.
+  records_ = std::make_unique_for_overwrite<Record[]>(kRecords);
+  alignas(64) std::uint64_t rows[kRows][kTableTile];
+  std::uint64_t any = 0;
+  for (std::size_t x0 = 0; x0 < kRecords; x0 += kTableTile) {
+    const std::size_t n = std::min(kTableTile, kRecords - x0);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      mul.multiply_row_range(kMagnitudes[r], x0, rows[r], n);
+    }
+    any |= interleave(rows, records_.get() + x0, n);
+  }
+  if (any > kMaxEntry) {
+    throw std::invalid_argument(
+        "DctProducts: a product exceeds 2^28 - 1, so 8 of them may not sum in 32 bits");
   }
 }
 
-std::uint64_t DctProducts::magnitude(std::size_t r) { return magnitudes()[r]; }
+std::uint64_t DctProducts::magnitude(std::size_t r) { return kMagnitudes.at(r); }
 
 void fdct_panel(const std::int16_t* blocks, std::int16_t* out, std::size_t n_blocks,
                 const DctProducts& products) {

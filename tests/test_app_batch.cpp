@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -121,6 +122,16 @@ class NonCommutative final : public Multiplier {
   int width() const override { return 16; }
 };
 
+// Five times the exact product: too wide for a DctProducts record.
+class FiveTimes final : public Multiplier {
+ public:
+  std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
+    return 5 * a * b;
+  }
+  std::string name() const override { return "5*a*b"; }
+  int width() const override { return 16; }
+};
+
 }  // namespace
 
 TEST(AppBatch, PanelFdctMatchesScalarReference) {
@@ -209,28 +220,36 @@ TEST(AppBatch, PanelTransformsSaturateLikeTheScalarReference) {
 }
 
 TEST(AppBatch, DctProductsIssueOneRowRangePerMagnitude) {
-  // The table holds one row per distinct |c| of the Q12 matrix, each one
-  // row range over every 16-bit magnitude, and nothing else reaches the
-  // kernels.
+  // The table holds one record slot per distinct |c| of the Q12 matrix.
+  // Each magnitude's row ranges cover every 16-bit magnitude [0, 2^15]
+  // exactly once, in ascending order, and nothing else reaches the kernels.
   const auto inner = mult::make_multiplier("realm:m=16,t=8", 16);
   KernelCallCounter counter{*inner};
   const jpeg::DctProducts products{counter};
-  ASSERT_EQ(counter.row_ranges.size(), jpeg::DctProducts::kRows);
   const std::array<std::uint64_t, 7> mags = {400, 784, 1138, 1448, 1703, 1892, 2009};
   for (std::size_t r = 0; r < jpeg::DctProducts::kRows; ++r) {
     EXPECT_EQ(jpeg::DctProducts::magnitude(r), mags[r]);
-    EXPECT_EQ(counter.row_ranges[r].a_fixed, mags[r]);
-    EXPECT_EQ(counter.row_ranges[r].b0, 0u);
-    EXPECT_EQ(counter.row_ranges[r].n, (std::size_t{1} << 15) + 1);
-    for (const std::uint64_t x : {0u, 1u, 255u, 32767u, 32768u}) {
-      EXPECT_EQ(products.row(r)[x], inner->multiply(mags[r], x)) << r << " x=" << x;
+    std::uint64_t next = 0;
+    for (const auto& range : counter.row_ranges) {
+      if (range.a_fixed != mags[r]) continue;
+      EXPECT_EQ(range.b0, next) << "magnitude " << mags[r];
+      next = range.b0 + range.n;
     }
+    EXPECT_EQ(next, (std::uint64_t{1} << 15) + 1) << "magnitude " << mags[r];
+    for (const std::uint64_t x : {0u, 1u, 255u, 32767u, 32768u}) {
+      EXPECT_EQ(products.record(x)[r], inner->multiply(mags[r], x)) << r << " x=" << x;
+    }
+  }
+  for (const auto& range : counter.row_ranges) {
+    EXPECT_NE(std::find(mags.begin(), mags.end(), range.a_fixed), mags.end())
+        << "a_fixed=" << range.a_fixed;
   }
   EXPECT_EQ(counter.row_batch_calls, 0u);
   EXPECT_EQ(counter.batch_calls, 0u);
 
   // One encode() and one decode() build one table each, and one roundtrip()
   // one table for both halves, at any thread count.
+  const std::size_t per_table = counter.row_ranges.size();
   const auto img = jpeg::synthetic_cameraman(64);
   for (const int threads : {1, 4}) {
     KernelCallCounter c{*inner};
@@ -238,14 +257,103 @@ TEST(AppBatch, DctProductsIssueOneRowRangePerMagnitude) {
     opts.mul = &c;
     opts.threads = threads;
     const auto compressed = jpeg::encode(img, opts);
-    EXPECT_EQ(c.row_ranges.size(), jpeg::DctProducts::kRows) << "threads=" << threads;
+    EXPECT_EQ(c.row_ranges.size(), per_table) << "threads=" << threads;
     const auto decoded = jpeg::decode(compressed, opts);
-    EXPECT_EQ(c.row_ranges.size(), 2 * jpeg::DctProducts::kRows) << "threads=" << threads;
+    EXPECT_EQ(c.row_ranges.size(), 2 * per_table) << "threads=" << threads;
     EXPECT_EQ(jpeg::roundtrip(img, opts).pixels(), decoded.pixels())
         << "threads=" << threads;
-    EXPECT_EQ(c.row_ranges.size(), 3 * jpeg::DctProducts::kRows) << "threads=" << threads;
+    EXPECT_EQ(c.row_ranges.size(), 3 * per_table) << "threads=" << threads;
     EXPECT_EQ(c.row_batch_calls, 0u) << "threads=" << threads;
     EXPECT_EQ(c.batch_calls, 0u) << "threads=" << threads;
+  }
+}
+
+TEST(AppBatch, DctProductsBuildForEveryTableIDesign) {
+  // Every Table I design fits the 28-bit record entries, and its records
+  // hold the scalar products with a zero eighth slot.
+  for (const auto& spec : mult::table1_specs()) {
+    const auto mul = mult::make_multiplier(spec, 16);
+    std::unique_ptr<jpeg::DctProducts> products;
+    ASSERT_NO_THROW(products = std::make_unique<jpeg::DctProducts>(*mul)) << spec;
+    for (const std::uint64_t x : {0u, 1u, 255u, 32767u, 32768u}) {
+      const std::uint32_t* rec = products->record(x);
+      for (std::size_t r = 0; r < jpeg::DctProducts::kRows; ++r) {
+        ASSERT_EQ(rec[r], mul->multiply(jpeg::DctProducts::magnitude(r), x))
+            << spec << " r=" << r << " x=" << x;
+      }
+      ASSERT_EQ(rec[jpeg::DctProducts::kRows], 0u) << spec << " x=" << x;
+    }
+  }
+}
+
+TEST(AppBatch, DctProductsRejectEntriesAbove28Bits) {
+  // 5·2009·32768 > 2^28: eight such products could overflow a 32-bit sum.
+  const FiveTimes mul;
+  EXPECT_THROW(jpeg::DctProducts{mul}, std::invalid_argument);
+  const auto img = jpeg::synthetic_cameraman(32);
+  jpeg::CodecOptions opts;
+  opts.mul = &mul;
+  EXPECT_THROW((void)jpeg::encode(img, opts), std::invalid_argument);
+  EXPECT_THROW((void)jpeg::decode(jpeg::encode(img, {}), opts), std::invalid_argument);
+  EXPECT_THROW((void)jpeg::roundtrip(img, opts), std::invalid_argument);
+}
+
+TEST(AppBatch, PanelTransformsMatchTheReferenceOnZeroRows) {
+  // The passes skip a tap whose eight inputs in a block are all zero.  The
+  // skip must leave the sums exact: all-zero blocks, DC-only blocks, blocks
+  // with zero rows or zero columns (the second pass sees those as rows),
+  // one zero row in the last block of a 35-block call, and a design whose
+  // products of x = 0 are not zero.
+  constexpr std::size_t kBlocks = 35;
+  num::Xoshiro256 rng{0x2E05};
+  std::vector<std::int16_t> blocks(kBlocks * 64);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const std::uint64_t zero_rows = b < 3 ? 0xFF : rng.below(256);
+    const std::uint64_t zero_cols = b < 5 ? 0 : rng.below(256);
+    for (std::size_t i = 0; i < 64; ++i) {
+      const bool zero = ((zero_rows >> (i / 8)) & 1) != 0 || ((zero_cols >> (i % 8)) & 1) != 0;
+      blocks[b * 64 + i] =
+          zero ? 0 : static_cast<std::int16_t>(static_cast<int>(rng.below(2048)) - 1024);
+    }
+  }
+  blocks[1 * 64] = 800;   // DC only
+  blocks[2 * 64] = -733;  // DC only, negative
+  for (std::size_t i = 0; i < 64; ++i) {
+    blocks[(kBlocks - 1) * 64 + i] =
+        i / 8 == 5 ? 0 : static_cast<std::int16_t>(static_cast<int>(rng.below(256)) - 128);
+  }
+
+  const NonCommutative non_commutative;
+  std::vector<std::unique_ptr<Multiplier>> owned;
+  std::vector<const Multiplier*> designs = {&non_commutative};
+  for (const auto& spec : panel_specs()) {
+    owned.push_back(mult::make_multiplier(spec, 16));
+    designs.push_back(owned.back().get());
+  }
+  for (const Multiplier* mul : designs) {
+    const auto f = mul->as_function();
+    const jpeg::DctProducts products{*mul};
+    for (const bool inverse : {false, true}) {
+      std::vector<std::int16_t> panel_out(blocks.size());
+      if (inverse) {
+        jpeg::idct_panel(blocks.data(), panel_out.data(), kBlocks, products);
+      } else {
+        jpeg::fdct_panel(blocks.data(), panel_out.data(), kBlocks, products);
+      }
+      for (std::size_t b = 0; b < kBlocks; ++b) {
+        std::array<std::int16_t, 64> in{}, ref{};
+        for (std::size_t i = 0; i < 64; ++i) in[i] = blocks[b * 64 + i];
+        if (inverse) {
+          jpeg::idct8x8(in, ref, f);
+        } else {
+          jpeg::fdct8x8(in, ref, f);
+        }
+        for (std::size_t i = 0; i < 64; ++i) {
+          ASSERT_EQ(panel_out[b * 64 + i], ref[i]) << mul->name() << " inverse=" << inverse
+                                                   << " block=" << b << " i=" << i;
+        }
+      }
+    }
   }
 }
 

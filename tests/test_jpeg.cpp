@@ -57,6 +57,19 @@ TEST(Dct, MatrixIsOrthonormalInQ12) {
   }
 }
 
+TEST(Dct, MatrixMatchesTheCosineFormula) {
+  // c[u][k] = lround(s(u)·cos((2k+1)uπ/16)·2^12), s(0) = √(1/8), else √(2/8).
+  const auto& c = jp::dct_matrix_q12();
+  const double pi = std::acos(-1.0);
+  for (int u = 0; u < 8; ++u) {
+    const double s = u == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+    for (int k = 0; k < 8; ++k) {
+      const double v = s * std::cos((2 * k + 1) * u * pi / 16.0) * (1 << jp::kDctCoeffBits);
+      EXPECT_EQ(c[static_cast<std::size_t>(u * 8 + k)], std::lround(v)) << u << "," << k;
+    }
+  }
+}
+
 TEST(Dct, ConstantBlockConcentratesInDc) {
   std::array<std::int16_t, 64> block{}, out{};
   block.fill(100);

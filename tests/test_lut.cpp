@@ -140,7 +140,7 @@ TEST(SegmentLutCache, EntriesSurviveAllUsersDropping) {
 TEST(SegmentLutCache, InvalidConfigurationsStillThrow) {
   EXPECT_THROW((void)core::SegmentLut::shared(3, 6), std::invalid_argument);
   EXPECT_THROW((void)core::SegmentLut::shared(8, 2), std::invalid_argument);
-  EXPECT_THROW((void)core::SegmentLut::shared(16, 4), std::domain_error);
+  EXPECT_THROW((void)core::SegmentLut::shared(16, 4), std::invalid_argument);
 }
 
 TEST(SegmentLut, CoarseQuantizationOverflowsTheStoredWidth) {
@@ -148,7 +148,7 @@ TEST(SegmentLut, CoarseQuantizationOverflowsTheStoredWidth) {
   // rounds up to 0.25 at q <= 4, which no longer fits q-2 bits — the
   // hardware layout's implicit-zero assumption would break, so construction
   // must fail loudly.
-  EXPECT_THROW(core::SegmentLut(8, 4), std::domain_error);
-  EXPECT_THROW(core::SegmentLut(16, 4), std::domain_error);
+  EXPECT_THROW(core::SegmentLut(8, 4), std::invalid_argument);
+  EXPECT_THROW(core::SegmentLut(16, 4), std::invalid_argument);
   EXPECT_NO_THROW(core::SegmentLut(4, 4));  // M = 4 peaks at ~0.193
 }

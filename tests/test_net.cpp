@@ -585,6 +585,28 @@ TEST(NetServer, MalformedSpecParameterIsBadRequest) {
   EXPECT_EQ(r.type, MsgType::kReplyOk);
 }
 
+TEST(NetServer, UnquantizableLutConfigurationIsBadRequest) {
+  // An in-range (M, q) whose factors do not fit q - 2 stored bits is the
+  // client's configuration error: kBadRequest, not kInternal.
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  for (const char* spec : {"realm:m=256", "realm:m=32,q=4"}) {
+    const Frame r = c.call(MsgType::kMultiplyBatch, 1, multiply_body(spec, 16, {5}, {5}));
+    ASSERT_EQ(r.type, MsgType::kReplyError) << spec;
+    EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest) << spec;
+  }
+  const std::string sij_body = campaign::PayloadWriter{}
+                                   .field("m", std::int64_t{256})
+                                   .field("q", std::int64_t{6})
+                                   .str();
+  Frame r = c.call(MsgType::kSijLookup, 2, sij_body, 60000);
+  ASSERT_EQ(r.type, MsgType::kReplyError);
+  EXPECT_EQ(net::parse_error(r.body).code, ErrorCode::kBadRequest);
+  r = c.call(MsgType::kMultiplyBatch, 3, multiply_body("realm:m=16,t=4", 16, {5}, {5}));
+  EXPECT_EQ(r.type, MsgType::kReplyOk);
+}
+
 TEST(NetServer, TypedErrorsKeepTheConnection) {
   TestServer ts{net::ServerOptions{}};
   net::Client c;
