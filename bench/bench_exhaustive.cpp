@@ -72,9 +72,8 @@ int main(int argc, char** argv) {
                 width, static_cast<unsigned long long>(sq_hi),
                 static_cast<unsigned long long>(rows_cap));
     for (const auto& s : specs) {
-      const auto m = mult::make_multiplier(s, width);
-      const auto r = campaign::cached_exhaustive(camp.runner(), *m, s, width, 0,
-                                                 sq_hi, args.threads);
+      const auto r =
+          campaign::cached_exhaustive(camp.runner(), s, width, 0, sq_hi, args.threads);
       std::printf("  %-18s bias=%+.4f%% mean=%.4f%% min=%+.4f%% @(%llu,%llu) "
                   "max=%+.4f%% @(%llu,%llu)\n",
                   s.c_str(), r.metrics.bias, r.metrics.mean, r.metrics.min,

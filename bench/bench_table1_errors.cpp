@@ -100,8 +100,7 @@ int run_exact_mode(const bench::Args& args, const bench::Campaign& camp) {
       continue;
     }
     const auto ex =
-        campaign::cached_exhaustive(camp.runner(), *model, spec, width, 0, hi,
-                                    args.threads);
+        campaign::cached_exhaustive(camp.runner(), spec, width, 0, hi, args.threads);
     const auto mc = err::monte_carlo(*model, opts);
     // Subset property: an MC estimate's peaks are bounded by the exact ones.
     if (mc.min < ex.metrics.min || mc.max > ex.metrics.max) {
@@ -163,7 +162,7 @@ int main(int argc, char** argv) {
   std::printf("\nCSV:spec,bias,mean,min,max,variance\n");
   for (const auto& spec : mult::table1_specs()) {
     const auto model = mult::make_multiplier(spec, 16);
-    const auto r = campaign::cached_monte_carlo(camp.runner(), *model, spec, 16, opts);
+    const auto r = campaign::cached_monte_carlo(camp.runner(), spec, 16, opts);
     const auto p = bench::paper_row(spec);
     std::printf("%-22s %+7.2f [%+6.2f]    %6.2f [%6.2f]    %+7.2f [%+7.2f]     "
                 "%+7.2f [%+7.2f]    %7.2f [%7.2f]\n",

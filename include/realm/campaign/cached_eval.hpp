@@ -27,7 +27,6 @@
 #include "realm/error/metrics.hpp"
 #include "realm/error/monte_carlo.hpp"
 #include "realm/hw/power.hpp"
-#include "realm/multiplier.hpp"
 
 namespace realm::hw {
 class CostModel;
@@ -42,6 +41,10 @@ inline constexpr const char* kSynthesisEngineVersion = "packed-v1";
 inline constexpr const char* kFaultEngineVersion = "packed-v1";
 
 // -- key builders -----------------------------------------------------------
+//
+// Each writes mult::canonical_spec(spec) into its `spec` field, so the key
+// names the design, not the spelling; each throws std::invalid_argument for
+// a spec that names no design.
 
 [[nodiscard]] std::string monte_carlo_key(const std::string& spec, int n,
                                           const err::MonteCarloOptions& opts);
@@ -72,21 +75,26 @@ struct SynthesisResult {
 [[nodiscard]] SynthesisResult parse_synthesis(const std::string& payload);
 
 // -- stored payloads ---------------------------------------------------------
+//
+// Every front end takes the design as (spec, n), never as a built model: the
+// key is a function of what the caller passed, and the model is built from
+// the same (spec, n) inside the unit's computation, so only on a miss.  A
+// warm unit costs one spec parse and one journal read.  The `spec` field of
+// every key is mult::canonical_spec(spec), so every spelling of one design
+// shares one record.
 
-/// The stored err::monte_carlo payload.  `spec`/`n` must be the provenance
-/// of `design` — they form the key; the engine never checks.
+/// The stored err::monte_carlo payload of make_multiplier(spec, n).
 [[nodiscard]] std::string monte_carlo_payload(CampaignRunner* runner,
-                                              const Multiplier& design,
                                               const std::string& spec, int n,
                                               const err::MonteCarloOptions& opts);
 
-/// The stored err::exhaustive_report payload.  Exact results are ideal
-/// memoization targets: the key is just (engine version, spec, n, range) —
-/// no seed, no sample budget — and a stored unit resumes a full 2^32 sweep
-/// in one journal read.  `threads` never enters the key (the tiled engine
-/// is thread-count invariant); histograms are not stored.
+/// The stored err::exhaustive_report payload of make_multiplier(spec, n).
+/// Exact results are ideal memoization targets: the key is just (engine
+/// version, spec, n, range) — no seed, no sample budget — and a stored unit
+/// resumes a full 2^32 sweep in one journal read.  `threads` never enters
+/// the key (the tiled engine is thread-count invariant); histograms are not
+/// stored.
 [[nodiscard]] std::string exhaustive_payload(CampaignRunner* runner,
-                                             const Multiplier& design,
                                              const std::string& spec, int n,
                                              std::uint64_t lo, std::uint64_t hi,
                                              int threads = 0);
@@ -103,12 +111,10 @@ struct SynthesisResult {
 // -- memoized front ends (parse the stored payload) -------------------------
 
 [[nodiscard]] err::ErrorMetrics cached_monte_carlo(CampaignRunner* runner,
-                                                   const Multiplier& design,
                                                    const std::string& spec, int n,
                                                    const err::MonteCarloOptions& opts);
 
 [[nodiscard]] err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
-                                                      const Multiplier& design,
                                                       const std::string& spec, int n,
                                                       std::uint64_t lo,
                                                       std::uint64_t hi,

@@ -35,7 +35,8 @@ class CostModel {
   [[nodiscard]] int width() const noexcept { return n_; }
   [[nodiscard]] const DesignCost& accurate() const noexcept { return accurate_; }
 
-  /// Calibrated absolute cost of a design (cached per spec string).
+  /// Calibrated absolute cost of a design, cached per design: every spelling
+  /// with one mult::canonical_spec shares one entry (and one reference).
   [[nodiscard]] const DesignCost& cost(const std::string& spec);
 
   /// (accurate - design) / accurate × 100, as Table I reports.

@@ -13,6 +13,20 @@
 //   "am1:nb=9", "am2:nb=13"
 //   "intalp:l=2"
 //
+// Names and keys are case-insensitive, ';' separates parameters as well as
+// ',', and an omitted key takes its default, so one design has many
+// spellings: "realm", "REALM:T=0", "realm:m=16,t=0" and "realm:q=6;t=00" all
+// name REALM16 with t = 0.  canonical_spec() is the one definition of which
+// design a spec names.  Its canonical form is the lower-cased design name,
+// then ":key=value" for every parameter of the design with the defaults
+// filled in, keys in lexicographic order, values in plain decimal, e.g.
+// "realm:m=16,q=6,t=0", "calm:t=0", "drum:k=6"; a design without parameters
+// is just its name ("accurate", "implm").  Two specs name the same design
+// exactly when their canonical forms are equal, so every cache or store that
+// asks "is this the same design?" keys on canonical_spec(): the server's
+// model cache, the campaign store keys, the sweep's dedupe and the cost
+// model's cache.
+//
 // table1_specs() lists the rows of Table I in paper order so the error and
 // synthesis benches, the Pareto sweep, and the tests all iterate the same
 // design set.
@@ -44,6 +58,13 @@ struct SpecParams {
 /// Throws std::invalid_argument for an unknown design, an unknown, repeated or
 /// missing key, or a value that is not one whole decimal int in range.
 [[nodiscard]] SpecParams parse_spec(const std::string& spec);
+
+/// The canonical spelling of the design `spec` names (see the top of this
+/// file): parse_spec's design and parameters printed as
+/// "design:key=value,..." in key order.  Idempotent, and
+/// parse_spec(canonical_spec(s)) equals parse_spec(s).  Throws what
+/// parse_spec throws.
+[[nodiscard]] std::string canonical_spec(const std::string& spec);
 
 /// The REALM configuration of a parsed "realm" spec for n-bit operands,
 /// shared by make_multiplier and hw::build_circuit.

@@ -123,6 +123,20 @@ SpecParams parse_spec(const std::string& spec) {
   return out;
 }
 
+std::string canonical_spec(const std::string& spec) {
+  const SpecParams s = parse_spec(spec);
+  std::string out = s.design;
+  char separator = ':';
+  for (const auto& [key, value] : s.params) {
+    out += separator;
+    out += key;
+    out += '=';
+    out += std::to_string(value);
+    separator = ',';
+  }
+  return out;
+}
+
 core::RealmConfig realm_config(const SpecParams& spec, int n) {
   const auto& p = spec.params;
   core::RealmConfig cfg;

@@ -134,8 +134,11 @@ struct Request {
   return static_cast<int>(n);
 }
 
-/// Throws std::runtime_error on any malformed/over-budget field; the caller
-/// turns that into a kBadRequest reply.
+/// Throws std::runtime_error or std::invalid_argument on any malformed or
+/// over-budget field; the caller turns that into a kBadRequest reply.
+/// `spec` is stored as mult::canonical_spec, so the model cache and the
+/// store keys see one spelling per design, and a spec that names no design
+/// is refused here, on the loop thread, before any dispatch.
 [[nodiscard]] Request parse_request(MsgType type, std::uint64_t seq,
                                     const std::string& body) {
   const campaign::PayloadReader r{body};
@@ -144,7 +147,7 @@ struct Request {
   rq.seq = seq;
   switch (type) {
     case MsgType::kMultiplyBatch: {
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::canonical_spec(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.a = parse_u64_list(r.get_string("a"));
       rq.b = parse_u64_list(r.get_string("b"));
@@ -163,7 +166,7 @@ struct Request {
       break;
     }
     case MsgType::kCharacterizeMc:
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::canonical_spec(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.samples = r.get_u64("samples");
       rq.seed = r.get_u64("seed");
@@ -172,7 +175,7 @@ struct Request {
       }
       break;
     case MsgType::kCharacterizeExhaustive:
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::canonical_spec(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.lo = r.get_u64("lo");
       rq.hi = r.get_u64("hi");
@@ -182,7 +185,7 @@ struct Request {
       }
       break;
     case MsgType::kSynthesisCost: {
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::canonical_spec(r.get_string("spec"));
       rq.n = parse_width(r);
       const std::uint64_t cycles = r.get_u64("cycles");
       if (cycles == 0 || cycles > kMaxSynthesisCycles) {
@@ -335,7 +338,9 @@ struct Server::Impl {
   std::mutex completion_mu;
 
   // Model instances are immutable and thread-safe; one cache serves every
-  // executor thread and amortizes spec parsing + LUT sharing across requests.
+  // executor thread's multiply_batch requests.  It is keyed on the canonical
+  // spec and the width, so it holds one entry per valid design, not one per
+  // spelling a client sends.
   std::unordered_map<std::string, std::shared_ptr<const Multiplier>> models;
   std::mutex model_mu;
 
@@ -913,6 +918,7 @@ struct Server::Impl {
     }
   }
 
+  /// The shared model of a canonical spec (Request::spec) at width n.
   [[nodiscard]] std::shared_ptr<const Multiplier> model_for(const std::string& spec,
                                                             int n) {
     const std::string key = spec + "|" + std::to_string(n);
@@ -952,11 +958,11 @@ struct Server::Impl {
     campaign::CampaignRunner* runner = opts.campaign;
     switch (rq.type) {
       case MsgType::kCharacterizeMc:
-        return campaign::monte_carlo_payload(runner, *model_for(rq.spec, rq.n), rq.spec,
-                                             rq.n, mc_options(rq, opts.engine_threads));
+        return campaign::monte_carlo_payload(runner, rq.spec, rq.n,
+                                             mc_options(rq, opts.engine_threads));
       case MsgType::kCharacterizeExhaustive:
-        return campaign::exhaustive_payload(runner, *model_for(rq.spec, rq.n), rq.spec,
-                                            rq.n, rq.lo, rq.hi, opts.engine_threads);
+        return campaign::exhaustive_payload(runner, rq.spec, rq.n, rq.lo, rq.hi,
+                                            opts.engine_threads);
       case MsgType::kSynthesisCost:
         return campaign::synthesis_payload(
             runner, rq.spec, rq.n, synthesis_profile(rq.cycles, opts.engine_threads));

@@ -352,10 +352,10 @@ TEST(CachedEval, MonteCarloMatchesDirectAndResumesExactly) {
   ResultStore store{tmp.str()};
   CampaignRunner cold{&store, false};
   const err::ErrorMetrics computed =
-      campaign::cached_monte_carlo(&cold, *model, spec, 16, opts);
+      campaign::cached_monte_carlo(&cold, spec, 16, opts);
   CampaignRunner warm{&store, true};
   const err::ErrorMetrics resumed =
-      campaign::cached_monte_carlo(&warm, *model, spec, 16, opts);
+      campaign::cached_monte_carlo(&warm, spec, 16, opts);
   EXPECT_EQ(warm.units_resumed(), 1u);
 
   for (const auto* m : {&computed, &resumed}) {
@@ -377,6 +377,35 @@ TEST(CachedEval, MonteCarloMatchesDirectAndResumesExactly) {
   other_seed.seed ^= 1;
   EXPECT_NE(campaign::monte_carlo_key(spec, 16, opts),
             campaign::monte_carlo_key(spec, 16, other_seed));
+}
+
+TEST(CachedEval, ExhaustivePayloadBytesArePinned) {
+  // Stored exhaustive records are these bytes: the codec may be rebuilt, but
+  // a record written by an earlier build must still parse to the same
+  // report.
+  err::ExhaustiveReport r;
+  r.metrics.bias = -0.5;
+  r.metrics.mean = 1.25;
+  r.metrics.variance = 3.0;
+  r.metrics.min = -7.5;
+  r.metrics.max = 2.0;
+  r.metrics.samples = 65025;
+  r.pairs = 65536;
+  r.min_peak = {3, 5, 14, -6.25, true};
+  r.max_peak = {255, 129, 33000, 0.125, true};
+  const std::string payload = campaign::serialize_exhaustive_report(r);
+  EXPECT_EQ(payload,
+            "bias=-0x1p-1\nmean=0x1.4p+0\nvariance=0x1.8p+1\nmin=-0x1.ep+2\n"
+            "max=0x1p+1\nsamples=65025\npairs=65536\nmin_a=3\nmin_b=5\n"
+            "min_product=14\nmin_error=-0x1.9p+2\nmax_a=255\nmax_b=129\n"
+            "max_product=33000\nmax_error=0x1p-3\npeaks_valid=1\n");
+  const err::ExhaustiveReport back = campaign::parse_exhaustive_report(payload);
+  EXPECT_EQ(back.metrics.mean, r.metrics.mean);
+  EXPECT_EQ(back.metrics.samples, r.metrics.samples);
+  EXPECT_EQ(back.pairs, r.pairs);
+  EXPECT_EQ(back.min_peak.product, r.min_peak.product);
+  EXPECT_EQ(back.max_peak.error, r.max_peak.error);
+  EXPECT_TRUE(back.min_peak.valid && back.max_peak.valid);
 }
 
 TEST(CachedEval, FaultSummaryResumesExactly) {

@@ -55,8 +55,11 @@ TEST(CostModel, RealmOverheadOverMbmIsSmall) {
 TEST(CostModel, CachingReturnsIdenticalObjects) {
   CostModel cm = quick_model();
   const DesignCost& a = cm.cost("calm");
-  const DesignCost& b = cm.cost("calm");
-  EXPECT_EQ(&a, &b);
+  // One entry per design: every spelling returns the same object.
+  for (const char* spec : {"calm", "CALM", "calm:t=0", "CALM:T=00", "calm:t=000"}) {
+    EXPECT_EQ(&cm.cost(spec), &a) << spec;
+  }
+  EXPECT_EQ(&cm.cost("ACCURATE"), &cm.cost("accurate"));
 }
 
 TEST(CostModel, IntAlpL2IsTheCostliestApproximate) {

@@ -153,21 +153,37 @@ TEST(Sweep, SmokeRunProducesConsistentPoints) {
 }
 
 TEST(Sweep, DuplicateSpecsCharacterizedOnceInInputOrder) {
+  const std::string store_path =
+      (std::filesystem::temp_directory_path() /
+       ("realm_test_sweep_dupes_" + std::to_string(::getpid()) + ".store"))
+          .string();
+  std::remove(store_path.c_str());
+  realm::campaign::ResultStore store{store_path};
+  realm::campaign::CampaignRunner runner{&store, /*resume=*/false};
+
   dse::SweepOptions opts;
   opts.monte_carlo.samples = 1 << 12;
   opts.stimulus.cycles = 100;
-  const std::vector<std::string> specs{"calm", "realm:m=4,t=0", "calm", "calm",
-                                       "realm:m=4,t=0"};
+  opts.campaign = &runner;
+  // Two designs, spelt seven ways.
+  const std::vector<std::string> specs{"calm", "realm:m=4,t=0", "calm",     "calm",
+                                       "realm:m=4,t=0", "CALM", "calm:t=0", "calm:t=00"};
   const auto pts = dse::run_sweep(specs, opts);
   ASSERT_EQ(pts.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(pts[i].spec, specs[i]) << "results must stay in input order";
   }
+  // Each design is characterized once: one error and one synthesis unit.
+  EXPECT_EQ(runner.units_computed(), 2u * 2u);
   // Duplicates are the same characterization fanned out, not reruns.
-  EXPECT_EQ(std::memcmp(&pts[0].error.mean, &pts[2].error.mean, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&pts[0].error.mean, &pts[3].error.mean, sizeof(double)), 0);
+  for (const std::size_t i : {2u, 3u, 5u, 6u, 7u}) {
+    EXPECT_EQ(std::memcmp(&pts[0].error.mean, &pts[i].error.mean, sizeof(double)), 0)
+        << specs[i];
+    EXPECT_EQ(pts[0].cost.area_um2, pts[i].cost.area_um2) << specs[i];
+    EXPECT_EQ(pts[0].name, pts[i].name) << specs[i];
+  }
   EXPECT_EQ(std::memcmp(&pts[1].error.mean, &pts[4].error.mean, sizeof(double)), 0);
-  EXPECT_EQ(pts[0].cost.area_um2, pts[2].cost.area_um2);
+  std::remove(store_path.c_str());
 }
 
 TEST(Sweep, CampaignWarmSweepIsBitIdenticalToCold) {

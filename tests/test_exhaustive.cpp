@@ -585,15 +585,13 @@ TEST(ExhaustiveCampaign, KeyIsCanonicalAndThreadFree) {
 
 TEST(ExhaustiveCampaign, ResumeServesStoredResultBitForBit) {
   TempStorePath store_path{"exhaustive"};
-  const auto m = mult::make_multiplier("realm:m=16,t=0", 8);
-  const auto direct = campaign::cached_exhaustive(nullptr, *m, "realm:m=16,t=0", 8,
-                                                  0, 255);
+  const auto direct = campaign::cached_exhaustive(nullptr, "realm:m=16,t=0", 8, 0, 255);
 
   err::ExhaustiveReport first;
   {
     campaign::ResultStore store{store_path.str()};
     campaign::CampaignRunner runner{&store, false};
-    first = campaign::cached_exhaustive(&runner, *m, "realm:m=16,t=0", 8, 0, 255);
+    first = campaign::cached_exhaustive(&runner, "realm:m=16,t=0", 8, 0, 255);
     EXPECT_EQ(runner.units_computed(), 1u);
     EXPECT_EQ(runner.units_resumed(), 0u);
   }
@@ -603,7 +601,7 @@ TEST(ExhaustiveCampaign, ResumeServesStoredResultBitForBit) {
   // (no recomputation) and decode to the identical report.
   campaign::ResultStore store{store_path.str()};
   campaign::CampaignRunner runner{&store, true};
-  const auto resumed = campaign::cached_exhaustive(&runner, *m, "realm:m=16,t=0", 8,
+  const auto resumed = campaign::cached_exhaustive(&runner, "realm:m=16,t=0", 8,
                                                    0, 255);
   EXPECT_EQ(runner.units_resumed(), 1u);
   EXPECT_EQ(runner.units_computed(), 0u);
