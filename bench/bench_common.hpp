@@ -29,7 +29,6 @@ namespace realm::bench {
 struct Args {
   std::uint64_t samples = std::uint64_t{1} << 22;  ///< Monte-Carlo pairs
   std::uint32_t cycles = 1000;                     ///< power stimulus vectors
-  std::uint32_t vectors = 0;  ///< fault-sim vectors per site; 0 = bench default
   int image_size = 512;                            ///< JPEG evaluation images
   int threads = 0;  ///< parallelism (MC shards / gate-sim blocks); 0 = all cores
   bool full = false;  ///< use the paper's full 2^24 sample budget
@@ -85,9 +84,6 @@ struct Args {
       } else if (arg.rfind("--cycles=", 0) == 0) {
         a.cycles = static_cast<std::uint32_t>(
             cli::parse_u64_flag("--cycles", val("--cycles="), 1, 1u << 30));
-      } else if (arg.rfind("--vectors=", 0) == 0) {
-        a.vectors = static_cast<std::uint32_t>(
-            cli::parse_u64_flag("--vectors", val("--vectors="), 1, 1u << 30));
       } else if (arg.rfind("--image-size=", 0) == 0) {
         a.image_size = static_cast<int>(
             cli::parse_u64_flag("--image-size", val("--image-size="), 8, 1u << 14));
@@ -131,7 +127,7 @@ struct Args {
         a.cycles = 4000;
       } else if (arg == "--help") {
         std::printf(
-            "flags: --samples=N --cycles=N --vectors=N --image-size=N "
+            "flags: --samples=N --cycles=N --image-size=N "
             "--threads=N --width=N --rows=N --exact --full --trace=PATH "
             "--json=PATH --store=PATH --resume --sample-hz=N\n");
         std::exit(0);

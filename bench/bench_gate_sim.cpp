@@ -1,16 +1,15 @@
 // Gate-level simulation engine benchmark: the scalar one-vector-per-sweep
-// Simulator vs the 64-lane packed engine, on the three workloads it serves
-// (power sweeps, fault campaigns, exhaustive equivalence).  Also verifies on
-// every run that the packed results are bit-identical to the scalar
-// reference, and writes bench_out/BENCH_gate_sim.json so CI tracks the perf
-// trajectory next to BENCH_eval_engine.json.
+// Simulator vs the 64-lane packed engine, on the two workloads it serves
+// (power sweeps, exhaustive equivalence).  Also verifies on every run that
+// the packed power results are bit-identical to the scalar reference, and
+// writes bench_out/BENCH_gate_sim.json so CI tracks the perf trajectory next
+// to BENCH_eval_engine.json.
 
 #include <cstdio>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "realm/hw/circuits.hpp"
-#include "realm/hw/faults.hpp"
 #include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/power.hpp"
 #include "realm/multipliers/registry.hpp"
@@ -26,12 +25,6 @@ constexpr int kMaxReps = 32;
 
 bool reports_identical(const hw::PowerReport& a, const hw::PowerReport& b) {
   return a.dynamic == b.dynamic && a.leakage == b.leakage;
-}
-
-bool reports_identical(const hw::FaultReport& a, const hw::FaultReport& b) {
-  return a.sites_analyzed == b.sites_analyzed &&
-         a.sites_undetected == b.sites_undetected &&
-         a.mean_rel_error == b.mean_rel_error && a.worst_rel_error == b.worst_rel_error;
 }
 
 }  // namespace
@@ -74,35 +67,6 @@ int main(int argc, char** argv) {
               power_packed_1t / power_scalar, power_packed_nt / power_scalar, nt,
               power_identical ? "yes" : "NO");
 
-  // --- fault campaign -----------------------------------------------------
-  const int vectors = static_cast<int>(args.vectors != 0 ? args.vectors : 48);
-  const std::size_t max_sites = 512;
-  const auto fault_scalar_report =
-      hw::analyze_fault_impact_reference(mod, vectors, 0xFA, max_sites);
-  const auto fault_packed_report =
-      hw::analyze_fault_impact(mod, vectors, 0xFA, max_sites, nt);
-  const bool fault_identical = reports_identical(fault_scalar_report, fault_packed_report);
-
-  const double sites = static_cast<double>(fault_scalar_report.sites_analyzed);
-  const double fault_scalar = sites / best_seconds([&] {
-    (void)hw::analyze_fault_impact_reference(mod, vectors, 0xFA, max_sites);
-  }, kMaxReps);
-  const double fault_packed_1t = sites / best_seconds([&] {
-    (void)hw::analyze_fault_impact(mod, vectors, 0xFA, max_sites, 1);
-  }, kMaxReps);
-  const double fault_packed_nt = sites / best_seconds([&] {
-    (void)hw::analyze_fault_impact(mod, vectors, 0xFA, max_sites, nt);
-  }, kMaxReps);
-
-  std::printf("\nfault campaign (%zu sites, %d vectors/site):\n",
-              fault_scalar_report.sites_analyzed, vectors);
-  std::printf("  scalar reference: %10.1f sites/s\n", fault_scalar);
-  std::printf("  packed engine:    %10.1f sites/s (1 thread)  %10.1f sites/s (%d threads)\n",
-              fault_packed_1t, fault_packed_nt, nt);
-  std::printf("  speedup: %.2fx (1 thread), %.2fx (%d threads); bit-identical: %s\n",
-              fault_packed_1t / fault_scalar, fault_packed_nt / fault_scalar, nt,
-              fault_identical ? "yes" : "NO");
-
   // --- exhaustive equivalence (8x8: the full 2^16 input space) ------------
   const hw::Module mod8 = hw::build_circuit("realm:m=4,t=0", 8);
   const auto model8 = mult::make_multiplier("realm:m=4,t=0", 8);
@@ -126,21 +90,13 @@ int main(int argc, char** argv) {
   sink.metric("power_speedup_1t", power_packed_1t / power_scalar);
   sink.metric("power_speedup_nt", power_packed_nt / power_scalar);
   sink.metric("power_bit_identical", power_identical);
-  sink.metric("fault_sites", fault_scalar_report.sites_analyzed);
-  sink.metric("fault_vectors", vectors);
-  sink.metric("fault_scalar_sps", fault_scalar);
-  sink.metric("fault_packed_sps_1t", fault_packed_1t);
-  sink.metric("fault_packed_sps_nt", fault_packed_nt);
-  sink.metric("fault_speedup_1t", fault_packed_1t / fault_scalar);
-  sink.metric("fault_speedup_nt", fault_packed_nt / fault_scalar);
-  sink.metric("fault_bit_identical", fault_identical);
   sink.metric("equiv_pairs", equiv.pairs_checked);
   sink.metric("equiv_pairs_per_s", equiv_pps);
   sink.metric("equiv_ok", equiv.equivalent());
   std::printf("\n");
   bench::write_outputs(args, sink, "bench_out/BENCH_gate_sim.json");
 
-  if (!power_identical || !fault_identical || !equiv.equivalent()) {
+  if (!power_identical || !equiv.equivalent()) {
     std::fprintf(stderr, "ERROR: packed engine diverged from the scalar reference\n");
     return 1;
   }

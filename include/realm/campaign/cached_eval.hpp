@@ -3,13 +3,13 @@
 // Each request kind pairs a canonical key builder with an exact (hex-float)
 // payload codec and one *payload function* that funnels the computation
 // through CampaignRunner::run_unit, so Monte-Carlo error characterization,
-// exact sweeps, calibrated synthesis costs and fault-campaign summaries all
-// become resumable shard-granular work units.  A payload function returns
-// the stored bytes: replayed on a hit, computed and durably stored on a
-// miss, or computed directly when the runner is null — call sites stay
-// oblivious to whether a store is attached.  The serving layer replies with
-// those bytes verbatim; the cached_* front ends parse them, so a campaign
-// run, a served reply and a store replay all carry the same numbers.
+// exact sweeps and calibrated synthesis costs all become resumable
+// shard-granular work units.  A payload function returns the stored bytes:
+// replayed on a hit, computed and durably stored on a miss, or computed
+// directly when the runner is null — call sites stay oblivious to whether a
+// store is attached.  The serving layer replies with those bytes verbatim;
+// the cached_* front ends parse them, so a campaign run, a served reply and
+// a store replay all carry the same numbers.
 //
 // Keys deliberately exclude thread counts: every wrapped engine is
 // bit-identical for any parallelism (the seed-stability invariant), so a
@@ -38,7 +38,6 @@ namespace realm::campaign {
 inline constexpr const char* kErrorEngineVersion = "batched-v1";
 inline constexpr const char* kExhaustiveEngineVersion = "tiled-v1";
 inline constexpr const char* kSynthesisEngineVersion = "packed-v1";
-inline constexpr const char* kFaultEngineVersion = "packed-v1";
 
 // -- key builders -----------------------------------------------------------
 //
@@ -52,8 +51,6 @@ inline constexpr const char* kFaultEngineVersion = "packed-v1";
                                          std::uint64_t lo, std::uint64_t hi);
 [[nodiscard]] std::string synthesis_key(const std::string& spec, int n,
                                         const hw::StimulusProfile& profile);
-[[nodiscard]] std::string fault_key(const std::string& spec, int n, int vectors,
-                                    std::uint64_t seed, std::size_t max_sites);
 
 /// One design's calibrated synthesis record: the Table I design-metric
 /// columns plus critical-path delay.
@@ -124,22 +121,5 @@ struct SynthesisResult {
     CampaignRunner* runner, const std::string& spec, int n,
     const hw::StimulusProfile& profile,
     const std::function<hw::CostModel&()>& model);
-
-/// Summary of one design's stuck-at fault campaign (the fault-tolerance
-/// bench's row; per-site detail stays out of the store).
-struct FaultSummary {
-  std::uint64_t gates = 0;
-  std::uint64_t sites_analyzed = 0;
-  std::uint64_t sites_undetected = 0;
-  double mean_rel_error = 0.0;
-  double worst_rel_error = 0.0;
-};
-
-/// hw::analyze_fault_impact over build_circuit(spec, n) through the store.
-/// `threads` only sets packed-engine parallelism; it is not part of the key.
-[[nodiscard]] FaultSummary cached_fault_impact(CampaignRunner* runner,
-                                               const std::string& spec, int n,
-                                               int vectors, std::uint64_t seed,
-                                               std::size_t max_sites, int threads);
 
 }  // namespace realm::campaign

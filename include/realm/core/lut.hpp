@@ -40,8 +40,10 @@ class SegmentLut {
   /// quadrature cross-checks), which is far more expensive than the table
   /// itself — design-space sweeps construct the same handful of tables
   /// hundreds of times, so identical configurations share one immutable
-  /// instance.  Entries are held weakly: once every user releases a table it
-  /// is freed, and the next request re-derives it.  Thread-safe.
+  /// instance.  Entries are held strongly and live for the process; no table
+  /// is ever freed or re-derived.  The key space bounds the cache: M is one
+  /// of 8 powers of two up to kMaxLutM and q one of 28 values up to
+  /// kMaxLutQ, so it holds at most 8 x 28 = 224 tables.  Thread-safe.
   [[nodiscard]] static std::shared_ptr<const SegmentLut> shared(int m, int q);
 
   [[nodiscard]] int m() const noexcept { return m_; }

@@ -71,9 +71,4 @@ struct LogMultOptions {
 /// Same dispatch without the final prune (for netlist-construction tests).
 [[nodiscard]] Module build_circuit_unpruned(const std::string& spec, int n = 16);
 
-/// Two's-complement signed wrapper around any unsigned design (§III-C):
-/// conditional-negate front end, unsigned core, conditional-negate back end.
-/// Output is one bit wider than the core's product bus.
-[[nodiscard]] Module build_signed_circuit(const std::string& spec, int n = 16);
-
 }  // namespace realm::hw

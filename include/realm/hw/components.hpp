@@ -84,10 +84,6 @@ struct LodResult {
 /// OR-reduction of a bus (1 when any bit set).
 [[nodiscard]] NetId or_reduce(Module& m, const Bus& a);
 
-/// Two's-complement conditional negate: sel ? (-x) : x, same width as x
-/// (XOR stage plus an increment rippled from sel).
-[[nodiscard]] Bus conditional_negate(Module& m, const Bus& x, NetId sel);
-
 /// Zero-extend (or truncate) a bus to `width` bits.
 [[nodiscard]] Bus resize(const Bus& a, int width);
 

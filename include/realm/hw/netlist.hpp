@@ -39,11 +39,11 @@ struct Gate {
 };
 
 /// The logic function of each cell: the one truth table every bitwise
-/// evaluator shares (the scalar and 64-lane simulators, the fault
-/// reference).  Lane-wise over the bits of W, so a 64-bit word evaluates 64
-/// independent input vectors at once; scalar callers hold each net in bit 0
-/// and mask the result to it.  Inputs are the gate's pins in order, with
-/// mux pins ordered (d0, d1, sel); unused pins are ignored.
+/// evaluator shares (the scalar and 64-lane simulators).  Lane-wise over the
+/// bits of W, so a 64-bit word evaluates 64 independent input vectors at
+/// once; scalar callers hold each net in bit 0 and mask the result to it.
+/// Inputs are the gate's pins in order, with mux pins ordered (d0, d1, sel);
+/// unused pins are ignored.
 template <typename W>
 [[nodiscard]] constexpr W gate_value(GateKind kind, W a, W b, W c) noexcept {
   switch (kind) {
@@ -115,14 +115,6 @@ class Module {
   /// constant LUTs would be charged for logic real hardware never builds.
   /// Returns the number of gates removed.
   std::size_t prune();
-
-  /// Flattening instantiation: copies `sub`'s gates into this module with
-  /// sub's input ports bound to `input_buses` (matched by declaration order
-  /// and width).  Returns sub's output port values in this module's net
-  /// space.  Gates are re-created through gate(), so constant folding and
-  /// structural hashing apply across the boundary, exactly as flattening
-  /// synthesis would optimize a hierarchical design.
-  std::vector<Bus> instantiate(const Module& sub, const std::vector<Bus>& input_buses);
 
  private:
   NetId new_net();

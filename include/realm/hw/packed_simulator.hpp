@@ -4,7 +4,7 @@
 // touching a uint8_t per net.  Here every net holds a uint64_t word whose
 // bit l is the net's value in lane l, so one sweep evaluates 64 independent
 // stimulus vectors with native bitwise ops (mux is (c & b) | (~c & a)).
-// Three workloads ride on the lanes:
+// Two workloads ride on the lanes:
 //
 //   * power estimation — lanes are 64 *consecutive cycles* of one stimulus
 //     stream, loaded per port with set_input_lanes(); eval_cycles() counts
@@ -13,18 +13,13 @@
 //     scalar simulator's toggle counts bit-for-bit (src/hw/power.cpp builds
 //     the stimulus once for every engine and shards blocks of cycles over
 //     the persistent pool);
-//   * fault simulation — lane 0 carries the fault-free circuit and lanes
-//     1..63 carry 63 stuck-at sites against a shared (broadcast) stimulus
-//     word, via per-gate force masks applied after each gate evaluates
-//     (src/hw/faults.cpp), collapsing a fault campaign from one netlist
-//     sweep per (site, vector) to one per (site group, vector);
 //   * equivalence checking — lanes are 64 operand pairs (set_input_lanes)
 //     checked against a behavioral Multiplier through multiply_batch, fast
 //     enough to sweep the full 2^16 input space of an 8x8 design
 //     exhaustively (below).
 //
 // The scalar Simulator stays as the reference back end; tests assert lane
-// outputs, toggle counts, and fault verdicts are bit-identical to it.
+// outputs and toggle counts are bit-identical to it.
 
 #pragma once
 
@@ -51,16 +46,13 @@ class PackedSimulator {
   /// rejected (see set_input of the scalar Simulator — same contract).
   void set_input_lanes(std::size_t port, const std::uint64_t* values, unsigned lanes);
 
-  /// Drives input port `port` with `value` in all 64 lanes.
-  void set_input_broadcast(std::size_t port, std::uint64_t value);
-
   /// Raw access: sets the packed word of input-port bit `bit` (bit l of
   /// `word` = that input bit's value in lane l).  The fast path for callers
   /// that assemble lane words themselves.
   void set_input_word(std::size_t port, std::size_t bit, std::uint64_t word);
 
-  /// One bitwise sweep over all gates, no toggle accounting (fault and
-  /// equivalence workloads).
+  /// One bitwise sweep over all gates, no toggle accounting (the
+  /// equivalence workload).
   void eval();
 
   /// One sweep interpreting lanes 0..lanes-1 as *consecutive cycles* of one
@@ -91,14 +83,6 @@ class PackedSimulator {
 
   void reset_activity();
 
-  /// Forces gate `gate_index`'s output to `stuck_value` in every lane of
-  /// `lane_mask` (other lanes evaluate normally).  Forces accumulate — one
-  /// gate may be stuck-at-0 in one lane and stuck-at-1 in another — until
-  /// clear_forces().
-  void force_gate(std::size_t gate_index, std::uint64_t lane_mask, bool stuck_value);
-
-  void clear_forces();
-
  private:
   template <bool kCountToggles>
   void sweep(unsigned lanes);
@@ -106,12 +90,9 @@ class PackedSimulator {
   const Module* module_;
   std::vector<std::uint64_t> values_;         // one 64-lane word per net
   std::vector<std::uint64_t> toggle_counts_;  // per gate
-  std::vector<std::uint64_t> force_and_;      // per gate; empty until forcing
-  std::vector<std::uint64_t> force_or_;
   std::vector<std::uint8_t> prev_last_lane_;  // per gate, last counted lane bit
   std::uint64_t cycles_ = 0;
   bool primed_ = false;
-  bool forcing_ = false;
 };
 
 /// Circuit-vs-behavioral-model equivalence checking on the packed engine.

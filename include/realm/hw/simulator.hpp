@@ -5,10 +5,10 @@
 // output toggles per gate, which feeds the activity-based power model.
 //
 // This scalar sweep is the *reference* back end: bulk workloads (power
-// sweeps, fault campaigns, exhaustive equivalence) run on the 64-lane
-// bit-parallel engine in packed_simulator.hpp, which is checked bit-for-bit
-// against the simulator here.  Every back end evaluates gates through the
-// one truth table, gate_value() in netlist.hpp.
+// sweeps, exhaustive equivalence) run on the 64-lane bit-parallel engine in
+// packed_simulator.hpp, which is checked bit-for-bit against the simulator
+// here.  Every back end evaluates gates through the one truth table,
+// gate_value() in netlist.hpp.
 
 #pragma once
 
@@ -51,19 +51,11 @@ class Simulator {
 
   void reset_activity();
 
-  /// Forces gate `gate_index`'s output stuck at `stuck_value` on every
-  /// following eval(), replacing any earlier force — the single-lane
-  /// counterpart of PackedSimulator::force_gate, for scalar fault checks.
-  void force_gate(std::size_t gate_index, bool stuck_value);
-
  private:
   const Module* module_;
   std::vector<std::uint8_t> values_;
   std::vector<std::uint64_t> toggle_counts_;
   std::uint64_t cycles_ = 0;
-  static constexpr std::size_t kNoForce = ~std::size_t{0};
-  std::size_t forced_gate_ = kNoForce;
-  std::uint8_t forced_value_ = 0;
   bool primed_ = false;
 };
 

@@ -10,9 +10,8 @@
 // multiply unsigned, re-apply the XOR of the signs.
 //
 // num::signed_mul is one product per call through a UMulFn: the scalar
-// reference that the JPEG reference codec is written against and that
-// build_signed_circuit's netlist is checked against.  The codec's panel
-// engine applies the same scheme inline, over whole panels.
+// reference that the JPEG reference codec is written against.  The codec's
+// panel engine applies the same scheme inline, over whole panels.
 
 #pragma once
 

@@ -15,9 +15,10 @@
 //   kMcSamples          operand pairs evaluated by the error engines
 //   kMcShards           Monte-Carlo / exhaustive shards executed
 //   kLutCacheHits       SegmentLut::shared served from the live cache
-//   kLutCacheMisses     SegmentLut::shared derivations (cold or expired)
+//   kLutCacheMisses     SegmentLut::shared derivations (first use of an
+//                       (M, q) pair; entries never expire)
 //   kGateEvals          packed gate-word evaluations (one gate x 64 lanes)
-//   kPackedBlocks       packed-simulator work blocks (power/fault/equiv)
+//   kPackedBlocks       packed-simulator work blocks (power/equiv)
 //   kEquivPairs         circuit-vs-model operand pairs compared
 //   kPoolRegions        ThreadPool::run calls dispatched to workers
 //   kPoolTasksExecuted  tasks completed through ThreadPool::run (any path)

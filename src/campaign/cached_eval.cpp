@@ -3,7 +3,6 @@
 #include "realm/campaign/record.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/cost_model.hpp"
-#include "realm/hw/faults.hpp"
 #include "realm/hw/timing.hpp"
 #include "realm/multipliers/registry.hpp"
 
@@ -45,18 +44,6 @@ std::string synthesis_key(const std::string& spec, int n,
       .field_hex("seed", profile.seed)
       .field("toggle_rate", profile.toggle_rate)
       .field("probability", profile.probability)
-      .str();
-}
-
-std::string fault_key(const std::string& spec, int n, int vectors,
-                      std::uint64_t seed, std::size_t max_sites) {
-  return RequestKey{"fault_sweep"}
-      .field("engine", kFaultEngineVersion)
-      .field("spec", mult::canonical_spec(spec))
-      .field("n", n)
-      .field("vectors", vectors)
-      .field_hex("seed", seed)
-      .field("max_sites", static_cast<std::uint64_t>(max_sites))
       .str();
 }
 
@@ -162,42 +149,6 @@ namespace {
   return s;
 }
 
-[[nodiscard]] std::string serialize_faults(const FaultSummary& f) {
-  return PayloadWriter{}
-      .field("gates", f.gates)
-      .field("sites_analyzed", f.sites_analyzed)
-      .field("sites_undetected", f.sites_undetected)
-      .field("mean_rel_error", f.mean_rel_error)
-      .field("worst_rel_error", f.worst_rel_error)
-      .str();
-}
-
-[[nodiscard]] FaultSummary parse_faults(const std::string& payload) {
-  const PayloadReader r{payload};
-  FaultSummary f;
-  f.gates = r.get_u64("gates");
-  f.sites_analyzed = r.get_u64("sites_analyzed");
-  f.sites_undetected = r.get_u64("sites_undetected");
-  f.mean_rel_error = r.get_double("mean_rel_error");
-  f.worst_rel_error = r.get_double("worst_rel_error");
-  return f;
-}
-
-[[nodiscard]] FaultSummary compute_faults(const std::string& spec, int n, int vectors,
-                                          std::uint64_t seed, std::size_t max_sites,
-                                          int threads) {
-  const hw::Module mod = hw::build_circuit(spec, n);
-  const hw::FaultReport r =
-      hw::analyze_fault_impact(mod, vectors, seed, max_sites, threads);
-  FaultSummary f;
-  f.gates = mod.gates().size();
-  f.sites_analyzed = r.sites_analyzed;
-  f.sites_undetected = r.sites_undetected;
-  f.mean_rel_error = r.mean_rel_error;
-  f.worst_rel_error = r.worst_rel_error;
-  return f;
-}
-
 }  // namespace
 
 std::string monte_carlo_payload(CampaignRunner* runner, const std::string& spec, int n,
@@ -241,15 +192,6 @@ SynthesisResult cached_synthesis(CampaignRunner* runner, const std::string& spec
                                  int n, const hw::StimulusProfile& profile,
                                  const std::function<hw::CostModel&()>& model) {
   return parse_synthesis(synthesis_payload(runner, spec, n, profile, model));
-}
-
-FaultSummary cached_fault_impact(CampaignRunner* runner, const std::string& spec,
-                                 int n, int vectors, std::uint64_t seed,
-                                 std::size_t max_sites, int threads) {
-  return parse_faults(
-      stored_payload(runner, fault_key(spec, n, vectors, seed, max_sites), [&] {
-        return serialize_faults(compute_faults(spec, n, vectors, seed, max_sites, threads));
-      }));
 }
 
 }  // namespace realm::campaign

@@ -255,14 +255,6 @@ NetId or_reduce(Module& m, const Bus& a) {
   return acc;
 }
 
-Bus conditional_negate(Module& m, const Bus& x, NetId sel) {
-  Bus flipped(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) flipped[i] = m.xor2(x[i], sel);
-  // +sel completes the two's complement; carry beyond the width drops, as
-  // two's-complement arithmetic requires.
-  return ripple_add(m, flipped, Bus{sel}).sum;
-}
-
 Bus resize(const Bus& a, int width) {
   Bus out(static_cast<std::size_t>(width), kConst0);
   for (std::size_t i = 0; i < a.size() && i < out.size(); ++i) out[i] = a[i];

@@ -136,39 +136,4 @@ bool Module::is_input_net(NetId net) const noexcept {
   return net < net_is_input_.size() && net_is_input_[net] != 0;
 }
 
-std::vector<Bus> Module::instantiate(const Module& sub,
-                                     const std::vector<Bus>& input_buses) {
-  const auto& ports = sub.inputs();
-  if (input_buses.size() != ports.size()) {
-    throw std::invalid_argument("Module::instantiate: input port count mismatch");
-  }
-  std::vector<NetId> map(sub.net_count(), kConst0);
-  map[kConst0] = kConst0;
-  map[kConst1] = kConst1;
-  for (std::size_t p = 0; p < ports.size(); ++p) {
-    if (input_buses[p].size() != ports[p].bus.size()) {
-      throw std::invalid_argument("Module::instantiate: input width mismatch on port '" +
-                                  ports[p].name + "'");
-    }
-    for (std::size_t i = 0; i < ports[p].bus.size(); ++i) {
-      const NetId bound = input_buses[p][i];
-      if (bound >= next_net_) {
-        throw std::invalid_argument("Module::instantiate: unknown net bound to input");
-      }
-      map[ports[p].bus[i]] = bound;
-    }
-  }
-  for (const Gate& g : sub.gates()) {
-    map[g.out] = gate(g.kind, map[g.in[0]], map[g.in[1]], map[g.in[2]]);
-  }
-  std::vector<Bus> outputs;
-  outputs.reserve(sub.outputs().size());
-  for (const auto& op : sub.outputs()) {
-    Bus bus(op.bus.size());
-    for (std::size_t i = 0; i < op.bus.size(); ++i) bus[i] = map[op.bus[i]];
-    outputs.push_back(std::move(bus));
-  }
-  return outputs;
-}
-
 }  // namespace realm::hw

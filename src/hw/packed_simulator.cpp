@@ -35,13 +35,6 @@ void PackedSimulator::set_input_lanes(std::size_t port, const std::uint64_t* val
   }
 }
 
-void PackedSimulator::set_input_broadcast(std::size_t port, std::uint64_t value) {
-  const Bus& bus = input_bus(*module_, port, value, "PackedSimulator::set_input_broadcast");
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    values_[bus[i]] = ((value >> i) & 1u) ? ~std::uint64_t{0} : 0;
-  }
-}
-
 void PackedSimulator::set_input_word(std::size_t port, std::size_t bit,
                                      std::uint64_t word) {
   const Bus& bus = input_bus(*module_, port, 0, "PackedSimulator::set_input_word");
@@ -52,16 +45,14 @@ void PackedSimulator::set_input_word(std::size_t port, std::size_t bit,
 template <bool kCountToggles>
 void PackedSimulator::sweep(unsigned lanes) {
   const auto& gates = module_->gates();
-  const bool forcing = forcing_;
   // Transitions between adjacent lanes l and l+1 appear in bits 0..lanes-2
   // of w ^ (w >> 1).
   const std::uint64_t intra_mask =
       lanes >= 2 ? (~std::uint64_t{0} >> (kLanes - (lanes - 1))) : 0;
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
     const Gate& g = gates[gi];
-    std::uint64_t out =
+    const std::uint64_t out =
         gate_value(g.kind, values_[g.in[0]], values_[g.in[1]], values_[g.in[2]]);
-    if (forcing) out = (out & force_and_[gi]) | force_or_[gi];
     if constexpr (kCountToggles) {
       std::uint64_t t =
           static_cast<std::uint64_t>(std::popcount((out ^ (out >> 1)) & intra_mask));
@@ -118,29 +109,6 @@ void PackedSimulator::reset_activity() {
   prev_last_lane_.assign(prev_last_lane_.size(), 0);
   cycles_ = 0;
   primed_ = false;
-}
-
-void PackedSimulator::force_gate(std::size_t gate_index, std::uint64_t lane_mask,
-                                 bool stuck_value) {
-  if (gate_index >= module_->gates().size()) {
-    throw std::out_of_range("PackedSimulator::force_gate");
-  }
-  if (!forcing_) {
-    force_and_.assign(module_->gates().size(), ~std::uint64_t{0});
-    force_or_.assign(module_->gates().size(), 0);
-    forcing_ = true;
-  }
-  if (stuck_value) {
-    force_or_[gate_index] |= lane_mask;
-  } else {
-    force_and_[gate_index] &= ~lane_mask;
-  }
-}
-
-void PackedSimulator::clear_forces() {
-  force_and_.clear();
-  force_or_.clear();
-  forcing_ = false;
 }
 
 namespace {

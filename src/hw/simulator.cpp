@@ -38,16 +38,13 @@ void Simulator::eval() {
   const std::size_t count = module_->gates().size();
   std::uint8_t* const values = values_.data();
   std::uint64_t* const toggles = toggle_counts_.data();
-  const std::size_t forced = forced_gate_;
-  const std::uint8_t forced_value = forced_value_;
   const bool primed = primed_;
   for (std::size_t gi = 0; gi < count; ++gi) {
     const Gate& g = gates[gi];
     const std::uint8_t a = values[g.in[0]];
     const std::uint8_t b = values[g.in[1]];
     const std::uint8_t c = values[g.in[2]];
-    const std::uint8_t out =
-        gi == forced ? forced_value : gate_value(g.kind, a, b, c) & 1u;
+    const std::uint8_t out = gate_value(g.kind, a, b, c) & 1u;
     // Branch-free: random stimulus toggles about half the gates per sweep.
     toggles[gi] += static_cast<std::uint64_t>(primed && out != values[g.out]);
     values[g.out] = out;
@@ -82,14 +79,6 @@ void Simulator::reset_activity() {
   toggle_counts_.assign(toggle_counts_.size(), 0);
   cycles_ = 0;
   primed_ = false;
-}
-
-void Simulator::force_gate(std::size_t gate_index, bool stuck_value) {
-  if (gate_index >= module_->gates().size()) {
-    throw std::out_of_range("Simulator::force_gate");
-  }
-  forced_gate_ = gate_index;
-  forced_value_ = stuck_value ? 1 : 0;
 }
 
 }  // namespace realm::hw

@@ -262,7 +262,7 @@ TEST(ThreadPool, ParallelismOneRunsInline) {
   EXPECT_TRUE(all_inline.load());
 }
 
-// Every `int threads` option (MC, exhaustive, JPEG, power, faults,
+// Every `int threads` option (MC, exhaustive, JPEG, power,
 // equivalence) reaches the pool through this one rule.
 TEST(ThreadPool, ThreadsZeroOrNegativeMeansEveryCore) {
   const num::ThreadPool pool{3};

@@ -407,24 +407,3 @@ TEST(CachedEval, ExhaustivePayloadBytesArePinned) {
   EXPECT_EQ(back.max_peak.error, r.max_peak.error);
   EXPECT_TRUE(back.min_peak.valid && back.max_peak.valid);
 }
-
-TEST(CachedEval, FaultSummaryResumesExactly) {
-  TempStorePath tmp{"faults"};
-  ResultStore store{tmp.str()};
-  CampaignRunner cold{&store, false};
-  const auto computed =
-      campaign::cached_fault_impact(&cold, "calm", 8, 16, 0xFA, 64, 1);
-  CampaignRunner warm{&store, true};
-  const auto resumed =
-      campaign::cached_fault_impact(&warm, "calm", 8, 16, 0xFA, 64, 1);
-  EXPECT_EQ(warm.units_resumed(), 1u);
-  EXPECT_EQ(computed.gates, resumed.gates);
-  EXPECT_EQ(computed.sites_analyzed, resumed.sites_analyzed);
-  EXPECT_EQ(computed.sites_undetected, resumed.sites_undetected);
-  EXPECT_EQ(std::memcmp(&computed.mean_rel_error, &resumed.mean_rel_error,
-                        sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(&computed.worst_rel_error, &resumed.worst_rel_error,
-                        sizeof(double)),
-            0);
-}

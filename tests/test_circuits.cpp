@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "realm/campaign/result_store.hpp"
+#include "realm/hw/packed_simulator.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/hw/timing.hpp"
 #include "realm/hw/verilog.hpp"
@@ -82,6 +83,11 @@ TEST(Circuits, EquivalenceAtOtherWidths) {
       }
     }
   }
+  // N = 2, the narrowest width both factories accept: all 16 pairs.
+  const auto implm2 = mult::make_multiplier("implm", 2);
+  const auto eq = hw::check_exhaustive_vs_model(hw::build_circuit("implm", 2), *implm2);
+  EXPECT_EQ(eq.pairs_checked, 16u);
+  EXPECT_TRUE(eq.equivalent()) << eq.mismatches << " mismatches";
 }
 
 TEST(Circuits, PruningPreservesFunction) {
@@ -132,7 +138,6 @@ TEST(Circuits, DispatchRejectsUnknownSpec) {
 // Structural fingerprints of representative netlists, captured from the
 // builders as they stand: any change to the gates a builder emits, to the
 // cell areas, to the timing model or to the Verilog text shows up here.
-// The signed wrapper covers Module::instantiate().
 TEST(Circuits, NetlistsArePinned) {
   struct Pin {
     const char* name;
@@ -154,8 +159,6 @@ TEST(Circuits, NetlistsArePinned) {
        728, 767, 0x1.d7e24dd2f1a82p+9, 0x1.c7p+9, 0xae5c938922962504},
       {"calm", hw::build_circuit("calm", 16),
        721, 776, 0x1.79522d0e56015p+9, 0x1.04p+11, 0x9464089f4be5602c},
-      {"signed", hw::build_signed_circuit("accurate", 8),
-       422, 442, 0x1.0e4189374bc78p+9, 0x1.1e8p+10, 0xe337063dbd3f8a0a},
       // Builders whose constants come from the behavioral model: the IntALP
       // residual planes and MBM's correction units.
       {"intalp", hw::build_circuit("intalp:l=2", 16),

@@ -19,8 +19,8 @@ TEST(Netlist, ConstantRailsAreReserved) {
   EXPECT_EQ(m.net_count(), 2u);  // folding created no gates
 }
 
-// The simulators (scalar, unit-delay, packed) and the fault reference all
-// evaluate through gate_value(), so only this table checks it independently.
+// The scalar and packed simulators and the BDD engine all evaluate through
+// gate_value(), so only this table checks it independently.
 TEST(Netlist, GateValueTruthTable) {
   // Bit i of each row is the output for pins (a, b, c) = bits 0, 1, 2 of i.
   constexpr std::array<std::pair<GateKind, unsigned>, kGateKindCount> kTruth{{
@@ -200,39 +200,4 @@ TEST(Netlist, InputNetTracking) {
   const NetId g = m.and2(a[0], a[1]);
   EXPECT_FALSE(m.is_input_net(g));
   EXPECT_FALSE(m.is_input_net(kConst0));
-}
-
-TEST(Netlist, InstantiateFlattensAndValidatesPorts) {
-  Module sub{"sub"};
-  const Bus x = sub.add_input("x", 2);
-  const Bus y = sub.add_input("y", 1);
-  sub.add_output("o", {sub.and2(x[0], y[0]), sub.xor2(x[1], y[0])});
-
-  Module top{"top"};
-  const Bus a = top.add_input("a", 2);
-  const Bus b = top.add_input("b", 1);
-  const auto outs = top.instantiate(sub, {a, b});
-  ASSERT_EQ(outs.size(), 1u);
-  ASSERT_EQ(outs[0].size(), 2u);
-  EXPECT_EQ(top.gates().size(), 2u);
-  // A second instance on the same nets is shared by structural hashing.
-  EXPECT_EQ(top.instantiate(sub, {a, b}), outs);
-  EXPECT_EQ(top.gates().size(), 2u);
-  top.add_output("p", outs[0]);
-  Simulator sim{top};
-  for (std::uint64_t av = 0; av < 4; ++av) {
-    for (std::uint64_t bv = 0; bv < 2; ++bv) {
-      const std::uint64_t want = ((av & 1u) & bv) | ((((av >> 1) & 1u) ^ bv) << 1);
-      EXPECT_EQ(sim.run({av, bv}), want) << "a=" << av << " b=" << bv;
-    }
-  }
-
-  // A constant-0 binding folds the AND away and turns the XOR into a wire.
-  const auto folded = top.instantiate(sub, {a, {kConst0}});
-  EXPECT_EQ(folded[0], (Bus{kConst0, a[1]}));
-  EXPECT_EQ(top.gates().size(), 2u);
-
-  EXPECT_THROW((void)top.instantiate(sub, {a}), std::invalid_argument);
-  EXPECT_THROW((void)top.instantiate(sub, {a, a}), std::invalid_argument);
-  EXPECT_THROW((void)top.instantiate(sub, {a, {top.net_count()}}), std::invalid_argument);
 }

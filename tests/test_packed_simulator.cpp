@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "realm/hw/circuits.hpp"
-#include "realm/hw/faults.hpp"
 #include "realm/hw/power.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/multipliers/am.hpp"
@@ -100,26 +99,20 @@ TEST(PackedSimulator, LanesMatchScalarOnEveryRegisteredCircuit) {
   }
 }
 
-TEST(PackedSimulator, BroadcastAndWordSettersAgreeWithLaneSetter) {
+TEST(PackedSimulator, WordSetterAgreesWithLaneSetter) {
   const Module mod = build_circuit("realm:m=4,t=0", 8);
-  PackedSimulator by_lane{mod}, by_bcast{mod}, by_word{mod};
+  PackedSimulator by_lane{mod}, by_word{mod};
   const std::uint64_t a = 0xA5, b = 0x3C;
   const std::vector<std::uint64_t> as(PackedSimulator::kLanes, a), bs(PackedSimulator::kLanes, b);
   by_lane.set_input_lanes(0, as.data(), PackedSimulator::kLanes);
   by_lane.set_input_lanes(1, bs.data(), PackedSimulator::kLanes);
-  by_bcast.set_input_broadcast(0, a);
-  by_bcast.set_input_broadcast(1, b);
   for (std::size_t i = 0; i < 8; ++i) {
     by_word.set_input_word(0, i, ((a >> i) & 1u) ? ~std::uint64_t{0} : 0);
     by_word.set_input_word(1, i, ((b >> i) & 1u) ? ~std::uint64_t{0} : 0);
   }
   by_lane.eval();
-  by_bcast.eval();
   by_word.eval();
-  for (const Gate& g : mod.gates()) {
-    EXPECT_EQ(by_lane.word(g.out), by_bcast.word(g.out));
-    EXPECT_EQ(by_lane.word(g.out), by_word.word(g.out));
-  }
+  for (const Gate& g : mod.gates()) EXPECT_EQ(by_lane.word(g.out), by_word.word(g.out));
 }
 
 TEST(PackedSimulator, SetInputLanesZeroesLanesPastTheCount) {
@@ -141,7 +134,6 @@ TEST(PackedSimulator, RejectsBadArguments) {
   PackedSimulator sim{mod};
   const std::uint64_t zero = 0, wide = 0x100;
   EXPECT_THROW(sim.set_input_lanes(2, &zero, 1), std::out_of_range);
-  EXPECT_THROW(sim.set_input_broadcast(0, 0x100), std::invalid_argument);
   EXPECT_THROW(sim.set_input_lanes(0, &wide, 1), std::invalid_argument);
   const std::vector<std::uint64_t> too_many(PackedSimulator::kLanes + 1, 0);
   EXPECT_THROW(sim.set_input_lanes(0, too_many.data(), PackedSimulator::kLanes + 1),
@@ -151,8 +143,6 @@ TEST(PackedSimulator, RejectsBadArguments) {
   EXPECT_THROW(sim.eval_cycles(65), std::invalid_argument);
   EXPECT_THROW((void)sim.output(1, 0), std::out_of_range);
   EXPECT_THROW((void)sim.output(0, 64), std::out_of_range);
-  EXPECT_THROW(sim.force_gate(mod.gates().size(), ~std::uint64_t{0}, true),
-               std::out_of_range);
 }
 
 TEST(PackedSimulator, TimePackedTogglesMatchScalarExactly) {
@@ -190,27 +180,6 @@ TEST(PackedSimulator, TimePackedTogglesMatchScalarExactly) {
   EXPECT_EQ(packed.toggles(0), 0u);
 }
 
-TEST(PackedSimulator, ForcedLanesStickWhileOthersEvaluate) {
-  Module m{"t"};
-  const Bus a = m.add_input("a", 2);
-  m.add_output("o", {m.and2(a[0], a[1])});
-  PackedSimulator sim{m};
-  sim.force_gate(0, 0b10, true);   // lane 1 stuck-at-1
-  sim.force_gate(0, 0b100, false); // lane 2 stuck-at-0
-  sim.set_input_broadcast(0, 0b11);
-  sim.eval();
-  EXPECT_EQ(sim.output(0, 0), 1u);
-  EXPECT_EQ(sim.output(0, 1), 1u);
-  EXPECT_EQ(sim.output(0, 2), 0u);  // AND of 1,1 forced low
-  sim.set_input_broadcast(0, 0b01);
-  sim.eval();
-  EXPECT_EQ(sim.output(0, 0), 0u);
-  EXPECT_EQ(sim.output(0, 1), 1u);  // forced high despite 0 input
-  sim.clear_forces();
-  sim.eval();
-  EXPECT_EQ(sim.output(0, 1), 0u);
-}
-
 TEST(PackedPower, BitIdenticalToScalarReferenceForAnyThreadCount) {
   for (const char* spec : {"accurate", "realm:m=16,t=0", "drum:k=6"}) {
     const Module mod = build_circuit(spec, 16);
@@ -225,27 +194,6 @@ TEST(PackedPower, BitIdenticalToScalarReferenceForAnyThreadCount) {
     EXPECT_EQ(ref.leakage, one.leakage) << spec;
     EXPECT_EQ(one.dynamic, many.dynamic) << spec;
     EXPECT_EQ(one.leakage, many.leakage) << spec;
-  }
-}
-
-TEST(PackedFaults, CampaignBitIdenticalToScalarReferenceForAnyThreadCount) {
-  const Module mod = build_circuit("realm:m=4,t=0", 8);
-  const auto ref = analyze_fault_impact_reference(mod, 40, 0xFA, 200);
-  const auto one = analyze_fault_impact(mod, 40, 0xFA, 200, 1);
-  const auto many = analyze_fault_impact(mod, 40, 0xFA, 200, 4);
-  for (const auto* r : {&one, &many}) {
-    EXPECT_EQ(ref.sites_analyzed, r->sites_analyzed);
-    EXPECT_EQ(ref.sites_undetected, r->sites_undetected);
-    EXPECT_EQ(ref.mean_rel_error, r->mean_rel_error);
-    EXPECT_EQ(ref.worst_rel_error, r->worst_rel_error);
-    ASSERT_EQ(ref.worst_sites.size(), r->worst_sites.size());
-    for (std::size_t i = 0; i < ref.worst_sites.size(); ++i) {
-      EXPECT_EQ(ref.worst_sites[i].site.gate_index, r->worst_sites[i].site.gate_index);
-      EXPECT_EQ(ref.worst_sites[i].site.stuck_value, r->worst_sites[i].site.stuck_value);
-      EXPECT_EQ(ref.worst_sites[i].detect_rate, r->worst_sites[i].detect_rate);
-      EXPECT_EQ(ref.worst_sites[i].mean_rel_error, r->worst_sites[i].mean_rel_error);
-      EXPECT_EQ(ref.worst_sites[i].worst_rel_error, r->worst_sites[i].worst_rel_error);
-    }
   }
 }
 
