@@ -106,9 +106,6 @@ class Module {
   /// Gate population per kind (for reports and tests).
   [[nodiscard]] std::array<std::uint32_t, kGateKindCount> gate_histogram() const noexcept;
 
-  /// True if `net` is a declared input bit (used by the simulator).
-  [[nodiscard]] bool is_input_net(NetId net) const noexcept;
-
   /// Dead-code elimination: removes gates outside the fanin cone of the
   /// declared outputs (net ids are preserved).  Mirrors the pruning a
   /// synthesis tool applies — without it, partially-consumed shifters and
@@ -124,7 +121,6 @@ class Module {
   std::vector<Gate> gates_;
   std::vector<PortInfo> inputs_;
   std::vector<PortInfo> outputs_;
-  std::vector<std::uint8_t> net_is_input_;
   // Structural hashing: (kind, in0, in1, in2) -> existing output net, so
   // identical subexpressions share one gate as they would after synthesis.
   std::unordered_map<std::uint64_t, NetId> strash_;

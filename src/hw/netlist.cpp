@@ -18,20 +18,14 @@ unsigned cell_bit(GateKind kind, unsigned a, unsigned b) {
 
 Module::Module(std::string name) : name_{std::move(name)} {}
 
-NetId Module::new_net() {
-  const NetId id = next_net_++;
-  net_is_input_.resize(next_net_, 0);
-  return id;
-}
+NetId Module::new_net() { return next_net_++; }
 
 Bus Module::add_input(const std::string& port, int width) {
   if (width < 1) throw std::invalid_argument("Module::add_input: width >= 1");
   Bus bus;
   bus.reserve(static_cast<std::size_t>(width));
   for (int i = 0; i < width; ++i) {
-    const NetId id = new_net();
-    net_is_input_[id] = 1;
-    bus.push_back(id);
+    bus.push_back(new_net());
   }
   inputs_.push_back({port, bus});
   return bus;
@@ -130,10 +124,6 @@ std::array<std::uint32_t, kGateKindCount> Module::gate_histogram() const noexcep
   std::array<std::uint32_t, kGateKindCount> hist{};
   for (const auto& g : gates_) ++hist[static_cast<std::size_t>(g.kind)];
   return hist;
-}
-
-bool Module::is_input_net(NetId net) const noexcept {
-  return net < net_is_input_.size() && net_is_input_[net] != 0;
 }
 
 }  // namespace realm::hw

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -296,25 +295,47 @@ void idct8x8(const std::array<std::int16_t, 64>& coeffs,
   transform(coeffs, out, /*inverse=*/true, umul);
 }
 
-DctProducts::DctProducts(const Multiplier& mul) {
+DctProducts::DctProducts(const Multiplier& mul, std::size_t input_bound) : mul_{&mul} {
   if (mul.width() < 16) {
     throw std::invalid_argument(
         "DctProducts: the 16-bit DCT datapath needs a multiplier of width >= 16");
   }
-  // Every slot is written below, so the storage is not zeroed.  The 7 row
-  // ranges of a tile of magnitudes land in an L1-resident buffer and are
-  // interleaved into the tile's records from there.
-  records_ = std::make_unique_for_overwrite<Record[]>(kRecords);
+  cover(input_bound);
+}
+
+void DctProducts::cover(std::size_t input_bound) {
+  const std::size_t b1 = std::min(input_bound, kMaxMagnitude);
+  fill_to(b1);
+  // Slot 7 is 0, so the scan may take all eight slots of a record.
+  std::uint32_t peak = 0;
+  for (std::size_t x = 0; x <= b1; ++x) {
+    for (const std::uint32_t p : records_[x].slot) peak = std::max(peak, p);
+  }
+  const std::size_t b2 = std::min(
+      kMaxMagnitude,
+      static_cast<std::size_t>(((8 * std::uint64_t{peak} + (1u << (kDctCoeffBits - 1))) >>
+                                kDctCoeffBits) +
+                               1));
+  fill_to(std::max(b1, b2));
+}
+
+void DctProducts::fill_to(std::size_t last) {
+  const std::size_t first = records_.size();
+  if (last < first) return;
+  // The 7 row ranges of a tile of magnitudes land in an L1-resident buffer
+  // and are interleaved into the tile's records from there.
+  records_.resize(last + 1);
   alignas(64) std::uint64_t rows[kRows][kTableTile];
   std::uint64_t any = 0;
-  for (std::size_t x0 = 0; x0 < kRecords; x0 += kTableTile) {
-    const std::size_t n = std::min(kTableTile, kRecords - x0);
+  for (std::size_t x0 = first; x0 <= last; x0 += kTableTile) {
+    const std::size_t n = std::min(kTableTile, last + 1 - x0);
     for (std::size_t r = 0; r < kRows; ++r) {
-      mul.multiply_row_range(kMagnitudes[r], x0, rows[r], n);
+      mul_->multiply_row_range(kMagnitudes[r], x0, rows[r], n);
     }
-    any |= interleave(rows, records_.get() + x0, n);
+    any |= interleave(rows, records_.data() + x0, n);
   }
   if (any > kMaxEntry) {
+    records_.resize(first);
     throw std::invalid_argument(
         "DctProducts: a product exceeds 2^28 - 1, so 8 of them may not sum in 32 bits");
   }

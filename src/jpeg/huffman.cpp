@@ -1,6 +1,8 @@
 #include "realm/jpeg/huffman.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
@@ -9,41 +11,69 @@ namespace realm::jpeg {
 
 void BitWriter::put(std::uint32_t value, int bits) {
   if (bits < 0 || bits > 32) throw std::invalid_argument("BitWriter::put: bits");
-  for (int i = bits - 1; i >= 0; --i) {
-    acc_ = (acc_ << 1) | ((value >> i) & 1u);
-    if (++acc_bits_ == 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      acc_bits_ = 0;
-    }
+  acc_ = (acc_ << bits) | (value & ((std::uint64_t{1} << bits) - 1));
+  acc_bits_ += bits;
+  if (acc_bits_ >= 32) {
+    acc_bits_ -= 32;
+    const auto word = static_cast<std::uint32_t>(acc_ >> acc_bits_);
+    const std::uint8_t be[4] = {
+        static_cast<std::uint8_t>(word >> 24), static_cast<std::uint8_t>(word >> 16),
+        static_cast<std::uint8_t>(word >> 8), static_cast<std::uint8_t>(word)};
+    bytes_.insert(bytes_.end(), be, be + 4);
   }
-  bit_count_ += static_cast<std::size_t>(bits);
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
+  for (; acc_bits_ >= 8; acc_bits_ -= 8) {
+    bytes_.push_back(static_cast<std::uint8_t>(acc_ >> (acc_bits_ - 8)));
+  }
   if (acc_bits_ > 0) {
     bytes_.push_back(static_cast<std::uint8_t>(acc_ << (8 - acc_bits_)));
-    acc_ = 0;
-    acc_bits_ = 0;
   }
+  acc_ = 0;
+  acc_bits_ = 0;
   return std::move(bytes_);
 }
 
-BitReader::BitReader(const std::vector<std::uint8_t>& bytes) : bytes_{&bytes} {}
+BitReader::BitReader(const std::vector<std::uint8_t>& bytes)
+    : next_{bytes.data()}, end_{bytes.data() + bytes.size()} {}
 
-int BitReader::get_bit() {
-  const std::size_t byte = pos_ >> 3;
-  if (byte >= bytes_->size()) throw std::runtime_error("BitReader: past end");
-  const int bit = ((*bytes_)[byte] >> (7 - (pos_ & 7))) & 1;
-  ++pos_;
-  return bit;
+void BitReader::refill() {
+  if (end_ - next_ >= 8) {
+    // Eight bytes below the valid bits; only the whole bytes that fit are
+    // counted, and the rest are the same stream bits the next load ORs in.
+    std::uint64_t w;
+    std::memcpy(&w, next_, sizeof w);
+    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
+    window_ |= w >> window_bits_;
+    next_ += (63 - window_bits_) >> 3;
+    window_bits_ |= 56;
+    return;
+  }
+  for (; window_bits_ <= 56 && next_ != end_; window_bits_ += 8) {
+    window_ |= std::uint64_t{*next_++} << (56 - window_bits_);
+  }
+}
+
+std::uint32_t BitReader::peek(int bits) {
+  if (window_bits_ < bits) refill();
+  return static_cast<std::uint32_t>(window_ >> (64 - bits));
 }
 
 std::uint32_t BitReader::get(int bits) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < bits; ++i) v = (v << 1) | static_cast<std::uint32_t>(get_bit());
+  if (bits < 0 || bits > 32) throw std::invalid_argument("BitReader::get: bits");
+  if (bits == 0) return 0;
+  if (window_bits_ < bits) {
+    refill();
+    if (window_bits_ < bits) throw std::runtime_error("BitReader: past end");
+  }
+  const auto v = static_cast<std::uint32_t>(window_ >> (64 - bits));
+  window_ <<= bits;
+  window_bits_ -= bits;
   return v;
 }
+
+int BitReader::get_bit() { return static_cast<int>(get(1)); }
 
 namespace {
 constexpr int kMaxLen = 16;
@@ -140,6 +170,16 @@ HuffmanCode HuffmanCode::from_frequencies(const std::vector<std::uint64_t>& freq
 }
 
 HuffmanCode HuffmanCode::from_lengths(const std::vector<std::uint8_t>& lengths) {
+  // Σ 2^(16 - length) over the coded symbols: above 2^16 no prefix code
+  // has these lengths.  Checked before any table is sized or indexed.
+  std::uint64_t kraft = 0;
+  for (const std::uint8_t len : lengths) {
+    if (len > kMaxLen) throw std::runtime_error("HuffmanCode: code length above 16");
+    if (len > 0) kraft += std::uint64_t{1} << (kMaxLen - len);
+  }
+  if (kraft > (std::uint64_t{1} << kMaxLen)) {
+    throw std::runtime_error("HuffmanCode: over-subscribed code lengths");
+  }
   HuffmanCode hc;
   hc.lengths_ = lengths;
   hc.assign_codes();
@@ -194,6 +234,18 @@ void HuffmanCode::assign_codes() {
     c = (c + len_count_[static_cast<std::size_t>(len)]) << 1;
     idx += len_count_[static_cast<std::size_t>(len)];
   }
+
+  // Each code of at most kLookupBits bits owns the prefixes it starts.
+  lookup_.assign(std::size_t{1} << kLookupBits, 0);
+  for (std::size_t s = 0; s < lengths_.size(); ++s) {
+    const int len = lengths_[s];
+    if (len == 0 || len > kLookupBits) continue;
+    const std::size_t lo = std::size_t{codes_[s]} << (kLookupBits - len);
+    const std::size_t hi = std::size_t{codes_[s] + 1} << (kLookupBits - len);
+    std::fill(lookup_.begin() + static_cast<std::ptrdiff_t>(lo),
+              lookup_.begin() + static_cast<std::ptrdiff_t>(hi),
+              static_cast<std::uint32_t>(s << 8) | static_cast<std::uint32_t>(len));
+  }
 }
 
 void HuffmanCode::encode(BitWriter& w, int symbol) const {
@@ -205,6 +257,18 @@ void HuffmanCode::encode(BitWriter& w, int symbol) const {
 }
 
 int HuffmanCode::decode(BitReader& r) const {
+  // The prefix's code, when it has one of at most kLookupBits bits, is the
+  // one the canonical loop would match.  get() throws past the end where
+  // that loop would.
+  const std::uint32_t entry = lookup_[r.peek(kLookupBits)];
+  if (entry != 0) {
+    (void)r.get(static_cast<int>(entry & 0xFF));
+    return static_cast<int>(entry >> 8);
+  }
+  return decode_canonical(r);
+}
+
+int HuffmanCode::decode_canonical(BitReader& r) const {
   std::uint32_t code = 0;
   for (int len = 1; len <= kMaxLen; ++len) {
     code = (code << 1) | static_cast<std::uint32_t>(r.get_bit());

@@ -195,9 +195,10 @@ TEST(Netlist, ConstantBusBits) {
 TEST(Netlist, InputNetTracking) {
   Module m{"t"};
   const auto a = m.add_input("a", 3);
-  EXPECT_TRUE(m.is_input_net(a[0]));
-  EXPECT_TRUE(m.is_input_net(a[2]));
   const NetId g = m.and2(a[0], a[1]);
-  EXPECT_FALSE(m.is_input_net(g));
-  EXPECT_FALSE(m.is_input_net(kConst0));
+  ASSERT_EQ(m.inputs().size(), 1u);
+  EXPECT_EQ(m.inputs()[0].name, "a");
+  EXPECT_EQ(m.inputs()[0].bus, a);
+  EXPECT_EQ(m.net_count(), 6u);  // two rails, three input bits, one gate
+  EXPECT_EQ(g, 5u);
 }
