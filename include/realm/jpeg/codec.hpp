@@ -38,13 +38,13 @@ struct CodecOptions {
   /// under test replaces only the general-purpose MAC multipliers of the
   /// transform.  Every codec entry point runs the panel engine on it:
   /// encode() and decode() each build one DctProducts table of the design
-  /// (multiply_row_range calls, 512 magnitudes each), roundtrip() one for
-  /// both, and the transforms read every product from it, with the block
-  /// passes sharded over the persistent thread pool per `threads`.  Its
-  /// width must be at least 16 and no product of a Q12 coefficient
-  /// magnitude and a 16-bit magnitude may exceed 2^28 − 1
-  /// (std::invalid_argument otherwise).  nullptr = exact products.
-  /// Not owned; must outlive the call.
+  /// over the magnitudes their transforms can read (multiply_row_range
+  /// calls, at most 512 magnitudes each), roundtrip() one that it extends
+  /// for the decode half, and the transforms read every product from it,
+  /// with the block passes sharded over the persistent thread pool per
+  /// `threads`.  Its width must be at least 16 and no product the table
+  /// holds may exceed 2^28 − 1 (std::invalid_argument otherwise).
+  /// nullptr = exact products.  Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
   /// Parallelism of the panel engine's block shards (1 = serial, 0 or
   /// negative = all hardware threads).  Encoded bytes and decoded pixels are
@@ -66,15 +66,18 @@ struct Compressed {
   [[nodiscard]] std::size_t size_bytes() const noexcept;
 };
 
-/// Compresses `img` (dimensions must be multiples of 8).
+/// Compresses `img` (dimensions must be multiples of 8).  Throws
+/// std::invalid_argument when a quantized level or DC difference needs
+/// category 16, which only a design far from the exact product produces.
 [[nodiscard]] Compressed encode(const Image& img, const CodecOptions& opts);
 
 /// Reconstructs an image; uses the same multiplier options for the IDCT.
+/// Throws std::runtime_error for a malformed stream.
 [[nodiscard]] Image decode(const Compressed& c, const CodecOptions& opts);
 
 /// encode + decode in one call — what the Table II evaluation runs.  Equal
 /// to decode(encode(img, opts), opts), with one DctProducts table built for
-/// both halves.
+/// the encode half and extended for the decode half.
 [[nodiscard]] Image roundtrip(const Image& img, const CodecOptions& opts);
 
 /// Single-blob bitstream: magic + dimensions + quality + Huffman code
