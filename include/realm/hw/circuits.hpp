@@ -1,20 +1,20 @@
-// Gate-level circuit builders for every design of Table I.
+// Gate-level circuits for every design of Table I.
 //
-// Each builder returns a self-contained combinational Module with input
-// ports "a", "b" (N bits each) and output port "p".  The netlists are
-// simulated (hw/simulator.hpp) to cross-validate against the behavioral
-// models bit-for-bit, costed for area (netlist.hpp) and power (power.hpp),
-// and can be emitted as structural Verilog (verilog.hpp).
+// build_circuit() parses a spec against mult::parse_spec()'s table, which
+// mult::make_multiplier() reads too, constructs the design's behavioral
+// model so that the model's width rules apply, and calls the family's
+// builder; model and netlist accept the same (spec, n).  Each circuit is a
+// combinational Module with input ports "a", "b" (N bits each) and output
+// port "p".  The netlists are simulated (hw/simulator.hpp) to cross-validate
+// against the behavioral models bit-for-bit, costed for area (netlist.hpp)
+// and power (power.hpp), and can be emitted as structural Verilog
+// (verilog.hpp).
 
 #pragma once
 
 #include <string>
 
-#include "realm/core/realm_multiplier.hpp"
-#include "realm/hw/components.hpp"
 #include "realm/hw/netlist.hpp"
-#include "realm/multipliers/alm.hpp"
-#include "realm/multipliers/am.hpp"
 
 namespace realm::hw {
 
@@ -29,46 +29,12 @@ namespace realm::hw {
 /// the partial-product count, the common high-performance choice.
 [[nodiscard]] Module build_accurate_booth(int n);
 
-/// Options shared by the Mitchell-derived log multipliers.
-struct LogMultOptions {
-  int n = 16;
-  int t = 0;            ///< truncated fraction LSBs
-  bool forced_one = false;  ///< MBM/REALM rounding bit on the kept LSB
-  bool mbm_correction = false;  ///< add the quantized 1/12 correction
-  int q = 6;            ///< correction quantization bits
-  int approx_adder_bits = 0;    ///< m — approximate low bits of the fraction adder
-  mult::AlmAdder approx_adder = mult::AlmAdder::kSetOne;  ///< when m > 0
-};
-
-/// cALM (defaults), MBM (mbm_correction + forced_one), ALM-SOA/ALM-MAA
-/// (approx_adder_bits > 0).
-[[nodiscard]] Module build_log_multiplier(const LogMultOptions& opts);
-
-/// REALM (paper Fig. 3), including the hardwired constant LUT.
-[[nodiscard]] Module build_realm(const core::RealmConfig& cfg);
-
-/// ImpLM with nearest-one detector and exact adder.
-[[nodiscard]] Module build_implm(int n);
-
-/// DRUM with k-bit dynamic fragments.
-[[nodiscard]] Module build_drum(int n, int k);
-
-/// SSM with m-bit static segments; ESSM with the extra mid segment.
-[[nodiscard]] Module build_ssm(int n, int m);
-[[nodiscard]] Module build_essm(int n, int m);
-
-/// AM1/AM2 with nb recovered columns.
-[[nodiscard]] Module build_am(int n, int nb, mult::AmVariant variant);
-
-/// IntALP level 1 or 2.
-[[nodiscard]] Module build_intalp(int n, int level);
-
-/// Spec-string dispatch over the design table of mult::parse_spec(), which
-/// mult::make_multiplier() reads too, so a spec names one configuration for
-/// model and netlist.  The returned module is pruned (dead gates removed).
+/// The netlist of the design `spec` names, for n-bit operands, pruned (dead
+/// gates removed).  Throws std::invalid_argument exactly when
+/// mult::make_multiplier(spec, n) does.
 [[nodiscard]] Module build_circuit(const std::string& spec, int n = 16);
 
-/// Same dispatch without the final prune (for netlist-construction tests).
+/// Same without the final prune (for netlist-construction tests).
 [[nodiscard]] Module build_circuit_unpruned(const std::string& spec, int n = 16);
 
 }  // namespace realm::hw

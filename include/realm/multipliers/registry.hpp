@@ -27,6 +27,14 @@
 // model cache, the campaign store keys, the sweep's dedupe and the cost
 // model's cache.
 //
+// Each design family is one row of a table in registry.cpp: its keys, their
+// defaults and width-independent ranges, and the factory of its behavioral
+// model.  Rules that depend on the operand width live only in the model's
+// constructor; hw::build_circuit constructs the model through the same row
+// before building the netlist, so model and netlist accept the same
+// (spec, n).  A new family is one row here, one model class, and one row
+// in hw's builder table (src/hw/circuits/dispatch.cpp).
+//
 // table1_specs() lists the rows of Table I in paper order so the error and
 // synthesis benches, the Pareto sweep, and the tests all iterate the same
 // design set.
@@ -72,7 +80,8 @@ struct SpecParams {
 
 /// Parses a spec string and constructs the design for n-bit operands.
 /// Throws std::invalid_argument on unknown designs, malformed specs, or
-/// parameters the design rejects.
+/// parameters the design rejects at width n; hw::build_circuit throws for
+/// exactly the same (spec, n).
 [[nodiscard]] std::unique_ptr<Multiplier> make_multiplier(const std::string& spec,
                                                           int n = 16);
 

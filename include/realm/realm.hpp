@@ -33,6 +33,7 @@
 #include "realm/error/profile.hpp"
 #include "realm/hw/bdd.hpp"
 #include "realm/hw/circuits.hpp"
+#include "realm/hw/components.hpp"
 #include "realm/hw/cost_model.hpp"
 #include "realm/hw/simulator.hpp"
 #include "realm/hw/timing.hpp"

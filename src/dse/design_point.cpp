@@ -1,10 +1,18 @@
 #include "realm/dse/design_point.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <string_view>
 
 namespace realm::dse {
 
-bool DesignPoint::is_realm() const { return spec.rfind("realm", 0) == 0; }
+bool DesignPoint::is_realm() const {
+  // The design name before ':', case-insensitive as in mult::parse_spec.
+  const std::string_view design = std::string_view{spec}.substr(0, spec.find(':'));
+  return std::ranges::equal(design, std::string_view{"realm"},
+                            [](unsigned char c, char r) { return std::tolower(c) == r; });
+}
 
 std::string design_points_csv_header() {
   return "spec,name,bias_pct,mean_error_pct,min_error_pct,max_error_pct,variance,"

@@ -7,7 +7,6 @@
 
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 

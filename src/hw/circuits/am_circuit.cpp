@@ -1,16 +1,11 @@
-#include <stdexcept>
 #include <vector>
 
-#include "realm/hw/circuits.hpp"
+#include "builders.hpp"
 #include "realm/hw/components.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 
 Module build_am(int n, int nb, mult::AmVariant variant) {
-  if (n < 2 || n > 31) throw std::invalid_argument("build_am: N in [2, 31]");
-  if (nb < 0 || nb > 2 * n) throw std::invalid_argument("build_am: nb in [0, 2N]");
-
   Module m{std::string{variant == mult::AmVariant::kAm1 ? "am1_" : "am2_"} +
            std::to_string(n) + "_nb" + std::to_string(nb)};
   const Bus a = m.add_input("a", n);

@@ -1,16 +1,9 @@
-#include <stdexcept>
-
-#include "log_common.hpp"
-#include "realm/hw/circuits.hpp"
+#include "builders.hpp"
 #include "realm/hw/components.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 
 Module build_drum(int n, int k) {
-  if (n < 2 || n > 31) throw std::invalid_argument("build_drum: N in [2, 31]");
-  if (k < 3 || k > n) throw std::invalid_argument("build_drum: k in [3, N]");
-
   Module m{"drum" + std::to_string(n) + "_k" + std::to_string(k)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);

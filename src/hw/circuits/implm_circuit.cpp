@@ -1,27 +1,13 @@
 // ImpLM gate-level model: nearest-one detector (LOD + round bit), signed
 // fraction datapath, exact adder, final scaling.
 
-#include <stdexcept>
-
+#include "builders.hpp"
 #include "log_common.hpp"
-#include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
-namespace {
-
-// Sign-extend a two's-complement bus to `width` bits.
-Bus sext(const Bus& in, int width) {
-  Bus out(static_cast<std::size_t>(width), in.empty() ? kConst0 : in.back());
-  for (std::size_t i = 0; i < in.size() && i < out.size(); ++i) out[i] = in[i];
-  return out;
-}
-
-}  // namespace
 
 Module build_implm(int n) {
-  if (n < 2 || n > 30) throw std::invalid_argument("build_implm: N in [2, 30]");
   Module m{"implm" + std::to_string(n)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
@@ -60,7 +46,7 @@ Module build_implm(int n) {
   // significand = 2^w + f_a + f_b, computed in w+2-bit two's complement;
   // the result is always positive (sum of fractions >= -1/2).
   const int sw = w + 2;
-  Bus sum = ripple_add(m, sext(oa.fhat, sw), sext(ob.fhat, sw)).sum;
+  Bus sum = ripple_add(m, detail::sext(oa.fhat, sw), detail::sext(ob.fhat, sw)).sum;
   sum = ripple_add(m, sum, m.constant(std::uint64_t{1} << w, sw)).sum;
 
   const auto kadd = ripple_add(m, oa.khat, ob.khat);

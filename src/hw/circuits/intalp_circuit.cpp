@@ -5,22 +5,15 @@
 // (Table I: 17.8 % for L=2).
 
 #include <array>
-#include <stdexcept>
 
+#include "builders.hpp"
 #include "log_common.hpp"
-#include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
 #include "realm/multipliers/intalp.hpp"
 #include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 namespace {
-
-Bus sext(const Bus& in, int width) {
-  Bus out(static_cast<std::size_t>(width), in.empty() ? kConst0 : in.back());
-  for (std::size_t i = 0; i < in.size() && i < out.size(); ++i) out[i] = in[i];
-  return out;
-}
 
 // v (unsigned) times a signed integer constant, two's complement, W bits.
 Bus const_mul_signed(Module& m, const Bus& v, long long coeff, int width) {
@@ -43,9 +36,6 @@ Bus const_mul_signed(Module& m, const Bus& v, long long coeff, int width) {
 }  // namespace
 
 Module build_intalp(int n, int level) {
-  if (n < 3 || n > 24) throw std::invalid_argument("build_intalp: N in [3, 24]");
-  if (level != 1 && level != 2) throw std::invalid_argument("build_intalp: level 1 or 2");
-
   Module m{"intalp" + std::to_string(n) + "_l" + std::to_string(level)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
@@ -92,8 +82,8 @@ Module build_intalp(int n, int level) {
     Bus sel_y1 = mux_bus(m, qx, evals[1], evals[3]);
     Bus plane = mux_bus(m, qy, sel_y0, sel_y1);
     // Arithmetic >> kCoeffBits, then add into the significand.
-    const Bus p2 = sext(slice(plane, pw - 1, mult::IntAlpMultiplier::kCoeffBits), sw);
-    sig = ripple_add(m, sig, p2).sum;
+    const int shift = mult::IntAlpMultiplier::kCoeffBits;
+    sig = ripple_add(m, sig, detail::sext(slice(plane, pw - 1, shift), sw)).sum;
   }
 
   const auto kadd = ripple_add(m, oa.k, ob.k);

@@ -1,7 +1,5 @@
 #include "log_common.hpp"
 
-#include "realm/numeric/bits.hpp"
-
 namespace realm::hw::detail {
 
 LogOperand log_extract(Module& m, const Bus& in, int t, bool forced_one) {
@@ -67,6 +65,12 @@ Bus add_correction(Module& m, const Bus& frac, const Bus& s_units, NetId c_of, i
   }
   return ripple_add(m, resize(concat(frac, Bus{kConst1}), f + 2),
                     resize(s_aligned, f + 2)).sum;
+}
+
+Bus sext(const Bus& in, int width) {
+  Bus out(static_cast<std::size_t>(width), in.empty() ? kConst0 : in.back());
+  for (std::size_t i = 0; i < in.size() && i < out.size(); ++i) out[i] = in[i];
+  return out;
 }
 
 Bus gate_bus(Module& m, const Bus& bus, NetId enable) {

@@ -30,6 +30,9 @@ struct LogOperand {
 [[nodiscard]] Bus add_correction(Module& m, const Bus& frac, const Bus& s_units,
                                  NetId c_of, int q);
 
+/// Sign-extend a two's-complement bus to `width` bits.
+[[nodiscard]] Bus sext(const Bus& in, int width);
+
 /// AND-mask every bit of `bus` with `enable` (zero-operand bypass).
 [[nodiscard]] Bus gate_bus(Module& m, const Bus& bus, NetId enable);
 

@@ -1,22 +1,13 @@
-#include <stdexcept>
-
+#include "builders.hpp"
 #include "log_common.hpp"
-#include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
 #include "realm/multipliers/mbm.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 
 Module build_log_multiplier(const LogMultOptions& opts) {
   const int n = opts.n;
-  if (n < 2 || n > 31) throw std::invalid_argument("build_log_multiplier: N in [2, 31]");
-  if (opts.t < 0) throw std::invalid_argument("build_log_multiplier: t must be >= 0");
   const int f = n - 1 - opts.t;
-  if (f < 1) throw std::invalid_argument("build_log_multiplier: t too large");
-  if (opts.approx_adder_bits < 0 || opts.approx_adder_bits > f) {
-    throw std::invalid_argument("build_log_multiplier: bad approx_adder_bits");
-  }
 
   std::string name = "calm" + std::to_string(n);
   if (opts.mbm_correction) name = "mbm" + std::to_string(n) + "_t" + std::to_string(opts.t);
@@ -28,8 +19,8 @@ Module build_log_multiplier(const LogMultOptions& opts) {
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
 
-  const auto oa = detail::log_extract(m, a, opts.t, opts.forced_one);
-  const auto ob = detail::log_extract(m, b, opts.t, opts.forced_one);
+  const auto oa = detail::log_extract(m, a, opts.t, opts.mbm_correction);
+  const auto ob = detail::log_extract(m, b, opts.t, opts.mbm_correction);
 
   // Fraction adder — exact, or approximate on the low m bits (ALM [9]).
   Bus frac(static_cast<std::size_t>(f));

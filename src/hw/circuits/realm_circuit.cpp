@@ -2,21 +2,15 @@
 // adder, hardwired constant LUT addressed by the fraction MSBs, the
 // s vs s>>1 mux, and the final scaling shifter.
 
-#include <stdexcept>
-
+#include "builders.hpp"
 #include "log_common.hpp"
-#include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
-#include "realm/numeric/bits.hpp"
 
 namespace realm::hw {
 
 Module build_realm(const core::RealmConfig& cfg) {
   const int n = cfg.n;
   const int f = cfg.fraction_bits();
-  if (f < cfg.select_bits()) {
-    throw std::invalid_argument("build_realm: t too large for the LUT selects");
-  }
   // Shared cache: the cost model builds one circuit per sweep point, and
   // re-integrating Eq. 11 per point dwarfed the netlist construction itself.
   const auto lut_ptr = core::SegmentLut::shared(cfg.m, cfg.q);

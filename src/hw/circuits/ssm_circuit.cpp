@@ -1,6 +1,4 @@
-#include <stdexcept>
-
-#include "realm/hw/circuits.hpp"
+#include "builders.hpp"
 #include "realm/hw/components.hpp"
 
 namespace realm::hw {
@@ -18,9 +16,6 @@ Bus wired_shift_left(const Bus& in, int by) {
 }  // namespace
 
 Module build_ssm(int n, int m_bits) {
-  if (n < 2 || n > 31) throw std::invalid_argument("build_ssm: N in [2, 31]");
-  if (m_bits < 1 || m_bits > n) throw std::invalid_argument("build_ssm: m in [1, N]");
-
   Module m{"ssm" + std::to_string(n) + "_m" + std::to_string(m_bits)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);
@@ -44,10 +39,6 @@ Module build_ssm(int n, int m_bits) {
 }
 
 Module build_essm(int n, int m_bits) {
-  if (n < 2 || n > 31) throw std::invalid_argument("build_essm: N in [2, 31]");
-  if (m_bits < 1 || m_bits > n) throw std::invalid_argument("build_essm: m in [1, N]");
-  if ((n - m_bits) % 2 != 0) throw std::invalid_argument("build_essm: N-m must be even");
-
   Module m{"essm" + std::to_string(n) + "_m" + std::to_string(m_bits)};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);

@@ -28,36 +28,65 @@ namespace {
 struct Param {
   std::string_view key;
   std::optional<int> fallback = std::nullopt;  // default; none: key required
-  // Values outside [lo, hi] are rejected here, so the model factory and the
-  // circuit builders see the same width-independent ranges; the
-  // constructors check the ranges that depend on the operand width.
   int lo = std::numeric_limits<int>::min();
   int hi = std::numeric_limits<int>::max();
 };
 
-constexpr int kIntMax = std::numeric_limits<int>::max();
+using Spec = const SpecParams&;
+using Model = std::unique_ptr<Multiplier>;
+using enum AlmAdder;
+using enum AmVariant;
 
-// Every design's parameters, their defaults and their width-independent
-// ranges, for make_multiplier and hw::build_circuit alike; neither keeps a
-// default of its own.  q, the quantization of the REALM LUT and of MBM's
-// correction constant, and REALM's segment count M take the bounds of
-// core/lut.hpp.  The truncation t is checked where its width-dependent upper
-// bound is: in the constructors and the builders.
-const std::map<std::string, std::vector<Param>, std::less<>>& design_params() {
-  static const std::map<std::string, std::vector<Param>, std::less<>> table{
-      {"accurate", {}},
-      {"calm", {{"t", 0}}},
-      {"realm", {{"m", 16, 2, core::kMaxLutM}, {"t", 0}, {"q", 6, 3, core::kMaxLutQ}}},
-      {"mbm", {{"t", 0}, {"q", 6, 3, core::kMaxLutQ}}},
-      {"alm-soa", {{"m", std::nullopt, 0, kIntMax}}},
-      {"alm-maa", {{"m", std::nullopt, 0, kIntMax}}},
-      {"implm", {}},
-      {"drum", {{"k", std::nullopt, 3, kIntMax}}},
-      {"ssm", {{"m", std::nullopt, 1, kIntMax}}},
-      {"essm", {{"m", std::nullopt, 1, kIntMax}}},
-      {"am1", {{"nb", std::nullopt, 0, kIntMax}}},
-      {"am2", {{"nb", std::nullopt, 0, kIntMax}}},
-      {"intalp", {{"l", 2, 1, 2}}},
+int at(Spec s, const char* key) { return s.params.at(key); }
+
+template <class T, class... Args>
+Model model(Args... args) {
+  return std::make_unique<T>(args...);
+}
+
+// One row per design family: its parameters, their defaults and their
+// width-independent ranges, and the factory of its behavioral model, for
+// make_multiplier and hw::build_circuit alike; neither keeps a default of its
+// own.  q, the quantization of the REALM LUT and of MBM's correction
+// constant, and REALM's segment count M take the bounds of core/lut.hpp.
+// Every rule that depends on the operand width, t's upper bound among them,
+// lives in the model's constructor alone: hw::build_circuit constructs the
+// model through its row before it builds the netlist.
+struct Family {
+  std::vector<Param> params;
+  Model (*make)(Spec, int n);
+};
+
+const std::map<std::string, Family, std::less<>>& families() {
+  static const std::map<std::string, Family, std::less<>> table{
+      {"accurate", {{}, [](Spec, int n) { return model<AccurateMultiplier>(n); }}},
+      {"calm", {{{"t", 0}},
+                [](Spec s, int n) { return model<MitchellMultiplier>(n, at(s, "t")); }}},
+      {"realm",
+       {{{"m", 16, 2, core::kMaxLutM}, {"t", 0}, {"q", 6, 3, core::kMaxLutQ}},
+        [](Spec s, int n) { return model<core::RealmMultiplier>(realm_config(s, n)); }}},
+      {"mbm",
+       {{{"t", 0}, {"q", 6, 3, core::kMaxLutQ}},
+        [](Spec s, int n) { return model<MbmMultiplier>(n, at(s, "t"), at(s, "q")); }}},
+      {"alm-soa",
+       {{{"m", std::nullopt, 0}},
+        [](Spec s, int n) { return model<AlmMultiplier>(n, at(s, "m"), kSetOne); }}},
+      {"alm-maa",
+       {{{"m", std::nullopt, 0}},
+        [](Spec s, int n) { return model<AlmMultiplier>(n, at(s, "m"), kLowerOr); }}},
+      {"implm", {{}, [](Spec, int n) { return model<ImplmMultiplier>(n); }}},
+      {"drum", {{{"k", std::nullopt, 3}},
+                [](Spec s, int n) { return model<DrumMultiplier>(n, at(s, "k")); }}},
+      {"ssm", {{{"m", std::nullopt, 1}},
+               [](Spec s, int n) { return model<SsmMultiplier>(n, at(s, "m")); }}},
+      {"essm", {{{"m", std::nullopt, 1}},
+                [](Spec s, int n) { return model<EssmMultiplier>(n, at(s, "m")); }}},
+      {"am1", {{{"nb", std::nullopt, 0}},
+               [](Spec s, int n) { return model<AmMultiplier>(n, at(s, "nb"), kAm1); }}},
+      {"am2", {{{"nb", std::nullopt, 0}},
+               [](Spec s, int n) { return model<AmMultiplier>(n, at(s, "nb"), kAm2); }}},
+      {"intalp", {{{"l", 2, 1, 2}},
+                  [](Spec s, int n) { return model<IntAlpMultiplier>(n, at(s, "l")); }}},
   };
   return table;
 }
@@ -72,11 +101,11 @@ SpecParams parse_spec(const std::string& spec) {
   SpecParams out;
   const auto colon = text.find(':');
   out.design = text.substr(0, colon);
-  const auto design = design_params().find(out.design);
-  if (design == design_params().end()) {
+  const auto family = families().find(out.design);
+  if (family == families().end()) {
     throw std::invalid_argument("spec: unknown design '" + out.design + "'");
   }
-  const std::vector<Param>& params = design->second;
+  const std::vector<Param>& params = family->second.params;
 
   // ';' is accepted as a parameter separator so CSV-safe specs round-trip.
   std::string rest = colon == std::string::npos ? "" : text.substr(colon + 1);
@@ -149,33 +178,7 @@ core::RealmConfig realm_config(const SpecParams& spec, int n) {
 
 std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
   const SpecParams s = parse_spec(spec);
-  const auto& p = s.params;
-  if (s.design == "accurate") return std::make_unique<AccurateMultiplier>(n);
-  if (s.design == "calm") {
-    return std::make_unique<MitchellMultiplier>(n, p.at("t"));
-  }
-  if (s.design == "realm") {
-    return std::make_unique<core::RealmMultiplier>(realm_config(s, n));
-  }
-  if (s.design == "mbm") return std::make_unique<MbmMultiplier>(n, p.at("t"), p.at("q"));
-  if (s.design == "alm-soa") {
-    return std::make_unique<AlmMultiplier>(n, p.at("m"), AlmAdder::kSetOne);
-  }
-  if (s.design == "alm-maa") {
-    return std::make_unique<AlmMultiplier>(n, p.at("m"), AlmAdder::kLowerOr);
-  }
-  if (s.design == "implm") return std::make_unique<ImplmMultiplier>(n);
-  if (s.design == "drum") return std::make_unique<DrumMultiplier>(n, p.at("k"));
-  if (s.design == "ssm") return std::make_unique<SsmMultiplier>(n, p.at("m"));
-  if (s.design == "essm") return std::make_unique<EssmMultiplier>(n, p.at("m"));
-  if (s.design == "am1") {
-    return std::make_unique<AmMultiplier>(n, p.at("nb"), AmVariant::kAm1);
-  }
-  if (s.design == "am2") {
-    return std::make_unique<AmMultiplier>(n, p.at("nb"), AmVariant::kAm2);
-  }
-  if (s.design == "intalp") return std::make_unique<IntAlpMultiplier>(n, p.at("l"));
-  throw std::invalid_argument("make_multiplier: unknown design '" + s.design + "'");
+  return families().at(s.design).make(s, n);
 }
 
 std::vector<std::string> table1_specs() {

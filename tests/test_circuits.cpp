@@ -165,6 +165,18 @@ TEST(Circuits, NetlistsArePinned) {
        1485, 1602, 0x1.a3043958106afp+10, 0x1.5ccp+11, 0xab9e9c8630466b10},
       {"mbm", hw::build_circuit("mbm:t=0", 16),
        750, 807, 0x1.8a143958105ecp+9, 0x1.05p+11, 0x74243920cf9a8b63},
+      {"alm-soa", hw::build_circuit("alm-soa:m=11", 16),
+       580, 673, 0x1.28fd2f1a9fbeap+9, 0x1.71p+10, 0x7dcbce2a9f5465b2},
+      {"alm-maa", hw::build_circuit("alm-maa:m=9", 16),
+       689, 744, 0x1.63c666666664ap+9, 0x1.9ap+10, 0xd4c6ecde73c87b30},
+      {"implm", hw::build_circuit("implm", 16),
+       837, 894, 0x1.b8a10624dd2a2p+9, 0x1.f3p+10, 0x0ba7b1c306051730},
+      {"ssm", hw::build_circuit("ssm:m=8", 16),
+       418, 453, 0x1.f6353f7ced945p+8, 0x1.188p+10, 0xa8bd7c62f92d9086},
+      {"essm", hw::build_circuit("essm:m=8", 16),
+       494, 529, 0x1.23010624dd2f3p+9, 0x1.358p+10, 0x66a43df8b7473558},
+      {"am2", hw::build_circuit("am2:nb=13", 16),
+       682, 716, 0x1.accac083126cdp+9, 0x1.eap+9, 0x2fbc31f65901547b},
   };
   for (const Pin& p : pins) {
     EXPECT_EQ(p.mod.gates().size(), p.gates) << p.name;

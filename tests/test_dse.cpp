@@ -96,7 +96,11 @@ TEST(DesignPoint, CsvRowHasAllColumns) {
   };
   EXPECT_EQ(commas(header), commas(row));
   EXPECT_TRUE(p.is_realm());
+  EXPECT_TRUE(point("REALM:M=8,T=2", 1, 1, 1, 1).is_realm());
+  EXPECT_TRUE(point("Realm", 1, 1, 1, 1).is_realm());
   EXPECT_FALSE(point("calm", 1, 1, 1, 1).is_realm());
+  EXPECT_FALSE(point("realmish:m=8", 1, 1, 1, 1).is_realm());
+  EXPECT_FALSE(point("a", 1, 1, 1, 1).is_realm());
 }
 
 TEST(BestUnderBudget, PicksTheCheapestQualifyingDesign) {

@@ -1,9 +1,11 @@
 #include "realm/multipliers/registry.hpp"
 
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -318,6 +320,45 @@ TEST(Registry, CircuitBuilderRejectsWhatTheModelRejects) {
     EXPECT_THROW((void)mult::make_multiplier(spec, 16), std::invalid_argument) << spec;
     EXPECT_THROW((void)hw::build_circuit(spec, 16), std::invalid_argument) << spec;
   }
+  // Every family over a grid of widths, with t and each family's own
+  // parameter at its bounds and just past them: model and netlist accept
+  // the same (spec, n).
+  const auto accepts = [](auto build) {
+    try {
+      (void)build();
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+  };
+  std::set<std::string> families;
+  for (const int n : {0, 1, 2, 3, 16, 24, 30, 31, 32}) {
+    std::vector<std::string> specs{"accurate", "implm"};
+    for (const int t : {-1, 0, n - 2, n - 1}) {
+      const std::string ts = std::to_string(t);
+      for (const char* design : {"calm:t=", "mbm:q=3,t=", "realm:m=2,t=", "realm:t="}) {
+        specs.push_back(design + ts);
+      }
+    }
+    const auto add = [&](const char* design, std::initializer_list<int> values) {
+      for (const int v : values) specs.push_back(design + std::to_string(v));
+    };
+    add("alm-soa:m=", {-1, 0, n - 1, n});
+    add("alm-maa:m=", {-1, 0, n - 1, n});
+    add("drum:k=", {2, 3, n, n + 1});
+    add("ssm:m=", {0, 1, n, n + 1});
+    add("essm:m=", {0, 1, n - 2, n - 1, n, n + 1});
+    add("am1:nb=", {-1, 0, 2 * n, 2 * n + 1});
+    add("am2:nb=", {-1, 0, 2 * n, 2 * n + 1});
+    add("intalp:l=", {0, 1, 2, 3});
+    for (const std::string& spec : specs) {
+      families.insert(spec.substr(0, spec.find(':')));
+      const bool model = accepts([&] { return mult::make_multiplier(spec, n); });
+      const bool circuit = accepts([&] { return hw::build_circuit(spec, n); });
+      EXPECT_EQ(model, circuit) << spec << " at N=" << n;
+    }
+  }
+  EXPECT_EQ(families.size(), 13u);
 }
 
 TEST(Registry, Table1CoversThePaperRowCount) {
