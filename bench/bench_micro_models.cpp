@@ -193,6 +193,10 @@ BENCHMARK_CAPTURE(BM_Multiply, am1_nb9, std::string{"am1:nb=9"});
 BENCHMARK_CAPTURE(BM_Multiply, intalp_l2, std::string{"intalp:l=2"});
 
 BENCHMARK_CAPTURE(BM_MultiplyBatch, am1_nb9, std::string{"am1:nb=9"});
+BENCHMARK_CAPTURE(BM_MultiplyBatch, am2_nb13, std::string{"am2:nb=13"});
+// REALM at each Table I LUT size: 16, 64 and 256 entries.
+BENCHMARK_CAPTURE(BM_MultiplyBatch, realm4_t0, std::string{"realm:m=4,t=0"});
+BENCHMARK_CAPTURE(BM_MultiplyBatch, realm8_t0, std::string{"realm:m=8,t=0"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, realm16_t0, std::string{"realm:m=16,t=0"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, alm_soa_m11, std::string{"alm-soa:m=11"});
 // One instantiation of the datapath template per family.
@@ -200,6 +204,7 @@ BENCHMARK_CAPTURE(BM_MultiplyBatch, calm, std::string{"calm"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, mbm_t0, std::string{"mbm:t=0"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, alm_maa_m6, std::string{"alm-maa:m=6"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, implm, std::string{"implm"});
+BENCHMARK_CAPTURE(BM_MultiplyBatch, intalp_l1, std::string{"intalp:l=1"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, intalp_l2, std::string{"intalp:l=2"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, drum_k6, std::string{"drum:k=6"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, ssm_m10, std::string{"ssm:m=10"});

@@ -14,10 +14,10 @@
 // bias that improves as nb grows.  Reimplemented from the description in the
 // REALM paper and [15]'s published error profiles; see DESIGN.md §3.
 //
-// The reduction tree is defined once, as a template over a lane count
-// (src/multipliers/am.cpp): multiply() is its 1-lane instantiation and
-// multiply_batch()/multiply_row_range() its 8-lane, vectorized one, so the
-// paths cannot drift apart.
+// The reduction tree is defined once, as a template over a lane type and
+// count (src/multipliers/am.cpp): multiply() is its 1-lane instantiation and
+// multiply_batch()/multiply_row_range() its vectorized ones, 16 32-bit lanes
+// at N = 16 and 8 64-bit lanes otherwise, so the paths cannot drift apart.
 
 #pragma once
 
@@ -34,8 +34,8 @@ class AmMultiplier final : public Multiplier {
   AmMultiplier(int n, int nb, AmVariant variant);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Lane-blocked kernel: the same reduction tree over 8 pairs at a time,
-  /// with the variant chosen once per call.
+  /// Lane-blocked kernel: the same reduction tree over 16 pairs at a time
+  /// at N = 16 and 8 otherwise, with the variant chosen once per call.
   void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                       std::uint64_t* out, std::size_t n) const override;
   /// The batch kernel over the materialized column range, with the fixed

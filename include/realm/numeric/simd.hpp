@@ -9,6 +9,13 @@
 // have it.  On toolchains without target_clones support the macro is empty
 // and the default code path is used everywhere.
 //
+// A clone's ISA does not decide whether a table lookup becomes a gather:
+// GCC's generic tuning lowers one to vpextrq/vpinsrq sequences even in the
+// x86-64-v4 clone.  The two kernels with a table read in their batch loop,
+// REALM's s_ij lookup and IntALP's quadrant planes, are built with GCC's
+// gather tuning re-enabled for their source files alone (src/CMakeLists.txt),
+// which gives their x86-64-v4 clones vpgatherqq; no code here selects it.
+//
 // Note on reproducibility: results are bit-identical across thread counts
 // and across runs on the same machine/build by construction (fixed lane
 // structure, fixed merge order).  As with any floating-point code, different

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -106,10 +107,65 @@ void expect_metrics_identical(const err::ErrorMetrics& x, const err::ErrorMetric
 }  // namespace
 
 TEST(MultiplyBatch, RealmMatchesScalarAcrossConfigGrid) {
-  for (const int m : {4, 8, 16}) {
-    for (int t = 0; t <= 6; ++t) {
+  // Every valid t at N = 16, up to t = 15 - log2(M), where the forced LSB
+  // falls into the segment (sel_shift = 0): the batch kernel's gathered LUT
+  // lookup and the range kernel's column split against scalar multiply().
+  std::uint64_t range_fallbacks = 0;
+  for (const int m : {2, 4, 8, 16}) {
+    const int max_t = 15 - std::countr_zero(static_cast<unsigned>(m));
+    for (int t = 0; t <= max_t; ++t) {
       const core::RealmMultiplier mul{{.n = 16, .m = m, .t = t, .q = 6}};
-      expect_batch_matches_scalar(mul, 0xabcd0000u + static_cast<unsigned>(m * 16 + t));
+      const auto salt = static_cast<unsigned>(m * 16 + t);
+      expect_batch_matches_scalar(mul, 0xabcd0000u + salt);
+      expect_row_kernels_match_scalar(mul, 0xabcd8000u + salt, range_fallbacks);
+    }
+  }
+  EXPECT_EQ(range_fallbacks, 0u);
+}
+
+TEST(MultiplyBatch, AmSixteenBitKernelMatchesScalar) {
+  // At N = 16 the AM kernels run 16-pair blocks in 32-bit lanes, hand the
+  // remainder to 8-pair blocks in 64-bit lanes and zero-pad the last partial
+  // block.  Every pair of a structured-plus-seeded operand set goes through
+  // the batch kernel in calls of every length 1-47 in turn, and the range
+  // kernel runs each operand over columns at both ends and the middle.
+  std::vector<std::uint64_t> ops{0, 0xffff, 0xaaaa, 0x5555};
+  for (int i = 0; i < 16; ++i) ops.push_back(std::uint64_t{1} << i);
+  num::Xoshiro256 rng{0xa316};
+  while (ops.size() < 48) ops.push_back(rng.below(65536));
+  std::vector<std::uint64_t> a, b;
+  for (const std::uint64_t x : ops) {
+    for (const std::uint64_t y : ops) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  constexpr std::size_t kMaxLen = 47;
+  std::vector<std::uint64_t> out(a.size());
+  for (const char* design : {"am1", "am2"}) {
+    for (const int nb : {0, 5, 9, 13, 32}) {
+      const auto m = mult::make_multiplier(std::string{design} + ":nb=" + std::to_string(nb), 16);
+      for (std::size_t i0 = 0, len = 1; i0 < a.size(); i0 += len, len = len % kMaxLen + 1) {
+        m->multiply_batch(a.data() + i0, b.data() + i0, out.data() + i0,
+                          std::min(len, a.size() - i0));
+      }
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(out[i], m->multiply(a[i], b[i]))
+            << m->name() << " batch diverges at a=" << a[i] << " b=" << b[i];
+      }
+      std::size_t len = 0;
+      for (const std::uint64_t x : ops) {
+        for (const std::uint64_t b0 : {std::uint64_t{0}, std::uint64_t{0x7ff0},
+                                       std::uint64_t{65536 - kMaxLen}}) {
+          len = len % kMaxLen + 1;
+          m->multiply_row_range(x, b0, out.data(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(out[i], m->multiply(x, b0 + i))
+                << m->name() << " range of " << len << " diverges at a=" << x
+                << " b=" << b0 + i;
+          }
+        }
+      }
     }
   }
 }
