@@ -35,14 +35,14 @@ void BM_Multiply(benchmark::State& state, const std::string& spec) {
 
 // One 4096-pair multiply_batch block per iteration (items = pairs), so the
 // batch ns/pair sits beside BM_Multiply's scalar virtual-call figure.
-void BM_MultiplyBatch(benchmark::State& state, const std::string& spec) {
+void BM_MultiplyBatch(benchmark::State& state, const std::string& spec, int width = 16) {
   constexpr std::size_t kPairs = 4096;
-  const auto m = mult::make_multiplier(spec, 16);
+  const auto m = mult::make_multiplier(spec, width);
   num::Xoshiro256 rng{1};
   std::vector<std::uint64_t> a(kPairs), b(kPairs), out(kPairs);
   for (std::size_t i = 0; i < kPairs; ++i) {
-    a[i] = rng.below(65536);
-    b[i] = rng.below(65536);
+    a[i] = rng.below(std::uint64_t{1} << width);
+    b[i] = rng.below(std::uint64_t{1} << width);
   }
   for (auto _ : state) {
     m->multiply_batch(a.data(), b.data(), out.data(), kPairs);
@@ -209,6 +209,9 @@ BENCHMARK_CAPTURE(BM_MultiplyBatch, intalp_l2, std::string{"intalp:l=2"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, drum_k6, std::string{"drum:k=6"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, ssm_m10, std::string{"ssm:m=10"});
 BENCHMARK_CAPTURE(BM_MultiplyBatch, essm_m8, std::string{"essm:m=8"});
+// The 64-bit-lane instance, which scalar multiply() and every N > 16 run.
+BENCHMARK_CAPTURE(BM_MultiplyBatch, realm16_t0_n20, std::string{"realm:m=16,t=0"}, 20);
+BENCHMARK_CAPTURE(BM_MultiplyBatch, mbm_t0_n20, std::string{"mbm:t=0"}, 20);
 
 BENCHMARK(BM_SegmentTable)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 

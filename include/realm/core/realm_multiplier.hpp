@@ -82,6 +82,7 @@ class RealmMultiplier final : public Multiplier {
   [[nodiscard]] int product_bits() const noexcept { return 2 * cfg_.n + 1; }
 
  private:
+  template <class U>
   struct Policy;
   RealmConfig cfg_;
   std::shared_ptr<const SegmentLut> lut_;  // shared: tables are config-wide constants

@@ -43,7 +43,10 @@ class Multiplier {
   /// cheap: REALM, cALM, MBM, ALM-SOA/MAA, ImpLM, IntALP, DRUM, SSM and ESSM
   /// generate theirs from one datapath policy per family
   /// (src/multipliers/datapath.hpp), AM1/AM2 from their lane-blocked
-  /// reduction tree, and the exact reference is a plain product loop.  This
+  /// reduction tree, and the exact reference is a plain product loop.  The
+  /// policy kernels run 32-bit lanes for operands of up to 16 bits (AM's at
+  /// exactly 16), 16 pairs per 512-bit vector, and 64-bit lanes above, as
+  /// multiply() does.  This
   /// loop is the default for a design that overrides only multiply(), such
   /// as a wrapper or a test double.  `out` may alias neither `a` nor `b`.
   virtual void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
@@ -82,8 +85,10 @@ class Multiplier {
   /// variable operand's leading-one position is monotone over it: the
   /// datapath families split [b0, b0+n) at the powers of two and run a
   /// constant-shift kernel per segment, which removes the remaining LOD and
-  /// turns the final barrel shift into two fixed shifts; AM1/AM2 run their
-  /// lane kernel with the fixed operand broadcast.  The base implementation,
+  /// turns the final barrel shift into two fixed shifts (in 64 bits, also
+  /// when the rest of the kernel runs the 32-bit lanes of operands up to 16
+  /// bits); AM1/AM2 run their lane kernel with the fixed operand broadcast.
+  /// The base implementation,
   /// which no library design keeps, materializes the range in stack chunks
   /// and forwards to multiply_row_batch.  `out` must not overlap the range.
   virtual void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,

@@ -38,6 +38,7 @@ class AlmMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int m_;

@@ -29,6 +29,7 @@ class DrumMultiplier final : public Multiplier {
   [[nodiscard]] int k() const noexcept { return k_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int k_;

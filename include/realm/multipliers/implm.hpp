@@ -29,6 +29,7 @@ class ImplmMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
 };

@@ -50,7 +50,10 @@ class IntAlpMultiplier final : public Multiplier {
   [[nodiscard]] static const std::array<Plane, 4>& residual_planes();
 
  private:
-  struct Policy;
+  template <class U>
+  struct Policy;  // level 1
+  template <class U>
+  struct PlanePolicy;  // level 2
 
   int n_;
   int level_;

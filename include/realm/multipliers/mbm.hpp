@@ -36,6 +36,7 @@ class MbmMultiplier final : public Multiplier {
   [[nodiscard]] static std::uint32_t correction_units(int q);
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int t_;

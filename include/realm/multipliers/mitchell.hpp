@@ -28,6 +28,7 @@ class MitchellMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int t_;

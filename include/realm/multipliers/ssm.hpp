@@ -31,6 +31,7 @@ class SsmMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int m_;
@@ -53,6 +54,7 @@ class EssmMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
+  template <class U>
   struct Policy;
   int n_;
   int m_;

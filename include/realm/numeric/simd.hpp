@@ -9,12 +9,18 @@
 // have it.  On toolchains without target_clones support the macro is empty
 // and the default code path is used everywhere.
 //
+// The clones are per kernel instance.  The datapath families' kernels have
+// a 32-bit-lane instance for operands of up to 16 bits (16 pairs per
+// 512-bit vector) and a 64-bit-lane one above (src/multipliers/datapath.hpp),
+// and AM has the same split; each instance gets its own three clones.
+//
 // A clone's ISA does not decide whether a table lookup becomes a gather:
 // GCC's generic tuning lowers one to vpextrq/vpinsrq sequences even in the
-// x86-64-v4 clone.  The two kernels with a table read in their batch loop,
-// REALM's s_ij lookup and IntALP's quadrant planes, are built with GCC's
-// gather tuning re-enabled for their source files alone (src/CMakeLists.txt),
-// which gives their x86-64-v4 clones vpgatherqq; no code here selects it.
+// x86-64-v4 clone, and a read of 32-bit entries to vpextrd/vpinsrd.  The one
+// kernel with a table read in its batch loop, REALM's s_ij lookup, keeps
+// 64-bit entries in both instances and is built with GCC's gather tuning
+// re-enabled for its source file alone (src/CMakeLists.txt), which gives
+// both its x86-64-v4 clones vpgatherqq; no code here selects it.
 //
 // Note on reproducibility: results are bit-identical across thread counts
 // and across runs on the same machine/build by construction (fixed lane

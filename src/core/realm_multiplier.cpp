@@ -17,36 +17,40 @@ namespace realm::core {
 // fraction width drops bits (the paper's special case 2); operands near
 // 2^N - 1 reach 2N+1 result bits (special case 1) — both reproduced
 // faithfully.
+template <class U>
 struct RealmMultiplier::Policy {
+  using Word = U;
   static constexpr mult::dp::Shape kShape = mult::dp::Shape::kLog;
-  std::uint64_t w, t, f, fmask, sel, sel_shift, col_shift;
+  U w, t, f, fmask, sel, sel_shift, col_shift;
+  // 64-bit entries under either lane word: with 32-bit entries GCC lowers
+  // the lookup to scalar inserts instead of a gather.
   const std::uint64_t* __restrict lut;
 
   explicit Policy(const RealmMultiplier& r)
-      : w{static_cast<std::uint64_t>(r.cfg_.n - 1)},
-        t{static_cast<std::uint64_t>(r.cfg_.t)},
-        f{w - t},
-        fmask{num::mask(static_cast<int>(f))},
-        sel{static_cast<std::uint64_t>(r.lut_->select_bits())},
-        sel_shift{f - sel},
+      : w{static_cast<U>(r.cfg_.n - 1)},
+        t{static_cast<U>(r.cfg_.t)},
+        f{static_cast<U>(w - t)},
+        fmask{static_cast<U>(num::mask(static_cast<int>(f)))},
+        sel{static_cast<U>(r.lut_->select_bits())},
+        sel_shift{static_cast<U>(f - sel)},
         // A segment is u >> (w - sel) of the normalized offset u; at
         // sel_shift = 0 it also holds the forced LSB, fixed by u >> (t + 1).
-        col_shift{w - sel + (sel_shift == 0 ? 1u : 0u)},
+        col_shift{static_cast<U>(w - sel + (sel_shift == 0 ? 1u : 0u))},
         lut{r.batch_lut_.data()} {}
 
-  [[nodiscard]] mult::dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    const std::uint64_t x = mult::dp::log_fraction(v, k, w, t, 1);
-    return {k, x, x >> sel_shift};
+  [[nodiscard]] mult::dp::Operand<U> decode(U v, U k) const {
+    const U x = mult::dp::log_fraction<U>(v, k, w, t, 1);
+    return {k, x, static_cast<U>(x >> sel_shift)};
   }
-  [[nodiscard]] mult::dp::Term combine(const mult::dp::Operand& a,
-                                       const mult::dp::Operand& b) const {
-    const std::uint64_t fsum = a.frac + b.frac;
-    const std::uint64_t c_of = fsum >> f;
+  [[nodiscard]] mult::dp::Term<U> combine(const mult::dp::Operand<U>& a,
+                                          const mult::dp::Operand<U>& b) const {
+    const U fsum = a.frac + b.frac;
+    const U c_of = fsum >> f;
     // Both carry cases as selects, so over a range piece (constant entry)
     // the significand base folds to a blend of two invariants.
-    const std::uint64_t s = lut[(a.seg << sel) | b.seg];
-    const std::uint64_t s_sel = c_of != 0 ? s >> 1 : s;
-    return {(std::uint64_t{1} << f) + (fsum & fmask) + s_sel, c_of};
+    const auto s = static_cast<U>(lut[(a.seg << sel) | b.seg]);
+    const U s_sel = c_of != 0 ? static_cast<U>(s >> 1) : s;
+    return {static_cast<U>((U{1} << f) + (fsum & fmask) + s_sel), c_of};
   }
   // Splits a power-of-two interval at the LUT column boundaries: the segment
   // is monotone in b, so within a piece the LUT entry is a constant.

@@ -12,29 +12,31 @@ namespace realm::mult {
 // part with ones (lo_fill = all ones) and predicts no carry; MAA ORs the low
 // parts and predicts the carry from their top bits (carry_bit = 1).  With
 // m = 0 the low mask and carry_bit are 0 and the sum is exact.
+template <class U>
 struct AlmMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kLog;
-  std::uint64_t w, f, fmask, m, lo_mask, lo_fill, carry_shift, carry_bit;
+  U w, f, fmask, m, lo_mask, lo_fill, carry_shift, carry_bit;
 
   explicit Policy(const AlmMultiplier& mul)
-      : w{static_cast<std::uint64_t>(mul.n_ - 1)},
+      : w{static_cast<U>(mul.n_ - 1)},
         f{w},
-        fmask{num::mask(mul.n_ - 1)},
-        m{static_cast<std::uint64_t>(mul.m_)},
-        lo_mask{num::mask(mul.m_)},
-        lo_fill{mul.adder_ == AlmAdder::kSetOne ? ~std::uint64_t{0} : 0},
-        carry_shift{mul.m_ > 0 ? m - 1 : 0},
-        carry_bit{mul.adder_ == AlmAdder::kLowerOr && mul.m_ > 0 ? 1u : 0u} {}
+        fmask{static_cast<U>(num::mask(mul.n_ - 1))},
+        m{static_cast<U>(mul.m_)},
+        lo_mask{static_cast<U>(num::mask(mul.m_))},
+        lo_fill{mul.adder_ == AlmAdder::kSetOne ? static_cast<U>(~U{0}) : U{0}},
+        carry_shift{static_cast<U>(mul.m_ > 0 ? m - 1 : 0)},
+        carry_bit{static_cast<U>(mul.adder_ == AlmAdder::kLowerOr && mul.m_ > 0 ? 1u : 0u)} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    return {k, dp::log_fraction(v, k, w, 0, 0), 0};
+  [[nodiscard]] dp::Operand<U> decode(U v, U k) const {
+    return {k, dp::log_fraction<U>(v, k, w, 0, 0), 0};
   }
-  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
-    const std::uint64_t x = a.frac, y = b.frac;
-    const std::uint64_t lo = (x | y | lo_fill) & lo_mask;
-    const std::uint64_t carry = ((x & y) >> carry_shift) & carry_bit;
-    const std::uint64_t fsum = (((x >> m) + (y >> m) + carry) << m) | lo;
-    return {(std::uint64_t{1} << w) | (fsum & fmask), fsum >> w};
+  [[nodiscard]] dp::Term<U> combine(const dp::Operand<U>& a, const dp::Operand<U>& b) const {
+    const U x = a.frac, y = b.frac;
+    const U lo = (x | y | lo_fill) & lo_mask;
+    const U carry = ((x & y) >> carry_shift) & carry_bit;
+    const U fsum = static_cast<U>((((x >> m) + (y >> m) + carry) << m) | lo);
+    return {static_cast<U>((U{1} << w) | (fsum & fmask)), static_cast<U>(fsum >> w)};
   }
 };
 

@@ -10,16 +10,18 @@ namespace realm::mult {
 // is below bit k pass through unshifted; wider ones shift right by
 // k_lead - k + 1 and force the fragment's LSB to 1, which unbiases the
 // truncation.
+template <class U>
 struct DrumMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kFragment;
-  std::uint64_t kth;  // k - 1: a shift is needed from leading-one position k on
+  U kth;  // k - 1: a shift is needed from leading-one position k on
 
-  explicit Policy(const DrumMultiplier& m) : kth{static_cast<std::uint64_t>(m.k_ - 1)} {}
+  explicit Policy(const DrumMultiplier& m) : kth{static_cast<U>(m.k_ - 1)} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    const std::uint64_t sh = k > kth ? k - kth : 0;
-    const auto force = static_cast<std::uint64_t>(k > kth);
-    return {sh, (v >> sh) | force, force};
+  [[nodiscard]] dp::Operand<U> decode(U v, U k) const {
+    const U sh = k > kth ? k - kth : 0;
+    const auto force = static_cast<U>(k > kth);
+    return {sh, static_cast<U>((v >> sh) | force), force};
   }
 };
 

@@ -1,6 +1,7 @@
 #include "realm/multipliers/intalp.hpp"
 
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -49,43 +50,66 @@ std::array<double, 3> fit_plane(const num::Fn2& f, double x0, double x1, double 
 
 // C~ = 2^(ka+kb) · (1 + x + y + p) with p the plane approximation of xy in
 // Q(w): the level-1 plane per side of the x+y = 1 comparator (the
-// fraction-sum MSB), plus the level-2 residual plane of the (x, y) MSB
-// quadrant — all-zero planes at level 1.  The quadrant is the operand's
-// segment; it flips at the interval midpoint, so the range kernel splits
-// there.  The significand stays positive and below 4 · 2^w, and never
-// carries into the exponent.
+// fraction-sum MSB).  The significand stays positive and below 4 · 2^w, and
+// never carries into the exponent.  The quadrant segment flips at the
+// interval midpoint, so the range kernel splits there.
+template <class U>
 struct IntAlpMultiplier::Policy {
+  using Word = U;
+  using S = std::make_signed_t<U>;
   static constexpr dp::Shape kShape = dp::Shape::kLog;
-  std::uint64_t w, f;
-  std::int64_t ax[4]{}, ay[4]{}, c1[4]{};  // c1 = c · 2^w
+  U w, f;
 
-  explicit Policy(const IntAlpMultiplier& m)
-      : w{static_cast<std::uint64_t>(m.n_ - 1)}, f{w} {
-    for (std::size_t q = 0; q < 4; ++q) {
-      const Plane& pl = m.quadrant_planes_[q];
-      ax[q] = pl.ax;
-      ay[q] = pl.ay;
-      c1[q] = pl.c * (std::int64_t{1} << w);
-    }
-  }
+  explicit Policy(const IntAlpMultiplier& m) : w{static_cast<U>(m.n_ - 1)}, f{w} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    const std::uint64_t x = dp::log_fraction(v, k, w, 0, 0);
-    return {k, x, (x >> (w - 1)) & 1u};
+  [[nodiscard]] dp::Operand<U> decode(U v, U k) const {
+    const U x = dp::log_fraction<U>(v, k, w, 0, 0);
+    return {k, x, static_cast<U>((x >> (w - 1)) & 1u)};
   }
-  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
-    const auto x = static_cast<std::int64_t>(a.frac);
-    const auto y = static_cast<std::int64_t>(b.frac);
-    const std::int64_t one = std::int64_t{1} << w;
-    const std::int64_t s = x + y;
-    std::int64_t p = (s < one) ? (s >> 2) : ((3 * s - 2 * one) >> 2);
-    const std::uint64_t q = (a.seg << 1) | b.seg;
-    p += (ax[q] * x + ay[q] * y + c1[q]) >> kCoeffBits;
-    return {static_cast<std::uint64_t>(one + s + p), 0};
+  [[nodiscard]] dp::Term<U> combine(const dp::Operand<U>& a, const dp::Operand<U>& b) const {
+    const auto x = static_cast<S>(a.frac);
+    const auto y = static_cast<S>(b.frac);
+    const S one = S{1} << w;
+    const S s = x + y;
+    const S p = (s < one) ? (s >> 2) : ((3 * s - 2 * one) >> 2);
+    return {static_cast<U>(one + s + p), 0};
   }
   [[nodiscard]] static std::uint64_t piece_last(std::uint64_t b, std::uint64_t kb,
                                                 std::uint64_t last) {
     return dp::half_last(b, kb, last);
+  }
+};
+
+// Level 2: level 1 plus the residual plane of the (x, y) MSB quadrant.  At
+// N <= 16 every term fits a 32-bit lane: |ax|, |ay| <= 257 and |c| <= 64
+// (residual_planes()), and x, y < 2^15.  The quadrant's coefficients are
+// picked by two levels of selects: as a table read in 32-bit lanes GCC
+// lowers them to scalar inserts, not a gather.
+template <class U>
+struct IntAlpMultiplier::PlanePolicy : Policy<U> {
+  using S = std::make_signed_t<U>;
+  S ax[4]{}, ay[4]{}, c1[4]{};  // c1 = c · 2^w
+
+  explicit PlanePolicy(const IntAlpMultiplier& m) : Policy<U>{m} {
+    for (std::size_t q = 0; q < 4; ++q) {
+      const Plane& pl = m.quadrant_planes_[q];
+      ax[q] = static_cast<S>(pl.ax);
+      ay[q] = static_cast<S>(pl.ay);
+      c1[q] = static_cast<S>(pl.c * (std::int64_t{1} << this->w));
+    }
+  }
+
+  [[nodiscard]] static S quadrant(const S (&v)[4], bool qx, bool qy) {
+    return qx ? (qy ? v[3] : v[2]) : (qy ? v[1] : v[0]);
+  }
+  [[nodiscard]] dp::Term<U> combine(const dp::Operand<U>& a, const dp::Operand<U>& b) const {
+    const auto x = static_cast<S>(a.frac);
+    const auto y = static_cast<S>(b.frac);
+    const bool qx = a.seg != 0, qy = b.seg != 0;
+    const S p =
+        (quadrant(ax, qx, qy) * x + quadrant(ay, qx, qy) * y + quadrant(c1, qx, qy)) >> kCoeffBits;
+    const dp::Term<U> t = Policy<U>::combine(a, b);
+    return {static_cast<U>(t.value + static_cast<U>(p)), 0};
   }
 };
 
@@ -120,7 +144,30 @@ IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
   if (level_ == 2) quadrant_planes_ = residual_planes();
 }
 
-REALM_DATAPATH_ENTRY_POINTS(IntAlpMultiplier)
+// multiply() runs the plane term at both levels (level 1's planes are
+// zero), so it checks level 1's plane-free kernels as well.
+std::uint64_t IntAlpMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
+  assert(num::fits(a, n_) && num::fits(b, n_));
+  return dp::multiply(PlanePolicy<std::uint64_t>{*this}, a, b);
+}
+
+void IntAlpMultiplier::multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
+                                      std::uint64_t* out, std::size_t n) const {
+  if (level_ == 1) {
+    dp::batch_entry<Policy>(*this, a, b, out, n);
+  } else {
+    dp::batch_entry<PlanePolicy>(*this, a, b, out, n);
+  }
+}
+
+void IntAlpMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
+                                          std::uint64_t* out, std::size_t n) const {
+  if (level_ == 1) {
+    dp::range_entry<Policy>(*this, a_fixed, b0, out, n);
+  } else {
+    dp::range_entry<PlanePolicy>(*this, a_fixed, b0, out, n);
+  }
+}
 
 std::string IntAlpMultiplier::name() const {
   return "IntALP (L=" + std::to_string(level_) + ")";

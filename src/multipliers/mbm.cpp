@@ -15,29 +15,31 @@ namespace realm::mult {
 // units) aligned to the f-bit fraction; the c_of = 1 addend is exactly
 // corr >> 1 whether the alignment widens or narrows.  base0/base1 fold the
 // implicit leading one into both.
+template <class U>
 struct MbmMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kLog;
-  std::uint64_t w, t, f, fmask, base0, base1;
+  U w, t, f, fmask, base0, base1;
 
   explicit Policy(const MbmMultiplier& m)
-      : w{static_cast<std::uint64_t>(m.n_ - 1)},
-        t{static_cast<std::uint64_t>(m.t_)},
-        f{w - t},
-        fmask{num::mask(static_cast<int>(f))} {
+      : w{static_cast<U>(m.n_ - 1)},
+        t{static_cast<U>(m.t_)},
+        f{static_cast<U>(w - t)},
+        fmask{static_cast<U>(num::mask(static_cast<int>(f)))} {
     const auto q1 = static_cast<std::uint64_t>(m.q_ + 1);
     const std::uint64_t doubled = std::uint64_t{m.corr_units_} << 1;
     const std::uint64_t corr = f >= q1 ? doubled << (f - q1) : doubled >> (q1 - f);
-    base0 = (std::uint64_t{1} << f) + corr;
-    base1 = (std::uint64_t{1} << f) + (corr >> 1);
+    base0 = static_cast<U>((std::uint64_t{1} << f) + corr);
+    base1 = static_cast<U>((std::uint64_t{1} << f) + (corr >> 1));
   }
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    return {k, dp::log_fraction(v, k, w, t, 1), 0};
+  [[nodiscard]] dp::Operand<U> decode(U v, U k) const {
+    return {k, dp::log_fraction<U>(v, k, w, t, 1), 0};
   }
-  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
-    const std::uint64_t fsum = a.frac + b.frac;
-    const std::uint64_t c_of = fsum >> f;
-    return {(c_of != 0 ? base1 : base0) + (fsum & fmask), c_of};
+  [[nodiscard]] dp::Term<U> combine(const dp::Operand<U>& a, const dp::Operand<U>& b) const {
+    const U fsum = a.frac + b.frac;
+    const U c_of = fsum >> f;
+    return {static_cast<U>((c_of != 0 ? base1 : base0) + (fsum & fmask)), c_of};
   }
 };
 

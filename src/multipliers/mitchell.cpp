@@ -9,22 +9,24 @@ namespace realm::mult {
 // Eq. 3: both branches collapse to (1.frac) · 2^(ka+kb+carry) because
 // x + y >= 1 means x + y = 1 + frac.  t <= N-2 leaves f >= 1 fraction bits,
 // as the netlist builder requires.
+template <class U>
 struct MitchellMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kLog;
-  std::uint64_t w, t, f, fmask;
+  U w, t, f, fmask;
 
   explicit Policy(const MitchellMultiplier& m)
-      : w{static_cast<std::uint64_t>(m.n_ - 1)},
-        t{static_cast<std::uint64_t>(m.t_)},
-        f{w - t},
-        fmask{num::mask(static_cast<int>(f))} {}
+      : w{static_cast<U>(m.n_ - 1)},
+        t{static_cast<U>(m.t_)},
+        f{static_cast<U>(w - t)},
+        fmask{static_cast<U>(num::mask(static_cast<int>(f)))} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t k) const {
-    return {k, dp::log_fraction(v, k, w, t, 0), 0};
+  [[nodiscard]] dp::Operand<U> decode(U v, U k) const {
+    return {k, dp::log_fraction<U>(v, k, w, t, 0), 0};
   }
-  [[nodiscard]] dp::Term combine(const dp::Operand& a, const dp::Operand& b) const {
-    const std::uint64_t fsum = a.frac + b.frac;
-    return {(std::uint64_t{1} << f) | (fsum & fmask), fsum >> f};
+  [[nodiscard]] dp::Term<U> combine(const dp::Operand<U>& a, const dp::Operand<U>& b) const {
+    const U fsum = a.frac + b.frac;
+    return {static_cast<U>((U{1} << f) | (fsum & fmask)), static_cast<U>(fsum >> f)};
   }
 };
 

@@ -13,33 +13,38 @@ namespace realm::mult {
 // hardware's OR of the upper bits does, so the kernels need no LOD, and
 // pick between invariant shifts of v, which vectorize as uniform shifts.
 // The thresholds are powers of two, so a range piece never straddles one.
+template <class U>
 struct SsmMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kFragment;
-  std::uint64_t top_min, off;
+  U top_min, off;
 
   explicit Policy(const SsmMultiplier& s)
-      : top_min{std::uint64_t{1} << s.m_}, off{static_cast<std::uint64_t>(s.n_ - s.m_)} {}
+      : top_min{static_cast<U>(std::uint64_t{1} << s.m_)}, off{static_cast<U>(s.n_ - s.m_)} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t /*k*/) const {
+  [[nodiscard]] dp::Operand<U> decode(U v, U /*k*/) const {
     const bool top = v >= top_min;
-    return {top ? off : 0, top ? v >> off : v, 0};
+    return {top ? off : U{0}, top ? static_cast<U>(v >> off) : v, 0};
   }
 };
 
+template <class U>
 struct EssmMultiplier::Policy {
+  using Word = U;
   static constexpr dp::Shape kShape = dp::Shape::kFragment;
-  std::uint64_t mid_min, hi_min, off_mid, off_hi;
+  U mid_min, hi_min, off_mid, off_hi;
 
   explicit Policy(const EssmMultiplier& s)
-      : mid_min{std::uint64_t{1} << s.m_},
-        hi_min{std::uint64_t{1} << (s.m_ + (s.n_ - s.m_) / 2)},
-        off_mid{static_cast<std::uint64_t>((s.n_ - s.m_) / 2)},
-        off_hi{static_cast<std::uint64_t>(s.n_ - s.m_)} {}
+      : mid_min{static_cast<U>(std::uint64_t{1} << s.m_)},
+        hi_min{static_cast<U>(std::uint64_t{1} << (s.m_ + (s.n_ - s.m_) / 2))},
+        off_mid{static_cast<U>((s.n_ - s.m_) / 2)},
+        off_hi{static_cast<U>(s.n_ - s.m_)} {}
 
-  [[nodiscard]] dp::Operand decode(std::uint64_t v, std::uint64_t /*k*/) const {
+  [[nodiscard]] dp::Operand<U> decode(U v, U /*k*/) const {
     const bool hi = v >= hi_min;
     const bool mid = v >= mid_min;
-    return {hi ? off_hi : (mid ? off_mid : 0), hi ? v >> off_hi : (mid ? v >> off_mid : v), 0};
+    return {hi ? off_hi : (mid ? off_mid : U{0}),
+            hi ? static_cast<U>(v >> off_hi) : (mid ? static_cast<U>(v >> off_mid) : v), 0};
   }
 };
 

@@ -210,6 +210,87 @@ TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
   EXPECT_EQ(range_fallbacks, 0u);
 }
 
+TEST(MultiplyBatch, NarrowLanesMatchScalarAtEveryWidth) {
+  // Up to 16 bits the datapath families' batch and range kernels run in
+  // 32-bit lanes with a 64-bit final shift; scalar multiply() and wider
+  // operands run 64-bit lanes.  17 bits is the first width past the cut.
+  // The operands are 0, 1, 2^N - 1, every single-bit value, a sample of the
+  // [2^N - 2^(N-4), 2^N) corner (where MBM's and REALM-M4's products pass
+  // 2^32 at N = 16) and seeded values; every pair of them goes through the
+  // batch kernel in calls of every length 1-47 in turn.  The range kernel
+  // runs each operand over columns at both ends and across 2^(N-1), and from
+  // 8 bits on a few operands over the lower half of the top interval, which
+  // crosses 2^(N-1) and every REALM LUT column boundary in that half.
+  const std::vector<std::string> specs{
+      "realm:m=2,t=0", "realm:m=4,t=0", "realm:m=16,t=0", "realm:m=8,t=4",
+      "calm",          "calm:t=1",      "mbm:t=0",        "mbm:t=1",
+      "alm-soa:m=1",   "alm-soa:m=11",  "alm-maa:m=1",    "alm-maa:m=6",
+      "implm",         "intalp:l=1",    "intalp:l=2",     "drum:k=3",
+      "drum:k=6",      "ssm:m=1",       "ssm:m=10",       "essm:m=1",
+      "essm:m=2",      "essm:m=8"};
+  constexpr std::size_t kMaxLen = 47;
+  std::size_t checked = 0;
+  for (const int n : {2, 3, 8, 15, 16, 17}) {
+    const std::uint64_t top = std::uint64_t{1} << n;
+    const std::uint64_t corner = top - (top >> std::min(n, 4));
+    std::vector<std::uint64_t> ops{0, 1, top - 1};
+    for (int i = 0; i < n; ++i) ops.push_back(std::uint64_t{1} << i);
+    const std::uint64_t corner_step = std::max<std::uint64_t>(1, (top - corner) / 24);
+    for (std::uint64_t v = corner; v < top; v += corner_step) ops.push_back(v);
+    num::Xoshiro256 rng{0x3216u + static_cast<unsigned>(n)};
+    for (int i = 0; i < 24; ++i) ops.push_back(rng.below(top));
+    std::vector<std::uint64_t> a, b;
+    for (const std::uint64_t x : ops) {
+      for (const std::uint64_t y : ops) {
+        a.push_back(x);
+        b.push_back(y);
+      }
+    }
+    std::vector<std::uint64_t> out(std::max<std::size_t>(a.size(), top / 4 + 16));
+    for (const auto& spec : specs) {
+      std::unique_ptr<Multiplier> m;
+      try {
+        m = mult::make_multiplier(spec, n);
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      ++checked;
+      for (std::size_t i0 = 0, len = 1; i0 < a.size(); i0 += len, len = len % kMaxLen + 1) {
+        m->multiply_batch(a.data() + i0, b.data() + i0, out.data() + i0,
+                          std::min(len, a.size() - i0));
+      }
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(out[i], m->multiply(a[i], b[i]))
+            << spec << " at N=" << n << ": batch diverges at a=" << a[i] << " b=" << b[i];
+      }
+      std::size_t len = 0;
+      for (const std::uint64_t x : ops) {
+        len = static_cast<std::size_t>(std::min<std::uint64_t>(len % kMaxLen + 1, top));
+        for (const std::uint64_t b0 : {std::uint64_t{0}, top / 2 - len / 2, top - len}) {
+          m->multiply_row_range(x, b0, out.data(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(out[i], m->multiply(x, b0 + i))
+                << spec << " at N=" << n << ": range of " << len << " diverges at a=" << x
+                << " b=" << b0 + i;
+          }
+        }
+      }
+      if (n < 8) continue;
+      const std::uint64_t long_b0 = top / 2 - 3;
+      const auto long_len = static_cast<std::size_t>(top / 4 + 6);
+      for (const std::uint64_t x : {std::uint64_t{1}, top - 1, corner, ops.back()}) {
+        m->multiply_row_range(x, long_b0, out.data(), long_len);
+        for (std::size_t i = 0; i < long_len; ++i) {
+          ASSERT_EQ(out[i], m->multiply(x, long_b0 + i))
+              << spec << " at N=" << n << ": long range diverges at a=" << x
+              << " b=" << long_b0 + i;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 100u);
+}
+
 TEST(EvalEngine, MonteCarloIsThreadCountInvariant) {
   // The seed-stability invariant: shard layout depends only on (samples,
   // seed), so the merged metrics are bit-identical for any thread count.

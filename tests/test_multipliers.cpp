@@ -222,8 +222,10 @@ TEST(AmFamily, TableOneMonteCarloMetricsArePinned) {
 
 TEST(DatapathFamilies, TableOneMonteCarloMetricsArePinned) {
   // err::monte_carlo metrics of one Table I spec per family on the datapath
-  // template, captured from the hand-written kernels it replaced (Release
-  // build).  Any change to one of these products moves these doubles.  The
+  // template, at 1 and 2 threads, captured from the hand-written kernels it
+  // replaced (Release build); realm:m=4,t=0 and intalp:l=1 were captured
+  // from the 64-bit-lane kernels that preceded the 32-bit ones N = 16 runs
+  // now.  Any change to one of these products moves these doubles.  The
   // reduction's last bit follows the build's FP code generation: an -O0
   // build, of this or of the replaced code, rounds alm-soa:m=11's variance
   // one ulp lower.
@@ -234,6 +236,8 @@ TEST(DatapathFamilies, TableOneMonteCarloMetricsArePinned) {
   constexpr Pinned kPinned[] = {
       {"realm:m=16,t=0", 0x1.a095a5506f42p-7, 0x1.addcca8b73c99p-2, 0x1.2175bc9d3e152p-2,
        -0x1.f52c0938a915bp+0, 0x1.c637c37008134p+0},
+      {"realm:m=4,t=0", -0x1.9a1d402b81b2fp-6, 0x1.61cd26fba965ep+0, 0x1.88f943817ee65p+1,
+       -0x1.66ddd04d0d6ep+2, 0x1.4bb1773cf0f87p+2},
       {"calm", -0x1.ec0aff333bf92p+1, 0x1.ec0aff333bf91p+1, 0x1.140ed8e4b1469p+3,
        -0x1.6348533e499fcp+3, 0x0p+0},
       {"mbm:t=0", -0x1.67fbd3dfb9284p-4, 0x1.4a47599b86c7dp+1, 0x1.4066d0da3e1f4p+3,
@@ -246,6 +250,8 @@ TEST(DatapathFamilies, TableOneMonteCarloMetricsArePinned) {
        -0x1.61d9227d5af15p+3, 0x1.6209d410c4403p+3},
       {"intalp:l=2", -0x1.0b06767b2686dp-7, 0x1.6c530595db012p-1, 0x1.dcdbde7d24de1p-1,
        -0x1.8086d115cea5p+2, 0x1.08eee5b68e401p+2},
+      {"intalp:l=1", 0x1.009de0c889377p+2, 0x1.009de0c889377p+2, 0x1.73a5ea1d77768p+2,
+       0x1.119211dd045acp-8, 0x1.8c5bb09329ea5p+3},
       {"drum:k=6", 0x1.e181db104eef2p-5, 0x1.7650ba11ac0cp+0, 0x1.9d61ec875a168p+1,
        -0x1.5ad2b0aaf26a8p+2, 0x1.7c930604b4d7dp+2},
       {"ssm:m=10", -0x1.9707f098427ap-2, 0x1.9707f098427ap-2, 0x1.32f8be241a1ffp-2,
@@ -257,13 +263,17 @@ TEST(DatapathFamilies, TableOneMonteCarloMetricsArePinned) {
   opts.samples = std::uint64_t{1} << 16;
   opts.seed = 0x7ab1e1;
   for (const auto& pin : kPinned) {
-    const auto r = err::monte_carlo(*mult::make_multiplier(pin.spec, 16), opts);
-    EXPECT_EQ(r.samples, 65534u) << pin.spec;  // two pairs have a zero operand
-    EXPECT_EQ(r.bias, pin.bias) << pin.spec;
-    EXPECT_EQ(r.mean, pin.mean) << pin.spec;
-    EXPECT_EQ(r.variance, pin.variance) << pin.spec;
-    EXPECT_EQ(r.min, pin.min) << pin.spec;
-    EXPECT_EQ(r.max, pin.max) << pin.spec;
+    for (const int threads : {1, 2}) {
+      opts.threads = threads;
+      const auto r = err::monte_carlo(*mult::make_multiplier(pin.spec, 16), opts);
+      SCOPED_TRACE(std::string{pin.spec} + " at " + std::to_string(threads) + " threads");
+      EXPECT_EQ(r.samples, 65534u);  // two pairs have a zero operand
+      EXPECT_EQ(r.bias, pin.bias);
+      EXPECT_EQ(r.mean, pin.mean);
+      EXPECT_EQ(r.variance, pin.variance);
+      EXPECT_EQ(r.min, pin.min);
+      EXPECT_EQ(r.max, pin.max);
+    }
   }
 }
 
